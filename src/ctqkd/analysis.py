@@ -12,15 +12,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detector import DetectorModel, click_prob_coherent, click_prob_thermal
-from .protocol import ALARM_NONE, SessionConfig, run_session
+from .protocol import ALARM_NONE, ConfigError, SessionConfig, run_session
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept parameter over a value grid, several seeds per point.
 
-    parameter names a SessionConfig field, or "attack.<field>" for a field of
-    the attack strategy.
+    parameter names a SessionConfig field other than seed, or
+    "attack.<field>" for a field of the attack strategy.
     """
 
     parameter: str
@@ -30,6 +30,10 @@ class SweepSpec:
     seeds_per_point: int = 1
 
     def __post_init__(self):
+        if self.parameter == "seed":
+            # run_sweep derives each replicate's seed from base.seed; a swept
+            # seed would overwrite it and run every replicate on one seed.
+            raise ConfigError("seed cannot be swept; replicates take seeds from base.seed")
         if len(self.values) == 0:
             raise ValueError("value grid must be nonempty")
         if self.seeds_per_point < 1:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import DetectorModel
+from .detector import DetectorModel, click_prob
 from .light import (
     KIND_BLINDING,
     KIND_COHERENT,
@@ -153,11 +153,8 @@ class InterceptResend(Attack):
         delta_true = np.diff(_quarter_of(_coherent_amplitudes(batch))) % 4
         basis, delta_hat, self._bits = _dps_phase_estimates(delta_true, rng)
         self._basis_matches = int(((delta_true % 2) == basis).sum())
-        amps = _resend_train(delta_hat, self.resend_mu)
-        out = batch.copy()
-        out.field_h = FieldArray.coherent(amps)
-        out.field_v = FieldArray.coherent(amps.copy())
-        return out
+        resend = FieldArray.coherent(_resend_train(delta_hat, self.resend_mu))
+        return batch.with_fields(resend, resend)
 
     def finalize_report(self, sift, rng):
         frac = _fraction_correct(self._bits, sift) if self._bits is not None else 0.0
@@ -213,10 +210,10 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     coh_h = batch.field_h.kind == KIND_COHERENT
     coh_fields = FieldArray.where(coh_h, batch.field_h, batch.field_v)
     th_fields = FieldArray.where(coh_h, batch.field_v, batch.field_h)
-    p_c = float(np.mean(1.0 - (1.0 - eve_det.dark_prob) * coh_fields.noclick_factors(eve_det.eta)))
-    p_t = float(np.mean(1.0 - (1.0 - eve_det.dark_prob) * th_fields.noclick_factors(eve_det.eta)))
+    p_c = float(np.mean(click_prob(eve_det.dark_prob, coh_fields.noclick_factors(eve_det.eta))))
+    p_t = float(np.mean(click_prob(eve_det.dark_prob, th_fields.noclick_factors(eve_det.eta))))
 
-    p_click_h = 1.0 - (1.0 - eve_det.dark_prob) * batch.field_h.noclick_factors(eve_det.eta)
+    p_click_h = click_prob(eve_det.dark_prob, batch.field_h.noclick_factors(eve_det.eta))
     clicks = rng.random(len(batch)) < p_click_h
     guess_coh_in_h = clicks if p_c >= p_t else ~clicks
     bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
@@ -267,10 +264,10 @@ class ModeDiscrimination(Attack):
         _, delta_hat, self._bits = _dps_phase_estimates(delta_true, rng, informative)
 
         resend = FieldArray.coherent(_resend_train(delta_hat, self.resend_mu))
-        out = batch.copy()
-        out.field_h = FieldArray.where(guess_h, resend, batch.field_h)
-        out.field_v = FieldArray.where(guess_h, batch.field_v, resend)
-        return out
+        return batch.with_fields(
+            FieldArray.where(guess_h, resend, batch.field_h),
+            FieldArray.where(guess_h, batch.field_v, resend),
+        )
 
     def finalize_report(self, sift, rng):
         frac = _fraction_correct(self._bits, sift) if self._bits is not None else 0.0
@@ -290,9 +287,9 @@ def _photon_counts(fields: FieldArray, rng: np.random.Generator) -> np.ndarray:
     counts[coh] = rng.poisson(np.abs(fields.amp[coh]) ** 2)
     th = k == KIND_THERMAL
     if th.any():
-        counts[th] = rng.geometric(1.0 / (1.0 + fields.mean[th])) - 1
+        counts[th] = rng.geometric(1.0 / (1.0 + fields.param[th])) - 1
     fo = k == KIND_FOCK
-    counts[fo] = fields.nph[fo]
+    counts[fo] = fields.param[fo].astype(np.int64)
     counts[k == KIND_BLINDING] = np.iinfo(np.int64).max // 2
     return counts
 
@@ -323,10 +320,7 @@ class TrojanHorse(Attack):
     def apply_forward(self, batch, cfg, rng):
         self._held = batch
         n = len(batch)
-        out = batch.copy()
-        out.field_h = FieldArray.uniform(self.probe, n)
-        out.field_v = FieldArray.vacuum(n)
-        return out
+        return batch.with_fields(FieldArray.uniform(self.probe, n), FieldArray.vacuum(n))
 
     def apply_return(self, batch, cfg, rng):
         counts = _photon_counts(batch.field_h, rng) + _photon_counts(batch.field_v, rng)
@@ -369,11 +363,7 @@ class BrightLight(Attack):
         return {"forced_click_prob": self.forced_click_prob}
 
     def apply_return(self, batch, cfg, rng):
-        out = batch.copy()
-        n = len(batch)
-        out.field_h = FieldArray.uniform(Blinding(self.forced_click_prob), n)
-        out.field_v = FieldArray.uniform(Blinding(self.forced_click_prob), n)
-        return out
+        return attack_bright_light(batch, self.forced_click_prob)
 
     def finalize_report(self, sift, rng):
         return EveReport(self.label, self.params(),
@@ -382,11 +372,8 @@ class BrightLight(Attack):
 
 def attack_bright_light(batch: PulseBatch, forced_click_prob: float) -> PulseBatch:
     """Replace both mode fields with saturating light (pure transformation)."""
-    out = batch.copy()
-    n = len(batch)
-    out.field_h = FieldArray.uniform(Blinding(forced_click_prob), n)
-    out.field_v = FieldArray.uniform(Blinding(forced_click_prob), n)
-    return out
+    blinding = FieldArray.uniform(Blinding(forced_click_prob), len(batch))
+    return batch.with_fields(blinding, blinding)
 
 
 def attack_beamsplit(batch: PulseBatch, tap_fraction: float,

@@ -138,14 +138,17 @@ def build_session_config(values: dict) -> SessionConfig:
         if key in values:
             kwargs[target] = values[key]
     defaults = SessionConfig()
-    alice = DetectorModel(
-        eta=values.get("alice.eta", defaults.detector_alice.eta),
-        dark_prob=values.get("alice.dark_prob", defaults.detector_alice.dark_prob),
-    )
-    bob = DetectorModel(
-        eta=values.get("bob.eta", defaults.detector_bob.eta),
-        dark_prob=values.get("bob.dark_prob", defaults.detector_bob.dark_prob),
-    )
+    try:
+        alice = DetectorModel(
+            eta=values.get("alice.eta", defaults.detector_alice.eta),
+            dark_prob=values.get("alice.dark_prob", defaults.detector_alice.dark_prob),
+        )
+        bob = DetectorModel(
+            eta=values.get("bob.eta", defaults.detector_bob.eta),
+            dark_prob=values.get("bob.dark_prob", defaults.detector_bob.dark_prob),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return SessionConfig(detector_alice=alice, detector_bob=bob, **kwargs)
 
 
@@ -269,13 +272,13 @@ def cmd_sweep(values: dict, out_dir: str, out) -> int:
 
 
 def cmd_distinguish(values: dict, out_dir: str, out) -> int:
-    det = DetectorModel(
-        eta=values.get("distinguish.eta", 0.1),
-        dark_prob=values.get("distinguish.dark_prob", 1e-5),
-    )
     seed = values.get("session.seed", SessionConfig().seed)
     rng = np.random.default_rng(seed)
     try:
+        det = DetectorModel(
+            eta=values.get("distinguish.eta", 0.1),
+            dark_prob=values.get("distinguish.dark_prob", 1e-5),
+        )
         rows = distinguishability_curve(
             mu_t=values.get("distinguish.mu_thermal", 0.2),
             mu_c=values.get("distinguish.mu_coherent", 0.2),

@@ -109,11 +109,30 @@ class PowerTestOutcome:
         }
 
 
+def click_prob(dark_prob, *noclick_factors):
+    """Threshold-detector click law: 1 - (1 - dark_prob) * noclick.
+
+    noclick is the probability that the light alone causes no avalanche;
+    the factors of independent fields on one detector multiply, left to
+    right after (1 - dark_prob).  Works elementwise on arrays.
+    """
+    survive = 1.0 - dark_prob
+    for factor in noclick_factors:
+        survive = survive * factor
+    if isinstance(survive, np.ndarray):
+        # survive is a fresh product, never an input: reuse its memory.
+        return np.subtract(1.0, survive, out=survive)
+    return 1.0 - survive
+
+
 def click_prob_thermal(det: DetectorModel, mu_t: float) -> float:
     """Avalanche probability under thermal light of mean photon number mu_t:
     1 - (1 - dark_prob) / (1 + eta mu_t)."""
     if mu_t < 0.0:
         raise ValueError(f"mean photon number must be >= 0, got {mu_t}")
+    # Kept as a quotient: (1 - dark_prob) * (1 / (1 + eta mu_t)) through
+    # click_prob differs in the last bit for about one input in five, and
+    # this value is the thermal monitor's expectation in every session.
     return 1.0 - (1.0 - det.dark_prob) / (1.0 + det.eta * mu_t)
 
 
@@ -122,7 +141,7 @@ def click_prob_coherent(det: DetectorModel, mu: float) -> float:
     1 - (1 - dark_prob) exp(-eta mu)."""
     if mu < 0.0:
         raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    return 1.0 - (1.0 - det.dark_prob) * math.exp(-det.eta * mu)
+    return click_prob(det.dark_prob, math.exp(-det.eta * mu))
 
 
 def click_prob_state(det: DetectorModel, rho: DensityMatrix) -> float:
@@ -135,7 +154,7 @@ def click_prob_state(det: DetectorModel, rho: DensityMatrix) -> float:
     enough samples.
     """
     weights = (1.0 - det.eta) ** np.arange(rho.dim)
-    return 1.0 - (1.0 - det.dark_prob) * float(rho.diagonal() @ weights)
+    return click_prob(det.dark_prob, float(rho.diagonal() @ weights))
 
 
 def sample_clicks(p_click: float, n_gates: int, rng: np.random.Generator) -> ClickStream:

@@ -12,8 +12,10 @@ keeps single-click events whose interferometer basis matches the phase
 difference Bob applied, and a disclosed random sample of the sifted key
 estimates the error rate.
 
-The engine works on struct-of-array batches so a 1e5-pulse session runs in
-milliseconds; the per-record operations are thin wrappers over the same
+The engine works on struct-of-array batches: each polarization mode is a
+light.FieldArray of write-once columns, and each stage builds a new
+PulseBatch that shares every array it does not change, so no stage copies
+the pulse train.  The per-record operations are thin wrappers over the same
 code.  All randomness flows through one numpy Generator in a fixed order,
 so a (config, attack, seed) triple reproduces results exactly.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -35,12 +38,13 @@ from .detector import (
     ClickStream,
     DetectorModel,
     PowerTestOutcome,
+    click_prob,
     click_prob_thermal,
     power_test,
 )
 from .light import (
     KIND_COHERENT,
-    KIND_VACUUM,
+    KIND_THERMAL,
     QUARTER_PHASES,
     FieldArray,
     LightField,
@@ -129,20 +133,22 @@ class PulseBatch:
             bq,
         )
 
-    def copy(self) -> "PulseBatch":
+    def with_fields(self, field_h: FieldArray, field_v: FieldArray, bob_quarter=None) -> "PulseBatch":
+        """A new batch carrying these mode fields; it shares the secret bits
+        and, unless bob_quarter is given, Bob's phases with this one."""
         return PulseBatch(
-            self.mode_assignment.copy(),
-            self.rotation_quarter.copy(),
-            self.field_h.copy(),
-            self.field_v.copy(),
-            self.bob_quarter.copy(),
+            self.mode_assignment,
+            self.rotation_quarter,
+            field_h,
+            field_v,
+            self.bob_quarter if bob_quarter is None else bob_quarter,
         )
 
     def propagated(self, transmittance: float, rng: np.random.Generator | None = None) -> "PulseBatch":
-        out = self.copy()
-        out.field_h = self.field_h.attenuated(transmittance, rng)
-        out.field_v = self.field_v.attenuated(transmittance, rng)
-        return out
+        return self.with_fields(
+            self.field_h.attenuated(transmittance, rng),
+            self.field_v.attenuated(transmittance, rng),
+        )
 
 
 @dataclass(frozen=True)
@@ -170,8 +176,19 @@ class SessionConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("n_pulses", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("mu_coherent", "mu_thermal", "transmittance_oneway", "tap_reflectance",
+                     "z_threshold", "qber_threshold", "qber_sample_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_pulses < 2:
             raise ConfigError(f"n_pulses must be >= 2, got {self.n_pulses}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mu_coherent < 0 or self.mu_thermal < 0:
             raise ConfigError("mean photon numbers must be >= 0")
         if not 0.0 <= self.transmittance_oneway <= 1.0:
@@ -184,6 +201,17 @@ class SessionConfig:
             raise ConfigError("qber_threshold must be in (0, 1)")
         if not 0.0 < self.qber_sample_fraction < 1.0:
             raise ConfigError("qber_sample_fraction must be in (0, 1)")
+        # A monitor expecting a click probability of exactly 0 or 1 has no
+        # spread to test a click frequency against.
+        monitors = [("Alice's thermal", self.expected_alice_thermal_p())]
+        if self.tap_reflectance > 0.0:
+            monitors.append(("Bob's tap", self.expected_bob_monitor_p()))
+        for name, p in monitors:
+            if not 0.0 < p < 1.0:
+                raise ConfigError(
+                    f"{name} monitor would expect click probability {p}; "
+                    "it needs light or dark counts on its detector"
+                )
 
     # Expected means at the measurement points, assuming the calibrated channel.
     def mu_coherent_at_bob(self) -> float:
@@ -208,7 +236,7 @@ class SessionConfig:
         eta_eff = det.eta * self.tap_reflectance
         q_coh = math.exp(-eta_eff * self.mu_coherent_at_bob())
         q_th = 1.0 / (1.0 + eta_eff * self.mu_thermal_at_bob())
-        return 1.0 - (1.0 - det.dark_prob) * q_coh * q_th
+        return click_prob(det.dark_prob, q_coh, q_th)
 
     def expected_alice_thermal_p(self) -> float:
         return click_prob_thermal(self.detector_alice, self.mu_thermal_at_alice())
@@ -300,12 +328,16 @@ def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     assign = rng.integers(0, 2, n, dtype=np.uint8)
     rot = rng.integers(0, 2, n, dtype=np.uint8)
     coh_in_h = (assign ^ rot) == 0
-    amp = np.full(n, math.sqrt(cfg.mu_coherent), dtype=np.complex128)
-    coh = FieldArray.coherent(amp)
-    th = FieldArray.thermal(np.full(n, cfg.mu_thermal))
-    field_h = FieldArray.where(coh_in_h, coh, th)
-    field_v = FieldArray.where(coh_in_h, th, coh)
-    return PulseBatch(assign, rot, field_h, field_v)
+    amp = complex(math.sqrt(cfg.mu_coherent))
+
+    def mode(coherent: np.ndarray) -> FieldArray:
+        return FieldArray(
+            np.where(coherent, np.uint8(KIND_COHERENT), np.uint8(KIND_THERMAL)),
+            np.where(coherent, amp, 0j),
+            np.where(coherent, 0.0, cfg.mu_thermal),
+        )
+
+    return PulseBatch(assign, rot, mode(coh_in_h), mode(~coh_in_h))
 
 
 def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
@@ -316,12 +348,12 @@ def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
     (coherent, thermal); an attacker who replaced the channel fields lands on
     output 2 whenever the mode secret says so.
     """
-    swapped = batch.rotation_quarter == 1
-    post_h = FieldArray.where(swapped, batch.field_v, batch.field_h)
-    post_v = FieldArray.where(swapped, batch.field_h, batch.field_v)
-    assign_h = batch.mode_assignment == 0
-    out1 = FieldArray.where(assign_h, post_h, post_v)
-    out2 = FieldArray.where(assign_h, post_v, post_h)
+    # Undoing the rotation swaps the modes when rotation is 1; wiring 1 swaps
+    # them again.  The two cancel, so output 1 is the channel's H mode
+    # exactly when rotation equals wiring.
+    straight = batch.rotation_quarter == batch.mode_assignment
+    out1 = FieldArray.where(straight, batch.field_h, batch.field_v)
+    out2 = FieldArray.where(straight, batch.field_v, batch.field_h)
     return out1, out2
 
 
@@ -347,11 +379,11 @@ def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
     fields are phase invariant and pass bit-exactly unchanged.
     """
     mult = QUARTER_PHASES[np.asarray(quarters, dtype=np.int64)]
-    out = batch.copy()
-    out.field_h = batch.field_h.phase_shifted(mult)
-    out.field_v = batch.field_v.phase_shifted(mult)
-    out.bob_quarter = np.asarray(quarters, dtype=np.int8)
-    return out
+    return batch.with_fields(
+        batch.field_h.phase_shifted(mult),
+        batch.field_v.phase_shifted(mult),
+        np.asarray(quarters, dtype=np.int8),
+    )
 
 
 def bob_modulate(pulse: PulseRecord, phi_B: float) -> PulseRecord:
@@ -371,7 +403,7 @@ def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
     det = cfg.detector_bob
     eta_eff = det.eta * r
     factors = batch.field_h.noclick_factors(eta_eff) * batch.field_v.noclick_factors(eta_eff)
-    p_click = 1.0 - (1.0 - det.dark_prob) * factors
+    p_click = click_prob(det.dark_prob, factors)
     stream = ClickStream(rng.random(len(batch)) < p_click)
     return power_test(stream, cfg.expected_bob_monitor_p(), cfg.z_threshold)
 
@@ -383,7 +415,7 @@ def alice_thermal_monitor(output2: FieldArray, cfg: SessionConfig,
     Samples clicks from whatever actually arrived and z-tests the frequency
     against the thermal expectation mu_thermal * T^2 * (1-r)."""
     det = cfg.detector_alice
-    p_click = 1.0 - (1.0 - det.dark_prob) * output2.noclick_factors(det.eta)
+    p_click = click_prob(det.dark_prob, output2.noclick_factors(det.eta))
     stream = ClickStream(rng.random(len(output2)) < p_click)
     return power_test(stream, cfg.expected_alice_thermal_p(), cfg.z_threshold)
 
@@ -419,7 +451,6 @@ def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorMod
     event, two or more a discarded double.
     """
     m = len(out1) - 1
-    kind_prev, kind_curr = out1.kind[:-1], out1.kind[1:]
     a_prev, a_curr = out1.amp[:-1], out1.amp[1:]
 
     means = np.empty((4, m))
@@ -428,13 +459,16 @@ def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorMod
         means[2 * b] = np.abs(s + a_curr) ** 2 / 8.0
         means[2 * b + 1] = np.abs(s - a_curr) ** 2 / 8.0
 
-    coherent_like = np.isin(kind_prev, (KIND_VACUUM, KIND_COHERENT)) & np.isin(
-        kind_curr, (KIND_VACUUM, KIND_COHERENT)
-    )
-    p_int = 1.0 - (1.0 - det.dark_prob) * np.exp(-det.eta * means)
-    f_pair = out1.noclick_factors(det.eta / 8.0)
-    p_inc = 1.0 - (1.0 - det.dark_prob) * f_pair[:-1] * f_pair[1:]
-    p = np.where(coherent_like[None, :], p_int, p_inc[None, :])
+    # Turn the means into no-click factors in place; nothing reads them again.
+    np.exp(np.multiply(-det.eta, means, out=means), out=means)
+    p = click_prob(det.dark_prob, means)
+    del means
+    if out1.max_kind() > KIND_COHERENT:
+        coherent = out1.kind <= KIND_COHERENT  # vacuum or coherent
+        coherent_like = coherent[:-1] & coherent[1:]
+        f_pair = out1.noclick_factors(det.eta / 8.0)
+        p_inc = click_prob(det.dark_prob, f_pair[:-1], f_pair[1:])
+        p = np.where(coherent_like[None, :], p, p_inc[None, :])
 
     clicks = rng.random((4, m)) < p
     n_clicks = clicks.sum(axis=0)
@@ -560,8 +594,12 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     batch = batch.propagated(cfg.transmittance_oneway, rng)
     batch.bob_quarter = quarters.astype(np.int8)
 
+    # Each later stage reads less of the train; free the rest as it goes, so
+    # the interferometers' peak does not sit on top of the whole train.
     out1, out2 = separate_modes(batch)
+    del batch
     alice_outcome = alice_thermal_monitor(out2, cfg, rng)
+    del out2
 
     delta_q = (quarters[1:] - quarters[:-1]) % 4
     meas = measure_interference(out1, delta_q, cfg.detector_alice, rng)

@@ -18,7 +18,7 @@ from ctqkd.analysis import (
 )
 from ctqkd.attacks import BeamSplit, InterceptResend
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
-from ctqkd.protocol import SessionConfig, run_session
+from ctqkd.protocol import ConfigError, SessionConfig, run_session
 
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
 
@@ -112,6 +112,13 @@ def test_sweep_rejects_unknown_parameter():
     spec = SweepSpec(parameter="nonexistent", values=(1,), base=SessionConfig(n_pulses=100, seed=0))
     with pytest.raises(ValueError):
         run_sweep(spec)
+
+
+def test_sweep_rejects_seed_parameter():
+    # Each replicate's seed is set before the swept value, so sweeping the
+    # seed itself would run every replicate of a point on one seed.
+    with pytest.raises(ConfigError):
+        SweepSpec(parameter="seed", values=(1, 2), base=SessionConfig(n_pulses=2000), seeds_per_point=3)
 
 
 def test_sweep_spec_validation():

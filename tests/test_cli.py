@@ -193,5 +193,25 @@ def test_distinguish_command(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("text", [
+    "session.mu_coherent = nan",
+    "session.mu_thermal = 0\nalice.dark_prob = 0",
+    "alice.eta = 1.5",
+    "bob.dark_prob = 1",
+])
+def test_session_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
+    path = write_config(tmp_path, text)
+    assert main(["session", "--config", path, "--pulses", "1000",
+                 "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.glob("session_*")) == []
+
+
+def test_distinguish_rejects_bad_detector_with_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, "distinguish.eta = 2")
+    assert main(["distinguish", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(capsys):
     assert main(["session", "--config", "/nonexistent/path.cfg"]) == EXIT_CONFIG

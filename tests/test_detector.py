@@ -11,6 +11,7 @@ from ctqkd.detector import (
     DetectorModel,
     NotDistinguishableError,
     band_power_statistic,
+    click_prob,
     click_prob_coherent,
     click_prob_state,
     click_prob_thermal,
@@ -213,3 +214,17 @@ def test_outcome_csv_row():
     outcome = power_test(stream, 0.25, 5.0)
     row = outcome.to_csv_row()
     assert row == "0.1875,0.1875,0,True,4"
+
+
+def test_click_law_matches_the_written_out_form_bitwise():
+    rng = np.random.default_rng(12)
+    a, b = rng.uniform(0.0, 1.0, (2, 1000))
+    for dark in (0.0, 1e-5, 0.3):
+        assert click_prob(dark, a).tobytes() == (1.0 - (1.0 - dark) * a).tobytes()
+        # several factors multiply left to right after (1 - dark)
+        assert click_prob(dark, a, b).tobytes() == (1.0 - (1.0 - dark) * a * b).tobytes()
+        assert click_prob(dark, 0.25, 0.5) == 1.0 - (1.0 - dark) * 0.25 * 0.5
+        assert type(click_prob(dark, 0.25)) is float
+    a_before = a.copy()
+    click_prob(1e-5, a)
+    assert np.array_equal(a, a_before)

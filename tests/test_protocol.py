@@ -407,6 +407,45 @@ def test_config_validation():
         SessionConfig(transmittance_oneway=1.1)
 
 
+@pytest.mark.parametrize("name", ["mu_coherent", "mu_thermal", "transmittance_oneway",
+                                  "tap_reflectance", "z_threshold", "qber_threshold",
+                                  "qber_sample_fraction"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ConfigError):
+        SessionConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 1000.0, "1000", True])
+def test_config_rejects_non_integer_pulse_count(value):
+    with pytest.raises(ConfigError):
+        SessionConfig(n_pulses=value)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SessionConfig(n_pulses=np.int64(1000), seed=np.int64(3))
+    doc = json.loads(run_session(cfg).to_json())
+    assert doc["config"]["n_pulses"] == 1000 and doc["counts"]["sent"] == 1000
+
+
+@pytest.mark.parametrize("value", [1.5, -1])
+def test_config_rejects_bad_seed(value):
+    with pytest.raises(ConfigError):
+        SessionConfig(seed=value)
+
+
+def test_config_rejects_degenerate_monitor_expectation():
+    dark_free = DetectorModel(0.1, 0.0)
+    # Alice's thermal monitor would expect exactly 0 clicks.
+    with pytest.raises(ConfigError):
+        SessionConfig(mu_thermal=0.0, detector_alice=dark_free)
+    # Bob's tap monitor would expect exactly 0 clicks.
+    with pytest.raises(ConfigError):
+        SessionConfig(mu_coherent=0.0, mu_thermal=0.0, detector_bob=dark_free)
+    # Without a tap Bob has no monitor, so his expectation is not checked.
+    SessionConfig(mu_coherent=0.0, mu_thermal=0.0, tap_reflectance=0.0, detector_bob=dark_free)
+
+
 def test_thermal_layer_transparent_to_bob_phase():
     # bit-exact: the thermal fields after modulation equal the inputs
     cfg = SessionConfig(n_pulses=3000, seed=41)
@@ -415,7 +454,7 @@ def test_thermal_layer_transparent_to_bob_phase():
     quarters = rng.integers(0, 4, cfg.n_pulses)
     modulated = modulate_batch(batch, quarters)
     th_mask = batch.field_h.kind == 2
-    assert np.array_equal(modulated.field_h.mean[th_mask], batch.field_h.mean[th_mask])
+    assert np.array_equal(modulated.field_h.param[th_mask], batch.field_h.param[th_mask])
     assert np.array_equal(modulated.field_h.kind, batch.field_h.kind)
 
     # statistical: monitor clicks independent of Bob's phase choice
@@ -440,3 +479,23 @@ def test_pulse_batch_record_roundtrip():
     assert np.array_equal(rebuilt.mode_assignment, batch.mode_assignment)
     assert np.array_equal(rebuilt.rotation_quarter, batch.rotation_quarter)
     assert [rebuilt[i] for i in range(6)] == records
+
+
+def test_stages_build_new_batches_that_share_unchanged_arrays():
+    cfg = SessionConfig(n_pulses=1000, seed=2)
+    rng = np.random.default_rng(cfg.seed)
+    batch = alice_prepare(cfg, rng)
+    snapshot = [a.copy() for a in (batch.mode_assignment, batch.rotation_quarter,
+                                   batch.field_h.amp, batch.field_v.param)]
+    lossy = batch.propagated(0.5, rng)
+    modulated = modulate_batch(lossy, rng.integers(0, 4, cfg.n_pulses))
+    for new in (lossy, modulated):
+        assert new is not batch
+        assert np.shares_memory(new.mode_assignment, batch.mode_assignment)
+        assert np.shares_memory(new.rotation_quarter, batch.rotation_quarter)
+        assert np.shares_memory(new.field_h.kind, batch.field_h.kind)
+    assert np.shares_memory(lossy.bob_quarter, batch.bob_quarter)
+    assert np.shares_memory(modulated.field_v.param, lossy.field_v.param)
+    for old, now in zip(snapshot, (batch.mode_assignment, batch.rotation_quarter,
+                                   batch.field_h.amp, batch.field_v.param)):
+        assert np.array_equal(old, now)
