@@ -34,21 +34,13 @@ from .detector import (
 from .light import Blinding, Coherent, FockN, LightField, Thermal, Vacuum
 from .protocol import (
     ConfigError,
-    InterferometerEvent,
     PulseBatch,
-    PulseRecord,
     SessionConfig,
     SessionResult,
     alice_prepare,
-    alice_separate_modes,
     alice_thermal_monitor,
-    bob_modulate,
     bob_monitor_tap,
-    interferometer_means,
-    interferometer_measure,
-    propagate,
     run_session,
-    session_verdict,
     sift_and_qber,
 )
 from .attacks import (
@@ -60,7 +52,6 @@ from .attacks import (
     InterceptResend,
     ModeDiscrimination,
     TrojanHorse,
-    attack_mode_discrimination,
     eve_information_summary,
 )
 from .analysis import (

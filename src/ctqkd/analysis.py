@@ -20,7 +20,7 @@ class SweepSpec:
     """One swept parameter over a value grid, several seeds per point.
 
     parameter names a SessionConfig field other than seed, or
-    "attack.<field>" for a field of the attack strategy.
+    "attack.<field>" for a parameter of the attack strategy.
     """
 
     parameter: str
@@ -35,9 +35,9 @@ class SweepSpec:
             # seed would overwrite it and run every replicate on one seed.
             raise ConfigError("seed cannot be swept; replicates take seeds from base.seed")
         if len(self.values) == 0:
-            raise ValueError("value grid must be nonempty")
+            raise ConfigError("value grid must be nonempty")
         if self.seeds_per_point < 1:
-            raise ValueError("seeds_per_point must be >= 1")
+            raise ConfigError("seeds_per_point must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,26 +95,37 @@ def distinguishability_curve(mu_t: float, mu_c: float, det: DetectorModel,
     return rows
 
 
+def _init_fields(obj) -> set:
+    return {f.name for f in dataclasses.fields(obj) if f.init}
+
+
 def _apply_parameter(cfg: SessionConfig, attack, parameter: str, value):
+    """(cfg, attack) with the swept value set; both are rebuilt with
+    dataclasses.replace, so the value is validated like a configured one."""
     if parameter.startswith("attack."):
         if attack is None:
-            raise ValueError(f"sweep parameter {parameter!r} needs an attack")
+            raise ConfigError(f"sweep parameter {parameter!r} needs an attack")
         name = parameter[len("attack."):]
-        if not hasattr(attack, name):
-            raise ValueError(f"attack has no parameter {name!r}")
-        setattr(attack, name, value)
-        return cfg, attack
-    if not hasattr(cfg, parameter):
-        raise ValueError(f"unknown session parameter {parameter!r}")
-    if parameter == "n_pulses":
-        value = int(value)
+        if name not in _init_fields(attack):
+            raise ConfigError(f"{attack.label} has no parameter {name!r}")
+        return cfg, replace(attack, **{name: value})
+    if parameter not in _init_fields(cfg):
+        raise ConfigError(f"unknown session parameter {parameter!r}")
+    if parameter == "n_pulses" and float(value).is_integer():
+        value = int(value)  # grid values parse as floats; others fail in SessionConfig
     return replace(cfg, **{parameter: value}), attack
 
 
 def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
     """One CurvePoint per grid value, averaged over seeds_per_point seeds
-    derived from the base seed.  Failed sessions are recorded (NaN aggregate)
-    and the sweep continues."""
+    derived from the base seed.
+
+    Every grid value is applied once before any session runs, so a value the
+    config or the attack rejects raises ConfigError before it costs compute.
+    """
+    for value in spec.values:
+        attack = spec.attack_factory() if spec.attack_factory else None
+        _apply_parameter(spec.base, attack, spec.parameter, value)
     points = []
     for value in spec.values:
         qbers, z_a, z_b, alarms, key_rates = [], [], [], [], []
@@ -122,11 +133,7 @@ def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
             attack = spec.attack_factory() if spec.attack_factory else None
             cfg = replace(spec.base, seed=spec.base.seed + i)
             cfg, attack = _apply_parameter(cfg, attack, spec.parameter, value)
-            try:
-                res = run_session(cfg, attack)
-            except Exception:
-                alarms.append(True)  # a failed run is never a silent pass
-                continue
+            res = run_session(cfg, attack)
             alarms.append(res.alarm != ALARM_NONE)
             if res.qber is not None:
                 qbers.append(res.qber)

@@ -9,14 +9,19 @@ idealized (unit efficiency, no dark counts, conclusive interferometry)
 to make her as strong as the semiclassical model allows; what defeats her
 is the mode secret, not technology.
 
-A strategy instance accumulates per-run state between hooks, so use one
+Each strategy is a dataclass whose init fields are its parameters; they are
+validated on construction, and so also when dataclasses.replace derives a
+variant (as a parameter sweep does), raising protocol.ConfigError.  The
+remaining fields are per-run state that the hooks accumulate, so use one
 instance per session run (run_session calls the hooks in order and
 finalizes at the end, which also makes reuse across sequential runs safe).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,46 +32,45 @@ from .light import (
     KIND_COHERENT,
     KIND_FOCK,
     KIND_THERMAL,
-    KIND_VACUUM,
     QUARTER_PHASES,
     Blinding,
     Coherent,
     FieldArray,
     LightField,
 )
-from .protocol import PulseBatch, PulseRecord, SessionConfig, SiftOutcome, modulate_batch
+from .protocol import ConfigError, PulseBatch, SessionConfig, SiftOutcome, modulate_batch
 
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_prob=0.0)
 
 
+@dataclass(frozen=True)
 class EveReport:
     """What Eve walked away with, attached to the session result."""
 
-    def __init__(self, strategy: str, params: dict, learned_phase_count: int = 0,
-                 guessed_bits_correct_fraction: float = 0.0, notes: str = ""):
-        self.strategy = strategy
-        self.params = params
-        self.learned_phase_count = learned_phase_count
-        self.guessed_bits_correct_fraction = guessed_bits_correct_fraction
-        self.notes = notes
+    strategy: str
+    params: dict
+    learned_phase_count: int = 0
+    guessed_bits_correct_fraction: float = 0.0
+    notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "params": self.params,
-            "learned_phase_count": self.learned_phase_count,
-            "guessed_bits_correct_fraction": self.guessed_bits_correct_fraction,
-            "notes": self.notes,
-        }
+        return dataclasses.asdict(self)
 
 
+def _state(default=None):
+    """A per-run state field: not a parameter, reset on every construction."""
+    return dataclasses.field(init=False, default=default, repr=False, compare=False)
+
+
+@dataclass
 class Attack:
     """Base interposer: passes the train through untouched."""
 
     label = "none"
 
     def params(self) -> dict:
-        return {}
+        """The strategy's parameters, as reported in EveReport.params."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init}
 
     def apply_forward(self, batch: PulseBatch, cfg: SessionConfig,
                       rng: np.random.Generator) -> PulseBatch:
@@ -127,6 +131,12 @@ def _fraction_correct(bits_by_pair: np.ndarray, sift: SiftOutcome) -> float:
     return float(np.mean(bits_by_pair[kept] == sift.key_bob))
 
 
+def _check_resend_mu(resend_mu: float) -> None:
+    if not 0.0 < resend_mu < math.inf:
+        raise ConfigError(f"resend_mu must be positive and finite, got {resend_mu}")
+
+
+@dataclass
 class InterceptResend(Attack):
     """Type I: measure every pulse pair leaving Bob, resend fresh coherent
     light with the inferred cumulative phase in BOTH polarization modes.
@@ -139,15 +149,12 @@ class InterceptResend(Attack):
 
     label = "intercept-resend"
 
-    def __init__(self, resend_mu: float = 2.0):
-        if resend_mu <= 0.0:
-            raise ValueError(f"resend_mu must be positive, got {resend_mu}")
-        self.resend_mu = resend_mu
-        self._bits = None
-        self._basis_matches = None
+    resend_mu: float = 2.0
+    _bits: Optional[np.ndarray] = _state()
+    _basis_matches: Optional[int] = _state()
 
-    def params(self) -> dict:
-        return {"resend_mu": self.resend_mu}
+    def __post_init__(self):
+        _check_resend_mu(self.resend_mu)
 
     def apply_return(self, batch, cfg, rng):
         delta_true = np.diff(_quarter_of(_coherent_amplitudes(batch))) % 4
@@ -165,6 +172,7 @@ class InterceptResend(Attack):
         )
 
 
+@dataclass
 class BeamSplit(Attack):
     """Type I variant: passively tap a fraction of both modes and keep it.
 
@@ -175,14 +183,12 @@ class BeamSplit(Attack):
 
     label = "beam-split"
 
-    def __init__(self, tap_fraction: float = 0.5):
-        if not 0.0 < tap_fraction < 1.0:
-            raise ValueError(f"tap_fraction must be in (0, 1), got {tap_fraction}")
-        self.tap_fraction = tap_fraction
-        self._tapped_energy = 0.0
+    tap_fraction: float = 0.5
+    _tapped_energy: float = _state(0.0)
 
-    def params(self) -> dict:
-        return {"tap_fraction": self.tap_fraction}
+    def __post_init__(self):
+        if not 0.0 < self.tap_fraction < 1.0:
+            raise ConfigError(f"tap_fraction must be in (0, 1), got {self.tap_fraction}")
 
     def apply_return(self, batch, cfg, rng):
         means = batch.field_h.mean_photons() + batch.field_v.mean_photons()
@@ -220,17 +226,7 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     return guess_coh_in_h, bayes_error
 
 
-def attack_mode_discrimination(pulse: PulseRecord, eve_det: DetectorModel,
-                               rng: np.random.Generator) -> tuple[int, float]:
-    """Type II primitive on one pulse: guess which physical mode carries the
-    coherent state.  Returns (guessed mode, analytic Bayes error); mode 0
-    means H.  Because the placement is re-randomized every pulse, samples
-    cannot be pooled and the single-shot error is the ceiling."""
-    batch = PulseBatch.from_records([pulse])
-    guess_h, err = mode_discrimination_batch(batch, eve_det, rng)
-    return (0 if bool(guess_h[0]) else 1), err
-
-
+@dataclass
 class ModeDiscrimination(Attack):
     """Type II: guess the coherent mode pulse by pulse, then intercept-resend
     only the guessed mode and let the other fly by untouched.
@@ -242,13 +238,15 @@ class ModeDiscrimination(Attack):
 
     label = "mode-discrimination"
 
-    def __init__(self, resend_mu: float = 2.0, eve_det: DetectorModel = IDEAL_DETECTOR):
-        if resend_mu <= 0.0:
-            raise ValueError(f"resend_mu must be positive, got {resend_mu}")
-        self.resend_mu = resend_mu
-        self.eve_det = eve_det
-        self._bits = None
-        self.bayes_error = None
+    resend_mu: float = 2.0
+    eve_det: DetectorModel = IDEAL_DETECTOR
+    _bits: Optional[np.ndarray] = _state()
+    bayes_error: Optional[float] = _state()
+
+    def __post_init__(self):
+        _check_resend_mu(self.resend_mu)
+        if not isinstance(self.eve_det, DetectorModel):
+            raise ConfigError(f"eve_det must be a DetectorModel, got {self.eve_det!r}")
 
     def params(self) -> dict:
         return {"resend_mu": self.resend_mu, "eve_eta": self.eve_det.eta,
@@ -294,6 +292,7 @@ def _photon_counts(fields: FieldArray, rng: np.random.Generator) -> np.ndarray:
     return counts
 
 
+@dataclass
 class TrojanHorse(Attack):
     """Type III: probe Bob's modulator with Eve's own light.
 
@@ -308,11 +307,14 @@ class TrojanHorse(Attack):
 
     label = "trojan-horse"
 
-    def __init__(self, probe: LightField = Coherent(math.sqrt(10.0))):
-        self.probe = probe
-        self._held = None
-        self._learned = None
-        self.learned_phase_count = 0
+    probe: LightField = Coherent(math.sqrt(10.0))
+    _held: Optional[PulseBatch] = _state()
+    _learned: Optional[np.ndarray] = _state()
+    learned_phase_count: int = _state(0)
+
+    def __post_init__(self):
+        if not isinstance(self.probe, LightField):
+            raise ConfigError(f"probe must be a light field, got {self.probe!r}")
 
     def params(self) -> dict:
         return {"probe": repr(self.probe)}
@@ -346,6 +348,7 @@ class TrojanHorse(Attack):
         )
 
 
+@dataclass
 class BrightLight(Attack):
     """Type IV: flood Alice's receiver with saturating light to control her
     detectors.  The mode secret routes part of it onto the protection output
@@ -354,39 +357,27 @@ class BrightLight(Attack):
 
     label = "bright-light"
 
-    def __init__(self, forced_click_prob: float = 0.999):
-        if not 0.0 < forced_click_prob <= 1.0:
-            raise ValueError(f"forced_click_prob must be in (0, 1], got {forced_click_prob}")
-        self.forced_click_prob = forced_click_prob
+    forced_click_prob: float = 0.999
 
-    def params(self) -> dict:
-        return {"forced_click_prob": self.forced_click_prob}
+    def __post_init__(self):
+        if not 0.0 < self.forced_click_prob <= 1.0:
+            raise ConfigError(
+                f"forced_click_prob must be in (0, 1], got {self.forced_click_prob}"
+            )
 
     def apply_return(self, batch, cfg, rng):
-        return attack_bright_light(batch, self.forced_click_prob)
+        blinding = FieldArray.uniform(Blinding(self.forced_click_prob), len(batch))
+        return batch.with_fields(blinding, blinding)
 
     def finalize_report(self, sift, rng):
         return EveReport(self.label, self.params(),
                          notes="attempted detector control by saturation")
 
 
-def attack_bright_light(batch: PulseBatch, forced_click_prob: float) -> PulseBatch:
-    """Replace both mode fields with saturating light (pure transformation)."""
-    blinding = FieldArray.uniform(Blinding(forced_click_prob), len(batch))
-    return batch.with_fields(blinding, blinding)
-
-
-def attack_beamsplit(batch: PulseBatch, tap_fraction: float,
-                     rng: np.random.Generator) -> PulseBatch:
-    """Attenuate every field by (1 - tap_fraction); Eve keeps the rest."""
-    if not 0.0 < tap_fraction < 1.0:
-        raise ValueError(f"tap_fraction must be in (0, 1), got {tap_fraction}")
-    return batch.propagated(1.0 - tap_fraction, rng)
-
-
-def eve_information_summary(report: Optional[EveReport], result) -> dict:
+def eve_information_summary(result) -> dict:
     """One comparison row per session: which layer flagged what, and how much
     Eve actually got."""
+    report = result.eve
     return {
         "attack": result.attack_label,
         "qber": result.qber,

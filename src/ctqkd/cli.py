@@ -10,6 +10,7 @@ the single configured seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -45,7 +46,30 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-# key -> coercion from string
+def _parse_probe(text: str):
+    """Probe field spec: vacuum | coherent:<mean> | thermal:<mean> |
+    fock:<n> | blinding:<p>."""
+    kind, _, arg = text.partition(":")
+    kind = kind.strip().lower()
+    try:
+        if kind == "vacuum":
+            return Vacuum()
+        if kind == "coherent":
+            return Coherent(math.sqrt(float(arg)))
+        if kind == "thermal":
+            return Thermal(float(arg))
+        if kind == "fock":
+            return FockN(int(arg))
+        if kind == "blinding":
+            return Blinding(float(arg))
+    except ValueError as exc:
+        raise ConfigError(f"bad probe argument in {text!r}: {exc}") from exc
+    raise ConfigError(f"unknown probe kind {text!r}")
+
+
+# key -> coercion from string.  session.* keys name SessionConfig fields,
+# alice.* / bob.* keys DetectorModel fields, and attack.* keys (but kind)
+# parameters of the attack strategies.
 CONFIG_SCHEMA = {
     "session.n_pulses": int,
     "session.mu_coherent": float,
@@ -63,7 +87,7 @@ CONFIG_SCHEMA = {
     "attack.kind": str,
     "attack.resend_mu": float,
     "attack.tap_fraction": float,
-    "attack.probe": str,
+    "attack.probe": _parse_probe,
     "attack.forced_click_prob": float,
     "states.mu_grid": _parse_floats,
     "sweep.parameter": str,
@@ -101,58 +125,24 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_probe(text: str):
-    """Probe field spec: vacuum | coherent:<mean> | thermal:<mean> |
-    fock:<n> | blinding:<p>."""
-    kind, _, arg = text.partition(":")
-    kind = kind.strip().lower()
-    try:
-        if kind == "vacuum":
-            return Vacuum()
-        if kind == "coherent":
-            return Coherent(math.sqrt(float(arg)))
-        if kind == "thermal":
-            return Thermal(float(arg))
-        if kind == "fock":
-            return FockN(int(arg))
-        if kind == "blinding":
-            return Blinding(float(arg))
-    except ValueError as exc:
-        raise ConfigError(f"bad probe argument in {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown probe kind {text!r}")
+def _section(values: dict, prefix: str) -> dict:
+    """The values whose keys start with prefix, keyed by the rest of the key."""
+    return {key[len(prefix):]: v for key, v in values.items() if key.startswith(prefix)}
 
 
 def build_session_config(values: dict) -> SessionConfig:
-    kwargs = {}
-    for key, target in [
-        ("session.n_pulses", "n_pulses"),
-        ("session.mu_coherent", "mu_coherent"),
-        ("session.mu_thermal", "mu_thermal"),
-        ("session.transmittance_oneway", "transmittance_oneway"),
-        ("session.tap_reflectance", "tap_reflectance"),
-        ("session.z_threshold", "z_threshold"),
-        ("session.qber_threshold", "qber_threshold"),
-        ("session.qber_sample_fraction", "qber_sample_fraction"),
-        ("session.seed", "seed"),
-    ]:
-        if key in values:
-            kwargs[target] = values[key]
     defaults = SessionConfig()
     try:
-        alice = DetectorModel(
-            eta=values.get("alice.eta", defaults.detector_alice.eta),
-            dark_prob=values.get("alice.dark_prob", defaults.detector_alice.dark_prob),
-        )
-        bob = DetectorModel(
-            eta=values.get("bob.eta", defaults.detector_bob.eta),
-            dark_prob=values.get("bob.dark_prob", defaults.detector_bob.dark_prob),
-        )
+        alice = dataclasses.replace(defaults.detector_alice, **_section(values, "alice."))
+        bob = dataclasses.replace(defaults.detector_bob, **_section(values, "bob."))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return SessionConfig(detector_alice=alice, detector_bob=bob, **kwargs)
+    return SessionConfig(detector_alice=alice, detector_bob=bob, **_section(values, "session."))
 
 
 def build_attack(values: dict):
+    """The configured attack, built from the attack.* values that name its
+    parameters; the others belong to other kinds and are ignored."""
     kind = values.get("attack.kind", "none")
     if kind not in ATTACK_KINDS:
         raise ConfigError(
@@ -161,19 +151,9 @@ def build_attack(values: dict):
     cls = ATTACK_KINDS[kind]
     if cls is None:
         return None
-    kwargs = {}
-    if kind in ("intercept-resend", "mode-discrimination") and "attack.resend_mu" in values:
-        kwargs["resend_mu"] = values["attack.resend_mu"]
-    if kind == "beam-split" and "attack.tap_fraction" in values:
-        kwargs["tap_fraction"] = values["attack.tap_fraction"]
-    if kind == "trojan" and "attack.probe" in values:
-        kwargs["probe"] = _parse_probe(values["attack.probe"])
-    if kind == "bright-light" and "attack.forced_click_prob" in values:
-        kwargs["forced_click_prob"] = values["attack.forced_click_prob"]
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _section(values, "attack.")
+    return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls)
+                  if f.init and f.name in params})
 
 
 def _output_path(out_dir: str, command: str, seed: int, ext: str) -> str:
@@ -229,8 +209,8 @@ def cmd_attack(values: dict, out_dir: str, out) -> int:
     baseline = run_session(cfg, None)
     attacked = run_session(cfg, attack)
     rows = [
-        {"label": "baseline", **eve_information_summary(baseline.eve, baseline)},
-        {"label": "attacked", **eve_information_summary(attacked.eve, attacked)},
+        {"label": "baseline", **eve_information_summary(baseline)},
+        {"label": "attacked", **eve_information_summary(attacked)},
     ]
     path = _output_path(out_dir, "attack", cfg.seed, "csv")
     _write_atomic(path, export_report(rows, "csv"))
@@ -253,17 +233,14 @@ def cmd_sweep(values: dict, out_dir: str, out) -> int:
     factory = None
     if kind != "none":
         factory = lambda: build_attack(values)  # noqa: E731 - small closure
-    try:
-        spec = SweepSpec(
-            parameter=values["sweep.parameter"],
-            values=tuple(values["sweep.values"]),
-            base=cfg,
-            attack_factory=factory,
-            seeds_per_point=values.get("sweep.seeds_per_point", 1),
-        )
-        points = run_sweep(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SweepSpec(
+        parameter=values["sweep.parameter"],
+        values=tuple(values["sweep.values"]),
+        base=cfg,
+        attack_factory=factory,
+        seeds_per_point=values.get("sweep.seeds_per_point", 1),
+    )
+    points = run_sweep(spec)
     rows = [{"parameter": spec.parameter, **p.to_dict()} for p in points]
     path = _output_path(out_dir, "sweep", cfg.seed, "csv")
     _write_atomic(path, export_report(rows, "csv"))

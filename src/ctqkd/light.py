@@ -1,24 +1,22 @@
 """Semiclassical per-mode pulse content and its vectorized carrier.
 
-LightField is the tagged union used on the fast Monte Carlo path: coherent
-amplitude, thermal mean, definite photon number, saturating blinding light,
-or vacuum.  FieldArray holds one field per pulse in three write-once columns
-(kind, coherent amplitude, one real parameter) so a whole session can be
+FieldArray holds one field per pulse in three write-once columns (kind,
+coherent amplitude, one real parameter) so a whole session can be
 propagated, phase-shifted and click-sampled with numpy, each stage sharing
-the columns it leaves unchanged.
+the columns it leaves unchanged.  LightField is the spec of a single field
+(coherent amplitude, thermal mean, definite photon number, saturating
+blinding light, or vacuum), used for attack probes and tests and converted
+to and from the columns by FieldArray.uniform, from_fields and field.
 Blinding light saturates a threshold detector, so its click probability
 ignores efficiency and attenuation.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .detector import click_prob
 
 KIND_VACUUM = 0
 KIND_COHERENT = 1
@@ -234,21 +232,3 @@ class FieldArray:
         bl = k == KIND_BLINDING
         out[bl] = 1.0 - self.param[bl]
         return out
-
-
-def field_noclick_factor(field: LightField, eta_eff: float) -> float:
-    return float(FieldArray.uniform(field, 1).noclick_factors(eta_eff)[0])
-
-
-def field_click_prob(field: LightField, eta: float, dark_prob: float) -> float:
-    """Threshold-detector click probability for a single field."""
-    return click_prob(dark_prob, field_noclick_factor(field, eta))
-
-
-def attenuate_field(field: LightField, transmittance: float,
-                    rng: np.random.Generator | None = None) -> LightField:
-    return FieldArray.uniform(field, 1).attenuated(transmittance, rng).field(0)
-
-
-def phase_shift_field(field: LightField, phi: float) -> LightField:
-    return FieldArray.uniform(field, 1).phase_shifted(cmath.exp(1j * phi)).field(0)

@@ -15,9 +15,8 @@ estimates the error rate.
 The engine works on struct-of-array batches: each polarization mode is a
 light.FieldArray of write-once columns, and each stage builds a new
 PulseBatch that shares every array it does not change, so no stage copies
-the pulse train.  The per-record operations are thin wrappers over the same
-code.  All randomness flows through one numpy Generator in a fixed order,
-so a (config, attack, seed) triple reproduces results exactly.
+the pulse train.  All randomness flows through one numpy Generator in a
+fixed order, so a (config, attack, seed) triple reproduces results exactly.
 
 Phases are carried internally as integer quarter turns (phi = q * pi/2 with
 exact complex multipliers), which keeps phase bookkeeping free of float
@@ -30,7 +29,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -47,10 +46,7 @@ from .light import (
     KIND_THERMAL,
     QUARTER_PHASES,
     FieldArray,
-    LightField,
 )
-
-CANONICAL_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 ALARM_NONE = "none"
 ALARM_QBER = "qber"
@@ -63,35 +59,15 @@ class ConfigError(ValueError):
     """Inconsistent session configuration, reported before any simulation."""
 
 
-def phase_to_quarter(phi: float) -> int:
-    """Map a canonical phase {0, pi/2, pi, 3pi/2} to its quarter-turn index."""
-    q = phi / (math.pi / 2)
-    k = int(round(q))
-    if abs(q - k) > 1e-9 or not 0 <= k <= 3:
-        raise ValueError(f"phase {phi!r} is not one of 0, pi/2, pi, 3pi/2")
-    return k
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    """State of one optical pulse at its current position in the pipeline.
-
-    mode_assignment is Alice's source wiring (0: coherent into the H port),
-    rotation her rotator angle (0 or pi/2, applied before the channel), and
-    field_H / field_V the fields in the physical modes as currently
-    propagating.  bob_phase is set once the pulse has passed Bob.
-    """
-
-    index: int
-    mode_assignment: int
-    rotation: float
-    field_H: LightField
-    field_V: LightField
-    bob_phase: Optional[float] = None
-
-
 class PulseBatch:
-    """Struct-of-arrays pulse train; behaves as a sequence of PulseRecord."""
+    """Struct-of-arrays pulse train.
+
+    mode_assignment is Alice's source wiring per pulse (0: coherent into the
+    H port) and rotation_quarter her rotator angle in quarter turns (0 or 1,
+    applied before the channel); field_h and field_v hold the fields in the
+    physical modes as currently propagating.  bob_quarter is None until Bob's
+    phases are applied (modulate_batch).
+    """
 
     __slots__ = ("mode_assignment", "rotation_quarter", "field_h", "field_v", "bob_quarter")
 
@@ -100,38 +76,10 @@ class PulseBatch:
         self.rotation_quarter = np.asarray(rotation_quarter, dtype=np.uint8)
         self.field_h = field_h
         self.field_v = field_v
-        if bob_quarter is None:
-            bob_quarter = np.full(self.mode_assignment.size, -1, dtype=np.int8)
-        self.bob_quarter = np.asarray(bob_quarter, dtype=np.int8)
+        self.bob_quarter = bob_quarter
 
     def __len__(self) -> int:
         return self.mode_assignment.size
-
-    def __getitem__(self, i: int) -> PulseRecord:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        q = int(self.bob_quarter[i])
-        return PulseRecord(
-            index=i,
-            mode_assignment=int(self.mode_assignment[i]),
-            rotation=float(self.rotation_quarter[i]) * (math.pi / 2),
-            field_H=self.field_h.field(i),
-            field_V=self.field_v.field(i),
-            bob_phase=None if q < 0 else q * (math.pi / 2),
-        )
-
-    @classmethod
-    def from_records(cls, records: Sequence[PulseRecord]) -> "PulseBatch":
-        assign = [r.mode_assignment for r in records]
-        rot = [phase_to_quarter(r.rotation) for r in records]
-        bq = [-1 if r.bob_phase is None else phase_to_quarter(r.bob_phase) for r in records]
-        return cls(
-            assign,
-            rot,
-            FieldArray.from_fields([r.field_H for r in records]),
-            FieldArray.from_fields([r.field_V for r in records]),
-            bq,
-        )
 
     def with_fields(self, field_h: FieldArray, field_v: FieldArray, bob_quarter=None) -> "PulseBatch":
         """A new batch carrying these mode fields; it shares the secret bits
@@ -181,6 +129,9 @@ class SessionConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("detector_alice", "detector_bob"):
+            if not isinstance(getattr(self, name), DetectorModel):
+                raise ConfigError(f"{name} must be a DetectorModel, got {getattr(self, name)!r}")
         for name in ("mu_coherent", "mu_thermal", "transmittance_oneway", "tap_reflectance",
                      "z_threshold", "qber_threshold", "qber_sample_fraction"):
             if not math.isfinite(getattr(self, name)):
@@ -243,21 +194,6 @@ class SessionConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class InterferometerEvent:
-    """Outcome of one pulse-pair measurement.
-
-    basis is which interferometer fired (A: offset 0, B: offset pi/2), or
-    None for no-click / double-click events.  delta_phi is the phase
-    difference Bob actually applied, carried as ground truth for sifting.
-    """
-
-    pair_index: int
-    basis: Optional[str]
-    clicked_detector: str  # "D0", "D1", "none", "double"
-    delta_phi: float
 
 
 @dataclass
@@ -357,19 +293,8 @@ def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
     return out1, out2
 
 
-def alice_separate_modes(pulse: PulseRecord) -> tuple[LightField, LightField]:
-    out1, out2 = separate_modes(PulseBatch.from_records([pulse]))
-    return out1.field(0), out2.field(0)
-
-
 # ---------------------------------------------------------------------------
 # Channel and Bob's side
-
-
-def propagate(pulse: PulseRecord, transmittance: float,
-              rng: np.random.Generator | None = None) -> PulseRecord:
-    """One-way loss on both modes; definite photon numbers thin binomially."""
-    return PulseBatch.from_records([pulse]).propagated(transmittance, rng)[0]
 
 
 def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
@@ -384,12 +309,6 @@ def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
         batch.field_v.phase_shifted(mult),
         np.asarray(quarters, dtype=np.int8),
     )
-
-
-def bob_modulate(pulse: PulseRecord, phi_B: float) -> PulseRecord:
-    """Apply one of Bob's four canonical phases to a single pulse."""
-    q = phase_to_quarter(phi_B)
-    return modulate_batch(PulseBatch.from_records([pulse]), np.array([q]))[0]
 
 
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
@@ -424,20 +343,20 @@ def alice_thermal_monitor(output2: FieldArray, cfg: SessionConfig,
 # Interferometric measurement and sifting
 
 
-def interferometer_means(amp_prev: complex, amp_curr: complex) -> np.ndarray:
-    """Mean photon numbers at the four detectors [D0A, D1A, D0B, D1B] for a
-    coherent pulse pair.
+def port_means(a_prev: np.ndarray, a_curr: np.ndarray) -> np.ndarray:
+    """Mean photon numbers at the four detectors [D0A, D1A, D0B, D1B], one
+    column per coherent pulse pair, as a (4, m) array.
 
     The light splits evenly between the two interferometers; inside each, the
     delayed early pulse interferes with the late pulse, giving
     |a_prev e^(i delta) +/- a_curr|^2 / 8 at the two ports.  The four means
-    always sum to the average pulse energy."""
-    out = np.empty(4)
+    of a pair always sum to the average pulse energy."""
+    means = np.empty((4, np.size(a_prev)))
     for b in (0, 1):
-        s = amp_prev * QUARTER_PHASES[b]
-        out[2 * b] = abs(s + amp_curr) ** 2 / 8.0
-        out[2 * b + 1] = abs(s - amp_curr) ** 2 / 8.0
-    return out
+        s = a_prev * QUARTER_PHASES[b]
+        means[2 * b] = np.abs(s + a_curr) ** 2 / 8.0
+        means[2 * b + 1] = np.abs(s - a_curr) ** 2 / 8.0
+    return means
 
 
 def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorModel,
@@ -451,14 +370,7 @@ def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorMod
     event, two or more a discarded double.
     """
     m = len(out1) - 1
-    a_prev, a_curr = out1.amp[:-1], out1.amp[1:]
-
-    means = np.empty((4, m))
-    for b in (0, 1):
-        s = a_prev * QUARTER_PHASES[b]
-        means[2 * b] = np.abs(s + a_curr) ** 2 / 8.0
-        means[2 * b + 1] = np.abs(s - a_curr) ** 2 / 8.0
-
+    means = port_means(out1.amp[:-1], out1.amp[1:])
     # Turn the means into no-click factors in place; nothing reads them again.
     np.exp(np.multiply(-det.eta, means, out=means), out=means)
     p = click_prob(det.dark_prob, means)
@@ -481,30 +393,6 @@ def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorMod
         "port": (detector & 1).astype(np.uint8),
         "delta_q": np.asarray(delta_q, dtype=np.int64),
     }
-
-
-def interferometer_measure(prev: PulseRecord, curr: PulseRecord, cfg: SessionConfig,
-                           rng: np.random.Generator) -> InterferometerEvent:
-    """Measure one pulse pair after mode separation (record-level API)."""
-    for p in (prev, curr):
-        if p.bob_phase is None:
-            raise ValueError("pulses must have passed Bob before interferometry")
-    out1_prev, _ = alice_separate_modes(prev)
-    out1_curr, _ = alice_separate_modes(curr)
-    dq = (phase_to_quarter(curr.bob_phase) - phase_to_quarter(prev.bob_phase)) % 4
-    fa = FieldArray.from_fields([out1_prev, out1_curr])
-    meas = measure_interference(fa, np.array([dq]), cfg.detector_alice, rng)
-    if meas["double"][0]:
-        basis, clicked = None, "double"
-    elif meas["single"][0]:
-        basis = "AB"[meas["basis_q"][0]]
-        clicked = f"D{meas['port'][0]}"
-    else:
-        basis, clicked = None, "none"
-    return InterferometerEvent(
-        pair_index=curr.index, basis=basis, clicked_detector=clicked,
-        delta_phi=dq * (math.pi / 2),
-    )
 
 
 def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> SiftOutcome:
@@ -548,6 +436,8 @@ def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> S
 
 def classify_alarm(qber: Optional[float], alice_monitor: PowerTestOutcome,
                    bob_monitor: Optional[PowerTestOutcome], cfg: SessionConfig) -> tuple[str, tuple]:
+    """(alarm, sources) for one session; the exchanged key is accepted only
+    when the alarm is "none"."""
     sources = []
     if qber is not None and qber > cfg.qber_threshold:
         sources.append(ALARM_QBER)
@@ -560,12 +450,6 @@ def classify_alarm(qber: Optional[float], alice_monitor: PowerTestOutcome,
     if len(sources) == 1:
         return sources[0], tuple(sources)
     return ALARM_MULTIPLE, tuple(sources)
-
-
-def session_verdict(result: SessionResult, cfg: SessionConfig) -> str:
-    """Alarm classification; the exchanged key is accepted only on "none"."""
-    alarm, _ = classify_alarm(result.qber, result.alice_monitor, result.bob_monitor, cfg)
-    return alarm
 
 
 def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
@@ -592,7 +476,6 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     if attack is not None:
         batch = attack.apply_return(batch, cfg, rng)
     batch = batch.propagated(cfg.transmittance_oneway, rng)
-    batch.bob_quarter = quarters.astype(np.int8)
 
     # Each later stage reads less of the train; free the rest as it goes, so
     # the interferometers' peak does not sit on top of the whole train.

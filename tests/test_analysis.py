@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ctqkd import analysis
 from ctqkd.analysis import (
     CurvePoint,
     SweepSpec,
@@ -16,7 +17,7 @@ from ctqkd.analysis import (
     export_report,
     run_sweep,
 )
-from ctqkd.attacks import BeamSplit, InterceptResend
+from ctqkd.attacks import BeamSplit, InterceptResend, ModeDiscrimination, TrojanHorse
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
 from ctqkd.protocol import ConfigError, SessionConfig, run_session
 
@@ -119,6 +120,38 @@ def test_sweep_rejects_seed_parameter():
     # seed itself would run every replicate of a point on one seed.
     with pytest.raises(ConfigError):
         SweepSpec(parameter="seed", values=(1, 2), base=SessionConfig(n_pulses=2000), seeds_per_point=3)
+
+
+@pytest.mark.parametrize("parameter,value,factory", [
+    ("attack.tap_fraction", 1.5, BeamSplit),
+    ("attack.resend_mu", -1.0, InterceptResend),
+    ("attack.probe", 0.5, TrojanHorse),
+    ("attack.eve_det", 0.5, ModeDiscrimination),
+    ("attack.label", 0.5, BeamSplit),
+    ("n_pulses", math.nan, None),
+    ("detector_alice", 0.5, None),
+    ("mu_coherent_at_bob", 0.5, None),
+])
+def test_sweep_rejects_bad_attack_value_before_running(monkeypatch, parameter, value, factory):
+    # A bad swept value is a configuration error, never an alarm, and it is
+    # found before the valid value ahead of it costs a session.
+    sessions = []
+    monkeypatch.setattr(analysis, "run_session", lambda *args: sessions.append(args))
+    spec = SweepSpec(parameter=parameter, values=(0.5, value), base=SessionConfig(n_pulses=2000),
+                     attack_factory=factory)
+    with pytest.raises(ConfigError):
+        run_sweep(spec)
+    assert sessions == []
+
+
+def test_sweep_propagates_session_failures(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(analysis, "run_session", broken)
+    spec = SweepSpec(parameter="mu_coherent", values=(0.2,), base=SessionConfig(n_pulses=2000))
+    with pytest.raises(RuntimeError):
+        run_sweep(spec)
 
 
 def test_sweep_spec_validation():

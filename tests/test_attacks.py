@@ -2,6 +2,7 @@
 25% intercept-resend error rate against an exhaustive enumeration oracle,
 and the information ceilings the mode secret imposes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,12 @@ from ctqkd.attacks import (
     InterceptResend,
     ModeDiscrimination,
     TrojanHorse,
-    attack_mode_discrimination,
     eve_information_summary,
     mode_discrimination_batch,
 )
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
 from ctqkd.light import Coherent, FockN, Thermal
-from ctqkd.protocol import SessionConfig, alice_prepare, run_session
+from ctqkd.protocol import ConfigError, SessionConfig, alice_prepare, run_session
 
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
 
@@ -146,12 +146,12 @@ def test_beam_split_alarm_at_separation_count():
 def test_mode_discrimination_bayes_error_reference():
     pulse_cfg = SessionConfig(n_pulses=2, seed=0)
     batch = alice_prepare(pulse_cfg, np.random.default_rng(0))
-    guess, err = attack_mode_discrimination(batch[0], IDEAL, np.random.default_rng(1))
+    guess_h, err = mode_discrimination_batch(batch, IDEAL, np.random.default_rng(1))
     p_c, p_t = 1 - math.exp(-0.2), 1 - 1 / 1.2
     expected = 0.5 * (min(p_c, p_t) + min(1 - p_c, 1 - p_t))
     assert err == pytest.approx(expected, abs=1e-12)
     assert err == pytest.approx(0.4927, abs=1e-4)
-    assert guess in (0, 1)
+    assert guess_h.dtype == bool and guess_h.shape == (2,)
 
 
 def test_mode_discrimination_empirical_accuracy():
@@ -268,6 +268,29 @@ def test_attack_parameter_validation():
         BeamSplit(tap_fraction=1.0)
     with pytest.raises(ValueError):
         BrightLight(forced_click_prob=0.0)
+    for bad in (lambda: InterceptResend(resend_mu=math.nan),
+                lambda: InterceptResend(resend_mu=math.inf),
+                lambda: ModeDiscrimination(resend_mu=-1.0),
+                lambda: ModeDiscrimination(eve_det=0.5),
+                lambda: TrojanHorse(probe=0.5),
+                lambda: dataclasses.replace(BeamSplit(), tap_fraction=1.5),
+                lambda: dataclasses.replace(InterceptResend(), resend_mu=-1.0)):
+        with pytest.raises(ConfigError):
+            bad()
+
+
+def test_attack_params_are_init_fields_and_state_resets():
+    assert InterceptResend(3.0).params() == {"resend_mu": 3.0}
+    assert BeamSplit(0.25).params() == {"tap_fraction": 0.25}
+    assert BrightLight(0.5).params() == {"forced_click_prob": 0.5}
+    assert ModeDiscrimination(1.5, DetectorModel(0.5, 1e-3)).params() == {
+        "resend_mu": 1.5, "eve_eta": 0.5, "eve_dark_prob": 1e-3}
+    assert TrojanHorse(FockN(2)).params() == {"probe": "FockN(n=2)"}
+    used = TrojanHorse()
+    run_session(SessionConfig(n_pulses=2000, seed=1), used)
+    assert used.learned_phase_count > 0
+    variant = dataclasses.replace(used, probe=FockN(1))
+    assert variant.learned_phase_count == 0 and variant.probe == FockN(1)
 
 
 def test_layer_error_assignment():
@@ -283,16 +306,16 @@ def test_layer_error_assignment():
 def test_eve_information_summary_rows():
     cfg = SessionConfig(n_pulses=10**4, seed=30)
     baseline = run_session(cfg, None)
-    row = eve_information_summary(None, baseline)
+    row = eve_information_summary(baseline)
     assert row["alarm"] == "none" and row["eve_correct_fraction"] == 0.0
 
     attacked = run_session(cfg, InterceptResend())
-    row = eve_information_summary(attacked.eve, attacked)
+    row = eve_information_summary(attacked)
     assert row["attack"] == "intercept-resend"
     assert "alice_power" in row["alarm_sources"]
     assert 0.5 < row["eve_correct_fraction"] < 1.0
 
     trojan = run_session(cfg, TrojanHorse())
-    row = eve_information_summary(trojan.eve, trojan)
+    row = eve_information_summary(trojan)
     assert row["alarm"] == "bob_power"
     assert row["eve_learned_phases"] > 0

@@ -1,12 +1,17 @@
 """Command line front end: config parsing, subcommands, exit codes and
 reproducible outputs."""
 
+import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+from ctqkd.attacks import ATTACK_KINDS, ModeDiscrimination
 from ctqkd.cli import (
+    CONFIG_SCHEMA,
     EXIT_ALARM,
     EXIT_CONFIG,
     EXIT_OK,
@@ -16,8 +21,9 @@ from ctqkd.cli import (
     main,
     parse_config_file,
 )
+from ctqkd.detector import DetectorModel
 from ctqkd.light import Blinding, Coherent, FockN, Thermal, Vacuum
-from ctqkd.protocol import ConfigError
+from ctqkd.protocol import ConfigError, SessionConfig
 
 
 def write_config(tmp_path, text):
@@ -70,6 +76,37 @@ def test_parse_probe_kinds():
     assert _parse_probe("blinding:0.99") == Blinding(0.99)
     with pytest.raises(ConfigError):
         _parse_probe("squeezed:1")
+
+
+def _names(cls, init_only=False) -> set:
+    return {f.name for f in dataclasses.fields(cls) if f.init or not init_only}
+
+
+def test_config_schema_keys_are_dataclass_fields():
+    attack_params = {cls: _names(cls, init_only=True) for cls in ATTACK_KINDS.values() if cls}
+    for key in CONFIG_SCHEMA:
+        section, _, name = key.partition(".")
+        if section == "session":
+            assert name in _names(SessionConfig), key
+        elif section in ("alice", "bob"):
+            assert name in _names(DetectorModel), key
+        elif section == "attack" and name != "kind":
+            assert any(name in names for names in attack_params.values()), key
+    for cls, names in attack_params.items():
+        for name in names - ({"eve_det"} if cls is ModeDiscrimination else set()):
+            assert f"attack.{name}" in CONFIG_SCHEMA, (cls.__name__, name)
+
+
+def test_readme_example_config_builds_every_attack(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    values = parse_config_file(write_config(tmp_path, example))
+    assert build_session_config(values).detector_bob.dark_prob == 1e-5
+    for kind, cls in ATTACK_KINDS.items():
+        attack = build_attack({**values, "attack.kind": kind})
+        assert attack is None if cls is None else type(attack) is cls
+    assert build_attack(values).probe == Coherent(10**0.5)
+    assert build_attack({**values, "attack.kind": "beam-split"}).tap_fraction == 0.5
 
 
 def test_build_attack_rejects_unknown_kind():
@@ -170,6 +207,21 @@ def test_sweep_command(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_rejects_bad_attack_value_with_exit_2(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        """
+        session.n_pulses = 2000
+        attack.kind = beam-split
+        sweep.parameter = attack.tap_fraction
+        sweep.values = 0.5,1.5
+        """,
+    )
+    assert main(["sweep", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "tap_fraction" in capsys.readouterr().err
+    assert list(tmp_path.glob("sweep_*")) == []
+
+
 def test_sweep_requires_parameter(tmp_path, capsys):
     assert main(["sweep", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert "sweep requires" in capsys.readouterr().err
@@ -198,6 +250,8 @@ def test_distinguish_command(tmp_path):
     "session.mu_thermal = 0\nalice.dark_prob = 0",
     "alice.eta = 1.5",
     "bob.dark_prob = 1",
+    "attack.kind = beam-split\nattack.probe = squeezed:1",
+    "attack.kind = intercept-resend\nattack.resend_mu = 0",
 ])
 def test_session_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
     path = write_config(tmp_path, text)

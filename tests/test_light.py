@@ -1,5 +1,6 @@
 """LightField variants and the vectorized FieldArray carrier."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,10 +18,12 @@ from ctqkd.light import (
     FockN,
     Thermal,
     Vacuum,
-    attenuate_field,
-    field_click_prob,
-    phase_shift_field,
 )
+from ctqkd.detector import click_prob
+
+
+def _attenuated(field, transmittance, rng=None):
+    return FieldArray.uniform(field, 1).attenuated(transmittance, rng).field(0)
 
 
 def test_field_validation():
@@ -33,58 +36,60 @@ def test_field_validation():
 
 
 def test_attenuate_coherent_scales_amplitude():
-    out = attenuate_field(Coherent(math.sqrt(0.2)), 0.5)
+    out = _attenuated(Coherent(math.sqrt(0.2)), 0.5)
     assert isinstance(out, Coherent)
     assert out.mean_photons == pytest.approx(0.1, abs=1e-12)
 
 
 def test_attenuate_thermal_scales_mean():
-    out = attenuate_field(Thermal(0.2), 0.5)
+    out = _attenuated(Thermal(0.2), 0.5)
     assert out == Thermal(0.1)
 
 
 def test_attenuate_identity_and_blinding():
-    assert attenuate_field(Blinding(0.9), 0.3) == Blinding(0.9)
+    assert _attenuated(Blinding(0.9), 0.3) == Blinding(0.9)
     f = Coherent(1.0 + 0.5j)
-    assert attenuate_field(f, 1.0) == f
+    assert _attenuated(f, 1.0) == f
 
 
 def test_attenuate_fock_thins_binomially():
     rng = np.random.default_rng(4)
-    outs = [attenuate_field(FockN(5), 0.6, rng).n for _ in range(4000)]
+    out = FieldArray.uniform(FockN(5), 4000).attenuated(0.6, rng)
+    assert np.all(out.kind == KIND_FOCK)
+    outs = out.param
+    assert np.all(outs == np.round(outs))
     assert min(outs) >= 0 and max(outs) <= 5
     assert np.mean(outs) == pytest.approx(3.0, abs=0.1)
 
 
 def test_attenuate_fock_requires_rng():
     with pytest.raises(ValueError):
-        attenuate_field(FockN(2), 0.5)
+        _attenuated(FockN(2), 0.5)
 
 
 def test_phase_shift_field():
-    out = phase_shift_field(Coherent(2.0), math.pi)
-    assert out.amplitude == pytest.approx(-2.0, abs=1e-12)
-    assert phase_shift_field(Thermal(0.3), 1.0) == Thermal(0.3)
-    assert phase_shift_field(FockN(2), 1.0) == FockN(2)
+    fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.3), FockN(2)])
+    out = fa.phase_shifted(cmath.exp(1j * math.pi))
+    assert out.field(0).amplitude == pytest.approx(-2.0, abs=1e-12)
+    turned = fa.phase_shifted(cmath.exp(1j))
+    assert turned.field(1) == Thermal(0.3)
+    assert turned.field(2) == FockN(2)
 
 
 def test_click_prob_per_kind():
     eta, pd = 0.4, 0.01
-    assert field_click_prob(Vacuum(), eta, pd) == pytest.approx(pd, abs=1e-15)
-    assert field_click_prob(Coherent(1.0), eta, pd) == pytest.approx(
-        1 - (1 - pd) * math.exp(-eta), abs=1e-12
-    )
-    assert field_click_prob(Thermal(0.5), eta, pd) == pytest.approx(
-        1 - (1 - pd) / (1 + eta * 0.5), abs=1e-12
-    )
-    assert field_click_prob(FockN(3), eta, pd) == pytest.approx(
-        1 - (1 - pd) * (1 - eta) ** 3, abs=1e-12
-    )
+    fa = FieldArray.from_fields([Vacuum(), Coherent(1.0), Thermal(0.5), FockN(3)])
+    p = click_prob(pd, fa.noclick_factors(eta))
+    assert p[0] == pytest.approx(pd, abs=1e-15)
+    assert p[1] == pytest.approx(1 - (1 - pd) * math.exp(-eta), abs=1e-12)
+    assert p[2] == pytest.approx(1 - (1 - pd) / (1 + eta * 0.5), abs=1e-12)
+    assert p[3] == pytest.approx(1 - (1 - pd) * (1 - eta) ** 3, abs=1e-12)
 
 
 def test_blinding_click_ignores_efficiency():
+    blinding = FieldArray.uniform(Blinding(0.95), 1)
     for eta in (0.0, 0.3, 1.0):
-        assert field_click_prob(Blinding(0.95), eta, 0.0) == pytest.approx(0.95, abs=1e-12)
+        assert click_prob(0.0, blinding.noclick_factors(eta))[0] == pytest.approx(0.95, abs=1e-12)
 
 
 def test_field_array_roundtrip():

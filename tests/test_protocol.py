@@ -9,41 +9,30 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from ctqkd.detector import DetectorModel, samples_needed
-from ctqkd.light import Blinding, Coherent, FieldArray, Thermal, Vacuum
+from ctqkd.light import KIND_COHERENT, KIND_THERMAL, Blinding, Coherent, FieldArray, Thermal
 from ctqkd.protocol import (
     ConfigError,
     PulseBatch,
-    PulseRecord,
     SessionConfig,
     alice_prepare,
-    alice_separate_modes,
     alice_thermal_monitor,
-    bob_modulate,
     bob_monitor_tap,
     classify_alarm,
-    interferometer_means,
-    interferometer_measure,
     measure_interference,
     modulate_batch,
-    propagate,
+    port_means,
     run_session,
     separate_modes,
-    session_verdict,
     sift_and_qber,
 )
 
 CFG_SMALL = SessionConfig(n_pulses=2000, seed=5)
 
 
-def make_pulse(assign=0, rot=0.0, field_h=None, field_v=None, bob_phase=None):
-    return PulseRecord(
-        index=0,
-        mode_assignment=assign,
-        rotation=rot,
-        field_H=field_h if field_h is not None else Coherent(math.sqrt(0.2)),
-        field_V=field_v if field_v is not None else Thermal(0.2),
-        bob_phase=bob_phase,
-    )
+def make_batch(n=1, assign=0, rot=0, field_h=Coherent(math.sqrt(0.2)), field_v=Thermal(0.2)):
+    """n pulses with the given secret bits and the same field in each mode."""
+    return PulseBatch(np.broadcast_to(assign, n), np.broadcast_to(rot, n),
+                      FieldArray.uniform(field_h, n), FieldArray.uniform(field_v, n))
 
 
 # --- preparation -----------------------------------------------------------
@@ -71,52 +60,47 @@ def test_prepare_fair_bits():
 def test_prepare_each_pulse_has_one_coherent_one_thermal():
     cfg = SessionConfig(n_pulses=500, seed=9)
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    for i in range(len(batch)):
-        kinds = {type(batch[i].field_H), type(batch[i].field_V)}
-        assert kinds == {Coherent, Thermal}
+    for kind_h, kind_v in zip(batch.field_h.kind, batch.field_v.kind):
+        assert {kind_h, kind_v} == {KIND_COHERENT, KIND_THERMAL}
 
 
 # --- Bob's modulation ------------------------------------------------------
 
 
 def test_modulate_zero_phase_records_only():
-    pulse = make_pulse()
-    out = bob_modulate(pulse, 0.0)
-    assert out.field_H == pulse.field_H
-    assert out.field_V == pulse.field_V
-    assert out.bob_phase == 0.0
+    batch = make_batch()
+    assert batch.bob_quarter is None
+    out = modulate_batch(batch, np.array([0]))
+    assert out.field_h.field(0) == Coherent(math.sqrt(0.2))
+    assert out.field_v.field(0) == Thermal(0.2)
+    assert out.bob_quarter.tolist() == [0]
 
 
 def test_modulate_pi_flips_coherent_sign():
-    pulse = make_pulse()
-    out = bob_modulate(pulse, math.pi)
-    assert out.field_H.amplitude == pytest.approx(-math.sqrt(0.2), abs=1e-15)
+    out = modulate_batch(make_batch(), np.array([2]))
+    assert out.field_h.field(0).amplitude == pytest.approx(-math.sqrt(0.2), abs=1e-15)
 
 
 def test_modulate_leaves_thermal_bit_exact():
-    pulse = make_pulse()
-    for phi in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
-        assert bob_modulate(pulse, phi).field_V == pulse.field_V
-
-
-def test_modulate_rejects_non_canonical_phase():
-    with pytest.raises(ValueError):
-        bob_modulate(make_pulse(), 0.3)
+    batch = make_batch(4)
+    out = modulate_batch(batch, np.arange(4))
+    assert out.field_v.param.tobytes() == batch.field_v.param.tobytes()
+    assert [out.field_v.field(i) for i in range(4)] == [Thermal(0.2)] * 4
 
 
 # --- channel ---------------------------------------------------------------
 
 
 def test_propagate_identity():
-    pulse = make_pulse()
-    out = propagate(pulse, 1.0)
-    assert out.field_H == pulse.field_H and out.field_V == pulse.field_V
+    out = make_batch().propagated(1.0)
+    assert out.field_h.field(0) == Coherent(math.sqrt(0.2))
+    assert out.field_v.field(0) == Thermal(0.2)
 
 
 def test_propagate_scales_both_modes():
-    out = propagate(make_pulse(), 0.5)
-    assert out.field_H.mean_photons == pytest.approx(0.1, abs=1e-12)
-    assert out.field_V == Thermal(0.1)
+    out = make_batch().propagated(0.5)
+    assert out.field_h.field(0).mean_photons == pytest.approx(0.1, abs=1e-12)
+    assert out.field_v.field(0) == Thermal(0.1)
 
 
 # --- mode separation -------------------------------------------------------
@@ -124,25 +108,23 @@ def test_propagate_scales_both_modes():
 
 def test_separation_honest_exhaustive():
     # all four (wiring, rotation) combinations route coherent to output 1
-    for assign in (0, 1):
-        for rot_q in (0, 1):
-            coh_in_h = (assign ^ rot_q) == 0
-            pulse = make_pulse(
-                assign=assign,
-                rot=rot_q * math.pi / 2,
-                field_h=Coherent(1.0) if coh_in_h else Thermal(0.2),
-                field_v=Thermal(0.2) if coh_in_h else Coherent(1.0),
-            )
-            out1, out2 = alice_separate_modes(pulse)
-            assert isinstance(out1, Coherent)
-            assert isinstance(out2, Thermal)
+    assign, rot = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    coh_in_h = (assign ^ rot) == 0
+    coherent, thermal = FieldArray.uniform(Coherent(1.0), 4), FieldArray.uniform(Thermal(0.2), 4)
+    batch = PulseBatch(assign, rot, FieldArray.where(coh_in_h, coherent, thermal),
+                       FieldArray.where(coh_in_h, thermal, coherent))
+    out1, out2 = separate_modes(batch)
+    assert [out1.field(i) for i in range(4)] == [Coherent(1.0)] * 4
+    assert [out2.field(i) for i in range(4)] == [Thermal(0.2)] * 4
 
 
 def test_separation_of_identical_substituted_fields():
     eve_field = Coherent(2.0)
-    pulse = make_pulse(assign=1, rot=math.pi / 2, field_h=eve_field, field_v=eve_field)
-    out1, out2 = alice_separate_modes(pulse)
-    assert out1 == eve_field and out2 == eve_field
+    batch = PulseBatch([0, 0, 1, 1], [0, 1, 0, 1], FieldArray.uniform(eve_field, 4),
+                       FieldArray.uniform(eve_field, 4))
+    out1, out2 = separate_modes(batch)
+    for i in range(4):
+        assert out1.field(i) == eve_field and out2.field(i) == eve_field
 
 
 def test_separation_random_mode_guess_hits_output2_half_the_time():
@@ -250,8 +232,8 @@ def test_thermal_monitor_equal_mean_coherent_fails_at_sample_count():
 
 def test_interferometer_means_aligned_phase():
     mu = 0.3
-    a = math.sqrt(mu)
-    means = interferometer_means(a, a)
+    a = np.array([math.sqrt(mu) + 0j])
+    means = port_means(a, a)[:, 0]
     assert means[0] == pytest.approx(mu / 2, abs=1e-12)  # D0A
     assert means[1] == pytest.approx(0.0, abs=1e-12)  # D1A
     assert means[2] == pytest.approx(mu / 4, abs=1e-12)  # D0B
@@ -259,8 +241,8 @@ def test_interferometer_means_aligned_phase():
 
 
 def test_interferometer_means_opposite_phase():
-    a = math.sqrt(0.3)
-    means = interferometer_means(a, -a)
+    a = np.array([math.sqrt(0.3) + 0j])
+    means = port_means(a, -a)[:, 0]
     assert means[0] == pytest.approx(0.0, abs=1e-12)
     assert means[1] == pytest.approx(0.3 / 2, abs=1e-12)
 
@@ -268,30 +250,23 @@ def test_interferometer_means_opposite_phase():
 def test_interferometer_energy_conservation():
     mu = 0.41
     a = math.sqrt(mu)
+    means = port_means(np.full(4, a + 0j), a * 1j ** np.arange(4))
+    assert means.shape == (4, 4)
     for q in range(4):
-        means = interferometer_means(a, a * 1j**q)
-        assert means.sum() == pytest.approx(mu, abs=1e-12)
-
-
-def test_interferometer_measure_requires_bob_phase():
-    with pytest.raises(ValueError):
-        interferometer_measure(make_pulse(), make_pulse(), CFG_SMALL, np.random.default_rng(0))
+        assert means[:, q].sum() == pytest.approx(mu, abs=1e-12)
 
 
 def test_interferometer_measure_deterministic_port():
-    # Ideal detector, opposite phases: the only possible single click is D1A.
+    # Ideal detector, opposite phases: the only possible single click in
+    # basis A is D1A.
     det = DetectorModel(eta=1.0, dark_prob=0.0)
-    cfg = SessionConfig(n_pulses=100, seed=1, detector_alice=det)
-    prev = make_pulse(field_h=Coherent(2.0), bob_phase=0.0)
-    curr = make_pulse(field_h=Coherent(-2.0), bob_phase=math.pi)
-    rng = np.random.default_rng(3)
-    seen = set()
-    for _ in range(50):
-        ev = interferometer_measure(prev, curr, cfg, rng)
-        seen.add((ev.basis, ev.clicked_detector))
-        assert ev.delta_phi == pytest.approx(math.pi)
-        assert (ev.basis, ev.clicked_detector) != ("A", "D0")
-    assert ("A", "D1") in seen
+    out1 = FieldArray.coherent(2.0 * (-1.0) ** np.arange(101))
+    meas = measure_interference(out1, np.full(100, 2), det, np.random.default_rng(3))
+    assert np.all(meas["delta_q"] == 2)
+    seen = {(int(b), int(p)) for b, p in zip(meas["basis_q"][meas["single"]],
+                                             meas["port"][meas["single"]])}
+    assert (0, 0) not in seen
+    assert (0, 1) in seen
 
 
 # --- sifting ---------------------------------------------------------------
@@ -369,7 +344,8 @@ def test_classify_alarm_cases():
 
 def test_session_verdict_matches_result():
     res = run_session(CFG_SMALL)
-    assert session_verdict(res, CFG_SMALL) == res.alarm
+    verdict = classify_alarm(res.qber, res.alice_monitor, res.bob_monitor, CFG_SMALL)
+    assert verdict == (res.alarm, res.alarm_sources)
 
 
 def test_run_session_deterministic():
@@ -471,16 +447,6 @@ def test_thermal_layer_transparent_to_bob_phase():
     assert chi2_contingency(table + 1).pvalue > 0.01
 
 
-def test_pulse_batch_record_roundtrip():
-    cfg = SessionConfig(n_pulses=6, seed=3)
-    batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    records = [batch[i] for i in range(len(batch))]
-    rebuilt = PulseBatch.from_records(records)
-    assert np.array_equal(rebuilt.mode_assignment, batch.mode_assignment)
-    assert np.array_equal(rebuilt.rotation_quarter, batch.rotation_quarter)
-    assert [rebuilt[i] for i in range(6)] == records
-
-
 def test_stages_build_new_batches_that_share_unchanged_arrays():
     cfg = SessionConfig(n_pulses=1000, seed=2)
     rng = np.random.default_rng(cfg.seed)
@@ -494,7 +460,8 @@ def test_stages_build_new_batches_that_share_unchanged_arrays():
         assert np.shares_memory(new.mode_assignment, batch.mode_assignment)
         assert np.shares_memory(new.rotation_quarter, batch.rotation_quarter)
         assert np.shares_memory(new.field_h.kind, batch.field_h.kind)
-    assert np.shares_memory(lossy.bob_quarter, batch.bob_quarter)
+    assert lossy.bob_quarter is batch.bob_quarter
+    assert modulated.propagated(0.5, rng).bob_quarter is modulated.bob_quarter
     assert np.shares_memory(modulated.field_v.param, lossy.field_v.param)
     for old, now in zip(snapshot, (batch.mode_assignment, batch.rotation_quarter,
                                    batch.field_h.amp, batch.field_v.param)):
