@@ -58,7 +58,7 @@ from .analysis import (
     CurvePoint,
     SweepSpec,
     distinguishability_curve,
-    export_report,
+    export_csv,
     run_sweep,
 )
 

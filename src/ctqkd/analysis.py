@@ -1,16 +1,16 @@
 """Derived studies: distinguishability-vs-samples curves, parameter sweeps
-over sessions, and CSV/JSON report writers."""
+over sessions, and the CSV report writer."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .attacks import Attack
 from .detector import DetectorModel, click_prob_coherent, click_prob_thermal
 from .protocol import ALARM_NONE, ConfigError, SessionConfig, run_session
 
@@ -26,7 +26,7 @@ class SweepSpec:
     parameter: str
     values: tuple
     base: SessionConfig
-    attack_factory: Optional[callable] = None  # () -> fresh Attack, or None
+    attack: Optional[Attack] = None  # None runs honest sessions
     seeds_per_point: int = 1
 
     def __post_init__(self):
@@ -38,6 +38,8 @@ class SweepSpec:
             raise ConfigError("value grid must be nonempty")
         if self.seeds_per_point < 1:
             raise ConfigError("seeds_per_point must be >= 1")
+        if self.attack is not None and not isinstance(self.attack, Attack):
+            raise ConfigError(f"attack must be an Attack instance or None, got {self.attack!r}")
 
 
 @dataclass(frozen=True)
@@ -82,21 +84,18 @@ def distinguishability_curve(mu_t: float, mu_c: float, det: DetectorModel,
     probabilities differ; stays at 1/2 when they coincide."""
     p_t = click_prob_thermal(det, mu_t)
     p_c = click_prob_coherent(det, mu_c)
-    rows = []
-    for n in n_grid:
-        if n < 1:
-            raise ValueError(f"sample counts must be >= 1, got {n}")
-        rows.append({
-            "n_samples": int(n),
-            "p_thermal": p_t,
-            "p_coherent": p_c,
-            "discrimination_error": discrimination_error(p_t, p_c, int(n), trials, rng),
-        })
-    return rows
+    if any(n < 1 for n in n_grid):
+        raise ConfigError(f"sample counts must be >= 1, got {tuple(n_grid)}")
+    return [{
+        "n_samples": int(n),
+        "p_thermal": p_t,
+        "p_coherent": p_c,
+        "discrimination_error": discrimination_error(p_t, p_c, int(n), trials, rng),
+    } for n in n_grid]
 
 
-def _init_fields(obj) -> set:
-    return {f.name for f in dataclasses.fields(obj) if f.init}
+def _field_names(obj) -> set:
+    return {f.name for f in dataclasses.fields(obj)}
 
 
 def _apply_parameter(cfg: SessionConfig, attack, parameter: str, value):
@@ -106,10 +105,10 @@ def _apply_parameter(cfg: SessionConfig, attack, parameter: str, value):
         if attack is None:
             raise ConfigError(f"sweep parameter {parameter!r} needs an attack")
         name = parameter[len("attack."):]
-        if name not in _init_fields(attack):
+        if name not in _field_names(attack):
             raise ConfigError(f"{attack.label} has no parameter {name!r}")
         return cfg, replace(attack, **{name: value})
-    if parameter not in _init_fields(cfg):
+    if parameter not in _field_names(cfg):
         raise ConfigError(f"unknown session parameter {parameter!r}")
     if parameter == "n_pulses" and float(value).is_integer():
         value = int(value)  # grid values parse as floats; others fail in SessionConfig
@@ -123,16 +122,12 @@ def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
     Every grid value is applied once before any session runs, so a value the
     config or the attack rejects raises ConfigError before it costs compute.
     """
-    for value in spec.values:
-        attack = spec.attack_factory() if spec.attack_factory else None
-        _apply_parameter(spec.base, attack, spec.parameter, value)
+    applied = [_apply_parameter(spec.base, spec.attack, spec.parameter, v) for v in spec.values]
     points = []
-    for value in spec.values:
+    for value, (point_cfg, attack) in zip(spec.values, applied):
         qbers, z_a, z_b, alarms, key_rates = [], [], [], [], []
         for i in range(spec.seeds_per_point):
-            attack = spec.attack_factory() if spec.attack_factory else None
-            cfg = replace(spec.base, seed=spec.base.seed + i)
-            cfg, attack = _apply_parameter(cfg, attack, spec.parameter, value)
+            cfg = replace(point_cfg, seed=spec.base.seed + i)
             res = run_session(cfg, attack)
             alarms.append(res.alarm != ALARM_NONE)
             if res.qber is not None:
@@ -171,24 +166,3 @@ def export_csv(rows: Sequence[dict]) -> str:
     for row in rows:
         lines.append(",".join(_format_value(row.get(c)) for c in columns))
     return "\n".join(lines) + "\n"
-
-
-def export_json(rows: Sequence[dict]) -> str:
-    rows = list(rows)
-    if not rows:
-        raise ValueError("nothing to export")
-
-    def round6(v):
-        if isinstance(v, float) and math.isfinite(v):
-            return float(f"{v:.6g}")
-        return v
-
-    return json.dumps([{k: round6(v) for k, v in row.items()} for row in rows], indent=2)
-
-
-def export_report(rows: Sequence[dict], fmt: str) -> str:
-    if fmt == "csv":
-        return export_csv(rows)
-    if fmt == "json":
-        return export_json(rows)
-    raise ValueError(f"unknown report format {fmt!r}")

@@ -9,12 +9,18 @@ idealized (unit efficiency, no dark counts, conclusive interferometry)
 to make her as strong as the semiclassical model allows; what defeats her
 is the mode secret, not technology.
 
-Each strategy is a dataclass whose init fields are its parameters; they are
-validated on construction, and so also when dataclasses.replace derives a
-variant (as a parameter sweep does), raising protocol.ConfigError.  The
-remaining fields are per-run state that the hooks accumulate, so use one
-instance per session run (run_session calls the hooks in order and
-finalizes at the end, which also makes reuse across sequential runs safe).
+Each strategy is a frozen dataclass whose fields are its parameters and
+nothing else; they are validated on construction, and so also when
+dataclasses.replace derives a variant (as a parameter sweep does), raising
+protocol.ConfigError.  What one run produces travels as a carry value that
+run_session hands from hook to hook:
+
+    apply_forward(batch, cfg, rng) -> (batch, carry)
+    apply_return(batch, carry, cfg, rng) -> (batch, carry)
+    finalize_report(carry, sift, rng) -> EveReport
+
+so one instance can run any number of sessions, compares equal to a fresh
+one with the same parameters, and is hashable.
 """
 
 from __future__ import annotations
@@ -57,12 +63,7 @@ class EveReport:
         return dataclasses.asdict(self)
 
 
-def _state(default=None):
-    """A per-run state field: not a parameter, reset on every construction."""
-    return dataclasses.field(init=False, default=default, repr=False, compare=False)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Attack:
     """Base interposer: passes the train through untouched."""
 
@@ -70,17 +71,17 @@ class Attack:
 
     def params(self) -> dict:
         """The strategy's parameters, as reported in EveReport.params."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init}
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def apply_forward(self, batch: PulseBatch, cfg: SessionConfig,
-                      rng: np.random.Generator) -> PulseBatch:
-        return batch
+                      rng: np.random.Generator) -> tuple[PulseBatch, object]:
+        return batch, None
 
-    def apply_return(self, batch: PulseBatch, cfg: SessionConfig,
-                     rng: np.random.Generator) -> PulseBatch:
-        return batch
+    def apply_return(self, batch: PulseBatch, carry, cfg: SessionConfig,
+                     rng: np.random.Generator) -> tuple[PulseBatch, object]:
+        return batch, carry
 
-    def finalize_report(self, sift: SiftOutcome, rng: np.random.Generator) -> EveReport:
+    def finalize_report(self, carry, sift: SiftOutcome, rng: np.random.Generator) -> EveReport:
         return EveReport(self.label, self.params())
 
 
@@ -136,7 +137,7 @@ def _check_resend_mu(resend_mu: float) -> None:
         raise ConfigError(f"resend_mu must be positive and finite, got {resend_mu}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterceptResend(Attack):
     """Type I: measure every pulse pair leaving Bob, resend fresh coherent
     light with the inferred cumulative phase in BOTH polarization modes.
@@ -150,29 +151,27 @@ class InterceptResend(Attack):
     label = "intercept-resend"
 
     resend_mu: float = 2.0
-    _bits: Optional[np.ndarray] = _state()
-    _basis_matches: Optional[int] = _state()
 
     def __post_init__(self):
         _check_resend_mu(self.resend_mu)
 
-    def apply_return(self, batch, cfg, rng):
+    def apply_return(self, batch, carry, cfg, rng):
         delta_true = np.diff(_quarter_of(_coherent_amplitudes(batch))) % 4
-        basis, delta_hat, self._bits = _dps_phase_estimates(delta_true, rng)
-        self._basis_matches = int(((delta_true % 2) == basis).sum())
+        basis, delta_hat, bits = _dps_phase_estimates(delta_true, rng)
+        basis_matches = int(((delta_true % 2) == basis).sum())
         resend = FieldArray.coherent(_resend_train(delta_hat, self.resend_mu))
-        return batch.with_fields(resend, resend)
+        return batch.with_fields(resend, resend), (bits, basis_matches)
 
-    def finalize_report(self, sift, rng):
-        frac = _fraction_correct(self._bits, sift) if self._bits is not None else 0.0
+    def finalize_report(self, carry, sift, rng):
+        bits, basis_matches = carry
         return EveReport(
             self.label, self.params(),
-            guessed_bits_correct_fraction=frac,
-            notes=f"basis matched on {self._basis_matches} of {self._bits.size} pairs",
+            guessed_bits_correct_fraction=_fraction_correct(bits, sift),
+            notes=f"basis matched on {basis_matches} of {bits.size} pairs",
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeamSplit(Attack):
     """Type I variant: passively tap a fraction of both modes and keep it.
 
@@ -184,21 +183,20 @@ class BeamSplit(Attack):
     label = "beam-split"
 
     tap_fraction: float = 0.5
-    _tapped_energy: float = _state(0.0)
 
     def __post_init__(self):
         if not 0.0 < self.tap_fraction < 1.0:
             raise ConfigError(f"tap_fraction must be in (0, 1), got {self.tap_fraction}")
 
-    def apply_return(self, batch, cfg, rng):
+    def apply_return(self, batch, carry, cfg, rng):
         means = batch.field_h.mean_photons() + batch.field_v.mean_photons()
-        self._tapped_energy = float(np.sum(means[np.isfinite(means)]) * self.tap_fraction)
-        return batch.propagated(1.0 - self.tap_fraction, rng)
+        tapped_energy = float(np.sum(means[np.isfinite(means)]) * self.tap_fraction)
+        return batch.propagated(1.0 - self.tap_fraction, rng), tapped_energy
 
-    def finalize_report(self, sift, rng):
+    def finalize_report(self, tapped_energy, sift, rng):
         return EveReport(
             self.label, self.params(),
-            notes=f"tapped mean photon total {self._tapped_energy:.6g} (undecoded)",
+            notes=f"tapped mean photon total {tapped_energy:.6g} (undecoded)",
         )
 
 
@@ -226,7 +224,7 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     return guess_coh_in_h, bayes_error
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeDiscrimination(Attack):
     """Type II: guess the coherent mode pulse by pulse, then intercept-resend
     only the guessed mode and let the other fly by untouched.
@@ -240,8 +238,6 @@ class ModeDiscrimination(Attack):
 
     resend_mu: float = 2.0
     eve_det: DetectorModel = IDEAL_DETECTOR
-    _bits: Optional[np.ndarray] = _state()
-    bayes_error: Optional[float] = _state()
 
     def __post_init__(self):
         _check_resend_mu(self.resend_mu)
@@ -252,27 +248,28 @@ class ModeDiscrimination(Attack):
         return {"resend_mu": self.resend_mu, "eve_eta": self.eve_det.eta,
                 "eve_dark_prob": self.eve_det.dark_prob}
 
-    def apply_return(self, batch, cfg, rng):
-        guess_h, self.bayes_error = mode_discrimination_batch(batch, self.eve_det, rng)
+    def apply_return(self, batch, carry, cfg, rng):
+        guess_h, bayes_error = mode_discrimination_batch(batch, self.eve_det, rng)
 
         measured = FieldArray.where(guess_h, batch.field_h, batch.field_v)
         truly_coherent = measured.kind == KIND_COHERENT
         delta_true = np.diff(_quarter_of(measured.amp)) % 4
         informative = truly_coherent[:-1] & truly_coherent[1:]
-        _, delta_hat, self._bits = _dps_phase_estimates(delta_true, rng, informative)
+        _, delta_hat, bits = _dps_phase_estimates(delta_true, rng, informative)
 
         resend = FieldArray.coherent(_resend_train(delta_hat, self.resend_mu))
-        return batch.with_fields(
+        out = batch.with_fields(
             FieldArray.where(guess_h, resend, batch.field_h),
             FieldArray.where(guess_h, batch.field_v, resend),
         )
+        return out, (bits, bayes_error)
 
-    def finalize_report(self, sift, rng):
-        frac = _fraction_correct(self._bits, sift) if self._bits is not None else 0.0
+    def finalize_report(self, carry, sift, rng):
+        bits, bayes_error = carry
         return EveReport(
             self.label, self.params(),
-            guessed_bits_correct_fraction=frac,
-            notes=f"single-shot mode Bayes error {self.bayes_error:.4f}",
+            guessed_bits_correct_fraction=_fraction_correct(bits, sift),
+            notes=f"single-shot mode Bayes error {bayes_error:.4f}",
         )
 
 
@@ -292,7 +289,7 @@ def _photon_counts(fields: FieldArray, rng: np.random.Generator) -> np.ndarray:
     return counts
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrojanHorse(Attack):
     """Type III: probe Bob's modulator with Eve's own light.
 
@@ -308,9 +305,6 @@ class TrojanHorse(Attack):
     label = "trojan-horse"
 
     probe: LightField = Coherent(math.sqrt(10.0))
-    _held: Optional[PulseBatch] = _state()
-    _learned: Optional[np.ndarray] = _state()
-    learned_phase_count: int = _state(0)
 
     def __post_init__(self):
         if not isinstance(self.probe, LightField):
@@ -320,35 +314,35 @@ class TrojanHorse(Attack):
         return {"probe": repr(self.probe)}
 
     def apply_forward(self, batch, cfg, rng):
-        self._held = batch
         n = len(batch)
-        return batch.with_fields(FieldArray.uniform(self.probe, n), FieldArray.vacuum(n))
+        # Alice's train is held as the carry until apply_return sends it on.
+        return batch.with_fields(FieldArray.uniform(self.probe, n), FieldArray.vacuum(n)), batch
 
-    def apply_return(self, batch, cfg, rng):
+    def apply_return(self, batch, held, cfg, rng):
         counts = _photon_counts(batch.field_h, rng) + _photon_counts(batch.field_v, rng)
-        self._learned = counts >= 2
-        self.learned_phase_count = int(self._learned.sum())
-        quarters_hat = np.where(self._learned, batch.bob_quarter, 0).astype(np.int64)
-        out = modulate_batch(self._held, quarters_hat)
-        return out.propagated(1.0 - cfg.tap_reflectance, rng)
+        learned = counts >= 2
+        quarters_hat = np.where(learned, batch.bob_quarter, 0).astype(np.int64)
+        out = modulate_batch(held, quarters_hat)
+        return out.propagated(1.0 - cfg.tap_reflectance, rng), learned
 
-    def finalize_report(self, sift, rng):
+    def finalize_report(self, learned, sift, rng):
+        learned_phase_count = int(learned.sum())
         kept = sift.pair_indices[~sift.disclosed]
-        if kept.size and self._learned is not None:
-            knows_pair = self._learned[kept] & self._learned[kept + 1]
+        if kept.size:
+            knows_pair = learned[kept] & learned[kept + 1]
             correct = np.where(knows_pair, True, rng.integers(0, 2, kept.size) == 1)
             frac = float(correct.mean())
         else:
             frac = 0.0
         return EveReport(
             self.label, self.params(),
-            learned_phase_count=self.learned_phase_count,
+            learned_phase_count=learned_phase_count,
             guessed_bits_correct_fraction=frac,
-            notes=f"learned {self.learned_phase_count} pulse phases from the probe",
+            notes=f"learned {learned_phase_count} pulse phases from the probe",
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BrightLight(Attack):
     """Type IV: flood Alice's receiver with saturating light to control her
     detectors.  The mode secret routes part of it onto the protection output
@@ -365,11 +359,11 @@ class BrightLight(Attack):
                 f"forced_click_prob must be in (0, 1], got {self.forced_click_prob}"
             )
 
-    def apply_return(self, batch, cfg, rng):
+    def apply_return(self, batch, carry, cfg, rng):
         blinding = FieldArray.uniform(Blinding(self.forced_click_prob), len(batch))
-        return batch.with_fields(blinding, blinding)
+        return batch.with_fields(blinding, blinding), carry
 
-    def finalize_report(self, sift, rng):
+    def finalize_report(self, carry, sift, rng):
         return EveReport(self.label, self.params(),
                          notes="attempted detector control by saturation")
 

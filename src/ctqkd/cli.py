@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .analysis import SweepSpec, distinguishability_curve, export_report, run_sweep
+from .analysis import SweepSpec, distinguishability_curve, export_csv, run_sweep
 from .attacks import ATTACK_KINDS, eve_information_summary
 from .detector import DetectorModel
 from .fock import (
@@ -97,7 +97,6 @@ CONFIG_SCHEMA = {
     "distinguish.mu_coherent": float,
     "distinguish.eta": float,
     "distinguish.dark_prob": float,
-    "distinguish.z": float,
     "distinguish.n_grid": _parse_ints,
     "distinguish.trials": int,
 }
@@ -152,8 +151,7 @@ def build_attack(values: dict):
     if cls is None:
         return None
     params = _section(values, "attack.")
-    return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls)
-                  if f.init and f.name in params})
+    return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls) if f.name in params})
 
 
 def _output_path(out_dir: str, command: str, seed: int, ext: str) -> str:
@@ -213,7 +211,7 @@ def cmd_attack(values: dict, out_dir: str, out) -> int:
         {"label": "attacked", **eve_information_summary(attacked)},
     ]
     path = _output_path(out_dir, "attack", cfg.seed, "csv")
-    _write_atomic(path, export_report(rows, "csv"))
+    _write_atomic(path, export_csv(rows))
     for row in rows:
         print(
             f"{row['label']}: attack={row['attack']} qber={row['qber']} "
@@ -229,45 +227,44 @@ def cmd_sweep(values: dict, out_dir: str, out) -> int:
         if key not in values:
             raise ConfigError(f"sweep requires {key}")
     cfg = build_session_config(values)
-    kind = values.get("attack.kind", "none")
-    factory = None
-    if kind != "none":
-        factory = lambda: build_attack(values)  # noqa: E731 - small closure
     spec = SweepSpec(
         parameter=values["sweep.parameter"],
         values=tuple(values["sweep.values"]),
         base=cfg,
-        attack_factory=factory,
+        attack=build_attack(values),
         seeds_per_point=values.get("sweep.seeds_per_point", 1),
     )
     points = run_sweep(spec)
     rows = [{"parameter": spec.parameter, **p.to_dict()} for p in points]
     path = _output_path(out_dir, "sweep", cfg.seed, "csv")
-    _write_atomic(path, export_report(rows, "csv"))
+    _write_atomic(path, export_csv(rows))
     print(f"wrote {path} ({len(rows)} points)", file=out)
     return EXIT_OK
 
 
 def cmd_distinguish(values: dict, out_dir: str, out) -> int:
     seed = values.get("session.seed", SessionConfig().seed)
-    rng = np.random.default_rng(seed)
     try:
         det = DetectorModel(
             eta=values.get("distinguish.eta", 0.1),
             dark_prob=values.get("distinguish.dark_prob", 1e-5),
         )
-        rows = distinguishability_curve(
-            mu_t=values.get("distinguish.mu_thermal", 0.2),
-            mu_c=values.get("distinguish.mu_coherent", 0.2),
-            det=det,
-            n_grid=values.get("distinguish.n_grid", (1, 10, 100, 1000, 10000, 100000)),
-            rng=rng,
-            trials=values.get("distinguish.trials", 2000),
-        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    mu_t = values.get("distinguish.mu_thermal", 0.2)
+    mu_c = values.get("distinguish.mu_coherent", 0.2)
+    for key, mu in (("distinguish.mu_thermal", mu_t), ("distinguish.mu_coherent", mu_c)):
+        if not 0.0 <= mu < math.inf:
+            raise ConfigError(f"{key} must be finite and nonnegative, got {mu}")
+    n_grid = values.get("distinguish.n_grid", (1, 10, 100, 1000, 10000, 100000))
+    if not n_grid:
+        raise ConfigError("distinguish.n_grid must be nonempty")
+    trials = values.get("distinguish.trials", 2000)
+    if trials < 1:
+        raise ConfigError(f"distinguish.trials must be >= 1, got {trials}")
+    rows = distinguishability_curve(mu_t, mu_c, det, n_grid, np.random.default_rng(seed), trials)
     path = _output_path(out_dir, "distinguish", seed, "csv")
-    _write_atomic(path, export_report(rows, "csv"))
+    _write_atomic(path, export_csv(rows))
     print(f"wrote {path} ({len(rows)} points)", file=out)
     return EXIT_OK
 

@@ -12,7 +12,7 @@ frequency z-test in power_test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,24 +58,6 @@ class ClickStream:
             raise ValueError("empty click stream")
         return float(self.clicks.mean())
 
-    def to_runlength(self) -> str:
-        """Compact run-length text form, e.g. "0:5 1:3 0:2"."""
-        if self.n_gates == 0:
-            return ""
-        bits = self.clicks.astype(np.int8)
-        edges = np.flatnonzero(np.diff(bits)) + 1
-        starts = np.concatenate(([0], edges))
-        ends = np.concatenate((edges, [bits.size]))
-        return " ".join(f"{bits[s]}:{e - s}" for s, e in zip(starts, ends))
-
-    @classmethod
-    def from_runlength(cls, text: str) -> "ClickStream":
-        runs = []
-        for token in text.split():
-            value, count = token.split(":")
-            runs.append(np.full(int(count), value == "1", dtype=bool))
-        return cls(np.concatenate(runs) if runs else np.zeros(0, dtype=bool))
-
 
 @dataclass(frozen=True)
 class PowerTestOutcome:
@@ -91,22 +73,8 @@ class PowerTestOutcome:
     passed: bool
     n_gates: int
 
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.observed_stat:.6g},{self.expected_stat:.6g},"
-            f"{self.z_score:.6g},{self.passed},{self.n_gates}"
-        )
-
-    CSV_HEADER = "observed_stat,expected_stat,z_score,passed,n_gates"
-
     def to_dict(self) -> dict:
-        return {
-            "observed_stat": self.observed_stat,
-            "expected_stat": self.expected_stat,
-            "z_score": self.z_score,
-            "passed": self.passed,
-            "n_gates": self.n_gates,
-        }
+        return asdict(self)
 
 
 def click_prob(dark_prob, *noclick_factors):

@@ -79,22 +79,9 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def entry(self, n: int, m: int) -> complex:
-        return complex(self.matrix[n, m])
-
     def diagonal(self) -> np.ndarray:
         """Photon-number distribution (real, sums to 1)."""
         return self.matrix.diagonal().real.copy()
-
-    def to_text(self) -> str:
-        """Row-major text dump with one "re+imi" cell per entry.
-
-        Used by golden-file tests; not a round-trip format.
-        """
-        rows = []
-        for row in self.matrix:
-            rows.append(" ".join(f"{c.real:.12e}{c.imag:+.12e}i" for c in row))
-        return "\n".join(rows)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"

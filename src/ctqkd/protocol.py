@@ -174,9 +174,6 @@ class SessionConfig:
     def roundtrip_transmittance(self) -> float:
         return self.transmittance_oneway**2 * (1.0 - self.tap_reflectance)
 
-    def mu_coherent_at_alice(self) -> float:
-        return self.mu_coherent * self.roundtrip_transmittance()
-
     def mu_thermal_at_alice(self) -> float:
         return self.mu_thermal * self.roundtrip_transmittance()
 
@@ -458,7 +455,8 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     Pipeline: prepare -> forward fiber -> (forward interposition) -> Bob
     modulate + monitor + tap loss -> (return interposition) -> return fiber
     -> mode separation -> thermal monitor -> interferometers -> sifting ->
-    verdict.  Deterministic given (cfg, attack, seed).
+    verdict.  Deterministic given (cfg, attack, seed).  The attack's hooks
+    hand what one run produces to each other as a carry value (see attacks).
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_pulses
@@ -466,7 +464,7 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     batch = alice_prepare(cfg, rng)
     batch = batch.propagated(cfg.transmittance_oneway, rng)
     if attack is not None:
-        batch = attack.apply_forward(batch, cfg, rng)
+        batch, carry = attack.apply_forward(batch, cfg, rng)
 
     quarters = rng.integers(0, 4, n)
     batch = modulate_batch(batch, quarters)
@@ -474,7 +472,7 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     batch = batch.propagated(1.0 - cfg.tap_reflectance, rng)
 
     if attack is not None:
-        batch = attack.apply_return(batch, cfg, rng)
+        batch, carry = attack.apply_return(batch, carry, cfg, rng)
     batch = batch.propagated(cfg.transmittance_oneway, rng)
 
     # Each later stage reads less of the train; free the rest as it goes, so
@@ -488,7 +486,7 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     meas = measure_interference(out1, delta_q, cfg.detector_alice, rng)
     sift = sift_and_qber(meas, cfg, rng)
 
-    eve = attack.finalize_report(sift, rng) if attack is not None else None
+    eve = attack.finalize_report(carry, sift, rng) if attack is not None else None
     alarm, sources = classify_alarm(sift.qber, alice_outcome, bob_outcome, cfg)
 
     counts = {

@@ -229,10 +229,10 @@ def test_criterion_9_bright_light():
 
 def test_criterion_10_deterministic_output():
     checked = 0
-    for attack_factory in (lambda: None, InterceptResend, TrojanHorse, BrightLight):
+    for make_attack in (lambda: None, InterceptResend, TrojanHorse, BrightLight):
         cfg = SessionConfig(n_pulses=10**4, seed=7000)
-        first = run_session(cfg, attack_factory()).to_json()
-        second = run_session(cfg, attack_factory()).to_json()
+        first = run_session(cfg, make_attack()).to_json()
+        second = run_session(cfg, make_attack()).to_json()
         assert first == second
         json.loads(first)  # well-formed
         checked += 1

@@ -1,6 +1,5 @@
 """Distinguishability curves, parameter sweeps and report writers."""
 
-import json
 import math
 
 import numpy as np
@@ -13,8 +12,6 @@ from ctqkd.analysis import (
     discrimination_error,
     distinguishability_curve,
     export_csv,
-    export_json,
-    export_report,
     run_sweep,
 )
 from ctqkd.attacks import BeamSplit, InterceptResend, ModeDiscrimination, TrojanHorse
@@ -79,7 +76,7 @@ def test_sweep_beamsplit_alarm_rate_nondecreasing():
         parameter="attack.tap_fraction",
         values=(0.1, 0.3, 0.5, 0.7, 0.9),
         base=base,
-        attack_factory=BeamSplit,
+        attack=BeamSplit(),
         seeds_per_point=3,
     )
     points = run_sweep(spec)
@@ -94,7 +91,7 @@ def test_sweep_intercept_resend_alarm_rate_saturates():
         parameter="n_pulses",
         values=(2000, 20000),
         base=base,
-        attack_factory=InterceptResend,
+        attack=InterceptResend(),
         seeds_per_point=3,
     )
     points = run_sweep(spec)
@@ -122,7 +119,7 @@ def test_sweep_rejects_seed_parameter():
         SweepSpec(parameter="seed", values=(1, 2), base=SessionConfig(n_pulses=2000), seeds_per_point=3)
 
 
-@pytest.mark.parametrize("parameter,value,factory", [
+@pytest.mark.parametrize("parameter,value,kind", [
     ("attack.tap_fraction", 1.5, BeamSplit),
     ("attack.resend_mu", -1.0, InterceptResend),
     ("attack.probe", 0.5, TrojanHorse),
@@ -132,13 +129,13 @@ def test_sweep_rejects_seed_parameter():
     ("detector_alice", 0.5, None),
     ("mu_coherent_at_bob", 0.5, None),
 ])
-def test_sweep_rejects_bad_attack_value_before_running(monkeypatch, parameter, value, factory):
+def test_sweep_rejects_bad_attack_value_before_running(monkeypatch, parameter, value, kind):
     # A bad swept value is a configuration error, never an alarm, and it is
     # found before the valid value ahead of it costs a session.
     sessions = []
     monkeypatch.setattr(analysis, "run_session", lambda *args: sessions.append(args))
     spec = SweepSpec(parameter=parameter, values=(0.5, value), base=SessionConfig(n_pulses=2000),
-                     attack_factory=factory)
+                     attack=kind() if kind else None)
     with pytest.raises(ConfigError):
         run_sweep(spec)
     assert sessions == []
@@ -161,11 +158,19 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="n_pulses", values=(1,), base=SessionConfig(), seeds_per_point=0)
 
 
+def test_sweep_spec_takes_an_attack_value_not_a_class():
+    with pytest.raises(ConfigError):
+        SweepSpec(parameter="n_pulses", values=(1000,), base=SessionConfig(), attack=BeamSplit)
+    attack = BeamSplit(0.3)
+    spec = SweepSpec(parameter="attack.tap_fraction", values=(0.5,),
+                     base=SessionConfig(n_pulses=2000), attack=attack, seeds_per_point=2)
+    assert run_sweep(spec) == run_sweep(spec)
+    assert spec.attack is attack and attack == BeamSplit(0.3)
+
+
 def test_export_empty_errors():
     with pytest.raises(ValueError):
         export_csv([])
-    with pytest.raises(ValueError):
-        export_json([])
 
 
 def test_export_csv_single_point():
@@ -176,16 +181,3 @@ def test_export_csv_single_point():
     assert lines[0] == "x,alarm_rate,mean_qber,mean_z_alice,mean_z_bob,key_rate"
     assert lines[1].startswith("0.5,1,0.247124,")
 
-
-def test_export_json_roundtrip():
-    rows = [{"a": 1.25, "b": "x"}, {"a": 2.5, "b": "y"}]
-    back = json.loads(export_json(rows))
-    assert back == rows
-
-
-def test_export_report_dispatch():
-    rows = [{"a": 1}]
-    assert export_report(rows, "csv").startswith("a\n")
-    assert json.loads(export_report(rows, "json")) == rows
-    with pytest.raises(ValueError):
-        export_report(rows, "xml")

@@ -287,10 +287,38 @@ def test_attack_params_are_init_fields_and_state_resets():
         "resend_mu": 1.5, "eve_eta": 0.5, "eve_dark_prob": 1e-3}
     assert TrojanHorse(FockN(2)).params() == {"probe": "FockN(n=2)"}
     used = TrojanHorse()
-    run_session(SessionConfig(n_pulses=2000, seed=1), used)
-    assert used.learned_phase_count > 0
+    assert run_session(SessionConfig(n_pulses=2000, seed=1), used).eve.learned_phase_count > 0
+    # The run left nothing behind: the fields are the parameters, and only they.
+    assert [f.name for f in dataclasses.fields(used)] == ["probe"]
+    assert used == TrojanHorse() and vars(used) == {"probe": TrojanHorse().probe}
     variant = dataclasses.replace(used, probe=FockN(1))
-    assert variant.learned_phase_count == 0 and variant.probe == FockN(1)
+    assert variant.probe == FockN(1) and used.probe == TrojanHorse().probe
+
+
+FIVE_ATTACKS = (InterceptResend, BeamSplit, ModeDiscrimination, TrojanHorse, BrightLight)
+
+
+@pytest.mark.parametrize("kind", FIVE_ATTACKS)
+def test_attack_is_frozen_and_unchanged_by_a_run(kind):
+    attack = kind()
+    run_session(SessionConfig(n_pulses=2000, seed=3), attack)
+    assert attack == kind()
+    assert hash(attack) == hash(kind())
+    assert len({attack, kind()}) == 1
+    name = dataclasses.fields(attack)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(attack, name, getattr(attack, name))
+
+
+@pytest.mark.parametrize("kind", FIVE_ATTACKS)
+def test_one_attack_instance_reruns_byte_identically(kind):
+    attack = kind()
+    cfg = SessionConfig(n_pulses=5000, seed=21)
+    first = run_session(cfg, attack)
+    second = run_session(cfg, attack)
+    assert first.to_json() == second.to_json()
+    assert first.to_json() == run_session(cfg, kind()).to_json()
+    assert np.array_equal(first.sifted_key_bob, second.sifted_key_bob)
 
 
 def test_layer_error_assignment():

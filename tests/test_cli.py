@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ctqkd import cli
 from ctqkd.attacks import ATTACK_KINDS, ModeDiscrimination
 from ctqkd.cli import (
     CONFIG_SCHEMA,
@@ -265,6 +266,40 @@ def test_distinguish_rejects_bad_detector_with_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "distinguish.eta = 2")
     assert main(["distinguish", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key", [
+    ("distinguish.trials = 0", "distinguish.trials"),
+    ("distinguish.trials = -3", "distinguish.trials"),
+    ("distinguish.mu_coherent = nan", "distinguish.mu_coherent"),
+    ("distinguish.mu_coherent = inf", "distinguish.mu_coherent"),
+    ("distinguish.mu_thermal = -0.1", "distinguish.mu_thermal"),
+    ("distinguish.mu_thermal = nan", "distinguish.mu_thermal"),
+    ("distinguish.n_grid = 10,0", "sample counts"),
+    ("distinguish.n_grid = ,", "distinguish.n_grid"),
+])
+def test_distinguish_rejects_bad_value_with_exit_2(tmp_path, capsys, text, key):
+    path = write_config(tmp_path, text)
+    assert main(["distinguish", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert list(tmp_path.glob("distinguish_*")) == []
+
+
+def test_distinguish_curve_defects_are_not_config_errors(tmp_path, monkeypatch):
+    # Only the inputs are checked as configuration; a ValueError raised by a
+    # defect inside the computation propagates instead of reading as exit 2.
+    def broken(*args, **kwargs):
+        raise ValueError("simulated defect")
+
+    monkeypatch.setattr(cli, "distinguishability_curve", broken)
+    with pytest.raises(ValueError, match="simulated defect"):
+        main(["distinguish", "--out-dir", str(tmp_path)])
+
+
+def test_removed_distinguish_z_key_is_unknown(tmp_path, capsys):
+    path = write_config(tmp_path, "distinguish.z = 3.0")
+    assert main(["distinguish", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown configuration key 'distinguish.z'" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_config_error(capsys):

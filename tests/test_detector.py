@@ -202,20 +202,6 @@ def test_samples_needed_monte_carlo_discrimination():
     assert 0.5 * (err_a + err_b) <= 0.003
 
 
-def test_runlength_roundtrip_and_golden():
-    stream = ClickStream(np.array([0, 0, 0, 0, 0, 1, 1, 1, 0, 0], dtype=bool))
-    text = stream.to_runlength()
-    assert text == "0:5 1:3 0:2"
-    assert np.array_equal(ClickStream.from_runlength(text).clicks, stream.clicks)
-
-
-def test_outcome_csv_row():
-    stream = ClickStream(np.array([1, 0, 0, 0], dtype=bool))
-    outcome = power_test(stream, 0.25, 5.0)
-    row = outcome.to_csv_row()
-    assert row == "0.1875,0.1875,0,True,4"
-
-
 def test_click_law_matches_the_written_out_form_bitwise():
     rng = np.random.default_rng(12)
     a, b = rng.uniform(0.0, 1.0, (2, 1000))

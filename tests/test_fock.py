@@ -38,7 +38,7 @@ def test_coherent_vacuum_limit():
 
 def test_coherent_vacuum_entry():
     rho = coherent_state(math.sqrt(0.2), T40)
-    assert rho.entry(0, 0).real == pytest.approx(math.exp(-0.2), abs=1e-12)
+    assert rho.matrix[0, 0].real == pytest.approx(math.exp(-0.2), abs=1e-12)
 
 
 def test_coherent_purity():
@@ -63,7 +63,7 @@ def test_thermal_vacuum_limit():
 
 
 def test_thermal_ground_weight():
-    assert thermal_state(0.2).entry(0, 0).real == pytest.approx(1 / 1.2, abs=1e-12)
+    assert thermal_state(0.2).matrix[0, 0].real == pytest.approx(1 / 1.2, abs=1e-12)
 
 
 def test_thermal_diagonal_strictly_positive():
@@ -278,10 +278,3 @@ def test_truncation_config_validation():
     with pytest.raises(ValueError):
         TruncationConfig(tol_trace=0.0)
 
-
-def test_text_dump_golden():
-    text = fock_state(0, TruncationConfig(n_max=1)).to_text()
-    assert text.splitlines() == [
-        "1.000000000000e+00+0.000000000000e+00i 0.000000000000e+00+0.000000000000e+00i",
-        "0.000000000000e+00+0.000000000000e+00i 0.000000000000e+00+0.000000000000e+00i",
-    ]
