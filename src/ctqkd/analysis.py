@@ -148,11 +148,7 @@ def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool) or v is None:
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 def export_csv(rows: Sequence[dict]) -> str:

@@ -38,7 +38,6 @@ from .light import (
     KIND_COHERENT,
     KIND_FOCK,
     KIND_THERMAL,
-    QUARTER_PHASES,
     Blinding,
     Coherent,
     FieldArray,
@@ -85,15 +84,8 @@ class Attack:
         return EveReport(self.label, self.params())
 
 
-def _coherent_amplitudes(batch: PulseBatch) -> np.ndarray:
-    """Amplitude of the coherent content per pulse, whichever mode holds it."""
-    coh_h = batch.field_h.kind == KIND_COHERENT
-    return np.where(coh_h, batch.field_h.amp, batch.field_v.amp)
-
-
-def _quarter_of(amps: np.ndarray) -> np.ndarray:
-    """Quantize amplitude phases to quarter turns (exact for canonical phases)."""
-    return np.round(np.angle(amps) / (math.pi / 2.0)).astype(np.int64) % 4
+# The largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX).
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _dps_phase_estimates(delta_true: np.ndarray, rng: np.random.Generator,
@@ -118,11 +110,11 @@ def _dps_phase_estimates(delta_true: np.ndarray, rng: np.random.Generator,
     return basis, delta_hat, bits
 
 
-def _resend_train(delta_hat: np.ndarray, resend_mu: float) -> np.ndarray:
-    """Fresh coherent amplitudes whose consecutive phase differences realize
+def _resend_train(delta_hat: np.ndarray, resend_mu: float) -> FieldArray:
+    """Fresh coherent pulses whose consecutive phase differences realize
     Eve's inferred values (cumulative phase, first pulse at reference 0)."""
-    phases = np.concatenate(([0], np.cumsum(delta_hat) % 4)) % 4
-    return math.sqrt(resend_mu) * QUARTER_PHASES[phases]
+    phases = np.concatenate(([0], np.cumsum(delta_hat) % 4))
+    return FieldArray.uniform(Coherent(math.sqrt(resend_mu)), phases.size).phase_shifted(phases)
 
 
 def _fraction_correct(bits_by_pair: np.ndarray, sift: SiftOutcome) -> float:
@@ -156,10 +148,12 @@ class InterceptResend(Attack):
         _check_resend_mu(self.resend_mu)
 
     def apply_return(self, batch, carry, cfg, rng):
-        delta_true = np.diff(_quarter_of(_coherent_amplitudes(batch))) % 4
+        h, v = batch.field_h, batch.field_v
+        # The phase of whichever mode holds the coherent state.
+        delta_true = np.diff(np.where(h.kind == KIND_COHERENT, h.quarter, v.quarter)) & 3
         basis, delta_hat, bits = _dps_phase_estimates(delta_true, rng)
         basis_matches = int(((delta_true % 2) == basis).sum())
-        resend = FieldArray.coherent(_resend_train(delta_hat, self.resend_mu))
+        resend = _resend_train(delta_hat, self.resend_mu)
         return batch.with_fields(resend, resend), (bits, basis_matches)
 
     def finalize_report(self, carry, sift, rng):
@@ -253,11 +247,11 @@ class ModeDiscrimination(Attack):
 
         measured = FieldArray.where(guess_h, batch.field_h, batch.field_v)
         truly_coherent = measured.kind == KIND_COHERENT
-        delta_true = np.diff(_quarter_of(measured.amp)) % 4
+        delta_true = np.diff(measured.quarter) & 3
         informative = truly_coherent[:-1] & truly_coherent[1:]
         _, delta_hat, bits = _dps_phase_estimates(delta_true, rng, informative)
 
-        resend = FieldArray.coherent(_resend_train(delta_hat, self.resend_mu))
+        resend = _resend_train(delta_hat, self.resend_mu)
         out = batch.with_fields(
             FieldArray.where(guess_h, resend, batch.field_h),
             FieldArray.where(guess_h, batch.field_v, resend),
@@ -275,11 +269,10 @@ class ModeDiscrimination(Attack):
 
 def _photon_counts(fields: FieldArray, rng: np.random.Generator) -> np.ndarray:
     """Sample the photon number Eve's ideal analyzer registers per pulse."""
-    n = len(fields)
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(len(fields), dtype=np.int64)
     k = fields.kind
     coh = k == KIND_COHERENT
-    counts[coh] = rng.poisson(np.abs(fields.amp[coh]) ** 2)
+    counts[coh] = rng.poisson(fields.param[coh] ** 2)
     th = k == KIND_THERMAL
     if th.any():
         counts[th] = rng.geometric(1.0 / (1.0 + fields.param[th])) - 1
@@ -309,6 +302,9 @@ class TrojanHorse(Attack):
     def __post_init__(self):
         if not isinstance(self.probe, LightField):
             raise ConfigError(f"probe must be a light field, got {self.probe!r}")
+        # Eve counts the returned probe's photons with Generator.poisson.
+        if getattr(self.probe, "mean_photons", 0.0) > _POISSON_MEAN_MAX:
+            raise ConfigError(f"probe mean photon number must be <= {_POISSON_MEAN_MAX:.6g}")
 
     def params(self) -> dict:
         return {"probe": repr(self.probe)}
@@ -321,8 +317,7 @@ class TrojanHorse(Attack):
     def apply_return(self, batch, held, cfg, rng):
         counts = _photon_counts(batch.field_h, rng) + _photon_counts(batch.field_v, rng)
         learned = counts >= 2
-        quarters_hat = np.where(learned, batch.bob_quarter, 0).astype(np.int64)
-        out = modulate_batch(held, quarters_hat)
+        out = modulate_batch(held, batch.bob_quarter * learned)
         return out.propagated(1.0 - cfg.tap_reflectance, rng), learned
 
     def finalize_report(self, learned, sift, rng):

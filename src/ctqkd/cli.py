@@ -296,26 +296,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         values = parse_config_file(args.config) if args.config else {}
-        if args.seed is not None:
-            values["session.seed"] = args.seed
-        if args.attack is not None:
-            values["attack.kind"] = args.attack
-        if args.pulses is not None:
-            values["session.n_pulses"] = args.pulses
-        if args.z_threshold is not None:
-            values["session.z_threshold"] = args.z_threshold
-
+        for flag, key in (("seed", "session.seed"), ("attack", "attack.kind"),
+                          ("pulses", "session.n_pulses"), ("z_threshold", "session.z_threshold")):
+            if getattr(args, flag) is not None:
+                values[key] = getattr(args, flag)
         if args.command == "states":
             return cmd_states(values, sys.stdout)
-        if args.command == "session":
-            return cmd_session(values, args.out_dir, sys.stdout)
-        if args.command == "attack":
-            return cmd_attack(values, args.out_dir, sys.stdout)
-        if args.command == "sweep":
-            return cmd_sweep(values, args.out_dir, sys.stdout)
-        if args.command == "distinguish":
-            return cmd_distinguish(values, args.out_dir, sys.stdout)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {"session": cmd_session, "attack": cmd_attack, "sweep": cmd_sweep,
+                    "distinguish": cmd_distinguish}
+        return commands[args.command](values, args.out_dir, sys.stdout)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

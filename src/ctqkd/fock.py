@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -170,23 +169,16 @@ def attenuate(rho: DensityMatrix, transmittance: float) -> DensityMatrix:
     if t == 1.0:
         return rho
     dim = rho.dim
-    n = np.arange(dim, dtype=float)
+    out = np.zeros((dim, dim), dtype=np.complex128)
     if t == 0.0:
-        out = np.zeros((dim, dim), dtype=np.complex128)
         out[0, 0] = 1.0
         return DensityMatrix(out)
-    out = np.zeros((dim, dim), dtype=np.complex128)
     log_t, log_1mt = math.log(t), math.log1p(-t)
+    log_fact = np.array([math.lgamma(x + 1.0) for x in range(dim)])  # log(x!)
     for k in range(dim):
-        ns = np.arange(k, dim, dtype=float)
+        j = np.arange(dim - k, dtype=float)  # photons kept, n - k
         # sqrt of the binomial weight binom(n,k) T^(n-k) (1-T)^k, via logs
-        log_w = (
-            gammaln(ns + 1.0)
-            - gammaln(k + 1.0)
-            - gammaln(ns - k + 1.0)
-            + (ns - k) * log_t
-            + k * log_1mt
-        )
+        log_w = log_fact[k:] - log_fact[k] - log_fact[: dim - k] + j * log_t + k * log_1mt
         a = np.exp(0.5 * log_w)  # A_k acting on |n> gives a[n-k] |n-k>
         block = rho.matrix[k:, k:] * np.outer(a, a)
         out[: dim - k, : dim - k] += block

@@ -1,18 +1,22 @@
 """Semiclassical per-mode pulse content and its vectorized carrier.
 
-FieldArray holds one field per pulse in three write-once columns (kind,
-coherent amplitude, one real parameter) so a whole session can be
+FieldArray holds one field per pulse in three write-once columns: kind, a
+quarter-turn phase and one real parameter (coherent magnitude, thermal mean,
+photon number or forced-click probability).  Every phase in a session is a
+quarter turn, so no column is complex, and a whole session can be
 propagated, phase-shifted and click-sampled with numpy, each stage sharing
 the columns it leaves unchanged.  LightField is the spec of a single field
-(coherent amplitude, thermal mean, definite photon number, saturating
-blinding light, or vacuum), used for attack probes and tests and converted
-to and from the columns by FieldArray.uniform, from_fields and field.
-Blinding light saturates a threshold detector, so its click probability
-ignores efficiency and attenuation.
+(coherent amplitude r * i**q, thermal mean, definite photon number,
+saturating blinding light, or vacuum), used for attack probes and tests and
+converted to and from the columns by FieldArray.uniform, from_fields and
+field.  Blinding light saturates a threshold detector, so its click
+probability ignores efficiency and attenuation.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,9 +28,6 @@ KIND_THERMAL = 2
 KIND_FOCK = 3
 KIND_BLINDING = 4
 
-# exact complex multipliers for phases k * pi/2, k = 0..3
-QUARTER_PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
-
 
 @dataclass(frozen=True)
 class Vacuum:
@@ -35,7 +36,21 @@ class Vacuum:
 
 @dataclass(frozen=True)
 class Coherent:
+    """Coherent state of amplitude r * i**q: a real magnitude at one of the
+    four quarter-turn phases, the only phases the link ever applies."""
+
     amplitude: complex
+
+    def __post_init__(self):
+        a = complex(self.amplitude)
+        if not (cmath.isfinite(a) and 0.0 in (a.real, a.imag)):
+            raise ValueError(f"coherent amplitude must be a finite r * i**q, got {self.amplitude}")
+
+    @property
+    def quarter(self) -> int:
+        """q of the amplitude r * i**q (0 when r = 0)."""
+        a = complex(self.amplitude)
+        return (0, 2)[a.real < 0.0] if a.imag == 0.0 else (1, 3)[a.imag < 0.0]
 
     @property
     def mean_photons(self) -> float:
@@ -47,8 +62,8 @@ class Thermal:
     mean_photons: float
 
     def __post_init__(self):
-        if self.mean_photons < 0.0:
-            raise ValueError(f"mean photon number must be >= 0, got {self.mean_photons}")
+        if not 0.0 <= self.mean_photons < math.inf:
+            raise ValueError(f"mean photon number must be finite, >= 0, got {self.mean_photons}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,10 @@ class FockN:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"photon number must be >= 0, got {self.n}")
+
+    @property
+    def mean_photons(self) -> float:
+        return float(self.n)
 
 
 @dataclass(frozen=True)
@@ -84,22 +103,23 @@ def _read_only(values, dtype) -> np.ndarray:
 class FieldArray:
     """One light field per pulse, stored as three write-once columns.
 
-    kind (uint8) tags each pulse with a KIND_* constant.  amp (complex128) is
-    the coherent amplitude.  param (float64) is the thermal mean, the photon
-    number (exact in float64 up to 2**53) or the forced-click probability.
-    amp is exactly 0 for every kind but coherent, and param is exactly 0 for
-    coherent and vacuum pulses; noclick_factors relies on both.
+    kind (uint8) tags each pulse with a KIND_* constant.  quarter (uint8) is
+    the coherent phase in quarter turns, 0..3.  param (float64) depends on
+    the kind: the coherent magnitude r (amplitude r * i**quarter), the
+    thermal mean, the photon number (exact in float64 up to 2**53) or the
+    forced-click probability.  quarter is exactly 0 for every kind but
+    coherent, and param is exactly 0 for vacuum.
 
     The columns are read-only.  Transforms build a new FieldArray and share
     every column they leave unchanged, so no stage copies a column it does
     not rewrite.
     """
 
-    __slots__ = ("kind", "amp", "param")
+    __slots__ = ("kind", "quarter", "param")
 
-    def __init__(self, kind, amp, param):
+    def __init__(self, kind, quarter, param):
         self.kind = _read_only(kind, np.uint8)
-        self.amp = _read_only(amp, np.complex128)
+        self.quarter = _read_only(quarter, np.uint8)
         self.param = _read_only(param, np.float64)
 
     def __len__(self) -> int:
@@ -111,34 +131,23 @@ class FieldArray:
 
     @classmethod
     def vacuum(cls, n: int) -> "FieldArray":
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.complex128), np.zeros(n))
-
-    @classmethod
-    def coherent(cls, amplitudes: np.ndarray) -> "FieldArray":
-        n = len(amplitudes)
-        return cls(np.full(n, KIND_COHERENT, dtype=np.uint8), amplitudes, np.zeros(n))
-
-    @classmethod
-    def thermal(cls, means: np.ndarray) -> "FieldArray":
-        n = len(means)
-        return cls(np.full(n, KIND_THERMAL, dtype=np.uint8), np.zeros(n, dtype=np.complex128), means)
+        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8), np.zeros(n))
 
     @classmethod
     def uniform(cls, field: LightField, n: int) -> "FieldArray":
         """Broadcast a single LightField to n pulses."""
+        kind, quarter, param = KIND_VACUUM, 0, 0.0
         if isinstance(field, Coherent):
-            return cls.coherent(np.full(n, field.amplitude, dtype=np.complex128))
-        if isinstance(field, Thermal):
-            return cls.thermal(np.full(n, field.mean_photons))
-        if isinstance(field, Vacuum):
-            return cls.vacuum(n)
-        if isinstance(field, FockN):
+            kind, quarter, param = KIND_COHERENT, field.quarter, abs(field.amplitude)
+        elif isinstance(field, Thermal):
+            kind, param = KIND_THERMAL, field.mean_photons
+        elif isinstance(field, FockN):
             kind, param = KIND_FOCK, field.n
         elif isinstance(field, Blinding):
             kind, param = KIND_BLINDING, field.forced_click_prob
-        else:
+        elif not isinstance(field, Vacuum):
             raise TypeError(f"not a LightField: {field!r}")
-        return cls(np.full(n, kind, dtype=np.uint8), np.zeros(n, dtype=np.complex128),
+        return cls(np.full(n, kind, dtype=np.uint8), np.full(n, quarter, dtype=np.uint8),
                    np.full(n, param, dtype=np.float64))
 
     @classmethod
@@ -151,7 +160,7 @@ class FieldArray:
     def field(self, i: int) -> LightField:
         k = int(self.kind[i])
         if k == KIND_COHERENT:
-            return Coherent(complex(self.amp[i]))
+            return Coherent(float(self.param[i]) * 1j ** int(self.quarter[i]))
         if k == KIND_THERMAL:
             return Thermal(float(self.param[i]))
         if k == KIND_FOCK:
@@ -161,48 +170,51 @@ class FieldArray:
         return Vacuum()
 
     def copy(self) -> "FieldArray":
-        return FieldArray(self.kind.copy(), self.amp.copy(), self.param.copy())
+        return FieldArray(self.kind.copy(), self.quarter.copy(), self.param.copy())
 
     @classmethod
     def where(cls, mask: np.ndarray, a: "FieldArray", b: "FieldArray") -> "FieldArray":
         """Elementwise select: a where mask else b."""
+        m = np.negative(np.asarray(mask, dtype=bool).view(np.uint8))  # 0 or 255: a bitwise select
         return cls(
-            np.where(mask, a.kind, b.kind),
-            np.where(mask, a.amp, b.amp),
+            b.kind ^ ((a.kind ^ b.kind) & m),
+            b.quarter ^ ((a.quarter ^ b.quarter) & m),
             np.where(mask, a.param, b.param),
         )
 
     def attenuated(self, transmittance: float, rng: np.random.Generator | None = None) -> "FieldArray":
-        """Loss channel: coherent amplitude scales by sqrt(T), thermal mean by T,
+        """Loss channel: coherent magnitude scales by sqrt(T), thermal mean by T,
         definite photon numbers undergo binomial thinning (needs rng), blinding
-        light is unaffected.  The result shares the kind column."""
+        light is unaffected.  The result shares the kind and quarter columns."""
         t = float(transmittance)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"transmittance must be in [0, 1], got {t}")
         if t == 1.0:
             return self
-        amp = self.amp * np.sqrt(t)
-        if self.max_kind() <= KIND_THERMAL:
-            # param is 0 off thermal pulses, so scaling all of it is exact.
-            return FieldArray(self.kind, amp, self.param * t)
-        param = np.where(self.kind == KIND_THERMAL, self.param * t, self.param)
-        fock = self.kind == KIND_FOCK
-        if fock.any():
-            if rng is None:
-                raise ValueError("rng required to thin definite photon numbers through loss")
-            param[fock] = rng.binomial(self.param[fock].astype(np.int64), t)
-        return FieldArray(self.kind, amp, param)
+        # Scale per kind, indexed by KIND_*: vacuum, coherent, thermal, Fock, blinding.
+        param = np.take(np.array([1.0, math.sqrt(t), t, 1.0, 1.0]), self.kind)
+        param *= self.param
+        if self.max_kind() >= KIND_FOCK:
+            fock = self.kind == KIND_FOCK
+            if fock.any():
+                if rng is None:
+                    raise ValueError("rng required to thin definite photon numbers through loss")
+                param[fock] = rng.binomial(self.param[fock].astype(np.int64), t)
+        return FieldArray(self.kind, self.quarter, param)
 
-    def phase_shifted(self, multiplier) -> "FieldArray":
-        """Multiply coherent amplitudes by a unit-modulus factor (scalar or
-        per-pulse array); phase-invariant fields are untouched.  The result
-        shares the kind and param columns."""
-        return FieldArray(self.kind, self.amp * multiplier, self.param)
+    def phase_shifted(self, quarters) -> "FieldArray":
+        """Turn coherent phases by whole quarter turns (an integer or one per
+        pulse); phase-invariant fields keep quarter 0.  The result shares the
+        kind and param columns."""
+        turned = self.quarter + np.asarray(quarters, dtype=np.uint8)  # mod 256, then mod 4
+        turned &= (self.kind == KIND_COHERENT) * np.uint8(3)
+        return FieldArray(self.kind, turned, self.param)
 
     def mean_photons(self) -> np.ndarray:
         """Mean photon number per pulse; blinding light reports +inf."""
-        # amp and param are 0 wherever they do not apply, so their sum is exact.
-        out = np.abs(self.amp) ** 2 + self.param
+        coh = self.kind == KIND_COHERENT
+        out = self.param * coh + ~coh  # r on coherent pulses, 1 elsewhere
+        out *= self.param
         out[self.kind == KIND_BLINDING] = np.inf
         return out
 
@@ -210,25 +222,26 @@ class FieldArray:
         """Per-pulse no-click probability at effective efficiency eta_eff,
         excluding dark counts.
 
-        Coherent: exp(-eta mu); thermal: 1/(1 + eta mu); photon number n:
-        (1 - eta)^n; vacuum: 1.  Blinding light returns 1 - forced_click_prob
-        regardless of eta.  Factors for independent fields on one detector
-        multiply.
+        Coherent: exp(-eta mu) with mu = r**2; thermal: 1/(1 + eta mu);
+        photon number n: (1 - eta)^n; vacuum: 1.  Blinding light returns
+        1 - forced_click_prob regardless of eta.  Factors for independent
+        fields on one detector multiply.
         """
         if not 0.0 <= eta_eff <= 1.0:
             raise ValueError(f"effective efficiency must be in [0, 1], got {eta_eff}")
+        k, param = self.kind, self.param
         if self.max_kind() <= KIND_THERMAL:
-            # amp is 0 off coherent pulses and param 0 off thermal ones, so each
-            # factor is exactly 1 where it does not apply.
-            return np.exp(-eta_eff * np.abs(self.amp) ** 2) / (1.0 + eta_eff * self.param)
+            # exp(-eta mu_coh) / (1 + eta mu_th), in place; each mean is masked
+            # to exactly 0 off its kind, so each factor is exactly 1 there.
+            out = np.square(param * (k == KIND_COHERENT))
+            np.exp(np.multiply(-eta_eff, out, out=out), out=out)
+            mu_th = np.multiply(param, k == KIND_THERMAL)
+            np.add(1.0, np.multiply(eta_eff, mu_th, out=mu_th), out=mu_th)
+            return np.divide(out, mu_th, out=out)
         out = np.ones(len(self))
-        k = self.kind
-        coh = k == KIND_COHERENT
-        out[coh] = np.exp(-eta_eff * np.abs(self.amp[coh]) ** 2)
-        th = k == KIND_THERMAL
-        out[th] = 1.0 / (1.0 + eta_eff * self.param[th])
-        fo = k == KIND_FOCK
-        out[fo] = (1.0 - eta_eff) ** self.param[fo]
-        bl = k == KIND_BLINDING
-        out[bl] = 1.0 - self.param[bl]
+        coh, th, fo, bl = (k == tag for tag in (KIND_COHERENT, KIND_THERMAL, KIND_FOCK, KIND_BLINDING))
+        out[coh] = np.exp(-eta_eff * param[coh] ** 2)
+        out[th] = 1.0 / (1.0 + eta_eff * param[th])
+        out[fo] = (1.0 - eta_eff) ** param[fo]
+        out[bl] = 1.0 - param[bl]
         return out

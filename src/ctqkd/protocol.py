@@ -18,9 +18,9 @@ PulseBatch that shares every array it does not change, so no stage copies
 the pulse train.  All randomness flows through one numpy Generator in a
 fixed order, so a (config, attack, seed) triple reproduces results exactly.
 
-Phases are carried internally as integer quarter turns (phi = q * pi/2 with
-exact complex multipliers), which keeps phase bookkeeping free of float
-drift.
+Every phase is a whole quarter turn (phi = q * pi/2), carried as the
+FieldArray quarter column next to a real magnitude, so phase bookkeeping is
+integer arithmetic and no pulse amplitude is complex.
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ from .detector import (
     click_prob_thermal,
     power_test,
 )
-from .light import (
-    KIND_COHERENT,
-    KIND_THERMAL,
-    QUARTER_PHASES,
-    FieldArray,
-)
+from .light import KIND_COHERENT, KIND_THERMAL, FieldArray
 
 ALARM_NONE = "none"
 ALARM_QBER = "qber"
@@ -65,8 +60,8 @@ class PulseBatch:
     mode_assignment is Alice's source wiring per pulse (0: coherent into the
     H port) and rotation_quarter her rotator angle in quarter turns (0 or 1,
     applied before the channel); field_h and field_v hold the fields in the
-    physical modes as currently propagating.  bob_quarter is None until Bob's
-    phases are applied (modulate_batch).
+    physical modes as currently propagating.  bob_quarter (uint8) is None
+    until Bob's phases are applied (modulate_batch).
     """
 
     __slots__ = ("mode_assignment", "rotation_quarter", "field_h", "field_v", "bob_quarter")
@@ -260,17 +255,12 @@ def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     n = cfg.n_pulses
     assign = rng.integers(0, 2, n, dtype=np.uint8)
     rot = rng.integers(0, 2, n, dtype=np.uint8)
-    coh_in_h = (assign ^ rot) == 0
-    amp = complex(math.sqrt(cfg.mu_coherent))
-
-    def mode(coherent: np.ndarray) -> FieldArray:
-        return FieldArray(
-            np.where(coherent, np.uint8(KIND_COHERENT), np.uint8(KIND_THERMAL)),
-            np.where(coherent, amp, 0j),
-            np.where(coherent, 0.0, cfg.mu_thermal),
-        )
-
-    return PulseBatch(assign, rot, mode(coh_in_h), mode(~coh_in_h))
+    th_in_h = assign ^ rot  # 1 where H carries the thermal state
+    r = math.sqrt(cfg.mu_coherent)
+    phase = np.zeros(n, dtype=np.uint8)  # both modes start at phase 0
+    field_h = FieldArray(th_in_h + KIND_COHERENT, phase, np.take([r, cfg.mu_thermal], th_in_h))
+    field_v = FieldArray(KIND_THERMAL - th_in_h, phase, np.take([cfg.mu_thermal, r], th_in_h))
+    return PulseBatch(assign, rot, field_h, field_v)
 
 
 def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
@@ -297,15 +287,11 @@ def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
 def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
     """Bob's polarization-insensitive phase modulation on both modes.
 
-    Only coherent amplitudes pick up the phase; thermal, Fock and blinding
+    Only coherent pulses pick up the phase; thermal, Fock and blinding
     fields are phase invariant and pass bit-exactly unchanged.
     """
-    mult = QUARTER_PHASES[np.asarray(quarters, dtype=np.int64)]
-    return batch.with_fields(
-        batch.field_h.phase_shifted(mult),
-        batch.field_v.phase_shifted(mult),
-        np.asarray(quarters, dtype=np.int8),
-    )
+    q = np.asarray(quarters, dtype=np.uint8)
+    return batch.with_fields(batch.field_h.phase_shifted(q), batch.field_v.phase_shifted(q), q)
 
 
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
@@ -340,56 +326,85 @@ def alice_thermal_monitor(output2: FieldArray, cfg: SessionConfig,
 # Interferometric measurement and sifting
 
 
-def port_means(a_prev: np.ndarray, a_curr: np.ndarray) -> np.ndarray:
+def port_means(r_prev: np.ndarray, q_prev: np.ndarray, r_curr: np.ndarray,
+               q_curr: np.ndarray) -> np.ndarray:
     """Mean photon numbers at the four detectors [D0A, D1A, D0B, D1B], one
-    column per coherent pulse pair, as a (4, m) array.
+    column per coherent pulse pair (magnitudes r, quarter phases q), as a
+    (4, m) array.
 
     The light splits evenly between the two interferometers; inside each, the
     delayed early pulse interferes with the late pulse, giving
-    |a_prev e^(i delta) +/- a_curr|^2 / 8 at the two ports.  The four means
-    of a pair always sum to the average pulse energy."""
-    means = np.empty((4, np.size(a_prev)))
+    |a_prev e^(i delta) +/- a_curr|^2 / 8 at the two ports.  Quarter phases
+    make the two amplitudes aligned, opposite or orthogonal, so the modulus
+    is r_prev + r_curr, |r_prev - r_curr| or |r_prev + i r_curr|, bit-equal
+    to the modulus of the complex sum."""
+    plus = np.square(r_prev + r_curr) / 8.0
+    minus = np.square(r_prev - r_curr) / 8.0
+    # |r_prev + i r_curr| by numpy's complex-modulus kernel, through a complex
+    # view of the two real columns: np.hypot rounds differently from that
+    # kernel (max * sqrt(fma(ratio, ratio, 1)) in SIMD) for a third of inputs.
+    pair = np.empty((np.size(r_prev), 2))
+    pair[:, 0], pair[:, 1] = r_prev, r_curr
+    orth = np.square(np.abs(pair.view(np.complex128)[:, 0])) / 8.0
+    means = np.empty((4, np.size(r_prev)))
     for b in (0, 1):
-        s = a_prev * QUARTER_PHASES[b]
-        means[2 * b] = np.abs(s + a_curr) ** 2 / 8.0
-        means[2 * b + 1] = np.abs(s - a_curr) ** 2 / 8.0
+        turn = (q_curr - q_prev - b) & 3  # phase of a_curr against a_prev i**b
+        means[2 * b] = np.choose(turn, (plus, orth, minus, orth))
+        means[2 * b + 1] = np.choose(turn, (minus, orth, plus, orth))
     return means
+
+
+def pair_click_probs(out1: FieldArray, det: DetectorModel):
+    """Click probabilities of the four detectors, one row per detector over
+    the consecutive pulse pairs of Alice's coherent output.
+
+    Coherent (or vacuum) pairs interfere with the port means; any other
+    field combination carries no stable phase and is treated as an
+    incoherent 1/8 split with identical statistics at all four detectors.
+    Coherent pulses of one magnitude (the honest run, every resend train)
+    form only 16 distinct pairs, so their probabilities are tabulated once
+    and each row is gathered by (q_prev, q_curr) as it is consumed.
+    """
+    kind, q, r = out1.kind, out1.quarter, out1.param
+    uniform = len(out1) > 1 and kind.min() == kind.max() == KIND_COHERENT and r.min() == r.max()
+    if uniform:  # (q_prev, q_curr) = (pair >> 2, pair & 3)
+        pair, same = np.arange(16, dtype=np.uint8), np.full(16, r[0])
+        means = port_means(same, pair >> 2, same, pair & 3)
+    else:  # param is 0 on vacuum; pairs holding any other kind are replaced below
+        means = port_means(r[:-1], q[:-1], r[1:], q[1:])
+    np.exp(np.multiply(-det.eta, means, out=means), out=means)
+    p = click_prob(det.dark_prob, means)
+    if uniform:
+        index = (q[:-1] << 2) | q[1:]
+        return (np.take(p[k], index) for k in range(4))
+    if out1.max_kind() > KIND_COHERENT:
+        coherent = kind <= KIND_COHERENT  # vacuum or coherent
+        f_pair = out1.noclick_factors(det.eta / 8.0)
+        p_inc = click_prob(det.dark_prob, f_pair[:-1], f_pair[1:])
+        p = np.where(coherent[:-1] & coherent[1:], p, p_inc)
+    return p
+
+
+def click_events(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> dict:
+    """Single and double clicks from the four detectors' uint8 0/1 rows, and
+    basis_q = d >> 1, port = d & 1 of the first detector d that clicked, as
+    argmax over the rows picks it (d = 0 when none did)."""
+    n_clicks = c0 + c1 + c2 + c3
+    basis = (c2 | c3) & ~(c0 | c1)
+    port = (c1 & ~c0) | (c3 & ~(c0 | c1 | c2))
+    return {"single": n_clicks == 1, "double": n_clicks >= 2,
+            "basis_q": basis, "port": port}
 
 
 def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorModel,
                          rng: np.random.Generator) -> dict:
-    """Click-sample all consecutive pulse pairs of Alice's coherent output.
-
-    Coherent (or vacuum) pairs interfere with the bilinear port means; any
-    other field combination carries no stable phase and is treated as an
-    incoherent 1/8 split with identical statistics at all four detectors.
-    Each detector clicks independently; exactly one click yields a usable
-    event, two or more a discarded double.
-    """
+    """Click-sample all consecutive pulse pairs of Alice's coherent output:
+    each detector clicks independently with its pair_click_probs; exactly
+    one click yields a usable event, two or more a discarded double."""
     m = len(out1) - 1
-    means = port_means(out1.amp[:-1], out1.amp[1:])
-    # Turn the means into no-click factors in place; nothing reads them again.
-    np.exp(np.multiply(-det.eta, means, out=means), out=means)
-    p = click_prob(det.dark_prob, means)
-    del means
-    if out1.max_kind() > KIND_COHERENT:
-        coherent = out1.kind <= KIND_COHERENT  # vacuum or coherent
-        coherent_like = coherent[:-1] & coherent[1:]
-        f_pair = out1.noclick_factors(det.eta / 8.0)
-        p_inc = click_prob(det.dark_prob, f_pair[:-1], f_pair[1:])
-        p = np.where(coherent_like[None, :], p, p_inc[None, :])
-
-    clicks = rng.random((4, m)) < p
-    n_clicks = clicks.sum(axis=0)
-    single = n_clicks == 1
-    detector = clicks.argmax(axis=0)
-    return {
-        "single": single,
-        "double": n_clicks >= 2,
-        "basis_q": (detector >> 1).astype(np.int8),
-        "port": (detector & 1).astype(np.uint8),
-        "delta_q": np.asarray(delta_q, dtype=np.int64),
-    }
+    # One row of draws per detector, in the order of a (4, m) draw.
+    rows = ((rng.random(m) < p).view(np.uint8) for p in pair_click_probs(out1, det))
+    return {**click_events(*rows), "delta_q": delta_q}
 
 
 def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> SiftOutcome:
@@ -442,11 +457,8 @@ def classify_alarm(qber: Optional[float], alice_monitor: PowerTestOutcome,
         sources.append(ALARM_ALICE_POWER)
     if bob_monitor is not None and not bob_monitor.passed:
         sources.append(ALARM_BOB_POWER)
-    if not sources:
-        return ALARM_NONE, ()
-    if len(sources) == 1:
-        return sources[0], tuple(sources)
-    return ALARM_MULTIPLE, tuple(sources)
+    alarm = ALARM_MULTIPLE if len(sources) > 1 else sources[0] if sources else ALARM_NONE
+    return alarm, tuple(sources)
 
 
 def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
@@ -466,8 +478,8 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     if attack is not None:
         batch, carry = attack.apply_forward(batch, cfg, rng)
 
-    quarters = rng.integers(0, 4, n)
-    batch = modulate_batch(batch, quarters)
+    batch = modulate_batch(batch, rng.integers(0, 4, n))
+    quarters = batch.bob_quarter
     bob_outcome = bob_monitor_tap(batch, cfg, rng)
     batch = batch.propagated(1.0 - cfg.tap_reflectance, rng)
 
@@ -482,7 +494,7 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     alice_outcome = alice_thermal_monitor(out2, cfg, rng)
     del out2
 
-    delta_q = (quarters[1:] - quarters[:-1]) % 4
+    delta_q = (quarters[1:] - quarters[:-1]) & 3
     meas = measure_interference(out1, delta_q, cfg.detector_alice, rng)
     sift = sift_and_qber(meas, cfg, rng)
 

@@ -20,7 +20,7 @@ from ctqkd.attacks import (
 )
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
 from ctqkd.light import Coherent, FockN, Thermal
-from ctqkd.protocol import ConfigError, SessionConfig, alice_prepare, run_session
+from ctqkd.protocol import ALARM_BOB_POWER, ConfigError, SessionConfig, alice_prepare, run_session
 
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
 
@@ -273,10 +273,20 @@ def test_attack_parameter_validation():
                 lambda: ModeDiscrimination(resend_mu=-1.0),
                 lambda: ModeDiscrimination(eve_det=0.5),
                 lambda: TrojanHorse(probe=0.5),
+                lambda: TrojanHorse(probe=Coherent(math.sqrt(1e19))),
+                lambda: TrojanHorse(probe=FockN(10**20)),
                 lambda: dataclasses.replace(BeamSplit(), tap_fraction=1.5),
                 lambda: dataclasses.replace(InterceptResend(), resend_mu=-1.0)):
         with pytest.raises(ConfigError):
             bad()
+
+
+def test_trojan_accepts_the_brightest_probe_eve_can_count():
+    # Generator.poisson takes means up to numpy's POISSON_LAM_MAX, about 9.22e18.
+    probe = Coherent(math.sqrt(9e18))
+    res = run_session(SessionConfig(n_pulses=1000, seed=4), TrojanHorse(probe=probe))
+    assert res.eve.learned_phase_count == 1000
+    assert ALARM_BOB_POWER in res.alarm_sources
 
 
 def test_attack_params_are_init_fields_and_state_resets():

@@ -262,6 +262,17 @@ def test_session_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
     assert list(tmp_path.glob("session_*")) == []
 
 
+@pytest.mark.parametrize("probe", ["thermal:nan", "thermal:inf", "coherent:inf", "coherent:1e19",
+                                   "fock:100000000000000000000"])
+def test_trojan_rejects_non_finite_or_too_bright_probe_with_exit_2(tmp_path, capsys, probe):
+    path = write_config(tmp_path, f"attack.kind = trojan\nattack.probe = {probe}\n")
+    for command in ("session", "attack"):
+        assert main([command, "--config", path, "--pulses", "1000",
+                     "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.glob("session_*")) == [] and list(tmp_path.glob("attack_*")) == []
+
+
 def test_distinguish_rejects_bad_detector_with_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "distinguish.eta = 2")
     assert main(["distinguish", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG

@@ -2,6 +2,10 @@
 overlap identities, and the security-condition invariants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +282,14 @@ def test_truncation_config_validation():
     with pytest.raises(ValueError):
         TruncationConfig(tol_trace=0.0)
 
+
+
+def test_import_does_not_load_scipy():
+    # The log-factorials of attenuate come from math.lgamma: importing the
+    # package must not pay for scipy.special.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ctqkd; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,11 +1,14 @@
 """LightField variants and the vectorized FieldArray carrier."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctqkd.detector import DetectorModel, click_prob, click_prob_state
+from ctqkd.fock import attenuate, coherent_state, fock_state, phase_shift, thermal_state, trace_distance
 from ctqkd.light import (
     KIND_BLINDING,
     KIND_COHERENT,
@@ -19,7 +22,6 @@ from ctqkd.light import (
     Thermal,
     Vacuum,
 )
-from ctqkd.detector import click_prob
 
 
 def _attenuated(field, transmittance, rng=None):
@@ -35,6 +37,33 @@ def test_field_validation():
         Blinding(1.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Thermal(math.nan),
+    lambda: Thermal(math.inf),
+    lambda: Coherent(math.inf),
+    lambda: Coherent(math.sqrt(math.inf)),
+    lambda: Coherent(complex(0.0, math.nan)),
+    lambda: Coherent(1.0 + 0.5j),
+    lambda: Coherent(complex(-1e-300, 2.0)),
+    lambda: Coherent(complex(1e-200, 1e-200)),
+], ids=["thermal-nan", "thermal-inf", "coherent-inf", "coherent-sqrt-inf", "coherent-nan",
+        "coherent-off-quarter", "coherent-tiny-off-quarter", "coherent-both-tiny"])
+def test_field_rejects_non_finite_or_off_quarter_values(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_coherent_amplitude_is_magnitude_and_quarter():
+    for q, amp in enumerate((2.5, 2.5j, -2.5, -2.5j)):
+        field = Coherent(amp)
+        assert (field.quarter, field.mean_photons) == (q, 6.25)
+        assert 2.5 * 1j**q == amp
+        fa = FieldArray.uniform(field, 3)
+        assert fa.quarter.tolist() == [q] * 3 and fa.param.tolist() == [2.5] * 3
+        assert fa.field(2) == field
+    assert Coherent(0.0).quarter == 0 and Coherent(-0.0).quarter == 0
+
+
 def test_attenuate_coherent_scales_amplitude():
     out = _attenuated(Coherent(math.sqrt(0.2)), 0.5)
     assert isinstance(out, Coherent)
@@ -48,7 +77,7 @@ def test_attenuate_thermal_scales_mean():
 
 def test_attenuate_identity_and_blinding():
     assert _attenuated(Blinding(0.9), 0.3) == Blinding(0.9)
-    f = Coherent(1.0 + 0.5j)
+    f = Coherent(-0.5j)
     assert _attenuated(f, 1.0) == f
 
 
@@ -69,11 +98,13 @@ def test_attenuate_fock_requires_rng():
 
 def test_phase_shift_field():
     fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.3), FockN(2)])
-    out = fa.phase_shifted(cmath.exp(1j * math.pi))
-    assert out.field(0).amplitude == pytest.approx(-2.0, abs=1e-12)
-    turned = fa.phase_shifted(cmath.exp(1j))
+    out = fa.phase_shifted(2)
+    assert out.field(0).amplitude == -2.0
+    turned = fa.phase_shifted(1)
+    assert turned.field(0) == Coherent(2j)
     assert turned.field(1) == Thermal(0.3)
     assert turned.field(2) == FockN(2)
+    assert fa.phase_shifted(np.array([3, 1, 2], dtype=np.uint8)).phase_shifted(1).field(0) == Coherent(2.0)
 
 
 def test_click_prob_per_kind():
@@ -109,13 +140,15 @@ def test_field_array_where():
 
 
 def test_mean_photons_per_kind():
-    fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.7), FockN(3), Vacuum(), Blinding(1.0)])
+    fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.7), FockN(3), Vacuum(), Blinding(1.0),
+                                 Coherent(-0.3j)])
     means = fa.mean_photons()
     assert means[0] == pytest.approx(4.0)
     assert means[1] == pytest.approx(0.7)
     assert means[2] == pytest.approx(3.0)
     assert means[3] == 0.0
     assert math.isinf(means[4])
+    assert means.tolist() == [4.0, 0.7, 3.0, 0.0, math.inf, 0.3**2]
 
 
 def test_noclick_factor_bounds():
@@ -127,19 +160,22 @@ def _mixture(n, kinds, seed=0):
     """Random mixture of the given kinds, one per pulse, with random content."""
     rng = np.random.default_rng(seed)
     kind = rng.choice(np.asarray(kinds, dtype=np.uint8), n)
-    amp = np.where(kind == KIND_COHERENT, rng.normal(size=n) + 1j * rng.normal(size=n), 0j)
+    coh = kind == KIND_COHERENT
+    quarter = np.where(coh, rng.integers(0, 4, n), 0)
     param = np.select(
-        [kind == KIND_THERMAL, kind == KIND_FOCK, kind == KIND_BLINDING],
-        [rng.uniform(0.0, 3.0, n), rng.integers(0, 8, n).astype(float), rng.uniform(0.0, 1.0, n)],
+        [coh, kind == KIND_THERMAL, kind == KIND_FOCK, kind == KIND_BLINDING],
+        [np.abs(rng.normal(size=n)), rng.uniform(0.0, 3.0, n), rng.integers(0, 8, n).astype(float),
+         rng.uniform(0.0, 1.0, n)],
     )
-    return FieldArray(kind, amp, param)
+    return FieldArray(kind, quarter, param)
 
 
 ALL_KINDS = (KIND_VACUUM, KIND_COHERENT, KIND_THERMAL, KIND_FOCK, KIND_BLINDING)
 
 
 def test_field_array_has_three_columns():
-    assert FieldArray.__slots__ == ("kind", "amp", "param")
+    assert FieldArray.__slots__ == ("kind", "quarter", "param")
+    assert sum(getattr(FieldArray.vacuum(1), col).itemsize for col in FieldArray.__slots__) == 10
 
 
 @pytest.mark.parametrize("column", FieldArray.__slots__)
@@ -147,44 +183,48 @@ def test_field_array_columns_are_write_once(column):
     fa = _mixture(10, ALL_KINDS)
     with pytest.raises(ValueError):
         getattr(fa, column)[0] = 1
-    for derived in (fa.attenuated(0.5, np.random.default_rng(1)), fa.phase_shifted(1j),
+    for derived in (fa.attenuated(0.5, np.random.default_rng(1)), fa.phase_shifted(1),
                     FieldArray.where(fa.kind > 1, fa, FieldArray.vacuum(10)), fa.copy()):
         with pytest.raises(ValueError):
             getattr(derived, column)[0] = 1
 
 
 def test_field_array_does_not_freeze_the_callers_array():
-    amps = np.ones(4, dtype=np.complex128)
-    FieldArray.coherent(amps)
-    amps[0] = 2.0
+    kind, quarter, param = np.ones(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8), np.ones(4)
+    FieldArray(kind, quarter, param)
+    FieldArray.uniform(Coherent(1.0), 4).phase_shifted(quarter)
+    kind[0], quarter[0], param[0] = 2, 3, 2.0
 
 
 def test_zero_invariants_hold_after_transforms():
     fa = _mixture(2000, ALL_KINDS)
-    for out in (fa, fa.attenuated(0.3, np.random.default_rng(2)), fa.phase_shifted(-1j)):
-        assert np.all(out.amp[out.kind != KIND_COHERENT] == 0)
-        assert np.all(out.param[out.kind <= KIND_COHERENT] == 0)
+    for out in (fa, fa.attenuated(0.3, np.random.default_rng(2)), fa.phase_shifted(3),
+                fa.phase_shifted(np.arange(2000).astype(np.uint8))):
+        assert np.all(out.quarter[out.kind != KIND_COHERENT] == 0)
+        assert np.all(out.quarter <= 3)
+        assert np.all(out.param[out.kind == KIND_VACUUM] == 0)
 
 
 def test_transforms_leave_input_unchanged_and_share_columns():
     fa = _mixture(2000, ALL_KINDS)
     before = [getattr(fa, c).copy() for c in FieldArray.__slots__]
     lossy = fa.attenuated(0.4, np.random.default_rng(3))
-    shifted = fa.phase_shifted(np.exp(1j * np.linspace(0, 6, 2000)))
+    shifted = fa.phase_shifted(np.arange(2000).astype(np.uint8))
     for col, old in zip(FieldArray.__slots__, before):
         assert np.array_equal(getattr(fa, col), old)
         assert getattr(fa, col).tobytes() == old.tobytes()
     assert np.shares_memory(lossy.kind, fa.kind)
+    assert np.shares_memory(lossy.quarter, fa.quarter)
     assert np.shares_memory(shifted.kind, fa.kind)
     assert np.shares_memory(shifted.param, fa.param)
-    assert not np.shares_memory(shifted.amp, fa.amp)
+    assert not np.shares_memory(shifted.quarter, fa.quarter)
 
 
 def _masked_noclick(fa, eta):
     """Per-kind reference: each formula applied only where its kind sits."""
     out = np.ones(len(fa))
     coh, th = fa.kind == KIND_COHERENT, fa.kind == KIND_THERMAL
-    out[coh] = np.exp(-eta * np.abs(fa.amp[coh]) ** 2)
+    out[coh] = np.exp(-eta * fa.param[coh] ** 2)
     out[th] = 1.0 / (1.0 + eta * fa.param[th])
     return out
 
@@ -201,6 +241,13 @@ def test_whole_array_noclick_equals_masked_formulas_bitwise(kinds, eta):
     assert lossy.noclick_factors(eta).tobytes() == _masked_noclick(lossy, eta).tobytes()
 
 
+def test_noclick_of_very_bright_light_is_exact():
+    # A thermal mean whose square overflows must not leak inf * 0 = nan into
+    # the coherent term of the whole-array path.
+    fa = FieldArray.from_fields([Thermal(1e200), Coherent(1e100), Vacuum()])
+    assert fa.noclick_factors(0.5).tolist() == [1.0 / (1.0 + 0.5e200), 0.0, 1.0]
+
+
 def test_fock_thinning_and_blinding_on_mixed_arrays():
     n = 20000
     five = FieldArray.from_fields([FockN(5), Blinding(0.8), Coherent(2.0), Thermal(0.5), Vacuum()])
@@ -212,14 +259,14 @@ def test_fock_thinning_and_blinding_on_mixed_arrays():
     assert np.mean(photons) == pytest.approx(3.0, abs=0.05)
     assert np.all(out.param[blind] == 0.8)
     assert np.all(out.param[out.kind == KIND_THERMAL] == 0.5 * 0.6)
-    assert np.all(out.amp[out.kind == KIND_COHERENT] == 2.0 * np.sqrt(0.6))
+    assert np.all(out.param[out.kind == KIND_COHERENT] == 2.0 * np.sqrt(0.6))
 
     eta = 0.3
     f = out.noclick_factors(eta)
     assert np.array_equal(f[fock], (1.0 - eta) ** photons)
     assert np.all(f[blind] == 1.0 - 0.8)
     rest = ~(fock | blind)
-    sub = FieldArray(out.kind[rest], out.amp[rest], out.param[rest])
+    sub = FieldArray(out.kind[rest], out.quarter[rest], out.param[rest])
     assert f[rest].tobytes() == _masked_noclick(sub, eta).tobytes()
     with pytest.raises(ValueError):
         fa.attenuated(0.6)
@@ -230,3 +277,45 @@ def test_empty_field_array():
     assert fa.max_kind() == 0
     assert fa.noclick_factors(0.5).size == 0
     assert len(fa.attenuated(0.5)) == 0
+
+
+def _fock_oracle(field):
+    if isinstance(field, Coherent):
+        return coherent_state(field.amplitude)
+    if isinstance(field, Thermal):
+        return thermal_state(field.mean_photons)
+    return fock_state(field.n)
+
+
+# Coherent means stay <= 6.25 and thermal means <= 1, where the default
+# n_max=40 cutoff discards < 1e-10 of the state, so the truncated oracle and
+# the closed forms agree well within ORACLE_TOL.
+ORACLE_TOL = 1e-9
+FIELDS = st.one_of(
+    st.builds(lambda r, q: Coherent(r * 1j**q), st.floats(0.0, 2.5), st.integers(0, 3)),
+    st.builds(Thermal, st.floats(0.0, 1.0)),
+    st.builds(FockN, st.integers(0, 12)),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(field=FIELDS, quarter=st.integers(0, 3), transmittance=st.floats(0.0, 1.0),
+       eta=st.floats(0.0, 1.0), dark=st.sampled_from([0.0, 1e-5, 0.01]))
+def test_click_probability_after_loss_and_phase_matches_fock_oracle(field, quarter, transmittance,
+                                                                    eta, dark):
+    det = DetectorModel(eta, dark)
+    rho = phase_shift(attenuate(_fock_oracle(field), transmittance), quarter * math.pi / 2)
+    expected = click_prob_state(det, rho)
+    n = 20000 if isinstance(field, FockN) else 1
+    out = FieldArray.uniform(field, n).attenuated(transmittance, np.random.default_rng(0))
+    out = out.phase_shifted(quarter)
+    p = click_prob(dark, out.noclick_factors(eta))
+    if isinstance(field, FockN):
+        # Thinning draws each pulse's surviving photon number: compare the
+        # mean over the pulses within 5 standard errors.
+        assert abs(p.mean() - expected) <= 5 * p.std() / math.sqrt(n) + ORACLE_TOL
+        return
+    assert p[0] == pytest.approx(expected, abs=ORACLE_TOL)
+    if isinstance(field, Coherent):
+        # magnitude and quarter name the same state the exact channel gives
+        assert trace_distance(coherent_state(out.field(0).amplitude), rho) < 1e-8

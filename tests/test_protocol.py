@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from ctqkd.detector import DetectorModel, samples_needed
-from ctqkd.light import KIND_COHERENT, KIND_THERMAL, Blinding, Coherent, FieldArray, Thermal
+from ctqkd.detector import DetectorModel, click_prob, samples_needed
+from ctqkd.light import (
+    KIND_COHERENT,
+    KIND_THERMAL,
+    Blinding,
+    Coherent,
+    FieldArray,
+    FockN,
+    Thermal,
+    Vacuum,
+)
 from ctqkd.protocol import (
     ConfigError,
     PulseBatch,
@@ -18,8 +27,10 @@ from ctqkd.protocol import (
     alice_thermal_monitor,
     bob_monitor_tap,
     classify_alarm,
+    click_events,
     measure_interference,
     modulate_batch,
+    pair_click_probs,
     port_means,
     run_session,
     separate_modes,
@@ -191,7 +202,7 @@ def test_bob_monitor_flags_vacuum_substitution():
 def test_thermal_monitor_honest_passes():
     cfg = SessionConfig(n_pulses=10**4, seed=24)
     rng = np.random.default_rng(cfg.seed)
-    fields = FieldArray.thermal(np.full(cfg.n_pulses, cfg.mu_thermal_at_alice()))
+    fields = FieldArray.uniform(Thermal(cfg.mu_thermal_at_alice()), cfg.n_pulses)
     assert alice_thermal_monitor(fields, cfg, rng).passed
 
 
@@ -230,10 +241,19 @@ def test_thermal_monitor_equal_mean_coherent_fails_at_sample_count():
 # --- interferometer --------------------------------------------------------
 
 
+QUARTER_PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])  # i**q, exact
+
+
+def _one_pair(r_prev, q_prev, r_curr, q_curr):
+    """port_means of one pulse pair, as a length-4 vector."""
+    quarters = np.array([q_prev, q_curr], dtype=np.uint8)
+    return port_means(np.array([r_prev]), quarters[:1], np.array([r_curr]), quarters[1:])[:, 0]
+
+
 def test_interferometer_means_aligned_phase():
     mu = 0.3
-    a = np.array([math.sqrt(mu) + 0j])
-    means = port_means(a, a)[:, 0]
+    r = math.sqrt(mu)
+    means = _one_pair(r, 0, r, 0)
     assert means[0] == pytest.approx(mu / 2, abs=1e-12)  # D0A
     assert means[1] == pytest.approx(0.0, abs=1e-12)  # D1A
     assert means[2] == pytest.approx(mu / 4, abs=1e-12)  # D0B
@@ -241,26 +261,94 @@ def test_interferometer_means_aligned_phase():
 
 
 def test_interferometer_means_opposite_phase():
-    a = np.array([math.sqrt(0.3) + 0j])
-    means = port_means(a, -a)[:, 0]
+    r = math.sqrt(0.3)
+    means = _one_pair(r, 0, r, 2)
     assert means[0] == pytest.approx(0.0, abs=1e-12)
     assert means[1] == pytest.approx(0.3 / 2, abs=1e-12)
 
 
 def test_interferometer_energy_conservation():
     mu = 0.41
-    a = math.sqrt(mu)
-    means = port_means(np.full(4, a + 0j), a * 1j ** np.arange(4))
+    r = np.full(4, math.sqrt(mu))
+    means = port_means(r, np.zeros(4, dtype=np.uint8), r, np.arange(4, dtype=np.uint8))
     assert means.shape == (4, 4)
     for q in range(4):
         assert means[:, q].sum() == pytest.approx(mu, abs=1e-12)
+
+
+def _complex_port_means(a_prev, a_curr):
+    """Oracle: the port means as the modulus of the complex sum,
+    |a_prev e^(i b pi/2) +/- a_curr|^2 / 8 for basis b in (0, 1)."""
+    means = np.empty((4, np.size(a_prev)))
+    for b in (0, 1):
+        s = a_prev * QUARTER_PHASES[b]
+        means[2 * b] = np.abs(s + a_curr) ** 2 / 8.0
+        means[2 * b + 1] = np.abs(s - a_curr) ** 2 / 8.0
+    return means
+
+
+def test_port_means_bit_equal_to_complex_oracle_on_all_quarter_pairs():
+    rng = np.random.default_rng(11)
+    magnitudes = [(0.7, 0.7), (0.3, 1.9), (1.9, 0.3), (0.0, 0.8), (0.8, 0.0), (0.0, 0.0),
+                  (1e-200, 3.0), *rng.uniform(0.0, 3.0, (200, 2)),
+                  *np.repeat(rng.uniform(0.0, 3.0, (50, 1)), 2, axis=1)]
+    for r_prev, r_curr in magnitudes:
+        q = np.arange(16, dtype=np.uint8)
+        q_prev, q_curr = q >> 2, q & 3
+        r1, r2 = np.full(16, r_prev), np.full(16, r_curr)
+        got = port_means(r1, q_prev, r2, q_curr)
+        want = _complex_port_means(r1 * QUARTER_PHASES[q_prev], r2 * QUARTER_PHASES[q_curr])
+        assert got.tobytes() == want.tobytes(), (r_prev, r_curr)
+
+
+@pytest.mark.parametrize("magnitude", [0.0, math.sqrt(0.2 * 0.9 * 0.95 * 0.9), 1.3])
+@pytest.mark.parametrize("det", [DetectorModel(0.1, 1e-5), DetectorModel(1.0, 0.0),
+                                 DetectorModel(0.37, 0.02)])
+def test_uniform_train_table_equals_general_path_bitwise(magnitude, det):
+    quarters = np.random.default_rng(4).integers(0, 4, 5001).astype(np.uint8)
+    train = FieldArray.uniform(Coherent(magnitude), quarters.size).phase_shifted(quarters)
+    fast = np.array(list(pair_click_probs(train, det)))  # the 16-entry table, gathered
+    r, q = train.param, train.quarter
+    means = port_means(r[:-1], q[:-1], r[1:], q[1:])
+    general = click_prob(det.dark_prob, np.exp(-det.eta * means))
+    assert fast.shape == (4, 5000)
+    assert fast.tobytes() == general.tobytes()
+    # one magnitude off by one ulp takes the general path, with the same values elsewhere
+    bumped = FieldArray(train.kind, q, np.where(np.arange(5001) == 0, np.nextafter(magnitude, 1), r))
+    slow = pair_click_probs(bumped, det)
+    assert isinstance(slow, np.ndarray)
+    assert slow[:, 1:].tobytes() == general[:, 1:].tobytes()
+
+
+def test_pair_click_probs_mixed_kinds_use_the_incoherent_split():
+    det = DetectorModel(0.3, 0.01)
+    out1 = FieldArray.from_fields([Coherent(1.0), Coherent(-1.0), Vacuum(), Thermal(0.4),
+                                   FockN(2), Coherent(1j)])
+    p = pair_click_probs(out1, det)
+    f = out1.noclick_factors(det.eta / 8.0)
+    means = _complex_port_means(np.array([1.0, -1.0 + 0j]), np.array([-1.0 + 0j, 0j]))
+    assert p[:, :2].tobytes() == click_prob(det.dark_prob, np.exp(-det.eta * means)).tobytes()
+    for i in (2, 3, 4):  # every pair holding a thermal or Fock field
+        assert np.all(p[:, i] == click_prob(det.dark_prob, f[i], f[i + 1]))
+
+
+def test_click_events_match_argmax_on_every_click_pattern():
+    patterns = (np.arange(16)[None, :] >> np.arange(4)[:, None]) & 1  # (4, 16): rows D0A..D1B
+    clicks = patterns.astype(bool)
+    events = click_events(*patterns.astype(np.uint8))
+    detector = clicks.argmax(axis=0)
+    n_clicks = clicks.sum(axis=0)
+    assert np.array_equal(events["single"], n_clicks == 1)
+    assert np.array_equal(events["double"], n_clicks >= 2)
+    assert np.array_equal(events["basis_q"], detector >> 1)
+    assert np.array_equal(events["port"], detector & 1)
 
 
 def test_interferometer_measure_deterministic_port():
     # Ideal detector, opposite phases: the only possible single click in
     # basis A is D1A.
     det = DetectorModel(eta=1.0, dark_prob=0.0)
-    out1 = FieldArray.coherent(2.0 * (-1.0) ** np.arange(101))
+    out1 = FieldArray.uniform(Coherent(2.0), 101).phase_shifted(2 * (np.arange(101) % 2))
     meas = measure_interference(out1, np.full(100, 2), det, np.random.default_rng(3))
     assert np.all(meas["delta_q"] == 2)
     seen = {(int(b), int(p)) for b, p in zip(meas["basis_q"][meas["single"]],
@@ -452,7 +540,7 @@ def test_stages_build_new_batches_that_share_unchanged_arrays():
     rng = np.random.default_rng(cfg.seed)
     batch = alice_prepare(cfg, rng)
     snapshot = [a.copy() for a in (batch.mode_assignment, batch.rotation_quarter,
-                                   batch.field_h.amp, batch.field_v.param)]
+                                   batch.field_h.quarter, batch.field_v.param)]
     lossy = batch.propagated(0.5, rng)
     modulated = modulate_batch(lossy, rng.integers(0, 4, cfg.n_pulses))
     for new in (lossy, modulated):
@@ -464,5 +552,5 @@ def test_stages_build_new_batches_that_share_unchanged_arrays():
     assert modulated.propagated(0.5, rng).bob_quarter is modulated.bob_quarter
     assert np.shares_memory(modulated.field_v.param, lossy.field_v.param)
     for old, now in zip(snapshot, (batch.mode_assignment, batch.rotation_quarter,
-                                   batch.field_h.amp, batch.field_v.param)):
+                                   batch.field_h.quarter, batch.field_v.param)):
         assert np.array_equal(old, now)
