@@ -11,7 +11,9 @@ import hashlib
 
 import pytest
 
-from ctqkd.attacks import ATTACK_KINDS
+from ctqkd.attacks import ATTACK_KINDS, BeamSplit, ModeDiscrimination, TrojanHorse
+from ctqkd.detector import DetectorModel
+from ctqkd.light import Blinding, FockN, Thermal, Vacuum
 from ctqkd.protocol import SessionConfig, run_session
 
 GOLDEN = {
@@ -30,11 +32,35 @@ GOLDEN = {
 }
 
 
+# Non-default probes, attack parameters and configs, at 1e5 pulses and seed 7:
+# every probe kind on Bob's monitor and Eve's photon counter, Eve's own
+# detector model, a small tap, and a session without Bob's tap.
+GOLDEN_VARIANTS = {
+    "trojan-fock-3": ({}, TrojanHorse(FockN(3)), "7b85aeacdfe2bfa8a3fc48fa706350aa10897418a7b725c43c859da29c478db5", "bfa3ce5c021395b73b424984cc33355cab6cbeb4a57ccf18e53fd49d0d0b4482"),
+    "trojan-thermal-2": ({}, TrojanHorse(Thermal(2.0)), "d81a3d030ef5986bac24b17d4ec520529487a9af58933450d996334f18df63f7", "4eee16ff581cdafc3d9ca30af3fdd95b823978248a901f54dcb301429fc6c1cd"),
+    "trojan-vacuum": ({}, TrojanHorse(Vacuum()), "5fd5ded95e155f4549e3e5470bd4469aa8462ee6ee09194997ff6b89aea17c1d", "4e2cac20a0250169328fc908df73e6cd85674d7929bcf9e25bb56ab9bf2b54ca"),
+    "trojan-blinding-0.5": ({}, TrojanHorse(Blinding(0.5)), "f988e301840ca26f480cd0633ab79663fd8b725ebf43320bbded5418b1c493c7", "b742627820bf0ffdee30975ed82d69b0295c6f334ab1875b02486dc0304e0556"),
+    "mode-discrimination-eve-det": ({}, ModeDiscrimination(0.7, DetectorModel(0.4, 1e-3)), "ad9c23b18dc3324708898995da39795620be259817e615dd61d4063a7f8ca087", "c16e409d13e51a75db49fb0b257c7f15c4647e38c8f364597b83be47b7aba300"),
+    "beam-split-0.2": ({}, BeamSplit(0.2), "b7514fe073a1df40087edc5c0380d0783c90708e60f91e7a94d947e1c9f1afee", "d7d8f75a3d9014f6edce4fe26c2ecb9e2775684982aef5c350de61352a02d899"),
+    "no-tap-mu-1.7": ({"tap_reflectance": 0.0, "mu_coherent": 1.7}, None, "8c4f1416a18bf6376e37e00f1a7c40f58670a34f67634b91c17bde760e824cfc", "9a61bbe35dbbcde8805932f07e7b52ddadc09c0a0d945edd22d6c41648b86569"),
+}
+
+
+def _assert_golden(res, json_sha, key_sha):
+    assert hashlib.sha256(res.to_json().encode()).hexdigest() == json_sha
+    keys = res.sifted_key_alice.tobytes() + res.sifted_key_bob.tobytes()
+    assert hashlib.sha256(keys).hexdigest() == key_sha
+
+
 @pytest.mark.parametrize("kind,n_pulses", sorted(GOLDEN))
 def test_session_matches_golden(kind, n_pulses):
     cls = ATTACK_KINDS[kind]
     res = run_session(SessionConfig(n_pulses=n_pulses, seed=7), cls() if cls else None)
-    json_sha, key_sha = GOLDEN[kind, n_pulses]
-    assert hashlib.sha256(res.to_json().encode()).hexdigest() == json_sha
-    keys = res.sifted_key_alice.tobytes() + res.sifted_key_bob.tobytes()
-    assert hashlib.sha256(keys).hexdigest() == key_sha
+    _assert_golden(res, *GOLDEN[kind, n_pulses])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VARIANTS))
+def test_variant_session_matches_golden(name):
+    overrides, attack, json_sha, key_sha = GOLDEN_VARIANTS[name]
+    res = run_session(SessionConfig(n_pulses=100_000, seed=7, **overrides), attack)
+    _assert_golden(res, json_sha, key_sha)
