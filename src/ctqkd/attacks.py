@@ -33,16 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .detector import DetectorModel, click_prob
-from .light import (
-    KIND_BLINDING,
-    KIND_COHERENT,
-    KIND_FOCK,
-    KIND_THERMAL,
-    Blinding,
-    Coherent,
-    FieldArray,
-    LightField,
-)
+from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField
 from .protocol import ConfigError, PulseBatch, SessionConfig, SiftOutcome, modulate_batch
 
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_prob=0.0)
@@ -206,13 +197,12 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     her accuracy.
     """
     coh_h = batch.field_h.kind == KIND_COHERENT
-    coh_fields = FieldArray.where(coh_h, batch.field_h, batch.field_v)
-    th_fields = FieldArray.where(coh_h, batch.field_v, batch.field_h)
-    p_c = float(np.mean(click_prob(eve_det.dark_prob, coh_fields.noclick_factors(eve_det.eta))))
-    p_t = float(np.mean(click_prob(eve_det.dark_prob, th_fields.noclick_factors(eve_det.eta))))
+    p_h = click_prob(eve_det.dark_prob, batch.field_h.noclick_factors(eve_det.eta))
+    p_v = click_prob(eve_det.dark_prob, batch.field_v.noclick_factors(eve_det.eta))
+    p_c = float(np.mean(np.where(coh_h, p_h, p_v)))
+    p_t = float(np.mean(np.where(coh_h, p_v, p_h)))
 
-    p_click_h = click_prob(eve_det.dark_prob, batch.field_h.noclick_factors(eve_det.eta))
-    clicks = rng.random(len(batch)) < p_click_h
+    clicks = rng.random(len(batch)) < p_h
     guess_coh_in_h = clicks if p_c >= p_t else ~clicks
     bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
     return guess_coh_in_h, bayes_error
@@ -267,21 +257,6 @@ class ModeDiscrimination(Attack):
         )
 
 
-def _photon_counts(fields: FieldArray, rng: np.random.Generator) -> np.ndarray:
-    """Sample the photon number Eve's ideal analyzer registers per pulse."""
-    counts = np.zeros(len(fields), dtype=np.int64)
-    k = fields.kind
-    coh = k == KIND_COHERENT
-    counts[coh] = rng.poisson(fields.param[coh] ** 2)
-    th = k == KIND_THERMAL
-    if th.any():
-        counts[th] = rng.geometric(1.0 / (1.0 + fields.param[th])) - 1
-    fo = k == KIND_FOCK
-    counts[fo] = fields.param[fo].astype(np.int64)
-    counts[k == KIND_BLINDING] = np.iinfo(np.int64).max // 2
-    return counts
-
-
 @dataclass(frozen=True)
 class TrojanHorse(Attack):
     """Type III: probe Bob's modulator with Eve's own light.
@@ -315,7 +290,7 @@ class TrojanHorse(Attack):
         return batch.with_fields(FieldArray.uniform(self.probe, n), FieldArray.vacuum(n)), batch
 
     def apply_return(self, batch, held, cfg, rng):
-        counts = _photon_counts(batch.field_h, rng) + _photon_counts(batch.field_v, rng)
+        counts = batch.field_h.photon_counts(rng) + batch.field_v.photon_counts(rng)
         learned = counts >= 2
         out = modulate_batch(held, batch.bob_quarter * learned)
         return out.propagated(1.0 - cfg.tap_reflectance, rng), learned

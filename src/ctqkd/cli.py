@@ -22,6 +22,7 @@ from .analysis import SweepSpec, distinguishability_curve, export_csv, run_sweep
 from .attacks import ATTACK_KINDS, eve_information_summary
 from .detector import DetectorModel
 from .fock import (
+    TruncationError,
     coherent_state,
     expectation,
     min_eigenvalue,
@@ -169,17 +170,20 @@ def _write_atomic(path: str, text: str) -> None:
 
 def cmd_states(values: dict, out) -> int:
     grid = values.get("states.mu_grid", (0.1, 0.2, 0.5, 1.0))
-    if not grid or any(m < 0 for m in grid):
-        raise ConfigError(f"states.mu_grid must be nonempty and nonnegative, got {grid}")
+    if not grid or not all(0.0 <= m < math.inf for m in grid):
+        raise ConfigError(f"states.mu_grid must be nonempty, finite and nonnegative, got {grid}")
+    try:
+        coherent = [coherent_state(math.sqrt(mu)) for mu in grid]
+        thermal = [thermal_state(mu) for mu in grid]
+    except TruncationError as exc:
+        raise ConfigError(f"states.mu_grid: {exc}") from exc
     header = (
         "mu_coherent mu_thermal trace_dist overlap_closed overlap_numeric "
         "min_eig_thermal vac_coherent vac_thermal"
     )
     print(header, file=out)
-    for mu_c in grid:
-        for mu_t in grid:
-            rho_c = coherent_state(math.sqrt(mu_c))
-            rho_t = thermal_state(mu_t)
+    for mu_c, rho_c in zip(grid, coherent):
+        for mu_t, rho_t in zip(grid, thermal):
             print(
                 f"{mu_c:<11.6g} {mu_t:<10.6g} {trace_distance(rho_c, rho_t):<10.6g} "
                 f"{overlap_coherent_thermal(math.sqrt(mu_c), mu_t):<14.6g} "

@@ -101,13 +101,16 @@ def coherent_state(alpha: complex, trunc: TruncationConfig = DEFAULT_TRUNCATION)
     by the stable recurrence c_n = c_{n-1} alpha / sqrt(n).
     """
     alpha = complex(alpha)
+    mean = abs(alpha) * abs(alpha)
+    if not math.isfinite(mean):
+        raise ValueError(f"mean photon number |alpha|^2 must be finite, got {mean}")
     c = np.zeros(trunc.dim, dtype=np.complex128)
     c[0] = 1.0
     for n in range(1, trunc.dim):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
-    c *= math.exp(-abs(alpha) ** 2 / 2.0)
+    c *= math.exp(-mean / 2.0)
     kept = float(np.vdot(c, c).real)
-    _check_tail(1.0 - kept, trunc, f"coherent state |alpha|^2={abs(alpha)**2:.4g}")
+    _check_tail(1.0 - kept, trunc, f"coherent state |alpha|^2={mean:.4g}")
     return DensityMatrix(np.outer(c, c.conj()))
 
 
@@ -117,8 +120,8 @@ def thermal_state(mu_t: float, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> 
     Diagonal in the Fock basis with weights mu_t^n / (1+mu_t)^(n+1); all
     off-diagonal entries are exactly zero.
     """
-    if mu_t < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu_t}")
+    if not 0.0 <= mu_t < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mu_t}")
     n = np.arange(trunc.dim)
     if mu_t == 0.0:
         p = np.zeros(trunc.dim)

@@ -1,22 +1,24 @@
 """Semiclassical per-mode pulse content and its vectorized carrier.
 
 FieldArray holds one field per pulse in three write-once columns: kind, a
-quarter-turn phase and one real parameter (coherent magnitude, thermal mean,
-photon number or forced-click probability).  Every phase in a session is a
-quarter turn, so no column is complex, and a whole session can be
+quarter-turn phase and one real parameter, the mean photon number (for
+blinding light, the forced-click probability).  Every phase in a session is
+a quarter turn, so no column is complex, and a whole session can be
 propagated, phase-shifted and click-sampled with numpy, each stage sharing
-the columns it leaves unchanged.  LightField is the spec of a single field
-(coherent amplitude r * i**q, thermal mean, definite photon number,
-saturating blinding light, or vacuum), used for attack probes and tests and
-converted to and from the columns by FieldArray.uniform, from_fields and
-field.  Blinding light saturates a threshold detector, so its click
-probability ignores efficiency and attenuation.
+the columns it leaves unchanged.  Each per-kind law of the light lives
+here: loss, the no-click probability of a threshold detector and photon
+counting.  LightField is the spec of a single field (coherent amplitude
+r * i**q, thermal mean, definite photon number, saturating blinding light,
+or vacuum), used for attack probes and tests and converted to and from the
+columns by FieldArray.uniform, from_fields and field.  Blinding light
+saturates a threshold detector, so its click probability ignores
+efficiency and attenuation.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,8 +45,9 @@ class Coherent:
 
     def __post_init__(self):
         a = complex(self.amplitude)
-        if not (cmath.isfinite(a) and 0.0 in (a.real, a.imag)):
-            raise ValueError(f"coherent amplitude must be a finite r * i**q, got {self.amplitude}")
+        if not (math.isfinite(abs(a) * abs(a)) and 0.0 in (a.real, a.imag)):
+            raise ValueError(f"coherent amplitude must be r * i**q with a finite mean photon "
+                             f"number r**2, got {self.amplitude}")
 
     @property
     def quarter(self) -> int:
@@ -54,7 +57,7 @@ class Coherent:
 
     @property
     def mean_photons(self) -> float:
-        return abs(self.amplitude) ** 2
+        return abs(self.amplitude) * abs(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,9 @@ class FockN:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"photon number must be >= 0, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 0:
+            raise ValueError(f"photon number must be an integer >= 0, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def mean_photons(self) -> float:
@@ -104,11 +108,13 @@ class FieldArray:
     """One light field per pulse, stored as three write-once columns.
 
     kind (uint8) tags each pulse with a KIND_* constant.  quarter (uint8) is
-    the coherent phase in quarter turns, 0..3.  param (float64) depends on
-    the kind: the coherent magnitude r (amplitude r * i**quarter), the
-    thermal mean, the photon number (exact in float64 up to 2**53) or the
-    forced-click probability.  quarter is exactly 0 for every kind but
-    coherent, and param is exactly 0 for vacuum.
+    the coherent phase in quarter turns, 0..3.  param (float64) is the mean
+    photon number: the squared modulus of the coherent amplitude
+    sqrt(param) * i**quarter, the thermal mean or the photon number (exact
+    in float64 up to 2**53).
+    Blinding light is the one exception: its param is the forced-click
+    probability.  quarter is exactly 0 for every kind but coherent, and param
+    is exactly 0 for vacuum.
 
     The columns are read-only.  Transforms build a new FieldArray and share
     every column they leave unchanged, so no stage copies a column it does
@@ -138,7 +144,7 @@ class FieldArray:
         """Broadcast a single LightField to n pulses."""
         kind, quarter, param = KIND_VACUUM, 0, 0.0
         if isinstance(field, Coherent):
-            kind, quarter, param = KIND_COHERENT, field.quarter, abs(field.amplitude)
+            kind, quarter, param = KIND_COHERENT, field.quarter, field.mean_photons
         elif isinstance(field, Thermal):
             kind, param = KIND_THERMAL, field.mean_photons
         elif isinstance(field, FockN):
@@ -160,7 +166,7 @@ class FieldArray:
     def field(self, i: int) -> LightField:
         k = int(self.kind[i])
         if k == KIND_COHERENT:
-            return Coherent(float(self.param[i]) * 1j ** int(self.quarter[i]))
+            return Coherent(math.sqrt(self.param[i]) * 1j ** int(self.quarter[i]))
         if k == KIND_THERMAL:
             return Thermal(float(self.param[i]))
         if k == KIND_FOCK:
@@ -183,23 +189,22 @@ class FieldArray:
         )
 
     def attenuated(self, transmittance: float, rng: np.random.Generator | None = None) -> "FieldArray":
-        """Loss channel: coherent magnitude scales by sqrt(T), thermal mean by T,
-        definite photon numbers undergo binomial thinning (needs rng), blinding
-        light is unaffected.  The result shares the kind and quarter columns."""
+        """Loss channel: every mean photon number scales by T, definite
+        photon numbers undergo binomial thinning (needs rng), blinding light
+        is unaffected.  The result shares the kind and quarter columns."""
         t = float(transmittance)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"transmittance must be in [0, 1], got {t}")
         if t == 1.0:
             return self
-        # Scale per kind, indexed by KIND_*: vacuum, coherent, thermal, Fock, blinding.
-        param = np.take(np.array([1.0, math.sqrt(t), t, 1.0, 1.0]), self.kind)
-        param *= self.param
+        param = self.param * t
         if self.max_kind() >= KIND_FOCK:
             fock = self.kind == KIND_FOCK
             if fock.any():
                 if rng is None:
                     raise ValueError("rng required to thin definite photon numbers through loss")
                 param[fock] = rng.binomial(self.param[fock].astype(np.int64), t)
+            np.copyto(param, self.param, where=self.kind == KIND_BLINDING)
         return FieldArray(self.kind, self.quarter, param)
 
     def phase_shifted(self, quarters) -> "FieldArray":
@@ -212,9 +217,7 @@ class FieldArray:
 
     def mean_photons(self) -> np.ndarray:
         """Mean photon number per pulse; blinding light reports +inf."""
-        coh = self.kind == KIND_COHERENT
-        out = self.param * coh + ~coh  # r on coherent pulses, 1 elsewhere
-        out *= self.param
+        out = self.param.copy()
         out[self.kind == KIND_BLINDING] = np.inf
         return out
 
@@ -222,26 +225,39 @@ class FieldArray:
         """Per-pulse no-click probability at effective efficiency eta_eff,
         excluding dark counts.
 
-        Coherent: exp(-eta mu) with mu = r**2; thermal: 1/(1 + eta mu);
-        photon number n: (1 - eta)^n; vacuum: 1.  Blinding light returns
-        1 - forced_click_prob regardless of eta.  Factors for independent
-        fields on one detector multiply.
+        Coherent: exp(-eta mu); thermal: 1/(1 + eta mu); photon number n:
+        (1 - eta)^n; vacuum: 1.  Blinding light returns 1 - forced_click_prob
+        regardless of eta.  Factors for independent fields on one detector
+        multiply.
         """
         if not 0.0 <= eta_eff <= 1.0:
             raise ValueError(f"effective efficiency must be in [0, 1], got {eta_eff}")
-        k, param = self.kind, self.param
-        if self.max_kind() <= KIND_THERMAL:
-            # exp(-eta mu_coh) / (1 + eta mu_th), in place; each mean is masked
-            # to exactly 0 off its kind, so each factor is exactly 1 there.
-            out = np.square(param * (k == KIND_COHERENT))
-            np.exp(np.multiply(-eta_eff, out, out=out), out=out)
-            mu_th = np.multiply(param, k == KIND_THERMAL)
-            np.add(1.0, np.multiply(eta_eff, mu_th, out=mu_th), out=mu_th)
-            return np.divide(out, mu_th, out=out)
-        out = np.ones(len(self))
-        coh, th, fo, bl = (k == tag for tag in (KIND_COHERENT, KIND_THERMAL, KIND_FOCK, KIND_BLINDING))
-        out[coh] = np.exp(-eta_eff * param[coh] ** 2)
-        out[th] = 1.0 / (1.0 + eta_eff * param[th])
-        out[fo] = (1.0 - eta_eff) ** param[fo]
-        out[bl] = 1.0 - param[bl]
+        k, mu = self.kind, self.param
+        # exp(-eta mu_coh) / (1 + eta mu_th), in place; each mean is masked to
+        # exactly 0 off its kind, so each factor is exactly 1 there.
+        out = np.multiply(mu, k == KIND_COHERENT)
+        np.exp(np.multiply(-eta_eff, out, out=out), out=out)
+        mu_th = np.multiply(mu, k == KIND_THERMAL)
+        np.add(1.0, np.multiply(eta_eff, mu_th, out=mu_th), out=mu_th)
+        np.divide(out, mu_th, out=out)
+        if self.max_kind() >= KIND_FOCK:  # the formula above gave them exactly 1
+            fock, blind = k == KIND_FOCK, k == KIND_BLINDING
+            out[fock] = (1.0 - eta_eff) ** mu[fock]
+            out[blind] = 1.0 - mu[blind]
         return out
+
+    def photon_counts(self, rng: np.random.Generator) -> np.ndarray:
+        """Sample the photon number an ideal counter registers per pulse:
+        Poisson on coherent light, Bose-Einstein on thermal light, n on a
+        definite photon number; blinding light counts as int64 max // 2."""
+        counts = np.zeros(len(self), dtype=np.int64)
+        k, mu = self.kind, self.param
+        coh = k == KIND_COHERENT
+        counts[coh] = rng.poisson(mu[coh])
+        th = k == KIND_THERMAL
+        if th.any():
+            counts[th] = rng.geometric(1.0 / (1.0 + mu[th])) - 1
+        fock = k == KIND_FOCK
+        counts[fock] = mu[fock].astype(np.int64)
+        counts[k == KIND_BLINDING] = np.iinfo(np.int64).max // 2
+        return counts

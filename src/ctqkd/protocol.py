@@ -19,8 +19,8 @@ the pulse train.  All randomness flows through one numpy Generator in a
 fixed order, so a (config, attack, seed) triple reproduces results exactly.
 
 Every phase is a whole quarter turn (phi = q * pi/2), carried as the
-FieldArray quarter column next to a real magnitude, so phase bookkeeping is
-integer arithmetic and no pulse amplitude is complex.
+FieldArray quarter column next to the mean photon number, so phase
+bookkeeping is integer arithmetic and no pulse amplitude is complex.
 """
 
 from __future__ import annotations
@@ -249,17 +249,16 @@ def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     Each pulse draws two independent fair bits: the source wiring
     (mode_assignment) and the rotator angle.  Their XOR decides which
     physical mode carries the coherent state on the channel, so the
-    channel-side placement is itself a fresh fair bit per pulse.  The
-    coherent amplitude is sqrt(mu_coherent) at reference phase 0.
+    channel-side placement is itself a fresh fair bit per pulse.
     """
     n = cfg.n_pulses
     assign = rng.integers(0, 2, n, dtype=np.uint8)
     rot = rng.integers(0, 2, n, dtype=np.uint8)
     th_in_h = assign ^ rot  # 1 where H carries the thermal state
-    r = math.sqrt(cfg.mu_coherent)
+    mu_c, mu_t = cfg.mu_coherent, cfg.mu_thermal
     phase = np.zeros(n, dtype=np.uint8)  # both modes start at phase 0
-    field_h = FieldArray(th_in_h + KIND_COHERENT, phase, np.take([r, cfg.mu_thermal], th_in_h))
-    field_v = FieldArray(KIND_THERMAL - th_in_h, phase, np.take([cfg.mu_thermal, r], th_in_h))
+    field_h = FieldArray(th_in_h + KIND_COHERENT, phase, np.take([mu_c, mu_t], th_in_h))
+    field_v = FieldArray(KIND_THERMAL - th_in_h, phase, np.take([mu_t, mu_c], th_in_h))
     return PulseBatch(assign, rot, field_h, field_v)
 
 
@@ -365,12 +364,13 @@ def pair_click_probs(out1: FieldArray, det: DetectorModel):
     form only 16 distinct pairs, so their probabilities are tabulated once
     and each row is gathered by (q_prev, q_curr) as it is consumed.
     """
-    kind, q, r = out1.kind, out1.quarter, out1.param
-    uniform = len(out1) > 1 and kind.min() == kind.max() == KIND_COHERENT and r.min() == r.max()
+    kind, q, mu = out1.kind, out1.quarter, out1.param
+    uniform = len(out1) > 1 and kind.min() == kind.max() == KIND_COHERENT and mu.min() == mu.max()
     if uniform:  # (q_prev, q_curr) = (pair >> 2, pair & 3)
-        pair, same = np.arange(16, dtype=np.uint8), np.full(16, r[0])
+        pair, same = np.arange(16, dtype=np.uint8), np.full(16, math.sqrt(mu[0]))
         means = port_means(same, pair >> 2, same, pair & 3)
-    else:  # param is 0 on vacuum; pairs holding any other kind are replaced below
+    else:  # r = 0 on vacuum; pairs holding any other kind are replaced below
+        r = np.sqrt(mu)
         means = port_means(r[:-1], q[:-1], r[1:], q[1:])
     np.exp(np.multiply(-det.eta, means, out=means), out=means)
     p = click_prob(det.dark_prob, means)

@@ -127,8 +127,12 @@ def test_states_command(capsys):
 
 
 def test_states_rejects_bad_grid(tmp_path, capsys):
-    path = write_config(tmp_path, "states.mu_grid = -0.5\n")
-    assert main(["states", "--config", path]) == EXIT_CONFIG
+    # 5 is finite and nonnegative, but its thermal state exceeds the n_max=40 cutoff.
+    for grid in ("-0.5", "nan", "inf", "5", "0.1, 5"):
+        path = write_config(tmp_path, f"states.mu_grid = {grid}\n")
+        assert main(["states", "--config", path]) == EXIT_CONFIG, grid
+        captured = capsys.readouterr()
+        assert captured.out == "" and "states.mu_grid" in captured.err, grid
 
 
 def test_session_command_exit_codes(tmp_path, capsys):

@@ -82,6 +82,18 @@ def test_thermal_cutoff_too_small():
         thermal_state(5.0, TruncationConfig(n_max=10))
 
 
+@pytest.mark.parametrize("make", [lambda: thermal_state(math.nan), lambda: thermal_state(math.inf),
+                                  lambda: coherent_state(math.nan), lambda: coherent_state(math.inf),
+                                  lambda: coherent_state(complex(0.0, math.nan)),
+                                  lambda: coherent_state(1e200)],
+                         ids=["thermal-nan", "thermal-inf", "coherent-nan", "coherent-inf",
+                              "coherent-imag-nan", "coherent-mean-overflows"])
+def test_states_reject_a_non_finite_mean(make):
+    with pytest.raises(ValueError, match="must be finite") as exc:
+        make()
+    assert not isinstance(exc.value, TruncationError)
+
+
 def test_phase_shift_identity():
     rho = coherent_state(0.5 + 0.1j, T40)
     assert np.allclose(phase_shift(rho, 0.0).matrix, rho.matrix, atol=1e-15)

@@ -46,11 +46,32 @@ def test_field_validation():
     lambda: Coherent(1.0 + 0.5j),
     lambda: Coherent(complex(-1e-300, 2.0)),
     lambda: Coherent(complex(1e-200, 1e-200)),
+    lambda: Coherent(1e200),
+    lambda: Coherent(-1.5e154j),
 ], ids=["thermal-nan", "thermal-inf", "coherent-inf", "coherent-sqrt-inf", "coherent-nan",
-        "coherent-off-quarter", "coherent-tiny-off-quarter", "coherent-both-tiny"])
+        "coherent-off-quarter", "coherent-tiny-off-quarter", "coherent-both-tiny",
+        "coherent-mean-overflows", "coherent-mean-just-overflows"])
 def test_field_rejects_non_finite_or_off_quarter_values(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_coherent_mean_photons_is_finite_up_to_the_largest_float():
+    assert Coherent(1e154).mean_photons == 1e154 * 1e154
+    assert FieldArray.uniform(Coherent(-1e154j), 2).param.tolist() == [1e154 * 1e154] * 2
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+def test_fock_photon_number_must_be_an_integer(n):
+    with pytest.raises(ValueError):
+        FockN(n)
+
+
+def test_fock_photon_number_accepts_numpy_integers_and_stores_an_int():
+    for n in (np.int64(3), np.uint8(3), 3):
+        field = FockN(n)
+        assert type(field.n) is int and field == FockN(3) and repr(field) == "FockN(n=3)"
+    assert FieldArray.uniform(FockN(np.int32(3)), 1).field(0) == FockN(3)
 
 
 def test_coherent_amplitude_is_magnitude_and_quarter():
@@ -59,7 +80,7 @@ def test_coherent_amplitude_is_magnitude_and_quarter():
         assert (field.quarter, field.mean_photons) == (q, 6.25)
         assert 2.5 * 1j**q == amp
         fa = FieldArray.uniform(field, 3)
-        assert fa.quarter.tolist() == [q] * 3 and fa.param.tolist() == [2.5] * 3
+        assert fa.quarter.tolist() == [q] * 3 and fa.param.tolist() == [6.25] * 3
         assert fa.field(2) == field
     assert Coherent(0.0).quarter == 0 and Coherent(-0.0).quarter == 0
 
@@ -164,7 +185,7 @@ def _mixture(n, kinds, seed=0):
     quarter = np.where(coh, rng.integers(0, 4, n), 0)
     param = np.select(
         [coh, kind == KIND_THERMAL, kind == KIND_FOCK, kind == KIND_BLINDING],
-        [np.abs(rng.normal(size=n)), rng.uniform(0.0, 3.0, n), rng.integers(0, 8, n).astype(float),
+        [np.square(rng.normal(size=n)), rng.uniform(0.0, 3.0, n), rng.integers(0, 8, n).astype(float),
          rng.uniform(0.0, 1.0, n)],
     )
     return FieldArray(kind, quarter, param)
@@ -223,21 +244,27 @@ def test_transforms_leave_input_unchanged_and_share_columns():
 def _masked_noclick(fa, eta):
     """Per-kind reference: each formula applied only where its kind sits."""
     out = np.ones(len(fa))
-    coh, th = fa.kind == KIND_COHERENT, fa.kind == KIND_THERMAL
-    out[coh] = np.exp(-eta * fa.param[coh] ** 2)
-    out[th] = 1.0 / (1.0 + eta * fa.param[th])
+    mu = fa.param
+    coh, th, fock, blind = (fa.kind == k for k in (KIND_COHERENT, KIND_THERMAL, KIND_FOCK,
+                                                   KIND_BLINDING))
+    out[coh] = np.exp(-eta * mu[coh])
+    out[th] = 1.0 / (1.0 + eta * mu[th])
+    out[fock] = (1.0 - eta) ** mu[fock]
+    out[blind] = 1.0 - mu[blind]
     return out
 
 
 @pytest.mark.parametrize("kinds", [(KIND_VACUUM, KIND_COHERENT, KIND_THERMAL), (KIND_COHERENT,),
-                                   (KIND_THERMAL,), (KIND_VACUUM,), (KIND_COHERENT, KIND_THERMAL)])
+                                   (KIND_THERMAL,), (KIND_VACUUM,), (KIND_COHERENT, KIND_THERMAL),
+                                   ALL_KINDS, (KIND_FOCK,), (KIND_BLINDING,),
+                                   (KIND_COHERENT, KIND_FOCK), (KIND_THERMAL, KIND_BLINDING)])
 @pytest.mark.parametrize("eta", [0.0, 0.0125, 0.1, 0.37, 1.0])
 def test_whole_array_noclick_equals_masked_formulas_bitwise(kinds, eta):
     fa = _mixture(5000, kinds, seed=len(kinds))
-    assert fa.max_kind() <= KIND_THERMAL
+    assert set(np.unique(fa.kind)) == set(kinds)
     got = fa.noclick_factors(eta)
     assert got.tobytes() == _masked_noclick(fa, eta).tobytes()
-    lossy = fa.attenuated(0.81)
+    lossy = fa.attenuated(0.81, np.random.default_rng(6))
     assert lossy.noclick_factors(eta).tobytes() == _masked_noclick(lossy, eta).tobytes()
 
 
@@ -259,17 +286,26 @@ def test_fock_thinning_and_blinding_on_mixed_arrays():
     assert np.mean(photons) == pytest.approx(3.0, abs=0.05)
     assert np.all(out.param[blind] == 0.8)
     assert np.all(out.param[out.kind == KIND_THERMAL] == 0.5 * 0.6)
-    assert np.all(out.param[out.kind == KIND_COHERENT] == 2.0 * np.sqrt(0.6))
+    assert np.all(out.param[out.kind == KIND_COHERENT] == 4.0 * 0.6)
 
     eta = 0.3
     f = out.noclick_factors(eta)
     assert np.array_equal(f[fock], (1.0 - eta) ** photons)
     assert np.all(f[blind] == 1.0 - 0.8)
-    rest = ~(fock | blind)
-    sub = FieldArray(out.kind[rest], out.quarter[rest], out.param[rest])
-    assert f[rest].tobytes() == _masked_noclick(sub, eta).tobytes()
+    assert f.tobytes() == _masked_noclick(out, eta).tobytes()
     with pytest.raises(ValueError):
         fa.attenuated(0.6)
+
+
+def test_photon_counts_per_kind_and_draw_order():
+    fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.5), FockN(3), Vacuum(), Blinding(0.2)] * 2000)
+    counts = fa.photon_counts(np.random.default_rng(8))
+    assert counts.dtype == np.int64
+    rng = np.random.default_rng(8)  # Poisson on coherent first, then geometric on thermal
+    assert np.array_equal(counts[0::5], rng.poisson(np.full(2000, 4.0)))
+    assert np.array_equal(counts[1::5], rng.geometric(np.full(2000, 1.0 / 1.5)) - 1)
+    assert np.all(counts[2::5] == 3) and np.all(counts[3::5] == 0)
+    assert np.all(counts[4::5] == np.iinfo(np.int64).max // 2)
 
 
 def test_empty_field_array():

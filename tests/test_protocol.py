@@ -308,13 +308,15 @@ def test_uniform_train_table_equals_general_path_bitwise(magnitude, det):
     quarters = np.random.default_rng(4).integers(0, 4, 5001).astype(np.uint8)
     train = FieldArray.uniform(Coherent(magnitude), quarters.size).phase_shifted(quarters)
     fast = np.array(list(pair_click_probs(train, det)))  # the 16-entry table, gathered
-    r, q = train.param, train.quarter
+    mu, q = train.param, train.quarter
+    assert np.all(mu == magnitude**2)
+    r = np.sqrt(mu)
     means = port_means(r[:-1], q[:-1], r[1:], q[1:])
     general = click_prob(det.dark_prob, np.exp(-det.eta * means))
     assert fast.shape == (4, 5000)
     assert fast.tobytes() == general.tobytes()
-    # one magnitude off by one ulp takes the general path, with the same values elsewhere
-    bumped = FieldArray(train.kind, q, np.where(np.arange(5001) == 0, np.nextafter(magnitude, 1), r))
+    # one mean off by one ulp takes the general path, with the same values elsewhere
+    bumped = FieldArray(train.kind, q, np.where(np.arange(5001) == 0, np.nextafter(mu[0], 1), mu))
     slow = pair_click_probs(bumped, det)
     assert isinstance(slow, np.ndarray)
     assert slow[:, 1:].tobytes() == general[:, 1:].tobytes()
