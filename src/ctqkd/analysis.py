@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -84,8 +85,8 @@ def distinguishability_curve(mu_t: float, mu_c: float, det: DetectorModel,
     probabilities differ; stays at 1/2 when they coincide."""
     p_t = click_prob_thermal(det, mu_t)
     p_c = click_prob_coherent(det, mu_c)
-    if any(n < 1 for n in n_grid):
-        raise ConfigError(f"sample counts must be >= 1, got {tuple(n_grid)}")
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1 for n in n_grid):
+        raise ConfigError(f"sample counts must be integers >= 1, got {tuple(n_grid)}")
     return [{
         "n_samples": int(n),
         "p_thermal": p_t,

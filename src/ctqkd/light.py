@@ -69,13 +69,19 @@ class Thermal:
             raise ValueError(f"mean photon number must be finite, >= 0, got {self.mean_photons}")
 
 
+# The largest photon number the float64 param column holds exactly (every
+# integer up to 2**53 is a float64; 2**53 + 1 is not).
+FOCK_N_MAX = 2**53
+
+
 @dataclass(frozen=True)
 class FockN:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 0:
-            raise ValueError(f"photon number must be an integer >= 0, got {self.n!r}")
+        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
+                or not 0 <= self.n <= FOCK_N_MAX):
+            raise ValueError(f"photon number must be an integer in [0, 2**53], got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -110,8 +116,8 @@ class FieldArray:
     kind (uint8) tags each pulse with a KIND_* constant.  quarter (uint8) is
     the coherent phase in quarter turns, 0..3.  param (float64) is the mean
     photon number: the squared modulus of the coherent amplitude
-    sqrt(param) * i**quarter, the thermal mean or the photon number (exact
-    in float64 up to 2**53).
+    sqrt(param) * i**quarter, the thermal mean or the photon number (at
+    most FOCK_N_MAX, so exact in float64).
     Blinding light is the one exception: its param is the forced-click
     probability.  quarter is exactly 0 for every kind but coherent, and param
     is exactly 0 for vacuum.
@@ -130,6 +136,10 @@ class FieldArray:
 
     def __len__(self) -> int:
         return self.kind.size
+
+    def block(self, start: int, stop: int) -> "FieldArray":
+        """Pulses start..stop-1, sharing this array's column memory."""
+        return FieldArray(self.kind[start:stop], self.quarter[start:stop], self.param[start:stop])
 
     def max_kind(self) -> int:
         """Highest KIND_* tag present; KIND_VACUUM for an empty array."""
@@ -234,10 +244,14 @@ class FieldArray:
             raise ValueError(f"effective efficiency must be in [0, 1], got {eta_eff}")
         k, mu = self.kind, self.param
         # exp(-eta mu_coh) / (1 + eta mu_th), in place; each mean is masked to
-        # exactly 0 off its kind, so each factor is exactly 1 there.
-        out = np.multiply(mu, k == KIND_COHERENT)
+        # exactly 0 off its kind, so each factor is exactly 1 there.  The
+        # masks are cast to float first: the same products as mu * bool mask,
+        # but numpy's float-times-bool loop is about half as fast.
+        out = (k == KIND_COHERENT).astype(np.float64)
+        np.multiply(out, mu, out=out)
         np.exp(np.multiply(-eta_eff, out, out=out), out=out)
-        mu_th = np.multiply(mu, k == KIND_THERMAL)
+        mu_th = (k == KIND_THERMAL).astype(np.float64)
+        np.multiply(mu_th, mu, out=mu_th)
         np.add(1.0, np.multiply(eta_eff, mu_th, out=mu_th), out=mu_th)
         np.divide(out, mu_th, out=out)
         if self.max_kind() >= KIND_FOCK:  # the formula above gave them exactly 1

@@ -60,6 +60,18 @@ def test_curve_monotone_and_reproducible():
     assert errs[-1] < 0.01
 
 
+@pytest.mark.parametrize("grid", [[2.5], [10, 2.5], [3.0], [True], ["3"]])
+def test_curve_rejects_non_integer_sample_counts(grid):
+    with pytest.raises(ConfigError, match="integers"):
+        distinguishability_curve(0.2, 0.2, IDEAL, grid, np.random.default_rng(1), trials=10)
+
+
+def test_curve_accepts_numpy_integer_sample_counts():
+    rows = distinguishability_curve(0.2, 0.2, IDEAL, np.array([1, 7]), np.random.default_rng(1),
+                                    trials=10)
+    assert [r["n_samples"] for r in rows] == [1, 7]
+
+
 def test_sweep_single_point_matches_session():
     base = SessionConfig(n_pulses=10**4, seed=77)
     spec = SweepSpec(parameter="n_pulses", values=(10**4,), base=base)

@@ -268,13 +268,14 @@ def test_attack_parameter_validation():
         BeamSplit(tap_fraction=1.0)
     with pytest.raises(ValueError):
         BrightLight(forced_click_prob=0.0)
+    with pytest.raises(ValueError):  # no FockN probe holds more than 2**53 photons
+        TrojanHorse(probe=FockN(10**20))
     for bad in (lambda: InterceptResend(resend_mu=math.nan),
                 lambda: InterceptResend(resend_mu=math.inf),
                 lambda: ModeDiscrimination(resend_mu=-1.0),
                 lambda: ModeDiscrimination(eve_det=0.5),
                 lambda: TrojanHorse(probe=0.5),
                 lambda: TrojanHorse(probe=Coherent(math.sqrt(1e19))),
-                lambda: TrojanHorse(probe=FockN(10**20)),
                 lambda: dataclasses.replace(BeamSplit(), tap_fraction=1.5),
                 lambda: dataclasses.replace(InterceptResend(), resend_mu=-1.0)):
         with pytest.raises(ConfigError):

@@ -1,0 +1,128 @@
+"""The block-wise stages draw, compare and count BLOCK pulses at a time.
+Each must equal its whole-array form bit for bit, and leave the generator in
+the state the whole-array draw leaves it in, at every block boundary."""
+
+import numpy as np
+import pytest
+
+from ctqkd import protocol
+from ctqkd.detector import click_prob
+from ctqkd.light import KIND_BLINDING, KIND_COHERENT, KIND_FOCK, KIND_VACUUM, Coherent, FieldArray
+from ctqkd.protocol import (
+    BLOCK,
+    PulseBatch,
+    SessionConfig,
+    alice_prepare,
+    alice_thermal_monitor,
+    bob_monitor_tap,
+    bob_quarters,
+    measure_interference,
+    modulate_batch,
+    pair_click_probs,
+    sample_blocked,
+    separate_modes,
+)
+
+SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+def _mixed_train(n, rng):
+    """All five kinds at random, with valid columns for each."""
+    kind = rng.integers(0, 5, n).astype(np.uint8)
+    quarter = np.where(kind == KIND_COHERENT, rng.integers(0, 4, n), 0)
+    param = rng.exponential(0.6, n)
+    param[kind == KIND_FOCK] = rng.integers(0, 6, n)[kind == KIND_FOCK]
+    param[kind == KIND_BLINDING] = rng.uniform(0.0, 1.0, n)[kind == KIND_BLINDING]
+    param[kind == KIND_VACUUM] = 0.0
+    return FieldArray(kind, quarter, param)
+
+
+def _batch(train, n):
+    """A session config and the pulse train Bob's tap sees: an honest one
+    from the pipeline, a resend train of one magnitude in both modes, or
+    every kind mixed in both modes."""
+    cfg = SessionConfig(n_pulses=n, seed=n)
+    rng = np.random.default_rng(n)
+    if train == "honest":
+        batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway)
+        return cfg, modulate_batch(batch, bob_quarters(n, rng))
+    assign, rot = rng.integers(0, 2, (2, n))
+    if train == "resend":
+        resend = FieldArray.uniform(Coherent(0.8), n).phase_shifted(rng.integers(0, 4, n))
+        return cfg, PulseBatch(assign, rot, resend, resend)
+    return cfg, PulseBatch(assign, rot, _mixed_train(n, rng), _mixed_train(n, rng))
+
+
+def _record(monkeypatch, name):
+    """The positional arguments of every call to protocol.<name>."""
+    calls, real = [], getattr(protocol, name)
+    monkeypatch.setattr(protocol, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _assert_same_draws(got, want, rng, ref):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _assert_same_fields(got, want):
+    for col in FieldArray.__slots__:
+        assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("train", ["honest", "resend", "mixed"])
+def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
+    cfg, batch = _batch(train, n)
+    streams = _record(monkeypatch, "power_test")
+    rows = _record(monkeypatch, "click_events")
+    rng, ref = np.random.default_rng(99), np.random.default_rng(99)
+
+    bob_monitor_tap(batch, cfg, rng)
+    det = cfg.detector_bob
+    eta = det.eta * cfg.tap_reflectance
+    p = click_prob(det.dark_prob, batch.field_h.noclick_factors(eta)
+                   * batch.field_v.noclick_factors(eta))
+    _assert_same_draws(streams.pop()[0].clicks, ref.random(n) < p, rng, ref)
+
+    out1, out2 = separate_modes(batch)
+    straight = batch.rotation_quarter == batch.mode_assignment
+    _assert_same_fields(out1, FieldArray.where(straight, batch.field_h, batch.field_v))
+    _assert_same_fields(out2, FieldArray.where(straight, batch.field_v, batch.field_h))
+
+    alice_thermal_monitor(out2, cfg, rng)
+    det = cfg.detector_alice
+    p = click_prob(det.dark_prob, out2.noclick_factors(det.eta))
+    _assert_same_draws(streams.pop()[0].clicks, ref.random(n) < p, rng, ref)
+
+    measure_interference(out1, np.zeros(n - 1, dtype=np.uint8), det, rng)
+    p, index = pair_click_probs(out1, det)
+    assert (index is None) == (train == "mixed")  # honest and resend trains take the table
+    whole = p if index is None else p[:, index]
+    want = np.array([ref.random(n - 1) < row for row in whole])  # in the order of a (4, m) draw
+    _assert_same_draws(np.array(rows.pop()), want.view(np.uint8), rng, ref)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_prepare_and_bob_quarters_equal_whole_array_draws(n):
+    cfg = SessionConfig(n_pulses=n, mu_coherent=0.3, mu_thermal=0.7, seed=3)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    batch = alice_prepare(cfg, rng)
+    th_in_h = ref.integers(0, 2, n, dtype=np.uint8) ^ ref.integers(0, 2, n, dtype=np.uint8)
+    assert batch.field_h.param.tobytes() == np.take([0.3, 0.7], th_in_h).tobytes()
+    assert batch.field_v.param.tobytes() == np.take([0.7, 0.3], th_in_h).tobytes()
+    _assert_same_draws(bob_quarters(n, rng), ref.integers(0, 4, n).astype(np.uint8), rng, ref)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sample_blocked_asks_for_each_gate_once_in_order(n):
+    asked = []
+
+    def probs(i, j):
+        asked.append((i, j))
+        return np.full(j - i, 0.5)
+
+    clicks = sample_blocked(n, probs, np.random.default_rng(1))
+    assert clicks.shape == (n,) and clicks.dtype == bool
+    assert len(asked) == -(-n // BLOCK)  # one block when n <= BLOCK
+    assert [i for i, _ in asked] == [0] + [j for _, j in asked[:-1]] and asked[-1][1] == n

@@ -267,7 +267,8 @@ def test_session_rejects_bad_config_with_exit_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("probe", ["thermal:nan", "thermal:inf", "coherent:inf", "coherent:1e19",
-                                   "fock:100000000000000000000"])
+                                   "fock:100000000000000000000", "fock:9007199254740993",
+                                   pytest.param("fock:1" + "0" * 400, id="fock:1e400")])
 def test_trojan_rejects_non_finite_or_too_bright_probe_with_exit_2(tmp_path, capsys, probe):
     path = write_config(tmp_path, f"attack.kind = trojan\nattack.probe = {probe}\n")
     for command in ("session", "attack"):

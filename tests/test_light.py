@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ctqkd.detector import DetectorModel, click_prob, click_prob_state
 from ctqkd.fock import attenuate, coherent_state, fock_state, phase_shift, thermal_state, trace_distance
 from ctqkd.light import (
+    FOCK_N_MAX,
     KIND_BLINDING,
     KIND_COHERENT,
     KIND_FOCK,
@@ -65,6 +66,19 @@ def test_coherent_mean_photons_is_finite_up_to_the_largest_float():
 def test_fock_photon_number_must_be_an_integer(n):
     with pytest.raises(ValueError):
         FockN(n)
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 2**64, 10**400], ids=["2**53+1", "2**64", "10**400"])
+def test_fock_photon_number_must_fit_the_float_column_exactly(n):
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        FockN(n)
+
+
+def test_fock_photon_number_up_to_2_to_the_53_round_trips():
+    assert FOCK_N_MAX == 2**53
+    fa = FieldArray.uniform(FockN(FOCK_N_MAX), 2)
+    assert fa.field(0) == FockN(2**53) and fa.param[1] == 2.0**53
+    assert FieldArray.from_fields([FockN(2**53 - 1), FockN(0)]).field(0) == FockN(2**53 - 1)
 
 
 def test_fock_photon_number_accepts_numpy_integers_and_stores_an_int():
