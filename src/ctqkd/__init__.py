@@ -20,6 +20,7 @@ from .fock import (
 )
 from .detector import (
     ClickStream,
+    ConfigError,
     DetectorModel,
     NotDistinguishableError,
     PowerTestOutcome,
@@ -33,7 +34,6 @@ from .detector import (
 )
 from .light import Blinding, Coherent, FockN, LightField, Thermal, Vacuum
 from .protocol import (
-    ConfigError,
     PulseBatch,
     SessionConfig,
     SessionResult,

@@ -15,12 +15,12 @@ import math
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
 from .analysis import SweepSpec, distinguishability_curve, export_csv, run_sweep
 from .attacks import ATTACK_KINDS, eve_information_summary
-from .detector import DetectorModel
 from .fock import (
     TruncationError,
     coherent_state,
@@ -31,8 +31,9 @@ from .fock import (
     trace_distance,
     vacuum_probability,
 )
-from .light import Blinding, Coherent, FockN, Thermal, Vacuum
-from .protocol import ALARM_NONE, ConfigError, SessionConfig, run_session
+from .detector import ConfigError, DetectorModel
+from .light import Blinding, Coherent, FockN, LightField, Thermal, Vacuum
+from .protocol import ALARM_NONE, SessionConfig, run_session
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,28 +69,29 @@ def _parse_probe(text: str):
     raise ConfigError(f"unknown probe kind {text!r}")
 
 
-# key -> coercion from string.  session.* keys name SessionConfig fields,
-# alice.* / bob.* keys DetectorModel fields, and attack.* keys (but kind)
-# parameters of the attack strategies.
+# Field annotation -> coercion from string.  Every int, float and LightField
+# field of the parameter dataclasses gets a config key; other fields (the
+# detector models inside SessionConfig and ModeDiscrimination) get none.
+_FIELD_PARSERS = {int: int, float: float, LightField: _parse_probe}
+
+
+def _field_keys(section: str, *classes) -> dict:
+    """section.<field> -> parser, for each field of classes whose annotation has one."""
+    keys = {}
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        keys.update({f"{section}.{f.name}": _FIELD_PARSERS[hints[f.name]]
+                     for f in dataclasses.fields(cls) if hints[f.name] in _FIELD_PARSERS})
+    return keys
+
+
+# key -> coercion from string: the parameter fields, then the command options.
 CONFIG_SCHEMA = {
-    "session.n_pulses": int,
-    "session.mu_coherent": float,
-    "session.mu_thermal": float,
-    "session.transmittance_oneway": float,
-    "session.tap_reflectance": float,
-    "session.z_threshold": float,
-    "session.qber_threshold": float,
-    "session.qber_sample_fraction": float,
-    "session.seed": int,
-    "alice.eta": float,
-    "alice.dark_prob": float,
-    "bob.eta": float,
-    "bob.dark_prob": float,
+    **_field_keys("session", SessionConfig),
+    **_field_keys("alice", DetectorModel),
+    **_field_keys("bob", DetectorModel),
     "attack.kind": str,
-    "attack.resend_mu": float,
-    "attack.tap_fraction": float,
-    "attack.probe": _parse_probe,
-    "attack.forced_click_prob": float,
+    **_field_keys("attack", *(cls for cls in ATTACK_KINDS.values() if cls)),
     "states.mu_grid": _parse_floats,
     "sweep.parameter": str,
     "sweep.values": _parse_floats,
@@ -106,22 +108,26 @@ CONFIG_SCHEMA = {
 def parse_config_file(path: str) -> dict:
     """Flat "section.key = value" lines; '#' starts a comment; unknown keys
     are a configuration error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in CONFIG_SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            try:
-                values[key] = CONFIG_SCHEMA[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        try:
+            values[key] = CONFIG_SCHEMA[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -132,11 +138,8 @@ def _section(values: dict, prefix: str) -> dict:
 
 def build_session_config(values: dict) -> SessionConfig:
     defaults = SessionConfig()
-    try:
-        alice = dataclasses.replace(defaults.detector_alice, **_section(values, "alice."))
-        bob = dataclasses.replace(defaults.detector_bob, **_section(values, "bob."))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    alice = dataclasses.replace(defaults.detector_alice, **_section(values, "alice."))
+    bob = dataclasses.replace(defaults.detector_bob, **_section(values, "bob."))
     return SessionConfig(detector_alice=alice, detector_bob=bob, **_section(values, "session."))
 
 
@@ -247,14 +250,12 @@ def cmd_sweep(values: dict, out_dir: str, out) -> int:
 
 
 def cmd_distinguish(values: dict, out_dir: str, out) -> int:
-    seed = values.get("session.seed", SessionConfig().seed)
-    try:
-        det = DetectorModel(
-            eta=values.get("distinguish.eta", 0.1),
-            dark_prob=values.get("distinguish.dark_prob", 1e-5),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # The seed obeys the session's rule: an integer >= 0.
+    seed = SessionConfig(seed=values.get("session.seed", SessionConfig.seed)).seed
+    det = DetectorModel(
+        eta=values.get("distinguish.eta", 0.1),
+        dark_prob=values.get("distinguish.dark_prob", 1e-5),
+    )
     mu_t = values.get("distinguish.mu_thermal", 0.2)
     mu_c = values.get("distinguish.mu_coherent", 0.2)
     for key, mu in (("distinguish.mu_thermal", mu_t), ("distinguish.mu_coherent", mu_c)):

@@ -19,6 +19,10 @@ import numpy as np
 from .fock import DensityMatrix
 
 
+class ConfigError(ValueError):
+    """Inconsistent configuration, reported before any simulation."""
+
+
 class NotDistinguishableError(ValueError):
     """Two click probabilities coincide: no finite sample count separates them."""
 
@@ -33,9 +37,9 @@ class DetectorModel:
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+            raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
         if not 0.0 <= self.dark_prob < 1.0:
-            raise ValueError(f"dark_prob must be in [0, 1), got {self.dark_prob}")
+            raise ConfigError(f"dark_prob must be in [0, 1), got {self.dark_prob}")
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ import numpy as np
 
 from .detector import (
     ClickStream,
+    ConfigError,
     DetectorModel,
     PowerTestOutcome,
     click_prob,
@@ -60,10 +61,6 @@ ALARM_MULTIPLE = "multiple"
 # cache; 2**14 and 2**16 measured no faster.  A constant, not a setting:
 # results do not depend on it.
 BLOCK = 1 << 15
-
-
-class ConfigError(ValueError):
-    """Inconsistent session configuration, reported before any simulation."""
 
 
 class PulseBatch:

@@ -102,6 +102,8 @@ def test_readme_example_config_builds_every_attack(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     values = parse_config_file(write_config(tmp_path, example))
+    # Every key is documented, so a field that gains a key must be too.
+    assert set(values) == set(CONFIG_SCHEMA)
     assert build_session_config(values).detector_bob.dark_prob == 1e-5
     for kind, cls in ATTACK_KINDS.items():
         attack = build_attack({**values, "attack.kind": kind})
@@ -293,6 +295,7 @@ def test_distinguish_rejects_bad_detector_with_exit_2(tmp_path, capsys):
     ("distinguish.mu_thermal = nan", "distinguish.mu_thermal"),
     ("distinguish.n_grid = 10,0", "sample counts"),
     ("distinguish.n_grid = ,", "distinguish.n_grid"),
+    ("session.seed = -1", "seed must be >= 0, got -1"),
 ])
 def test_distinguish_rejects_bad_value_with_exit_2(tmp_path, capsys, text, key):
     path = write_config(tmp_path, text)
@@ -316,6 +319,16 @@ def test_removed_distinguish_z_key_is_unknown(tmp_path, capsys):
     path = write_config(tmp_path, "distinguish.z = 3.0")
     assert main(["distinguish", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert "unknown configuration key 'distinguish.z'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["states", "session", "attack", "sweep", "distinguish"])
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"session.seed = 1\n# \xff\n")
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{path}: not UTF-8 text" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_missing_config_file_is_config_error(capsys):

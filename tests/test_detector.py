@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import ctqkd
+from ctqkd import protocol
 from ctqkd.detector import (
     ClickStream,
+    ConfigError,
     DetectorModel,
     NotDistinguishableError,
     band_power_statistic,
@@ -26,10 +29,10 @@ TYPICAL = DetectorModel(eta=0.1, dark_prob=1e-5)
 
 
 def test_detector_validation():
-    with pytest.raises(ValueError):
-        DetectorModel(eta=1.2, dark_prob=0.0)
-    with pytest.raises(ValueError):
-        DetectorModel(eta=0.5, dark_prob=1.0)
+    for eta, dark_prob in ((1.2, 0.0), (2.0, 0.0), (0.5, 1.0)):
+        with pytest.raises(ConfigError):
+            DetectorModel(eta=eta, dark_prob=dark_prob)
+    assert ctqkd.ConfigError is protocol.ConfigError is ConfigError
 
 
 def test_thermal_click_limits():
