@@ -20,8 +20,10 @@ from .protocol import ALARM_NONE, ConfigError, SessionConfig, run_session
 class SweepSpec:
     """One swept parameter over a value grid, several seeds per point.
 
-    parameter names a SessionConfig field other than seed, or
-    "attack.<field>" for a parameter of the attack strategy.
+    parameter names a SessionConfig field other than seed,
+    "alice.<field>" or "bob.<field>" for a parameter of that party's
+    detector (eta or dark_prob), or "attack.<field>" for a parameter of the
+    attack strategy.
     """
 
     parameter: str
@@ -85,8 +87,10 @@ def distinguishability_curve(mu_t: float, mu_c: float, det: DetectorModel,
     probabilities differ; stays at 1/2 when they coincide."""
     p_t = click_prob_thermal(det, mu_t)
     p_c = click_prob_coherent(det, mu_c)
-    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1 for n in n_grid):
-        raise ConfigError(f"sample counts must be integers >= 1, got {tuple(n_grid)}")
+    n_max = np.iinfo(np.int64).max  # the largest count Generator.binomial takes
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= n_max
+           for n in n_grid):
+        raise ConfigError(f"sample counts must be integers in [1, {n_max}], got {tuple(n_grid)}")
     return [{
         "n_samples": int(n),
         "p_thermal": p_t,
@@ -99,16 +103,26 @@ def _field_names(obj) -> set:
     return {f.name for f in dataclasses.fields(obj)}
 
 
+# Sweep-parameter section of each detector model in SessionConfig, as in
+# the config keys alice.eta, bob.dark_prob, ...
+_DETECTOR_FIELDS = {"alice": "detector_alice", "bob": "detector_bob"}
+
+
 def _apply_parameter(cfg: SessionConfig, attack, parameter: str, value):
     """(cfg, attack) with the swept value set; both are rebuilt with
     dataclasses.replace, so the value is validated like a configured one."""
-    if parameter.startswith("attack."):
+    section, dot, name = parameter.partition(".")
+    if dot and section == "attack":
         if attack is None:
             raise ConfigError(f"sweep parameter {parameter!r} needs an attack")
-        name = parameter[len("attack."):]
         if name not in _field_names(attack):
             raise ConfigError(f"{attack.label} has no parameter {name!r}")
         return cfg, replace(attack, **{name: value})
+    if dot and section in _DETECTOR_FIELDS:
+        if name not in _field_names(DetectorModel):
+            raise ConfigError(f"unknown detector parameter {parameter!r}")
+        detector = _DETECTOR_FIELDS[section]
+        return replace(cfg, **{detector: replace(getattr(cfg, detector), **{name: value})}), attack
     if parameter not in _field_names(cfg):
         raise ConfigError(f"unknown session parameter {parameter!r}")
     if parameter == "n_pulses" and float(value).is_integer():

@@ -88,23 +88,30 @@ def _dps_phase_estimates(delta_true: np.ndarray, rng: np.random.Generator,
     mismatched basis sends her click to a uniformly random port, from which
     she infers one of the two phases of her own basis.  Pairs flagged
     non-informative (no stable phase reached her analyzer) behave like
-    mismatches.  Returns (basis, inferred delta, her key-bit guesses).
+    mismatches.  Takes delta_true as uint8 and returns (basis, inferred
+    delta, her key-bit guesses) as uint8.  The bits are drawn as int64, the
+    stream rng.integers(0, 2, m) takes; the arithmetic reduces mod 2 and
+    mod 4 with & on uint8 (wrap-around is a multiple of 4), where % would
+    divide.
     """
     m = delta_true.size
-    basis = rng.integers(0, 2, m, dtype=np.int64)
-    coin = rng.integers(0, 2, m, dtype=np.int64)
-    conclusive = (delta_true % 2) == basis
+    basis = rng.integers(0, 2, m, dtype=np.int64).astype(np.uint8)
+    coin = rng.integers(0, 2, m, dtype=np.int64).astype(np.uint8)
+    conclusive = (delta_true & 1) == basis
     if informative is not None:
         conclusive &= informative
-    delta_hat = np.where(conclusive, delta_true, (basis + 2 * coin) % 4)
-    bits = (((delta_hat - basis) % 4) == 2).astype(np.uint8)
-    return basis, delta_hat, bits
+    delta_hat = np.where(conclusive, delta_true, basis | coin << 1)
+    bits = ((delta_hat - basis) & 3) == 2
+    return basis, delta_hat, bits.view(np.uint8)
 
 
 def _resend_train(delta_hat: np.ndarray, resend_mu: float) -> FieldArray:
     """Fresh coherent pulses whose consecutive phase differences realize
-    Eve's inferred values (cumulative phase, first pulse at reference 0)."""
-    phases = np.concatenate(([0], np.cumsum(delta_hat) % 4))
+    Eve's inferred values (cumulative phase, first pulse at reference 0).
+    The uint8 running sum wraps mod 256, a multiple of 4, and phase_shifted
+    reduces it mod 4."""
+    phases = np.zeros(delta_hat.size + 1, dtype=np.uint8)
+    np.cumsum(delta_hat, dtype=np.uint8, out=phases[1:])
     return FieldArray.uniform(Coherent(math.sqrt(resend_mu)), phases.size).phase_shifted(phases)
 
 
@@ -143,7 +150,7 @@ class InterceptResend(Attack):
         # The phase of whichever mode holds the coherent state.
         delta_true = np.diff(np.where(h.kind == KIND_COHERENT, h.quarter, v.quarter)) & 3
         basis, delta_hat, bits = _dps_phase_estimates(delta_true, rng)
-        basis_matches = int(((delta_true % 2) == basis).sum())
+        basis_matches = int(((delta_true & 1) == basis).sum())
         resend = _resend_train(delta_hat, self.resend_mu)
         return batch.with_fields(resend, resend), (bits, basis_matches)
 

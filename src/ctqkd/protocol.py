@@ -27,6 +27,12 @@ the blocks consume the stream exactly as one whole-array draw would.
 Every phase is a whole quarter turn (phi = q * pi/2), carried as the
 FieldArray quarter column next to the mean photon number, so phase
 bookkeeping is integer arithmetic and no pulse amplitude is complex.
+A pulse train of at most LEVELS_MAX distinct (kind, param) levels, which
+covers the honest run and every attack, therefore holds at most 16 pulse
+states (level, quarter): the interferometers compute the click
+probabilities of each pair of states once, in a small table, and gather
+them per pulse pair by a uint8 index.  Only a train of more levels has them
+computed pair by pair.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ ALARM_MULTIPLE = "multiple"
 # cache; 2**14 and 2**16 measured no faster.  A constant, not a setting:
 # results do not depend on it.
 BLOCK = 1 << 15
+
+# The most distinct (kind, param) levels a pulse train may hold for the
+# interferometers to tabulate its pair click probabilities: 4 levels make
+# 16 pulse states and 256 pair indices, the most a uint8 index holds.
+LEVELS_MAX = 4
 
 
 class PulseBatch:
@@ -422,6 +433,29 @@ def port_means(r_prev: np.ndarray, q_prev: np.ndarray, r_curr: np.ndarray,
     return means
 
 
+def _train_levels(kind: np.ndarray, param: np.ndarray):
+    """The distinct (kind, param) levels of a pulse train, in order of first
+    appearance, as (first pulse of each level, level of each pulse as uint8),
+    or None for more than LEVELS_MAX levels.  Params compare by bit pattern.
+    One pass per level, no sort; a one-level train returns level None."""
+    bits = param.view(np.uint64)
+    firsts, level, rest, i = [], None, None, 0
+    for lev in range(LEVELS_MAX):
+        same = (kind == kind[i]) & (bits == bits[i])
+        firsts.append(i)
+        if rest is None:
+            rest = ~same
+        else:
+            if level is None:
+                level = np.zeros(kind.size, dtype=np.uint8)
+            np.putmask(level, same, lev)
+            rest &= ~same
+        i = int(rest.argmax())  # the first pulse of no level yet
+        if not rest[i]:
+            return firsts, level
+    return None
+
+
 def pair_click_probs(out1: FieldArray, det: DetectorModel):
     """Click probabilities of the four detectors over the consecutive pulse
     pairs of Alice's coherent output, as (p, index).
@@ -429,30 +463,46 @@ def pair_click_probs(out1: FieldArray, det: DetectorModel):
     Coherent (or vacuum) pairs interfere with the port means; any other
     field combination carries no stable phase and is treated as an
     incoherent 1/8 split with identical statistics at all four detectors.
-    Coherent pulses of one magnitude (the honest run, every resend train)
-    form only 16 distinct pairs: then p is a (4, 16) table over
-    (q_prev << 2) | q_curr and index that pair index of each pair (uint8),
-    so detector k's probabilities are p[k][index].  Otherwise p is (4, m),
-    one column per pair, and index is None.
+    A train of at most LEVELS_MAX distinct (kind, param) levels (the honest
+    run and every attack train) has only S = 4 L pulse states
+    s = level << 2 | quarter: then p is a (4, S * S) table over the pair
+    index s_prev * S + s_curr and index that pair index of each pair
+    (uint8), so detector k's probabilities are p[k][index].  A one-level
+    train's index is (q_prev << 2) | q_curr.  Otherwise p is (4, m), one
+    column per pair, and index is None.  Both are built with the same
+    elementwise formulas, so the table gathers to the per-pair values bit
+    for bit.
     """
-    kind, q, mu = out1.kind, out1.quarter, out1.param
-    uniform = len(out1) > 1 and kind.min() == kind.max() == KIND_COHERENT and mu.min() == mu.max()
-    if uniform:  # (q_prev, q_curr) = (pair >> 2, pair & 3)
-        pair, same = np.arange(16, dtype=np.uint8), np.full(16, math.sqrt(mu[0]))
-        means = port_means(same, pair >> 2, same, pair & 3)
-    else:  # r = 0 on vacuum; pairs holding any other kind are replaced below
-        r = np.sqrt(mu)
-        means = port_means(r[:-1], q[:-1], r[1:], q[1:])
+    levels = _train_levels(out1.kind, out1.param) if len(out1) else None
+    if levels is None:  # one column per pair
+        train, prev, curr = out1, slice(None, -1), slice(1, None)
+        q_prev, q_curr = out1.quarter[:-1], out1.quarter[1:]
+    else:  # one column per pair index: (s_prev, s_curr) = divmod(pair, S)
+        firsts, level = levels
+        n_states = 4 * len(firsts)
+        s_prev, s_curr = np.divmod(np.arange(n_states * n_states), n_states)
+        train = FieldArray(out1.kind[firsts], out1.quarter[firsts], out1.param[firsts])
+        prev, curr, q_prev, q_curr = s_prev >> 2, s_curr >> 2, s_prev & 3, s_curr & 3
+    # r = 0 on vacuum; pairs holding any other kind are replaced below
+    r = np.sqrt(train.param)
+    means = port_means(r[prev], q_prev, r[curr], q_curr)
     np.exp(np.multiply(-det.eta, means, out=means), out=means)
     p = click_prob(det.dark_prob, means)
-    if uniform:
+    if train.max_kind() > KIND_COHERENT:
+        coherent = train.kind <= KIND_COHERENT  # vacuum or coherent
+        f = train.noclick_factors(det.eta / 8.0)
+        p_inc = click_prob(det.dark_prob, f[prev], f[curr])
+        p = np.where(coherent[prev] & coherent[curr], p, p_inc)
+    if levels is None:
+        return p, None
+    q = out1.quarter
+    if level is None:  # one level: s = q
         return p, (q[:-1] << 2) | q[1:]
-    if out1.max_kind() > KIND_COHERENT:
-        coherent = kind <= KIND_COHERENT  # vacuum or coherent
-        f_pair = out1.noclick_factors(det.eta / 8.0)
-        p_inc = click_prob(det.dark_prob, f_pair[:-1], f_pair[1:])
-        p = np.where(coherent[:-1] & coherent[1:], p, p_inc)
-    return p, None
+    state = np.left_shift(level, 2, out=level)  # level << 2 | quarter
+    state |= q
+    index = state[:-1] * np.uint8(n_states)
+    index += state[1:]
+    return p, index
 
 
 def click_events(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> dict:
@@ -477,7 +527,7 @@ def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorMod
     p, index = pair_click_probs(out1, det)
     if index is None:
         rows = [lambda i, j, row=row: row[i:j] for row in p]
-    else:  # mode "clip" (index is always 0..15): "raise" would buffer the output
+    else:  # mode "clip" (index is always in range): "raise" would buffer the output
         gathered = np.empty(min(m, BLOCK))
         rows = [lambda i, j, row=row: np.take(row, index[i:j], out=gathered[:j - i], mode="clip")
                 for row in p]

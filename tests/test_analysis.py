@@ -1,5 +1,6 @@
 """Distinguishability curves, parameter sweeps and report writers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,18 @@ def test_curve_rejects_non_integer_sample_counts(grid):
         distinguishability_curve(0.2, 0.2, IDEAL, grid, np.random.default_rng(1), trials=10)
 
 
+def test_curve_rejects_sample_counts_beyond_int64():
+    # Generator.binomial takes an int64 count; a larger one is a
+    # configuration error, not numpy's OverflowError.
+    n_max = np.iinfo(np.int64).max
+    with pytest.raises(ConfigError, match="sample counts"):
+        distinguishability_curve(0.2, 0.3, IDEAL, [10, 10**20], np.random.default_rng(1), trials=10)
+    with pytest.raises(ConfigError, match="sample counts"):
+        distinguishability_curve(0.2, 0.3, IDEAL, [n_max + 1], np.random.default_rng(1), trials=10)
+    (row,) = distinguishability_curve(0.2, 0.3, IDEAL, [n_max], np.random.default_rng(1), trials=10)
+    assert row["n_samples"] == n_max
+
+
 def test_curve_accepts_numpy_integer_sample_counts():
     rows = distinguishability_curve(0.2, 0.2, IDEAL, np.array([1, 7]), np.random.default_rng(1),
                                     trials=10)
@@ -118,6 +131,33 @@ def test_sweep_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("parameter,detector,field", [
+    ("alice.eta", "detector_alice", "eta"),
+    ("alice.dark_prob", "detector_alice", "dark_prob"),
+    ("bob.eta", "detector_bob", "eta"),
+    ("bob.dark_prob", "detector_bob", "dark_prob"),
+])
+def test_sweep_detector_parameter_replaces_that_detector(parameter, detector, field):
+    base = SessionConfig(n_pulses=3000, seed=21)
+    value = 0.25 if field == "eta" else 0.002
+    cfg, attack = analysis._apply_parameter(base, None, parameter, value)
+    other = "detector_bob" if detector == "detector_alice" else "detector_alice"
+    assert getattr(cfg, detector) == dataclasses.replace(getattr(base, detector), **{field: value})
+    assert getattr(cfg, other) == getattr(base, other) and attack is None
+    assert dataclasses.replace(cfg, **{detector: getattr(base, detector)}) == base
+
+
+def test_sweep_over_a_detector_parameter_matches_sessions():
+    base = SessionConfig(n_pulses=5000, seed=13)
+    points = run_sweep(SweepSpec(parameter="alice.eta", values=(0.1, 0.6), base=base))
+    for point, eta in zip(points, (0.1, 0.6)):
+        res = run_session(dataclasses.replace(base, detector_alice=DetectorModel(eta, 1e-5)))
+        assert point.x == eta
+        assert point.mean_z_alice == pytest.approx(abs(res.alice_monitor.z_score))
+        assert point.key_rate == pytest.approx(len(res.sifted_key_alice) / base.n_pulses)
+    assert points[1].key_rate > points[0].key_rate  # a better detector sifts more
+
+
 def test_sweep_rejects_unknown_parameter():
     spec = SweepSpec(parameter="nonexistent", values=(1,), base=SessionConfig(n_pulses=100, seed=0))
     with pytest.raises(ValueError):
@@ -140,6 +180,12 @@ def test_sweep_rejects_seed_parameter():
     ("n_pulses", math.nan, None),
     ("detector_alice", 0.5, None),
     ("mu_coherent_at_bob", 0.5, None),
+    ("alice.eta", 1.5, None),
+    ("alice.eta", math.nan, None),
+    ("bob.dark_prob", -0.1, None),
+    ("bob.dark_prob", 1.0, None),
+    ("alice.gain", 0.5, None),
+    ("bob.", 0.5, None),
 ])
 def test_sweep_rejects_bad_attack_value_before_running(monkeypatch, parameter, value, kind):
     # A bad swept value is a configuration error, never an alarm, and it is

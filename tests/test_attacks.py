@@ -15,6 +15,8 @@ from ctqkd.attacks import (
     InterceptResend,
     ModeDiscrimination,
     TrojanHorse,
+    _dps_phase_estimates,
+    _resend_train,
     eve_information_summary,
     mode_discrimination_batch,
 )
@@ -97,6 +99,43 @@ def test_intercept_resend_qber_matches_enumeration():
 def test_intercept_resend_eve_is_never_sure():
     res = run_session(SessionConfig(n_pulses=3 * 10**4, seed=7), InterceptResend())
     assert abs(res.eve.guessed_bits_correct_fraction - 0.75) <= 0.02
+
+
+@pytest.mark.parametrize("with_informative", [False, True])
+def test_dps_phase_estimates_equal_the_int64_modulo_formula(with_informative):
+    # The uint8 & arithmetic against the int64 % formula it replaced, on
+    # every (delta, basis, coin, informative) combination, drawing the same
+    # stream.
+    m = 4000
+    gen = np.random.default_rng(31)
+    delta = gen.integers(0, 4, m).astype(np.uint8)
+    informative = gen.integers(0, 2, m).astype(bool) if with_informative else None
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    basis, delta_hat, bits = _dps_phase_estimates(delta, rng, informative)
+
+    basis_ref = ref.integers(0, 2, m, dtype=np.int64)
+    coin = ref.integers(0, 2, m, dtype=np.int64)
+    conclusive = (delta.astype(np.int64) % 2) == basis_ref
+    if informative is not None:
+        conclusive &= informative
+    delta_ref = np.where(conclusive, delta, (basis_ref + 2 * coin) % 4)
+    bits_ref = (((delta_ref - basis_ref) % 4) == 2).astype(np.uint8)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert basis.dtype == delta_hat.dtype == bits.dtype == np.uint8
+    assert np.array_equal(basis, basis_ref) and np.array_equal(delta_hat, delta_ref)
+    assert np.array_equal(bits, bits_ref)
+    flags = np.ones(m, dtype=bool) if informative is None else informative
+    seen = set(zip(delta.tolist(), basis_ref.tolist(), coin.tolist(), flags.tolist()))
+    assert len(seen) == 4 * 2 * 2 * (2 if with_informative else 1)
+
+
+def test_resend_train_phases_are_the_cumulative_sum_mod_4():
+    # Long enough for the uint8 running sum to wrap many times.
+    delta_hat = np.random.default_rng(2).integers(0, 4, 5000).astype(np.uint8)
+    train = _resend_train(delta_hat, 2.0)
+    want = np.concatenate(([0], np.cumsum(delta_hat.astype(np.int64)) % 4))
+    assert train.quarter.dtype == np.uint8 and np.array_equal(train.quarter, want)
+    assert np.all(train.param == Coherent(math.sqrt(2.0)).mean_photons)
 
 
 def test_intercept_resend_trips_thermal_monitor():

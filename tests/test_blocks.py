@@ -10,6 +10,7 @@ from ctqkd.detector import click_prob
 from ctqkd.light import KIND_BLINDING, KIND_COHERENT, KIND_FOCK, KIND_VACUUM, Coherent, FieldArray
 from ctqkd.protocol import (
     BLOCK,
+    LEVELS_MAX,
     PulseBatch,
     SessionConfig,
     alice_prepare,
@@ -39,8 +40,9 @@ def _mixed_train(n, rng):
 
 def _batch(train, n):
     """A session config and the pulse train Bob's tap sees: an honest one
-    from the pipeline, a resend train of one magnitude in both modes, or
-    every kind mixed in both modes."""
+    from the pipeline, a resend train of one magnitude in both modes, coherent
+    pulses of two magnitudes in both modes (as mode discrimination leaves
+    them), or every kind mixed in both modes."""
     cfg = SessionConfig(n_pulses=n, seed=n)
     rng = np.random.default_rng(n)
     if train == "honest":
@@ -50,7 +52,17 @@ def _batch(train, n):
     if train == "resend":
         resend = FieldArray.uniform(Coherent(0.8), n).phase_shifted(rng.integers(0, 4, n))
         return cfg, PulseBatch(assign, rot, resend, resend)
+    if train == "two-level":
+        level = rng.integers(0, 2, n)
+        level[:2] = 0, 1
+        two = FieldArray(np.full(n, KIND_COHERENT), rng.integers(0, 4, n), np.take([0.64, 0.2], level))
+        return cfg, PulseBatch(assign, rot, two, two)
     return cfg, PulseBatch(assign, rot, _mixed_train(n, rng), _mixed_train(n, rng))
+
+
+def _n_levels(train):
+    """Distinct (kind, param bit pattern) levels of a train."""
+    return len(set(zip(train.kind.tolist(), train.param.view(np.uint64).tolist())))
 
 
 def _record(monkeypatch, name):
@@ -71,7 +83,7 @@ def _assert_same_fields(got, want):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("train", ["honest", "resend", "mixed"])
+@pytest.mark.parametrize("train", ["honest", "resend", "two-level", "mixed"])
 def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     cfg, batch = _batch(train, n)
     streams = _record(monkeypatch, "power_test")
@@ -97,7 +109,13 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
 
     measure_interference(out1, np.zeros(n - 1, dtype=np.uint8), det, rng)
     p, index = pair_click_probs(out1, det)
-    assert (index is None) == (train == "mixed")  # honest and resend trains take the table
+    # Trains of at most LEVELS_MAX (kind, param) levels take the table, the
+    # others the per-pair path: a mixed train longer than two pulses.
+    levels = _n_levels(out1)
+    assert levels == {"honest": 1, "resend": 1, "two-level": 2}.get(train, levels)
+    if train == "mixed" and n > 2:
+        assert levels > LEVELS_MAX
+    assert (index is None) == (levels > LEVELS_MAX)
     whole = p if index is None else p[:, index]
     want = np.array([ref.random(n - 1) < row for row in whole])  # in the order of a (4, m) draw
     _assert_same_draws(np.array(rows.pop()), want.view(np.uint8), rng, ref)

@@ -295,6 +295,8 @@ def test_distinguish_rejects_bad_detector_with_exit_2(tmp_path, capsys):
     ("distinguish.mu_thermal = nan", "distinguish.mu_thermal"),
     ("distinguish.n_grid = 10,0", "sample counts"),
     ("distinguish.n_grid = ,", "distinguish.n_grid"),
+    ("distinguish.n_grid = 100000000000000000000", "sample counts"),
+    ("distinguish.n_grid = 10,9223372036854775808", "sample counts"),
     ("session.seed = -1", "seed must be >= 0, got -1"),
 ])
 def test_distinguish_rejects_bad_value_with_exit_2(tmp_path, capsys, text, key):

@@ -20,6 +20,7 @@ from ctqkd.light import (
     Vacuum,
 )
 from ctqkd.protocol import (
+    LEVELS_MAX,
     ConfigError,
     PulseBatch,
     SessionConfig,
@@ -317,24 +318,90 @@ def test_uniform_train_table_equals_general_path_bitwise(magnitude, det):
     general = click_prob(det.dark_prob, np.exp(-det.eta * means))
     assert fast.shape == (4, 5000)
     assert fast.tobytes() == general.tobytes()
-    # one mean off by one ulp takes the general path, with the same values elsewhere
+    # one mean off by one ulp makes a second level: the two-level table,
+    # gathered, equals the per-pair values, which are the uniform train's on
+    # every other pair
     bumped = FieldArray(train.kind, q, np.where(np.arange(5001) == 0, np.nextafter(mu[0], 1), mu))
-    slow, index = pair_click_probs(bumped, det)
-    assert index is None
-    assert slow[:, 1:].tobytes() == general[:, 1:].tobytes()
+    table, index = pair_click_probs(bumped, det)
+    assert table.shape == (4, 64) and index.dtype == np.uint8
+    r = np.sqrt(bumped.param)
+    means = port_means(r[:-1], q[:-1], r[1:], q[1:])
+    assert table[:, index].tobytes() == click_prob(det.dark_prob, np.exp(-det.eta * means)).tobytes()
+    assert table[:, index[1:]].tobytes() == general[:, 1:].tobytes()
 
 
-def test_pair_click_probs_mixed_kinds_use_the_incoherent_split():
-    det = DetectorModel(0.3, 0.01)
-    out1 = FieldArray.from_fields([Coherent(1.0), Coherent(-1.0), Vacuum(), Thermal(0.4),
-                                   FockN(2), Coherent(1j)])
-    p, index = pair_click_probs(out1, det)
-    assert index is None and p.shape == (4, 5)
+def _assert_mixed_kind_pair_values(out1, p, det):
+    """Coherent pairs 0 and 1 interfere; every later pair holds a thermal,
+    Fock or blinding field and takes the incoherent split."""
     f = out1.noclick_factors(det.eta / 8.0)
     means = _complex_port_means(np.array([1.0, -1.0 + 0j]), np.array([-1.0 + 0j, 0j]))
     assert p[:, :2].tobytes() == click_prob(det.dark_prob, np.exp(-det.eta * means)).tobytes()
-    for i in (2, 3, 4):  # every pair holding a thermal or Fock field
+    for i in range(2, len(out1) - 1):
         assert np.all(p[:, i] == click_prob(det.dark_prob, f[i], f[i + 1]))
+
+
+MIXED_KINDS = [Coherent(1.0), Coherent(-1.0), Vacuum(), Thermal(0.4), FockN(2), Coherent(1j)]
+
+
+def test_pair_click_probs_mixed_kinds_use_the_incoherent_split():
+    # Five (kind, param) levels: more than the table takes.
+    det = DetectorModel(0.3, 0.01)
+    out1 = FieldArray.from_fields(MIXED_KINDS + [Blinding(0.3)])
+    p, index = pair_click_probs(out1, det)
+    assert index is None and p.shape == (4, 6)
+    _assert_mixed_kind_pair_values(out1, p, det)
+
+
+def test_pair_click_probs_four_mixed_kind_levels_take_the_table():
+    det = DetectorModel(0.3, 0.01)
+    out1 = FieldArray.from_fields(MIXED_KINDS)  # levels (1, 1.0), (0, 0.0), (2, 0.4), (3, 2.0)
+    table, index = pair_click_probs(out1, det)
+    assert table.shape == (4, 16 * 16) and index.dtype == np.uint8
+    _assert_mixed_kind_pair_values(out1, table[:, index], det)
+
+
+def _per_pair_oracle(train, det):
+    """Pair click probabilities one column per pair: port means on coherent
+    or vacuum pairs, the incoherent 1/8 split on every other pair."""
+    r, q = np.sqrt(train.param), train.quarter
+    coherent = click_prob(det.dark_prob, np.exp(-det.eta * port_means(r[:-1], q[:-1], r[1:], q[1:])))
+    f = train.noclick_factors(det.eta / 8.0)
+    incoherent = click_prob(det.dark_prob, f[:-1], f[1:])
+    both = train.kind <= KIND_COHERENT
+    return np.where(both[:-1] & both[1:], coherent, incoherent)
+
+
+def _random_levels(rng, n_levels):
+    """n_levels distinct (kind, param) levels, any of the five kinds."""
+    levels = set()
+    while len(levels) < n_levels:
+        kind = int(rng.integers(0, 5))
+        param = [0.0, rng.exponential(1.0), rng.exponential(1.0), float(rng.integers(0, 6)),
+                 rng.uniform(0.0, 1.0)][kind]
+        levels.add((kind, param))
+    return sorted(levels)
+
+
+@pytest.mark.parametrize("det", [DetectorModel(0.1, 1e-5), DetectorModel(1.0, 0.0),
+                                 DetectorModel(0.37, 0.02)])
+def test_level_table_equals_per_pair_oracle_bitwise(det):
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        levels = _random_levels(rng, int(rng.integers(1, LEVELS_MAX + 2)))
+        n = int(rng.integers(2, 3000))
+        which = rng.integers(0, len(levels), n)
+        which[:len(levels)] = np.arange(min(n, len(levels)))  # each level, if n allows
+        kind = np.array([k for k, _ in levels], dtype=np.uint8)[which]
+        quarter = np.where(kind == KIND_COHERENT, rng.integers(0, 4, n), 0)
+        train = FieldArray(kind, quarter, np.array([mu for _, mu in levels])[which])
+        present = len(set(which.tolist()))
+        p, index = pair_click_probs(train, det)
+        if present > LEVELS_MAX:
+            assert index is None and p.shape == (4, n - 1)
+        else:
+            assert index.dtype == np.uint8 and p.shape == (4, (4 * present) ** 2)
+            p = p[:, index]
+        assert p.tobytes() == _per_pair_oracle(train, det).tobytes(), (levels, n)
 
 
 def test_click_events_match_argmax_on_every_click_pattern():
