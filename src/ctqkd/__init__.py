@@ -24,6 +24,7 @@ from .detector import (
     DetectorModel,
     NotDistinguishableError,
     PowerTestOutcome,
+    band_power,
     band_power_statistic,
     click_prob_coherent,
     click_prob_state,

@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import DetectorModel, click_prob
-from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField
+from .detector import DetectorModel, click_prob, require_real
+from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField, gather, level_pairs
 from .protocol import ConfigError, PulseBatch, SessionConfig, SiftOutcome, modulate_batch
 
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_prob=0.0)
@@ -122,11 +122,6 @@ def _fraction_correct(bits_by_pair: np.ndarray, sift: SiftOutcome) -> float:
     return float(np.mean(bits_by_pair[kept] == sift.key_bob))
 
 
-def _check_resend_mu(resend_mu: float) -> None:
-    if not 0.0 < resend_mu < math.inf:
-        raise ConfigError(f"resend_mu must be positive and finite, got {resend_mu}")
-
-
 @dataclass(frozen=True)
 class InterceptResend(Attack):
     """Type I: measure every pulse pair leaving Bob, resend fresh coherent
@@ -143,12 +138,13 @@ class InterceptResend(Attack):
     resend_mu: float = 2.0
 
     def __post_init__(self):
-        _check_resend_mu(self.resend_mu)
+        require_real("resend_mu", self.resend_mu, 0.0, math.inf)
 
     def apply_return(self, batch, carry, cfg, rng):
         h, v = batch.field_h, batch.field_v
         # The phase of whichever mode holds the coherent state.
-        delta_true = np.diff(np.where(h.kind == KIND_COHERENT, h.quarter, v.quarter)) & 3
+        measured = FieldArray.where(gather(h.kind == KIND_COHERENT, h.level), h, v)
+        delta_true = np.diff(measured.quarter) & 3
         basis, delta_hat, bits = _dps_phase_estimates(delta_true, rng)
         basis_matches = int(((delta_true & 1) == basis).sum())
         resend = _resend_train(delta_hat, self.resend_mu)
@@ -177,11 +173,12 @@ class BeamSplit(Attack):
     tap_fraction: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.tap_fraction < 1.0:
-            raise ConfigError(f"tap_fraction must be in (0, 1), got {self.tap_fraction}")
+        require_real("tap_fraction", self.tap_fraction, 0.0, 1.0)
 
     def apply_return(self, batch, carry, cfg, rng):
-        means = batch.field_h.mean_photons() + batch.field_v.mean_photons()
+        h, v = batch.field_h, batch.field_v
+        level_h, level_v, pair = level_pairs(h, v)
+        means = gather(h.mean_photons()[level_h] + v.mean_photons()[level_v], pair)
         tapped_energy = float(np.sum(means[np.isfinite(means)]) * self.tap_fraction)
         return batch.propagated(1.0 - self.tap_fraction, rng), tapped_energy
 
@@ -203,13 +200,16 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     probabilities; the per-pulse placement stays hidden, which is what caps
     her accuracy.
     """
-    coh_h = batch.field_h.kind == KIND_COHERENT
-    p_h = click_prob(eve_det.dark_prob, batch.field_h.noclick_factors(eve_det.eta))
-    p_v = click_prob(eve_det.dark_prob, batch.field_v.noclick_factors(eve_det.eta))
-    p_c = float(np.mean(np.where(coh_h, p_h, p_v)))
-    p_t = float(np.mean(np.where(coh_h, p_v, p_h)))
+    h, v = batch.field_h, batch.field_v
+    # Per level of each mode, then per pair of levels the pulses hold;
+    # p_c and p_t are means over the pulses, gathered.
+    p_h, p_v = (click_prob(eve_det.dark_prob, f.noclick_factors(eve_det.eta)) for f in (h, v))
+    level_h, level_v, pair = level_pairs(h, v)
+    coh_h, pair_h, pair_v = h.kind[level_h] == KIND_COHERENT, p_h[level_h], p_v[level_v]
+    p_c = float(np.mean(gather(np.where(coh_h, pair_h, pair_v), pair)))
+    p_t = float(np.mean(gather(np.where(coh_h, pair_v, pair_h), pair)))
 
-    clicks = rng.random(len(batch)) < p_h
+    clicks = rng.random(len(batch)) < gather(p_h, h.level)
     guess_coh_in_h = clicks if p_c >= p_t else ~clicks
     bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
     return guess_coh_in_h, bayes_error
@@ -231,7 +231,7 @@ class ModeDiscrimination(Attack):
     eve_det: DetectorModel = IDEAL_DETECTOR
 
     def __post_init__(self):
-        _check_resend_mu(self.resend_mu)
+        require_real("resend_mu", self.resend_mu, 0.0, math.inf)
         if not isinstance(self.eve_det, DetectorModel):
             raise ConfigError(f"eve_det must be a DetectorModel, got {self.eve_det!r}")
 
@@ -243,7 +243,7 @@ class ModeDiscrimination(Attack):
         guess_h, bayes_error = mode_discrimination_batch(batch, self.eve_det, rng)
 
         measured = FieldArray.where(guess_h, batch.field_h, batch.field_v)
-        truly_coherent = measured.kind == KIND_COHERENT
+        truly_coherent = gather(measured.kind == KIND_COHERENT, measured.level)
         delta_true = np.diff(measured.quarter) & 3
         informative = truly_coherent[:-1] & truly_coherent[1:]
         _, delta_hat, bits = _dps_phase_estimates(delta_true, rng, informative)
@@ -331,10 +331,7 @@ class BrightLight(Attack):
     forced_click_prob: float = 0.999
 
     def __post_init__(self):
-        if not 0.0 < self.forced_click_prob <= 1.0:
-            raise ConfigError(
-                f"forced_click_prob must be in (0, 1], got {self.forced_click_prob}"
-            )
+        require_real("forced_click_prob", self.forced_click_prob, 0.0, 1.0, "(]")
 
     def apply_return(self, batch, carry, cfg, rng):
         blinding = FieldArray.uniform(Blinding(self.forced_click_prob), len(batch))

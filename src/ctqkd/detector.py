@@ -12,6 +12,7 @@ frequency z-test in power_test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,6 +28,17 @@ class NotDistinguishableError(ValueError):
     """Two click probabilities coincide: no finite sample count separates them."""
 
 
+def require_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+                 ends: str = "()") -> None:
+    """Raise ConfigError unless value is a finite real number (not a bool)
+    from low to high, each end included where ends reads "[" or "]"."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or not low <= value <= high or (value, ends[0]) == (low, "(")
+            or (value, ends[1]) == (high, ")")):
+        raise ConfigError(f"{name} must be a finite real number in "
+                          f"{ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Threshold detector with quantum efficiency eta and per-gate dark-count
@@ -36,10 +48,8 @@ class DetectorModel:
     dark_prob: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ConfigError(f"dark_prob must be in [0, 1), got {self.dark_prob}")
+        require_real("eta", self.eta, 0.0, 1.0, "[]")
+        require_real("dark_prob", self.dark_prob, 0.0, 1.0, "[)")
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,11 @@ def band_power_statistic(stream: ClickStream) -> float:
     """Empirical P(1-P): the normalized fixed-band electrical power of the
     detector output.  Vanishes both for a dead detector (P=0) and for a
     saturated one (P=1), which is the blinded-detector signature."""
-    p = stream.frequency()
+    return band_power(stream.frequency())
+
+
+def band_power(p):
+    """The band-power statistic P(1-P) of click probability p."""
     return p * (1.0 - p)
 
 
@@ -159,8 +173,8 @@ def power_test(stream: ClickStream, expected_p: float, z_threshold: float) -> Po
     sigma = math.sqrt(expected_p * (1.0 - expected_p) / stream.n_gates)
     z = (p_hat - expected_p) / sigma
     return PowerTestOutcome(
-        observed_stat=p_hat * (1.0 - p_hat),
-        expected_stat=expected_p * (1.0 - expected_p),
+        observed_stat=band_power(p_hat),
+        expected_stat=band_power(expected_p),
         z_score=z,
         passed=abs(z) <= z_threshold,
         n_gates=stream.n_gates,

@@ -1,18 +1,18 @@
 """Semiclassical per-mode pulse content and its vectorized carrier.
 
-FieldArray holds one field per pulse in three write-once columns: kind, a
-quarter-turn phase and one real parameter, the mean photon number (for
-blinding light, the forced-click probability).  Every phase in a session is
-a quarter turn, so no column is complex, and a whole session can be
-propagated, phase-shifted and click-sampled with numpy, each stage sharing
-the columns it leaves unchanged.  Each per-kind law of the light lives
-here: loss, the no-click probability of a threshold detector and photon
+A link puts few distinct fields on a polarization mode: one coherent and
+one thermal mean from Alice's source, and at most a couple more from an
+attacker.  FieldArray therefore keeps a small table of levels, each a kind
+and one real parameter (the mean photon number, or for blinding light the
+forced-click probability), and two write-once columns per pulse: the level
+index and a quarter-turn phase, since every phase in a session is a quarter
+turn.  Each per-kind law of the light lives here: loss and the no-click
+probability of a threshold detector, evaluated once per level, and photon
 counting.  LightField is the spec of a single field (coherent amplitude
 r * i**q, thermal mean, definite photon number, saturating blinding light,
-or vacuum), used for attack probes and tests and converted to and from the
-columns by FieldArray.uniform, from_fields and field.  Blinding light
-saturates a threshold detector, so its click probability ignores
-efficiency and attenuation.
+or vacuum), converted to and from a FieldArray by FieldArray.uniform,
+from_fields and field.  Blinding light saturates a threshold detector, so
+its click probability ignores efficiency and attenuation.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class Thermal:
             raise ValueError(f"mean photon number must be finite, >= 0, got {self.mean_photons}")
 
 
-# The largest photon number the float64 param column holds exactly (every
+# The largest photon number the float64 param table holds exactly (every
 # integer up to 2**53 is a float64; 2**53 + 1 is not).
 FOCK_N_MAX = 2**53
 
@@ -104,136 +104,194 @@ LightField = Union[Vacuum, Coherent, Thermal, FockN, Blinding]
 
 
 def _read_only(values, dtype) -> np.ndarray:
-    """A read-only view of values as dtype; converts only when needed."""
+    """A read-only view of values as dtype; values itself if it is one."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
     view = np.asarray(values, dtype=dtype).view()
     view.flags.writeable = False
     return view
 
 
+def _index_dtype(n_levels: int) -> np.dtype:
+    """The narrowest unsigned integer type that indexes n_levels levels."""
+    return np.min_scalar_type(max(n_levels - 1, 0))
+
+
+def gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """table[index] for an unsigned index.  A table of at most two entries
+    takes a bitwise select of their bit patterns, several times faster than
+    np.take and bit-equal."""
+    if table.size > 2:
+        # index is in range; mode "raise" would buffer the output
+        return np.take(table, index, out=out, mode="clip")
+    bits = table.view(f"u{table.itemsize}")
+    out = np.empty(index.shape, dtype=table.dtype) if out is None else out
+    out_bits = out.view(bits.dtype)
+    np.multiply(index, bits[0] ^ bits[-1], out=out_bits)  # index is 0 or 1
+    np.bitwise_xor(out_bits, bits[0], out=out_bits)
+    return out
+
+
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a where mask (uint8 0 or 1) else b, for integer columns of one dtype."""
+    if a is b:
+        return a
+    out = np.bitwise_xor(a, b)
+    out *= mask
+    out ^= b
+    return out
+
+
+def _distinct(kind: np.ndarray, param: np.ndarray):
+    """(kind, param, index of each given level among them) of the distinct
+    levels given, params compared by bit pattern, in order of appearance."""
+    first = {}
+    index = [first.setdefault(key, len(first))
+             for key in zip(kind.tolist(), param.view(np.uint64).tolist())]
+    return (np.array([k for k, _ in first], dtype=np.uint8),
+            np.array([bits for _, bits in first], dtype=np.uint64).view(np.float64),
+            np.array(index, dtype=_index_dtype(len(first))))
+
+
+def _relevel(level: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """new[level]; level itself when new renumbers nothing."""
+    if level.dtype == new.dtype and np.array_equal(new, np.arange(new.size)):
+        return level
+    return gather(new, level)
+
+
+_KINDS = {Vacuum: KIND_VACUUM, Coherent: KIND_COHERENT, Thermal: KIND_THERMAL, FockN: KIND_FOCK,
+          Blinding: KIND_BLINDING}
+
+
+def _level_of(field: LightField) -> tuple:
+    """(kind, quarter, param) of a single field."""
+    if type(field) not in _KINDS:
+        raise TypeError(f"not a LightField: {field!r}")
+    param = getattr(field, "forced_click_prob", getattr(field, "mean_photons", 0.0))
+    return _KINDS[type(field)], getattr(field, "quarter", 0), param
+
+
 class FieldArray:
-    """One light field per pulse, stored as three write-once columns.
+    """One light field per pulse, as a table of levels and two columns.
 
-    kind (uint8) tags each pulse with a KIND_* constant.  quarter (uint8) is
-    the coherent phase in quarter turns, 0..3.  param (float64) is the mean
-    photon number: the squared modulus of the coherent amplitude
-    sqrt(param) * i**quarter, the thermal mean or the photon number (at
-    most FOCK_N_MAX, so exact in float64).
-    Blinding light is the one exception: its param is the forced-click
-    probability.  quarter is exactly 0 for every kind but coherent, and param
-    is exactly 0 for vacuum.
+    Per level, kind (uint8) is a KIND_* constant and param (float64) the
+    mean photon number: the squared modulus of the coherent amplitude
+    sqrt(param) * i**quarter, the thermal mean or the photon number (at most
+    FOCK_N_MAX, so exact in float64), 0 for vacuum; for blinding light it is
+    the forced-click probability.  Levels need not be distinct or in use.
+    Per pulse, level indexes the table (uint8 up to 256 levels, the
+    narrowest wider unsigned type beyond) and quarter (uint8) is the
+    coherent phase in quarter turns, 0..3, exactly 0 for every other kind.
 
-    The columns are read-only.  Transforms build a new FieldArray and share
-    every column they leave unchanged, so no stage copies a column it does
-    not rewrite.
+    Every array is read-only.  Transforms build a new FieldArray and share
+    every array they leave unchanged.
     """
 
-    __slots__ = ("kind", "quarter", "param")
+    __slots__ = ("level", "quarter", "kind", "param")
 
-    def __init__(self, kind, quarter, param):
+    def __init__(self, level, quarter, kind, param):
         self.kind = _read_only(kind, np.uint8)
-        self.quarter = _read_only(quarter, np.uint8)
         self.param = _read_only(param, np.float64)
+        self.level = _read_only(level, _index_dtype(self.kind.size))
+        self.quarter = _read_only(quarter, np.uint8)
 
     def __len__(self) -> int:
-        return self.kind.size
+        return self.level.size
 
-    def block(self, start: int, stop: int) -> "FieldArray":
-        """Pulses start..stop-1, sharing this array's column memory."""
-        return FieldArray(self.kind[start:stop], self.quarter[start:stop], self.param[start:stop])
-
-    def max_kind(self) -> int:
-        """Highest KIND_* tag present; KIND_VACUUM for an empty array."""
-        return int(self.kind.max()) if self.kind.size else KIND_VACUUM
+    @classmethod
+    def from_columns(cls, kind, quarter, param) -> "FieldArray":
+        """One (kind, quarter, param) per pulse; each distinct (kind, param)
+        becomes a level."""
+        kind, param, level = _distinct(np.asarray(kind, dtype=np.uint8),
+                                       np.asarray(param, dtype=np.float64))
+        return cls(level, quarter, kind, param)
 
     @classmethod
     def vacuum(cls, n: int) -> "FieldArray":
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8), np.zeros(n))
+        return cls.uniform(Vacuum(), n)
 
     @classmethod
     def uniform(cls, field: LightField, n: int) -> "FieldArray":
         """Broadcast a single LightField to n pulses."""
-        kind, quarter, param = KIND_VACUUM, 0, 0.0
-        if isinstance(field, Coherent):
-            kind, quarter, param = KIND_COHERENT, field.quarter, field.mean_photons
-        elif isinstance(field, Thermal):
-            kind, param = KIND_THERMAL, field.mean_photons
-        elif isinstance(field, FockN):
-            kind, param = KIND_FOCK, field.n
-        elif isinstance(field, Blinding):
-            kind, param = KIND_BLINDING, field.forced_click_prob
-        elif not isinstance(field, Vacuum):
-            raise TypeError(f"not a LightField: {field!r}")
-        return cls(np.full(n, kind, dtype=np.uint8), np.full(n, quarter, dtype=np.uint8),
-                   np.full(n, param, dtype=np.float64))
+        kind, quarter, param = _level_of(field)
+        level = np.zeros(n, dtype=np.uint8)
+        return cls(level, level if quarter == 0 else np.full(n, quarter, dtype=np.uint8),
+                   [kind], [param])
 
     @classmethod
     def from_fields(cls, fields) -> "FieldArray":
-        parts = [cls.uniform(f, 1) for f in fields]
-        if not parts:
-            return cls.vacuum(0)
-        return cls(*(np.concatenate([getattr(p, col) for p in parts]) for col in cls.__slots__))
+        levels = [_level_of(f) for f in fields]
+        return cls.from_columns(*(zip(*levels) if levels else ((), (), ())))
 
     def field(self, i: int) -> LightField:
-        k = int(self.kind[i])
+        lv = self.level[i]
+        k, p = int(self.kind[lv]), float(self.param[lv])
         if k == KIND_COHERENT:
-            return Coherent(math.sqrt(self.param[i]) * 1j ** int(self.quarter[i]))
-        if k == KIND_THERMAL:
-            return Thermal(float(self.param[i]))
+            return Coherent(math.sqrt(p) * 1j ** int(self.quarter[i]))
         if k == KIND_FOCK:
-            return FockN(int(self.param[i]))
-        if k == KIND_BLINDING:
-            return Blinding(float(self.param[i]))
-        return Vacuum()
+            return FockN(int(p))
+        return {KIND_THERMAL: Thermal, KIND_BLINDING: Blinding}.get(k, lambda _: Vacuum())(p)
 
     def copy(self) -> "FieldArray":
-        return FieldArray(self.kind.copy(), self.quarter.copy(), self.param.copy())
+        return FieldArray(*(getattr(self, col).copy() for col in self.__slots__))
 
     @classmethod
     def where(cls, mask: np.ndarray, a: "FieldArray", b: "FieldArray") -> "FieldArray":
-        """Elementwise select: a where mask else b."""
-        m = np.negative(np.asarray(mask, dtype=bool).view(np.uint8))  # 0 or 255: a bitwise select
-        return cls(
-            b.kind ^ ((a.kind ^ b.kind) & m),
-            b.quarter ^ ((a.quarter ^ b.quarter) & m),
-            np.where(mask, a.param, b.param),
-        )
+        """Elementwise select, a where mask else b: the level indices select
+        into the union of the two tables, de-duplicated."""
+        kind, param, new = _distinct(np.concatenate([a.kind, b.kind]),
+                                     np.concatenate([a.param, b.param]))
+        m = np.asarray(mask, dtype=bool).view(np.uint8)
+        level = _select(m, _relevel(a.level, new[:a.kind.size]), _relevel(b.level, new[a.kind.size:]))
+        return cls(level, _select(m, a.quarter, b.quarter), kind, param)
 
     def attenuated(self, transmittance: float, rng: np.random.Generator | None = None) -> "FieldArray":
         """Loss channel: every mean photon number scales by T, definite
-        photon numbers undergo binomial thinning (needs rng), blinding light
-        is unaffected.  The result shares the kind and quarter columns."""
+        photon numbers undergo binomial thinning (needs rng; one draw per
+        pulse, in order, and each number drawn becomes a level), blinding
+        light is unaffected.  Without thinning the pulse columns are shared."""
         t = float(transmittance)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"transmittance must be in [0, 1], got {t}")
         if t == 1.0:
             return self
         param = self.param * t
-        if self.max_kind() >= KIND_FOCK:
-            fock = self.kind == KIND_FOCK
-            if fock.any():
-                if rng is None:
-                    raise ValueError("rng required to thin definite photon numbers through loss")
-                param[fock] = rng.binomial(self.param[fock].astype(np.int64), t)
-            np.copyto(param, self.param, where=self.kind == KIND_BLINDING)
-        return FieldArray(self.kind, self.quarter, param)
+        blind, fock = self.kind == KIND_BLINDING, self.kind == KIND_FOCK
+        param[blind] = self.param[blind]
+        pulses = gather(fock, self.level) if fock.any() else None
+        if pulses is None or not pulses.any():
+            return FieldArray(self.level, self.quarter, self.kind, param)
+        if rng is None:
+            raise ValueError("rng required to thin definite photon numbers through loss")
+        drawn = rng.binomial(self.param[self.level[pulses]].astype(np.int64), t)
+        photons, fock_level = np.unique(drawn, return_inverse=True)
+        keep = np.flatnonzero(~fock)
+        level = (np.cumsum(~fock) - 1)[self.level]  # each kept level's new index
+        level[pulses] = keep.size + fock_level.ravel()
+        return FieldArray(level, self.quarter,
+                          np.concatenate([self.kind[keep], np.full(photons.size, KIND_FOCK)]),
+                          np.concatenate([param[keep], photons]))
 
     def phase_shifted(self, quarters) -> "FieldArray":
         """Turn coherent phases by whole quarter turns (an integer or one per
         pulse); phase-invariant fields keep quarter 0.  The result shares the
-        kind and param columns."""
-        turned = self.quarter + np.asarray(quarters, dtype=np.uint8)  # mod 256, then mod 4
-        turned &= (self.kind == KIND_COHERENT) * np.uint8(3)
-        return FieldArray(self.kind, turned, self.param)
+        level, kind and param arrays."""
+        # (quarter + (quarters on coherent pulses, else 0)) & 3 in one new
+        # array, since quarter is 0 off coherent pulses.
+        turned = gather((self.kind == KIND_COHERENT) * np.uint8(3), self.level)
+        turned &= np.asarray(quarters, dtype=np.uint8)
+        turned += self.quarter
+        turned &= 3
+        return FieldArray(self.level, turned, self.kind, self.param)
 
     def mean_photons(self) -> np.ndarray:
-        """Mean photon number per pulse; blinding light reports +inf."""
-        out = self.param.copy()
-        out[self.kind == KIND_BLINDING] = np.inf
-        return out
+        """Mean photon number per level; blinding light reports +inf."""
+        return np.where(self.kind == KIND_BLINDING, np.inf, self.param)
 
     def noclick_factors(self, eta_eff: float) -> np.ndarray:
-        """Per-pulse no-click probability at effective efficiency eta_eff,
-        excluding dark counts.
+        """No-click probability per level at effective efficiency eta_eff,
+        excluding dark counts; gather it by level for the pulses.
 
         Coherent: exp(-eta mu); thermal: 1/(1 + eta mu); photon number n:
         (1 - eta)^n; vacuum: 1.  Blinding light returns 1 - forced_click_prob
@@ -243,35 +301,42 @@ class FieldArray:
         if not 0.0 <= eta_eff <= 1.0:
             raise ValueError(f"effective efficiency must be in [0, 1], got {eta_eff}")
         k, mu = self.kind, self.param
-        # exp(-eta mu_coh) / (1 + eta mu_th), in place; each mean is masked to
-        # exactly 0 off its kind, so each factor is exactly 1 there.  The
-        # masks are cast to float first: the same products as mu * bool mask,
-        # but numpy's float-times-bool loop is about half as fast.
-        out = (k == KIND_COHERENT).astype(np.float64)
-        np.multiply(out, mu, out=out)
-        np.exp(np.multiply(-eta_eff, out, out=out), out=out)
-        mu_th = (k == KIND_THERMAL).astype(np.float64)
-        np.multiply(mu_th, mu, out=mu_th)
-        np.add(1.0, np.multiply(eta_eff, mu_th, out=mu_th), out=mu_th)
-        np.divide(out, mu_th, out=out)
-        if self.max_kind() >= KIND_FOCK:  # the formula above gave them exactly 1
-            fock, blind = k == KIND_FOCK, k == KIND_BLINDING
-            out[fock] = (1.0 - eta_eff) ** mu[fock]
-            out[blind] = 1.0 - mu[blind]
+        # exp(-eta mu_coh) / (1 + eta mu_th): each mean is masked to exactly
+        # 0 off its kind, so each factor is exactly 1 there.
+        out = np.exp(-eta_eff * ((k == KIND_COHERENT).astype(np.float64) * mu))
+        out /= 1.0 + eta_eff * ((k == KIND_THERMAL).astype(np.float64) * mu)
+        fock, blind = k == KIND_FOCK, k == KIND_BLINDING
+        out[fock] = (1.0 - eta_eff) ** mu[fock]
+        out[blind] = 1.0 - mu[blind]
         return out
 
     def photon_counts(self, rng: np.random.Generator) -> np.ndarray:
         """Sample the photon number an ideal counter registers per pulse:
         Poisson on coherent light, Bose-Einstein on thermal light, n on a
         definite photon number; blinding light counts as int64 max // 2."""
-        counts = np.zeros(len(self), dtype=np.int64)
-        k, mu = self.kind, self.param
-        coh = k == KIND_COHERENT
-        counts[coh] = rng.poisson(mu[coh])
-        th = k == KIND_THERMAL
+        k, level = self.kind, self.level
+        fixed = np.where(k == KIND_FOCK, self.param, 0.0).astype(np.int64)
+        fixed[k == KIND_BLINDING] = np.iinfo(np.int64).max // 2
+        counts = gather(fixed, level)
+        coh, th = gather(k == KIND_COHERENT, level), gather(k == KIND_THERMAL, level)
+        counts[coh] = rng.poisson(self.param[level[coh]])
         if th.any():
-            counts[th] = rng.geometric(1.0 / (1.0 + mu[th])) - 1
-        fock = k == KIND_FOCK
-        counts[fock] = mu[fock].astype(np.int64)
-        counts[k == KIND_BLINDING] = np.iinfo(np.int64).max // 2
+            counts[th] = rng.geometric(1.0 / (1.0 + self.param[level[th]])) - 1
         return counts
+
+
+def level_pairs(a: FieldArray, b: FieldArray):
+    """(levels of a, levels of b, each pulse's index among these pairs):
+    the pairs (l, l) and the level column when a and b share it, else all
+    L_a x L_b pairs, row-major, or one pair per pulse if those are more."""
+    if a.level is b.level:
+        pairs = np.arange(min(a.kind.size, b.kind.size))
+        return pairs, pairs, a.level
+    size_b = b.kind.size
+    if a.kind.size * size_b > len(a):
+        return a.level, b.level, np.arange(len(a), dtype=_index_dtype(len(a)))
+    level_a, level_b = np.divmod(np.arange(a.kind.size * size_b), size_b)
+    # min_scalar_type(L_a L_b) holds size_b as well as every index.
+    index = np.multiply(a.level, size_b, dtype=np.min_scalar_type(level_a.size))
+    index += b.level
+    return level_a, level_b, index

@@ -13,26 +13,23 @@ difference Bob applied, and a disclosed random sample of the sifted key
 estimates the error rate.
 
 The engine works on struct-of-array batches: each polarization mode is a
-light.FieldArray of write-once columns, and each stage builds a new
-PulseBatch that shares every array it does not change, so no stage copies
-the pulse train.  All randomness flows through one numpy Generator in a
-fixed order, so a (config, attack, seed) triple reproduces results exactly.
-The click stages (Bob's tap monitor, Alice's thermal monitor and the four
-interferometer detectors), Alice's preparation, Bob's phase draw and the
-mode separation run block-wise over BLOCK pulses at a time, in stream
-order: each block's temporaries stay in cache, and because every uniform
-draw takes one 64-bit output (every quarter one buffered 32-bit output),
-the blocks consume the stream exactly as one whole-array draw would.
+light.FieldArray (a small table of levels, with a level index and a
+quarter-turn phase per pulse), and each stage builds a new PulseBatch that
+shares every array it does not change.  Loss and the detector laws are
+evaluated once per level and gathered per pulse.  All randomness flows
+through one numpy Generator in a fixed order, so a (config, attack, seed)
+triple reproduces results exactly.  The click stages (Bob's tap monitor,
+Alice's thermal monitor and the four interferometer detectors) and Bob's
+phase draw run block-wise over BLOCK pulses at a time, in stream order:
+each block's temporaries stay in cache, and because every uniform draw
+takes one 64-bit output (every quarter one buffered 32-bit output), the
+blocks consume the stream exactly as one whole-array draw would.
 
-Every phase is a whole quarter turn (phi = q * pi/2), carried as the
-FieldArray quarter column next to the mean photon number, so phase
-bookkeeping is integer arithmetic and no pulse amplitude is complex.
-A pulse train of at most LEVELS_MAX distinct (kind, param) levels, which
-covers the honest run and every attack, therefore holds at most 16 pulse
-states (level, quarter): the interferometers compute the click
+Every phase is a whole quarter turn (phi = q * pi/2), so a train of at most
+LEVELS_MAX levels, as the honest run and every attack leave, holds at most
+16 pulse states level << 2 | quarter: the interferometers compute the click
 probabilities of each pair of states once, in a small table, and gather
-them per pulse pair by a uint8 index.  Only a train of more levels has them
-computed pair by pair.
+them per pulse pair by a uint8 index.
 """
 
 from __future__ import annotations
@@ -53,8 +50,9 @@ from .detector import (
     click_prob,
     click_prob_thermal,
     power_test,
+    require_real,
 )
-from .light import KIND_COHERENT, KIND_THERMAL, FieldArray
+from .light import KIND_COHERENT, KIND_THERMAL, FieldArray, gather, level_pairs
 
 ALARM_NONE = "none"
 ALARM_QBER = "qber"
@@ -68,9 +66,9 @@ ALARM_MULTIPLE = "multiple"
 # results do not depend on it.
 BLOCK = 1 << 15
 
-# The most distinct (kind, param) levels a pulse train may hold for the
-# interferometers to tabulate its pair click probabilities: 4 levels make
-# 16 pulse states and 256 pair indices, the most a uint8 index holds.
+# The most levels a pulse train may hold for the interferometers to
+# tabulate its pair click probabilities: 4 levels make 16 pulse states and
+# 256 pair indices, the most a uint8 index holds.
 LEVELS_MAX = 4
 
 
@@ -147,26 +145,18 @@ class SessionConfig:
         for name in ("detector_alice", "detector_bob"):
             if not isinstance(getattr(self, name), DetectorModel):
                 raise ConfigError(f"{name} must be a DetectorModel, got {getattr(self, name)!r}")
-        for name in ("mu_coherent", "mu_thermal", "transmittance_oneway", "tap_reflectance",
-                     "z_threshold", "qber_threshold", "qber_sample_fraction"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name, low, high, ends in (("mu_coherent", 0.0, math.inf, "[)"),
+                                      ("mu_thermal", 0.0, math.inf, "[)"),
+                                      ("transmittance_oneway", 0.0, 1.0, "[]"),
+                                      ("tap_reflectance", 0.0, 1.0, "[)"),
+                                      ("z_threshold", 0.0, math.inf, "()"),
+                                      ("qber_threshold", 0.0, 1.0, "()"),
+                                      ("qber_sample_fraction", 0.0, 1.0, "()")):
+            require_real(name, getattr(self, name), low, high, ends)
         if self.n_pulses < 2:
             raise ConfigError(f"n_pulses must be >= 2, got {self.n_pulses}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mu_coherent < 0 or self.mu_thermal < 0:
-            raise ConfigError("mean photon numbers must be >= 0")
-        if not 0.0 <= self.transmittance_oneway <= 1.0:
-            raise ConfigError(f"transmittance_oneway must be in [0, 1], got {self.transmittance_oneway}")
-        if not 0.0 <= self.tap_reflectance < 1.0:
-            raise ConfigError(f"tap_reflectance must be in [0, 1), got {self.tap_reflectance}")
-        if self.z_threshold <= 0:
-            raise ConfigError("z_threshold must be positive")
-        if not 0.0 < self.qber_threshold < 1.0:
-            raise ConfigError("qber_threshold must be in (0, 1)")
-        if not 0.0 < self.qber_sample_fraction < 1.0:
-            raise ConfigError("qber_sample_fraction must be in (0, 1)")
         # A monitor expecting a click probability of exactly 0 or 1 has no
         # spread to test a click frequency against.
         monitors = [("Alice's thermal", self.expected_alice_thermal_p())]
@@ -279,20 +269,14 @@ def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     n = cfg.n_pulses
     assign = rng.integers(0, 2, n, dtype=np.uint8)
     rot = rng.integers(0, 2, n, dtype=np.uint8)
-    th_in_h = assign ^ rot  # 1 where H carries the thermal state
-    # Each mean is a bitwise select between the two source means:
-    # mu_h = mu_c ^ (th_in_h * (mu_c ^ mu_t)) on their bit patterns, mu_v its swap.
-    coh, th = np.array([cfg.mu_coherent, cfg.mu_thermal]).view(np.uint64)
-    mu_h, mu_v = np.empty(n), np.empty(n)
-    bits_h, bits_v = mu_h.view(np.uint64), mu_v.view(np.uint64)
-    delta = np.empty(min(n, BLOCK), dtype=np.uint64)
-    for i, j in _blocks(n):
-        d = np.multiply(th_in_h[i:j], coh ^ th, out=delta[:j - i])
-        np.bitwise_xor(d, coh, out=bits_h[i:j])
-        np.bitwise_xor(d, th, out=bits_v[i:j])
+    # 1 where H carries the thermal state: the level column of both modes,
+    # over swapped tables.  Read-only, so both share this very array.
+    th_in_h = assign ^ rot
+    th_in_h.flags.writeable = False
     phase = np.zeros(n, dtype=np.uint8)  # both modes start at phase 0
-    field_h = FieldArray(th_in_h + KIND_COHERENT, phase, mu_h)
-    field_v = FieldArray(KIND_THERMAL - th_in_h, phase, mu_v)
+    means = [cfg.mu_coherent, cfg.mu_thermal]
+    field_h = FieldArray(th_in_h, phase, [KIND_COHERENT, KIND_THERMAL], means)
+    field_v = FieldArray(th_in_h, phase, [KIND_THERMAL, KIND_COHERENT], means[::-1])
     return PulseBatch(assign, rot, field_h, field_v)
 
 
@@ -307,24 +291,9 @@ def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
     # Undoing the rotation swaps the modes when rotation is 1; wiring 1 swaps
     # them again.  The two cancel, so output 1 is the channel's H mode
     # exactly when rotation equals wiring.
-    straight = (batch.rotation_quarter == batch.mode_assignment).view(np.uint8)
-    n = len(batch)
-    # The outputs are each other's swap: with d = (h ^ v) * straight on the
-    # bits of each column pair (h, v), output 1 is v ^ d and output 2 h ^ d.
+    straight = batch.rotation_quarter == batch.mode_assignment
     h, v = batch.field_h, batch.field_v
-    pairs = [(h.kind, v.kind), (h.quarter, v.quarter),
-             (h.param.view(np.uint64), v.param.view(np.uint64))]
-    out1 = [np.empty_like(col_h) for col_h, _ in pairs]
-    out2 = [np.empty_like(col_h) for col_h, _ in pairs]
-    deltas = [np.empty(min(n, BLOCK), dtype=col_h.dtype) for col_h, _ in pairs]
-    for i, j in _blocks(n):
-        for (col_h, col_v), o1, o2, delta in zip(pairs, out1, out2, deltas):
-            d = np.bitwise_xor(col_h[i:j], col_v[i:j], out=delta[:j - i])
-            np.multiply(d, straight[i:j], out=d)
-            np.bitwise_xor(col_v[i:j], d, out=o1[i:j])
-            np.bitwise_xor(col_h[i:j], d, out=o2[i:j])
-    return (FieldArray(out1[0], out1[1], out1[2].view(np.float64)),
-            FieldArray(out2[0], out2[1], out2[2].view(np.float64)))
+    return FieldArray.where(straight, h, v), FieldArray.where(straight, v, h)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +335,13 @@ def sample_blocked(n: int, probs, rng: np.random.Generator) -> np.ndarray:
     return clicks
 
 
+def _gathered(table: np.ndarray, index: np.ndarray):
+    """probs(i, j) for sample_blocked: table[index[i:j]], gathered into one
+    reused block buffer."""
+    buf = np.empty(min(index.size, BLOCK), dtype=table.dtype)
+    return lambda i, j: gather(table, index[i:j], out=buf[:j - i])
+
+
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
                     rng: np.random.Generator) -> Optional[PowerTestOutcome]:
     """Bob's state check: tap fraction r of both modes onto one detector and
@@ -377,12 +353,11 @@ def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
     det = cfg.detector_bob
     eta_eff = det.eta * r
 
-    def probs(i, j):
-        factors = batch.field_h.block(i, j).noclick_factors(eta_eff)
-        factors *= batch.field_v.block(i, j).noclick_factors(eta_eff)
-        return click_prob(det.dark_prob, factors)
-
-    stream = ClickStream(sample_blocked(len(batch), probs, rng))
+    h, v = batch.field_h, batch.field_v
+    level_h, level_v, index = level_pairs(h, v)
+    table = click_prob(det.dark_prob, h.noclick_factors(eta_eff)[level_h]
+                       * v.noclick_factors(eta_eff)[level_v])
+    stream = ClickStream(sample_blocked(len(batch), _gathered(table, index), rng))
     return power_test(stream, cfg.expected_bob_monitor_p(), cfg.z_threshold)
 
 
@@ -394,10 +369,8 @@ def alice_thermal_monitor(output2: FieldArray, cfg: SessionConfig,
     against the thermal expectation mu_thermal * T^2 * (1-r)."""
     det = cfg.detector_alice
 
-    def probs(i, j):
-        return click_prob(det.dark_prob, output2.block(i, j).noclick_factors(det.eta))
-
-    stream = ClickStream(sample_blocked(len(output2), probs, rng))
+    table = click_prob(det.dark_prob, output2.noclick_factors(det.eta))
+    stream = ClickStream(sample_blocked(len(output2), _gathered(table, output2.level), rng))
     return power_test(stream, cfg.expected_alice_thermal_p(), cfg.z_threshold)
 
 
@@ -433,29 +406,6 @@ def port_means(r_prev: np.ndarray, q_prev: np.ndarray, r_curr: np.ndarray,
     return means
 
 
-def _train_levels(kind: np.ndarray, param: np.ndarray):
-    """The distinct (kind, param) levels of a pulse train, in order of first
-    appearance, as (first pulse of each level, level of each pulse as uint8),
-    or None for more than LEVELS_MAX levels.  Params compare by bit pattern.
-    One pass per level, no sort; a one-level train returns level None."""
-    bits = param.view(np.uint64)
-    firsts, level, rest, i = [], None, None, 0
-    for lev in range(LEVELS_MAX):
-        same = (kind == kind[i]) & (bits == bits[i])
-        firsts.append(i)
-        if rest is None:
-            rest = ~same
-        else:
-            if level is None:
-                level = np.zeros(kind.size, dtype=np.uint8)
-            np.putmask(level, same, lev)
-            rest &= ~same
-        i = int(rest.argmax())  # the first pulse of no level yet
-        if not rest[i]:
-            return firsts, level
-    return None
-
-
 def pair_click_probs(out1: FieldArray, det: DetectorModel):
     """Click probabilities of the four detectors over the consecutive pulse
     pairs of Alice's coherent output, as (p, index).
@@ -463,45 +413,35 @@ def pair_click_probs(out1: FieldArray, det: DetectorModel):
     Coherent (or vacuum) pairs interfere with the port means; any other
     field combination carries no stable phase and is treated as an
     incoherent 1/8 split with identical statistics at all four detectors.
-    A train of at most LEVELS_MAX distinct (kind, param) levels (the honest
-    run and every attack train) has only S = 4 L pulse states
-    s = level << 2 | quarter: then p is a (4, S * S) table over the pair
-    index s_prev * S + s_curr and index that pair index of each pair
-    (uint8), so detector k's probabilities are p[k][index].  A one-level
-    train's index is (q_prev << 2) | q_curr.  Otherwise p is (4, m), one
-    column per pair, and index is None.  Both are built with the same
-    elementwise formulas, so the table gathers to the per-pair values bit
-    for bit.
+    A train of L <= LEVELS_MAX levels has S = 4 L pulse states s = level << 2
+    | quarter: then p is a (4, S * S) table over the pair index s_prev * S +
+    s_curr, and index (uint8) that of each pair, so detector k's
+    probabilities are p[k][index].  Otherwise p is (4, m), one column per
+    pair, and index is None.  Both take the same elementwise formulas, so
+    the table gathers to the per-pair values bit for bit.
     """
-    levels = _train_levels(out1.kind, out1.param) if len(out1) else None
-    if levels is None:  # one column per pair
-        train, prev, curr = out1, slice(None, -1), slice(1, None)
-        q_prev, q_curr = out1.quarter[:-1], out1.quarter[1:]
+    n_levels = out1.kind.size
+    if n_levels > LEVELS_MAX:  # one column per pair
+        level, q = out1.level, out1.quarter
+        prev, curr, q_prev, q_curr = level[:-1], level[1:], q[:-1], q[1:]
+        index = None
     else:  # one column per pair index: (s_prev, s_curr) = divmod(pair, S)
-        firsts, level = levels
-        n_states = 4 * len(firsts)
+        n_states = 4 * n_levels
         s_prev, s_curr = np.divmod(np.arange(n_states * n_states), n_states)
-        train = FieldArray(out1.kind[firsts], out1.quarter[firsts], out1.param[firsts])
         prev, curr, q_prev, q_curr = s_prev >> 2, s_curr >> 2, s_prev & 3, s_curr & 3
+        state = out1.quarter if n_levels == 1 else (out1.level << 2) | out1.quarter
+        index = state[:-1] * np.uint8(n_states)
+        index += state[1:]
     # r = 0 on vacuum; pairs holding any other kind are replaced below
-    r = np.sqrt(train.param)
+    r = np.sqrt(out1.param)
     means = port_means(r[prev], q_prev, r[curr], q_curr)
     np.exp(np.multiply(-det.eta, means, out=means), out=means)
     p = click_prob(det.dark_prob, means)
-    if train.max_kind() > KIND_COHERENT:
-        coherent = train.kind <= KIND_COHERENT  # vacuum or coherent
-        f = train.noclick_factors(det.eta / 8.0)
+    coherent = out1.kind <= KIND_COHERENT  # vacuum or coherent
+    if not coherent.all():
+        f = out1.noclick_factors(det.eta / 8.0)
         p_inc = click_prob(det.dark_prob, f[prev], f[curr])
         p = np.where(coherent[prev] & coherent[curr], p, p_inc)
-    if levels is None:
-        return p, None
-    q = out1.quarter
-    if level is None:  # one level: s = q
-        return p, (q[:-1] << 2) | q[1:]
-    state = np.left_shift(level, 2, out=level)  # level << 2 | quarter
-    state |= q
-    index = state[:-1] * np.uint8(n_states)
-    index += state[1:]
     return p, index
 
 
@@ -525,12 +465,7 @@ def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorMod
     draw; a tabulated row is gathered block by block as it is consumed."""
     m = len(out1) - 1
     p, index = pair_click_probs(out1, det)
-    if index is None:
-        rows = [lambda i, j, row=row: row[i:j] for row in p]
-    else:  # mode "clip" (index is always in range): "raise" would buffer the output
-        gathered = np.empty(min(m, BLOCK))
-        rows = [lambda i, j, row=row: np.take(row, index[i:j], out=gathered[:j - i], mode="clip")
-                for row in p]
+    rows = [(lambda i, j, row=row: row[i:j]) if index is None else _gathered(row, index) for row in p]
     clicks = [sample_blocked(m, probs, rng).view(np.uint8) for probs in rows]
     return {**click_events(*clicks), "delta_q": delta_q}
 

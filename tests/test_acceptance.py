@@ -178,7 +178,7 @@ def test_criterion_7_mode_discrimination_accuracy():
     cfg = SessionConfig(n_pulses=n, seed=4000)
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     guess_h, bayes = mode_discrimination_batch(batch, IDEAL, np.random.default_rng(4001))
-    accuracy = float(np.mean(guess_h == (batch.field_h.kind == 1)))
+    accuracy = float(np.mean(guess_h == (batch.field_h.kind[batch.field_h.level] == 1)))
     expected = 1.0 - bayes
     sigma = math.sqrt(expected * (1.0 - expected) / n)
     assert abs(accuracy - expected) <= 3 * sigma
@@ -187,7 +187,7 @@ def test_criterion_7_mode_discrimination_accuracy():
     cfg_eq = SessionConfig(n_pulses=n, seed=4002, mu_coherent=math.log(1 + mu_t), mu_thermal=mu_t)
     batch_eq = alice_prepare(cfg_eq, np.random.default_rng(cfg_eq.seed))
     guess_eq, bayes_eq = mode_discrimination_batch(batch_eq, IDEAL, np.random.default_rng(4003))
-    acc_eq = float(np.mean(guess_eq == (batch_eq.field_h.kind == 1)))
+    acc_eq = float(np.mean(guess_eq == (batch_eq.field_h.kind[batch_eq.field_h.level] == 1)))
     assert bayes_eq == pytest.approx(0.5, abs=1e-9)
     assert acc_eq <= 0.51
     _report("criterion 7 (mode discrimination)",

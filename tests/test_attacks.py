@@ -135,7 +135,7 @@ def test_resend_train_phases_are_the_cumulative_sum_mod_4():
     train = _resend_train(delta_hat, 2.0)
     want = np.concatenate(([0], np.cumsum(delta_hat.astype(np.int64)) % 4))
     assert train.quarter.dtype == np.uint8 and np.array_equal(train.quarter, want)
-    assert np.all(train.param == Coherent(math.sqrt(2.0)).mean_photons)
+    assert train.param.tolist() == [Coherent(math.sqrt(2.0)).mean_photons] and not train.level.any()
 
 
 def test_intercept_resend_trips_thermal_monitor():
@@ -198,7 +198,7 @@ def test_mode_discrimination_empirical_accuracy():
     cfg = SessionConfig(n_pulses=n, seed=8)
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     guess_h, bayes = mode_discrimination_batch(batch, IDEAL, np.random.default_rng(9))
-    actual_h = batch.field_h.kind == 1
+    actual_h = batch.field_h.kind[batch.field_h.level] == 1
     accuracy = float(np.mean(guess_h == actual_h))
     expected = 1.0 - bayes
     sigma = math.sqrt(expected * (1 - expected) / n)
@@ -216,7 +216,7 @@ def test_mode_discrimination_blind_when_rates_match():
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     guess_h, bayes = mode_discrimination_batch(batch, IDEAL, np.random.default_rng(11))
     assert bayes == pytest.approx(0.5, abs=1e-9)
-    accuracy = float(np.mean(guess_h == (batch.field_h.kind == 1)))
+    accuracy = float(np.mean(guess_h == (batch.field_h.kind[batch.field_h.level] == 1)))
     assert accuracy <= 0.51
 
 
@@ -319,6 +319,18 @@ def test_attack_parameter_validation():
                 lambda: dataclasses.replace(InterceptResend(), resend_mu=-1.0)):
         with pytest.raises(ConfigError):
             bad()
+
+
+@pytest.mark.parametrize("make", [lambda: InterceptResend(resend_mu="2.0"),
+                                  lambda: ModeDiscrimination(resend_mu=None),
+                                  lambda: BeamSplit(tap_fraction="0.5"),
+                                  lambda: BrightLight(forced_click_prob=True),
+                                  lambda: ModeDiscrimination(eve_det=DetectorModel("1", 0.0))],
+                         ids=["resend_mu-str", "resend_mu-none", "tap_fraction-str",
+                              "forced_click_prob-bool", "eve_det-eta-str"])
+def test_attack_parameters_reject_non_real_numbers(make):
+    with pytest.raises(ConfigError, match="must be a finite real number"):
+        make()
 
 
 def test_trojan_accepts_the_brightest_probe_eve_can_count():

@@ -35,7 +35,7 @@ def _mixed_train(n, rng):
     param[kind == KIND_FOCK] = rng.integers(0, 6, n)[kind == KIND_FOCK]
     param[kind == KIND_BLINDING] = rng.uniform(0.0, 1.0, n)[kind == KIND_BLINDING]
     param[kind == KIND_VACUUM] = 0.0
-    return FieldArray(kind, quarter, param)
+    return FieldArray.from_columns(kind, quarter, param)
 
 
 def _batch(train, n):
@@ -55,14 +55,20 @@ def _batch(train, n):
     if train == "two-level":
         level = rng.integers(0, 2, n)
         level[:2] = 0, 1
-        two = FieldArray(np.full(n, KIND_COHERENT), rng.integers(0, 4, n), np.take([0.64, 0.2], level))
+        two = FieldArray(level, rng.integers(0, 4, n), [KIND_COHERENT] * 2, [0.64, 0.2])
         return cfg, PulseBatch(assign, rot, two, two)
     return cfg, PulseBatch(assign, rot, _mixed_train(n, rng), _mixed_train(n, rng))
 
 
+def _dense(train):
+    """The kind, quarter and param bit pattern of each pulse."""
+    return train.kind[train.level], train.quarter, train.param.view(np.uint64)[train.level]
+
+
 def _n_levels(train):
-    """Distinct (kind, param bit pattern) levels of a train."""
-    return len(set(zip(train.kind.tolist(), train.param.view(np.uint64).tolist())))
+    """Distinct (kind, param bit pattern) levels the pulses of a train hold."""
+    kind, _, bits = _dense(train)
+    return len(set(zip(kind.tolist(), bits.tolist())))
 
 
 def _record(monkeypatch, name):
@@ -77,9 +83,10 @@ def _assert_same_draws(got, want, rng, ref):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _assert_same_fields(got, want):
-    for col in FieldArray.__slots__:
-        assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+def _assert_selected(got, mask, a, b):
+    """got holds a's field where mask, else b's, pulse by pulse."""
+    for col, col_a, col_b in zip(_dense(got), _dense(a), _dense(b)):
+        assert col.tobytes() == np.where(mask, col_a, col_b).tobytes()
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -93,29 +100,32 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     bob_monitor_tap(batch, cfg, rng)
     det = cfg.detector_bob
     eta = det.eta * cfg.tap_reflectance
-    p = click_prob(det.dark_prob, batch.field_h.noclick_factors(eta)
-                   * batch.field_v.noclick_factors(eta))
+    h, v = batch.field_h, batch.field_v
+    p = click_prob(det.dark_prob, h.noclick_factors(eta)[h.level] * v.noclick_factors(eta)[v.level])
     _assert_same_draws(streams.pop()[0].clicks, ref.random(n) < p, rng, ref)
 
     out1, out2 = separate_modes(batch)
     straight = batch.rotation_quarter == batch.mode_assignment
-    _assert_same_fields(out1, FieldArray.where(straight, batch.field_h, batch.field_v))
-    _assert_same_fields(out2, FieldArray.where(straight, batch.field_v, batch.field_h))
+    _assert_selected(out1, straight, h, v)
+    _assert_selected(out2, straight, v, h)
 
     alice_thermal_monitor(out2, cfg, rng)
     det = cfg.detector_alice
-    p = click_prob(det.dark_prob, out2.noclick_factors(det.eta))
+    p = click_prob(det.dark_prob, out2.noclick_factors(det.eta)[out2.level])
     _assert_same_draws(streams.pop()[0].clicks, ref.random(n) < p, rng, ref)
 
     measure_interference(out1, np.zeros(n - 1, dtype=np.uint8), det, rng)
     p, index = pair_click_probs(out1, det)
-    # Trains of at most LEVELS_MAX (kind, param) levels take the table, the
-    # others the per-pair path: a mixed train longer than two pulses.
+    # Trains of at most LEVELS_MAX levels take the table, the others the
+    # per-pair path: a mixed train longer than two pulses.  The table of
+    # an honest output 1 also holds the thermal level, which no pulse uses.
     levels = _n_levels(out1)
     assert levels == {"honest": 1, "resend": 1, "two-level": 2}.get(train, levels)
+    assert out1.kind.size == {"honest": 2, "resend": 1, "two-level": 2}.get(train, out1.kind.size)
+    assert levels <= out1.kind.size
     if train == "mixed" and n > 2:
         assert levels > LEVELS_MAX
-    assert (index is None) == (levels > LEVELS_MAX)
+    assert (index is None) == (out1.kind.size > LEVELS_MAX)
     whole = p if index is None else p[:, index]
     want = np.array([ref.random(n - 1) < row for row in whole])  # in the order of a (4, m) draw
     _assert_same_draws(np.array(rows.pop()), want.view(np.uint8), rng, ref)
@@ -127,8 +137,10 @@ def test_prepare_and_bob_quarters_equal_whole_array_draws(n):
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     batch = alice_prepare(cfg, rng)
     th_in_h = ref.integers(0, 2, n, dtype=np.uint8) ^ ref.integers(0, 2, n, dtype=np.uint8)
-    assert batch.field_h.param.tobytes() == np.take([0.3, 0.7], th_in_h).tobytes()
-    assert batch.field_v.param.tobytes() == np.take([0.7, 0.3], th_in_h).tobytes()
+    h, v = batch.field_h, batch.field_v
+    assert h.level is v.level and h.level.tobytes() == th_in_h.tobytes()
+    assert h.param[h.level].tobytes() == np.take([0.3, 0.7], th_in_h).tobytes()
+    assert v.param[v.level].tobytes() == np.take([0.7, 0.3], th_in_h).tobytes()
     _assert_same_draws(bob_quarters(n, rng), ref.integers(0, 4, n).astype(np.uint8), rng, ref)
 
 

@@ -13,12 +13,14 @@ from ctqkd.detector import (
     ConfigError,
     DetectorModel,
     NotDistinguishableError,
+    band_power,
     band_power_statistic,
     click_prob,
     click_prob_coherent,
     click_prob_state,
     click_prob_thermal,
     power_test,
+    require_real,
     sample_clicks,
     samples_needed,
 )
@@ -33,6 +35,24 @@ def test_detector_validation():
         with pytest.raises(ConfigError):
             DetectorModel(eta=eta, dark_prob=dark_prob)
     assert ctqkd.ConfigError is protocol.ConfigError is ConfigError
+
+
+@pytest.mark.parametrize("eta,dark_prob", [("x", 0.0), (None, 0.0), (True, 0.0), (0.1, "1e-5"),
+                                           (0.1, None), (0.1, 1e-5j)])
+def test_detector_rejects_non_real_numbers(eta, dark_prob):
+    with pytest.raises(ConfigError, match="must be a finite real number"):
+        DetectorModel(eta=eta, dark_prob=dark_prob)
+
+
+@pytest.mark.parametrize("value,ends,ok", [(0.0, "[]", True), (0.0, "(]", False), (1.0, "[)", False),
+                                          (1.0, "(]", True), (0.5, "()", True), (1.5, "[]", False),
+                                          (-0.5, "[]", False), (math.nan, "[]", False)])
+def test_require_real_includes_an_end_only_where_bracketed(value, ends, ok):
+    if ok:
+        require_real("x", value, 0.0, 1.0, ends)
+    else:
+        with pytest.raises(ConfigError, match=rf"x must be a finite real number in \{ends[0]}0, 1\{ends[1]}"):
+            require_real("x", value, 0.0, 1.0, ends)
 
 
 def test_thermal_click_limits():
@@ -124,6 +144,14 @@ def test_band_statistic_extremes_and_max():
     assert band_power_statistic(ClickStream(np.ones(10, dtype=bool))) == 0.0
     half = ClickStream(np.arange(10) % 2 == 0)
     assert band_power_statistic(half) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_both_monitor_statistics_are_the_band_power_law():
+    stream = sample_clicks(0.3, 1000, np.random.default_rng(2))
+    p_hat = stream.frequency()
+    outcome = power_test(stream, 0.29, 5.0)
+    assert outcome.observed_stat == band_power(p_hat) == band_power_statistic(stream)
+    assert outcome.expected_stat == band_power(0.29) == 0.29 * (1.0 - 0.29)
 
 
 def test_band_statistic_permutation_invariant():

@@ -25,6 +25,16 @@ from ctqkd.light import (
 )
 
 
+def _kinds(fa):
+    """The kind of each pulse."""
+    return fa.kind[fa.level]
+
+
+def _params(fa):
+    """The param of each pulse."""
+    return fa.param[fa.level]
+
+
 def _attenuated(field, transmittance, rng=None):
     return FieldArray.uniform(field, 1).attenuated(transmittance, rng).field(0)
 
@@ -59,7 +69,7 @@ def test_field_rejects_non_finite_or_off_quarter_values(make):
 
 def test_coherent_mean_photons_is_finite_up_to_the_largest_float():
     assert Coherent(1e154).mean_photons == 1e154 * 1e154
-    assert FieldArray.uniform(Coherent(-1e154j), 2).param.tolist() == [1e154 * 1e154] * 2
+    assert _params(FieldArray.uniform(Coherent(-1e154j), 2)).tolist() == [1e154 * 1e154] * 2
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
@@ -77,7 +87,7 @@ def test_fock_photon_number_must_fit_the_float_column_exactly(n):
 def test_fock_photon_number_up_to_2_to_the_53_round_trips():
     assert FOCK_N_MAX == 2**53
     fa = FieldArray.uniform(FockN(FOCK_N_MAX), 2)
-    assert fa.field(0) == FockN(2**53) and fa.param[1] == 2.0**53
+    assert fa.field(0) == FockN(2**53) and _params(fa)[1] == 2.0**53
     assert FieldArray.from_fields([FockN(2**53 - 1), FockN(0)]).field(0) == FockN(2**53 - 1)
 
 
@@ -94,7 +104,7 @@ def test_coherent_amplitude_is_magnitude_and_quarter():
         assert (field.quarter, field.mean_photons) == (q, 6.25)
         assert 2.5 * 1j**q == amp
         fa = FieldArray.uniform(field, 3)
-        assert fa.quarter.tolist() == [q] * 3 and fa.param.tolist() == [6.25] * 3
+        assert fa.quarter.tolist() == [q] * 3 and _params(fa).tolist() == [6.25] * 3
         assert fa.field(2) == field
     assert Coherent(0.0).quarter == 0 and Coherent(-0.0).quarter == 0
 
@@ -119,8 +129,8 @@ def test_attenuate_identity_and_blinding():
 def test_attenuate_fock_thins_binomially():
     rng = np.random.default_rng(4)
     out = FieldArray.uniform(FockN(5), 4000).attenuated(0.6, rng)
-    assert np.all(out.kind == KIND_FOCK)
-    outs = out.param
+    assert np.all(_kinds(out) == KIND_FOCK)
+    outs = _params(out)
     assert np.all(outs == np.round(outs))
     assert min(outs) >= 0 and max(outs) <= 5
     assert np.mean(outs) == pytest.approx(3.0, abs=0.1)
@@ -202,15 +212,38 @@ def _mixture(n, kinds, seed=0):
         [np.square(rng.normal(size=n)), rng.uniform(0.0, 3.0, n), rng.integers(0, 8, n).astype(float),
          rng.uniform(0.0, 1.0, n)],
     )
-    return FieldArray(kind, quarter, param)
+    return FieldArray.from_columns(kind, quarter, param)
 
 
 ALL_KINDS = (KIND_VACUUM, KIND_COHERENT, KIND_THERMAL, KIND_FOCK, KIND_BLINDING)
 
 
-def test_field_array_has_three_columns():
-    assert FieldArray.__slots__ == ("kind", "quarter", "param")
-    assert sum(getattr(FieldArray.vacuum(1), col).itemsize for col in FieldArray.__slots__) == 10
+def test_field_array_has_two_pulse_columns_over_a_level_table():
+    assert FieldArray.__slots__ == ("level", "quarter", "kind", "param")
+    fa = _mixture(10, ALL_KINDS)
+    assert (fa.level.dtype, fa.quarter.dtype, fa.kind.dtype, fa.param.dtype) == (
+        np.uint8, np.uint8, np.uint8, np.float64)
+    assert len(fa.level) == len(fa.quarter) == 10 and fa.kind.size == fa.param.size
+    assert [fa.field(i) for i in range(10)] == [
+        FieldArray.from_fields([fa.field(i)]).field(0) for i in range(10)]
+
+
+@pytest.mark.parametrize("n_levels,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                            (65536, np.uint16), (65537, np.uint32)])
+def test_level_index_is_the_narrowest_unsigned_type(n_levels, dtype):
+    fa = FieldArray.from_fields([FockN(i) for i in range(n_levels)])
+    assert fa.level.dtype == dtype and fa.kind.size == n_levels
+    assert fa.field(n_levels - 1) == FockN(n_levels - 1)
+
+
+def test_levels_are_distinct_by_kind_and_param_bit_pattern():
+    fa = FieldArray.from_fields([Thermal(0.5), Coherent(0.5**0.5), Thermal(0.5), Thermal(-0.0),
+                                 Thermal(0.0), Vacuum(), Coherent(-(0.5**0.5))])
+    assert fa.kind.tolist() == [KIND_THERMAL, KIND_COHERENT, KIND_THERMAL, KIND_THERMAL, KIND_VACUUM]
+    assert fa.level.tolist() == [0, 1, 0, 2, 3, 4, 1]
+    assert fa.quarter.tolist() == [0, 0, 0, 0, 0, 0, 2]
+    union = FieldArray.where(np.arange(7) % 2 == 0, fa, FieldArray.uniform(Thermal(0.5), 7))
+    assert union.kind.size == 5 and union.level.tolist() == [0, 0, 0, 0, 3, 0, 1]
 
 
 @pytest.mark.parametrize("column", FieldArray.__slots__)
@@ -219,25 +252,28 @@ def test_field_array_columns_are_write_once(column):
     with pytest.raises(ValueError):
         getattr(fa, column)[0] = 1
     for derived in (fa.attenuated(0.5, np.random.default_rng(1)), fa.phase_shifted(1),
-                    FieldArray.where(fa.kind > 1, fa, FieldArray.vacuum(10)), fa.copy()):
+                    FieldArray.where(_kinds(fa) > 1, fa, FieldArray.vacuum(10)), fa.copy()):
         with pytest.raises(ValueError):
             getattr(derived, column)[0] = 1
 
 
 def test_field_array_does_not_freeze_the_callers_array():
     kind, quarter, param = np.ones(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8), np.ones(4)
-    FieldArray(kind, quarter, param)
+    level = np.zeros(4, dtype=np.uint8)
+    FieldArray(level, quarter, kind[:1], param[:1])
+    FieldArray.from_columns(kind, quarter, param)
     FieldArray.uniform(Coherent(1.0), 4).phase_shifted(quarter)
-    kind[0], quarter[0], param[0] = 2, 3, 2.0
+    kind[0], quarter[0], param[0], level[0] = 2, 3, 2.0, 1
 
 
 def test_zero_invariants_hold_after_transforms():
     fa = _mixture(2000, ALL_KINDS)
     for out in (fa, fa.attenuated(0.3, np.random.default_rng(2)), fa.phase_shifted(3),
                 fa.phase_shifted(np.arange(2000).astype(np.uint8))):
-        assert np.all(out.quarter[out.kind != KIND_COHERENT] == 0)
+        assert np.all(out.quarter[_kinds(out) != KIND_COHERENT] == 0)
         assert np.all(out.quarter <= 3)
         assert np.all(out.param[out.kind == KIND_VACUUM] == 0)
+        assert np.all(out.level < out.kind.size)
 
 
 def test_transforms_leave_input_unchanged_and_share_columns():
@@ -248,19 +284,27 @@ def test_transforms_leave_input_unchanged_and_share_columns():
     for col, old in zip(FieldArray.__slots__, before):
         assert np.array_equal(getattr(fa, col), old)
         assert getattr(fa, col).tobytes() == old.tobytes()
-    assert np.shares_memory(lossy.kind, fa.kind)
-    assert np.shares_memory(lossy.quarter, fa.quarter)
-    assert np.shares_memory(shifted.kind, fa.kind)
-    assert np.shares_memory(shifted.param, fa.param)
+    # Thinning re-levels the photon numbers: only the quarter column stays.
+    assert lossy.quarter is fa.quarter
+    assert shifted.level is fa.level and shifted.kind is fa.kind and shifted.param is fa.param
     assert not np.shares_memory(shifted.quarter, fa.quarter)
+
+
+@pytest.mark.parametrize("kinds", [(KIND_VACUUM, KIND_COHERENT, KIND_THERMAL, KIND_BLINDING),
+                                   (KIND_COHERENT,)])
+def test_loss_without_photon_numbers_keeps_the_pulse_columns(kinds):
+    fa = _mixture(2000, kinds)
+    lossy = fa.attenuated(0.4)
+    assert lossy.level is fa.level and lossy.quarter is fa.quarter and lossy.kind is fa.kind
+    assert lossy.param.size == fa.param.size
 
 
 def _masked_noclick(fa, eta):
     """Per-kind reference: each formula applied only where its kind sits."""
     out = np.ones(len(fa))
-    mu = fa.param
-    coh, th, fock, blind = (fa.kind == k for k in (KIND_COHERENT, KIND_THERMAL, KIND_FOCK,
-                                                   KIND_BLINDING))
+    mu = _params(fa)
+    coh, th, fock, blind = (_kinds(fa) == k for k in (KIND_COHERENT, KIND_THERMAL, KIND_FOCK,
+                                                      KIND_BLINDING))
     out[coh] = np.exp(-eta * mu[coh])
     out[th] = 1.0 / (1.0 + eta * mu[th])
     out[fock] = (1.0 - eta) ** mu[fock]
@@ -275,11 +319,11 @@ def _masked_noclick(fa, eta):
 @pytest.mark.parametrize("eta", [0.0, 0.0125, 0.1, 0.37, 1.0])
 def test_whole_array_noclick_equals_masked_formulas_bitwise(kinds, eta):
     fa = _mixture(5000, kinds, seed=len(kinds))
-    assert set(np.unique(fa.kind)) == set(kinds)
-    got = fa.noclick_factors(eta)
+    assert set(np.unique(_kinds(fa))) == set(kinds)
+    got = fa.noclick_factors(eta)[fa.level]
     assert got.tobytes() == _masked_noclick(fa, eta).tobytes()
     lossy = fa.attenuated(0.81, np.random.default_rng(6))
-    assert lossy.noclick_factors(eta).tobytes() == _masked_noclick(lossy, eta).tobytes()
+    assert lossy.noclick_factors(eta)[lossy.level].tobytes() == _masked_noclick(lossy, eta).tobytes()
 
 
 def test_noclick_of_very_bright_light_is_exact():
@@ -292,18 +336,22 @@ def test_noclick_of_very_bright_light_is_exact():
 def test_fock_thinning_and_blinding_on_mixed_arrays():
     n = 20000
     five = FieldArray.from_fields([FockN(5), Blinding(0.8), Coherent(2.0), Thermal(0.5), Vacuum()])
-    fa = FieldArray(*(np.tile(getattr(five, col), n // 5) for col in FieldArray.__slots__))
+    fa = FieldArray(np.tile(five.level, n // 5), np.tile(five.quarter, n // 5), five.kind, five.param)
     out = fa.attenuated(0.6, np.random.default_rng(5))
-    fock, blind = out.kind == KIND_FOCK, out.kind == KIND_BLINDING
-    photons = out.param[fock]
+    kind, param = _kinds(out), _params(out)
+    fock, blind = kind == KIND_FOCK, kind == KIND_BLINDING
+    photons = param[fock]
     assert np.all(photons == np.round(photons)) and photons.min() >= 0 and photons.max() <= 5
     assert np.mean(photons) == pytest.approx(3.0, abs=0.05)
-    assert np.all(out.param[blind] == 0.8)
-    assert np.all(out.param[out.kind == KIND_THERMAL] == 0.5 * 0.6)
-    assert np.all(out.param[out.kind == KIND_COHERENT] == 4.0 * 0.6)
+    assert np.array_equal(photons, np.random.default_rng(5).binomial(np.full(n // 5, 5), 0.6))
+    assert np.all(param[blind] == 0.8)
+    assert np.all(param[kind == KIND_THERMAL] == 0.5 * 0.6)
+    assert np.all(param[kind == KIND_COHERENT] == 4.0 * 0.6)
+    # One level per photon number drawn, next to the four other levels.
+    assert out.kind.size == 4 + np.unique(photons).size
 
     eta = 0.3
-    f = out.noclick_factors(eta)
+    f = out.noclick_factors(eta)[out.level]
     assert np.array_equal(f[fock], (1.0 - eta) ** photons)
     assert np.all(f[blind] == 1.0 - 0.8)
     assert f.tobytes() == _masked_noclick(out, eta).tobytes()
@@ -324,8 +372,8 @@ def test_photon_counts_per_kind_and_draw_order():
 
 def test_empty_field_array():
     fa = FieldArray.vacuum(0)
-    assert fa.max_kind() == 0
-    assert fa.noclick_factors(0.5).size == 0
+    assert fa.noclick_factors(0.5)[fa.level].size == 0
+    assert len(FieldArray.from_fields([])) == 0
     assert len(fa.attenuated(0.5)) == 0
 
 
@@ -359,7 +407,7 @@ def test_click_probability_after_loss_and_phase_matches_fock_oracle(field, quart
     n = 20000 if isinstance(field, FockN) else 1
     out = FieldArray.uniform(field, n).attenuated(transmittance, np.random.default_rng(0))
     out = out.phase_shifted(quarter)
-    p = click_prob(dark, out.noclick_factors(eta))
+    p = click_prob(dark, out.noclick_factors(eta))[out.level]
     if isinstance(field, FockN):
         # Thinning draws each pulse's surviving photon number: compare the
         # mean over the pulses within 5 standard errors.

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+from ctqkd import protocol
+from ctqkd.attacks import ATTACK_KINDS
 from ctqkd.detector import DetectorModel, click_prob, samples_needed
 from ctqkd.light import (
     KIND_COHERENT,
@@ -56,7 +58,8 @@ def test_prepare_is_deterministic():
     b = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     assert np.array_equal(a.mode_assignment, b.mode_assignment)
     assert np.array_equal(a.rotation_quarter, b.rotation_quarter)
-    assert np.array_equal(a.field_h.kind, b.field_h.kind)
+    assert np.array_equal(a.field_h.level, b.field_h.level)
+    assert a.field_h.kind.tolist() == b.field_h.kind.tolist() == [KIND_COHERENT, KIND_THERMAL]
 
 
 def test_prepare_fair_bits():
@@ -65,14 +68,16 @@ def test_prepare_fair_bits():
     sigma3 = 3 * math.sqrt(0.25 / cfg.n_pulses)
     assert abs(batch.mode_assignment.mean() - 0.5) <= sigma3
     assert abs(batch.rotation_quarter.mean() - 0.5) <= sigma3
-    coh_in_h = batch.field_h.kind == 1
+    coh_in_h = batch.field_h.kind[batch.field_h.level] == 1
     assert abs(coh_in_h.mean() - 0.5) <= sigma3
 
 
 def test_prepare_each_pulse_has_one_coherent_one_thermal():
     cfg = SessionConfig(n_pulses=500, seed=9)
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    for kind_h, kind_v in zip(batch.field_h.kind, batch.field_v.kind):
+    h, v = batch.field_h, batch.field_v
+    assert h.level is v.level
+    for kind_h, kind_v in zip(h.kind[h.level], v.kind[v.level]):
         assert {kind_h, kind_v} == {KIND_COHERENT, KIND_THERMAL}
 
 
@@ -152,7 +157,7 @@ def test_separation_random_mode_guess_hits_output2_half_the_time():
     batch.field_h = FieldArray.where(guess, eve_coh, eve_th)
     batch.field_v = FieldArray.where(guess, eve_th, eve_coh)
     _, out2 = separate_modes(batch)
-    frac_coherent = np.mean(out2.kind == 1)
+    frac_coherent = np.mean(out2.kind[out2.level] == 1)
     assert abs(frac_coherent - 0.5) <= 3 * math.sqrt(0.25 / n)
 
 
@@ -311,7 +316,7 @@ def test_uniform_train_table_equals_general_path_bitwise(magnitude, det):
     table, index = pair_click_probs(train, det)
     assert table.shape == (4, 16) and index.dtype == np.uint8
     fast = table[:, index]  # the 16-entry table, gathered
-    mu, q = train.param, train.quarter
+    mu, q = train.param[train.level], train.quarter
     assert np.all(mu == magnitude**2)
     r = np.sqrt(mu)
     means = port_means(r[:-1], q[:-1], r[1:], q[1:])
@@ -321,10 +326,11 @@ def test_uniform_train_table_equals_general_path_bitwise(magnitude, det):
     # one mean off by one ulp makes a second level: the two-level table,
     # gathered, equals the per-pair values, which are the uniform train's on
     # every other pair
-    bumped = FieldArray(train.kind, q, np.where(np.arange(5001) == 0, np.nextafter(mu[0], 1), mu))
+    bumped = FieldArray((np.arange(5001) == 0).view(np.uint8), q, [KIND_COHERENT] * 2,
+                        [mu[0], np.nextafter(mu[0], 1)])
     table, index = pair_click_probs(bumped, det)
     assert table.shape == (4, 64) and index.dtype == np.uint8
-    r = np.sqrt(bumped.param)
+    r = np.sqrt(bumped.param[bumped.level])
     means = port_means(r[:-1], q[:-1], r[1:], q[1:])
     assert table[:, index].tobytes() == click_prob(det.dark_prob, np.exp(-det.eta * means)).tobytes()
     assert table[:, index[1:]].tobytes() == general[:, 1:].tobytes()
@@ -333,7 +339,7 @@ def test_uniform_train_table_equals_general_path_bitwise(magnitude, det):
 def _assert_mixed_kind_pair_values(out1, p, det):
     """Coherent pairs 0 and 1 interfere; every later pair holds a thermal,
     Fock or blinding field and takes the incoherent split."""
-    f = out1.noclick_factors(det.eta / 8.0)
+    f = out1.noclick_factors(det.eta / 8.0)[out1.level]
     means = _complex_port_means(np.array([1.0, -1.0 + 0j]), np.array([-1.0 + 0j, 0j]))
     assert p[:, :2].tobytes() == click_prob(det.dark_prob, np.exp(-det.eta * means)).tobytes()
     for i in range(2, len(out1) - 1):
@@ -363,11 +369,11 @@ def test_pair_click_probs_four_mixed_kind_levels_take_the_table():
 def _per_pair_oracle(train, det):
     """Pair click probabilities one column per pair: port means on coherent
     or vacuum pairs, the incoherent 1/8 split on every other pair."""
-    r, q = np.sqrt(train.param), train.quarter
+    r, q = np.sqrt(train.param[train.level]), train.quarter
     coherent = click_prob(det.dark_prob, np.exp(-det.eta * port_means(r[:-1], q[:-1], r[1:], q[1:])))
-    f = train.noclick_factors(det.eta / 8.0)
+    f = train.noclick_factors(det.eta / 8.0)[train.level]
     incoherent = click_prob(det.dark_prob, f[:-1], f[1:])
-    both = train.kind <= KIND_COHERENT
+    both = train.kind[train.level] <= KIND_COHERENT
     return np.where(both[:-1] & both[1:], coherent, incoherent)
 
 
@@ -393,7 +399,7 @@ def test_level_table_equals_per_pair_oracle_bitwise(det):
         which[:len(levels)] = np.arange(min(n, len(levels)))  # each level, if n allows
         kind = np.array([k for k, _ in levels], dtype=np.uint8)[which]
         quarter = np.where(kind == KIND_COHERENT, rng.integers(0, 4, n), 0)
-        train = FieldArray(kind, quarter, np.array([mu for _, mu in levels])[which])
+        train = FieldArray.from_columns(kind, quarter, np.array([mu for _, mu in levels])[which])
         present = len(set(which.tolist()))
         p, index = pair_click_probs(train, det)
         if present > LEVELS_MAX:
@@ -552,6 +558,15 @@ def test_config_rejects_non_finite(name, value):
         SessionConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["mu_coherent", "mu_thermal", "transmittance_oneway",
+                                  "tap_reflectance", "z_threshold", "qber_threshold",
+                                  "qber_sample_fraction"])
+@pytest.mark.parametrize("value", ["0.2", None, True, 0.2j, [0.2]])
+def test_config_rejects_non_real_numbers(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite real number"):
+        SessionConfig(**{name: value})
+
+
 @pytest.mark.parametrize("value", [2.5, 1000.0, "1000", True])
 def test_config_rejects_non_integer_pulse_count(value):
     with pytest.raises(ConfigError):
@@ -589,15 +604,16 @@ def test_thermal_layer_transparent_to_bob_phase():
     batch = alice_prepare(cfg, rng)
     quarters = rng.integers(0, 4, cfg.n_pulses)
     modulated = modulate_batch(batch, quarters)
-    th_mask = batch.field_h.kind == 2
-    assert np.array_equal(modulated.field_h.param[th_mask], batch.field_h.param[th_mask])
-    assert np.array_equal(modulated.field_h.kind, batch.field_h.kind)
+    h, out = batch.field_h, modulated.field_h
+    assert out.level is h.level and out.kind is h.kind and out.param is h.param
+    th_mask = h.kind[h.level] == 2
+    assert np.all(out.quarter[th_mask] == 0)
 
     # statistical: monitor clicks independent of Bob's phase choice
     batch2 = modulated.propagated(cfg.transmittance_oneway, rng)
     _, out2 = separate_modes(batch2)
     det = cfg.detector_alice
-    p_click = 1 - (1 - det.dark_prob) * out2.noclick_factors(det.eta)
+    p_click = 1 - (1 - det.dark_prob) * out2.noclick_factors(det.eta)[out2.level]
     clicks = rng.random(cfg.n_pulses) < p_click
     table = np.zeros((4, 2), dtype=int)
     for q in range(4):
@@ -619,10 +635,28 @@ def test_stages_build_new_batches_that_share_unchanged_arrays():
         assert new is not batch
         assert np.shares_memory(new.mode_assignment, batch.mode_assignment)
         assert np.shares_memory(new.rotation_quarter, batch.rotation_quarter)
-        assert np.shares_memory(new.field_h.kind, batch.field_h.kind)
+        assert new.field_h.level is batch.field_h.level and new.field_h.kind is batch.field_h.kind
     assert lossy.bob_quarter is batch.bob_quarter
     assert modulated.propagated(0.5, rng).bob_quarter is modulated.bob_quarter
     assert np.shares_memory(modulated.field_v.param, lossy.field_v.param)
     for old, now in zip(snapshot, (batch.mode_assignment, batch.rotation_quarter,
                                    batch.field_h.quarter, batch.field_v.param)):
         assert np.array_equal(old, now)
+
+
+@pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
+def test_every_default_train_reaches_the_interferometers_as_a_table(monkeypatch, kind):
+    # A train of more than LEVELS_MAX levels would fall back to per-pair
+    # columns: correct, but several times slower on the attacks.
+    indices, real = [], protocol.pair_click_probs
+
+    def recording(out1, det):
+        p, index = real(out1, det)
+        indices.append(index)
+        return p, index
+
+    monkeypatch.setattr(protocol, "pair_click_probs", recording)
+    cls = ATTACK_KINDS[kind]
+    run_session(SessionConfig(n_pulses=3000, seed=5), cls() if cls else None)
+    assert len(indices) == 1 and indices[0] is not None and indices[0].dtype == np.uint8
+
