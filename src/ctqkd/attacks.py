@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .detector import DetectorModel, click_prob, require_real
-from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField, gather, level_pairs
+from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField, _select, gather, level_pairs
 from .protocol import ConfigError, PulseBatch, SessionConfig, SiftOutcome, modulate_batch
 
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_prob=0.0)
@@ -100,7 +100,7 @@ def _dps_phase_estimates(delta_true: np.ndarray, rng: np.random.Generator,
     conclusive = (delta_true & 1) == basis
     if informative is not None:
         conclusive &= informative
-    delta_hat = np.where(conclusive, delta_true, basis | coin << 1)
+    delta_hat = _select(conclusive.view(np.uint8), delta_true, basis | coin << 1)
     bits = ((delta_hat - basis) & 3) == 2
     return basis, delta_hat, bits.view(np.uint8)
 

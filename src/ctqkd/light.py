@@ -325,18 +325,28 @@ class FieldArray:
         return counts
 
 
+def pair_table(size_a: int, col_a: np.ndarray, size_b: int, col_b: np.ndarray):
+    """(a, b, each element's index among these pairs) for two index columns
+    over size_a and size_b values: all size_a x size_b pairs, row-major, the
+    index col_a * size_b + col_b in the narrowest unsigned type that holds
+    it; or, when those pairs would outnumber the elements, one pair per
+    element, (col_a, col_b, arange)."""
+    n = col_a.size
+    if size_a * size_b > n:
+        return col_a, col_b, np.arange(n, dtype=_index_dtype(n))
+    a, b = np.divmod(np.arange(size_a * size_b), size_b)
+    # col_a is all 0 when size_a is 1, and size_b may then be one past the
+    # index type's maximum (256 entries in uint8).
+    index = np.multiply(col_a, size_b if size_a > 1 else 0, dtype=_index_dtype(a.size))
+    index += col_b
+    return a, b, index
+
+
 def level_pairs(a: FieldArray, b: FieldArray):
     """(levels of a, levels of b, each pulse's index among these pairs):
-    the pairs (l, l) and the level column when a and b share it, else all
-    L_a x L_b pairs, row-major, or one pair per pulse if those are more."""
+    the pairs (l, l) and the level column when a and b share it, else
+    pair_table's over the two level columns."""
     if a.level is b.level:
         pairs = np.arange(min(a.kind.size, b.kind.size))
         return pairs, pairs, a.level
-    size_b = b.kind.size
-    if a.kind.size * size_b > len(a):
-        return a.level, b.level, np.arange(len(a), dtype=_index_dtype(len(a)))
-    level_a, level_b = np.divmod(np.arange(a.kind.size * size_b), size_b)
-    # min_scalar_type(L_a L_b) holds size_b as well as every index.
-    index = np.multiply(a.level, size_b, dtype=np.min_scalar_type(level_a.size))
-    index += b.level
-    return level_a, level_b, index
+    return pair_table(a.kind.size, a.level, b.kind.size, b.level)

@@ -25,11 +25,12 @@ each block's temporaries stay in cache, and because every uniform draw
 takes one 64-bit output (every quarter one buffered 32-bit output), the
 blocks consume the stream exactly as one whole-array draw would.
 
-Every phase is a whole quarter turn (phi = q * pi/2), so a train of at most
-LEVELS_MAX levels, as the honest run and every attack leave, holds at most
-16 pulse states level << 2 | quarter: the interferometers compute the click
-probabilities of each pair of states once, in a small table, and gather
-them per pulse pair by a uint8 index.
+Every phase is a whole quarter turn (phi = q * pi/2), so a train of L
+levels holds at most 4 L pulse states level << 2 | quarter.  The
+interferometers compute the click probabilities of each pair of states once,
+in a table, and gather them per pulse pair, whenever the (4 L)**2 state pairs
+are no more than the pulse pairs (light.pair_table); the honest run and
+every attack leave a train whose table a uint8 index covers.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .detector import (
     power_test,
     require_real,
 )
-from .light import KIND_COHERENT, KIND_THERMAL, FieldArray, gather, level_pairs
+from .light import KIND_COHERENT, KIND_THERMAL, FieldArray, gather, level_pairs, pair_table
 
 ALARM_NONE = "none"
 ALARM_QBER = "qber"
@@ -66,40 +67,33 @@ ALARM_MULTIPLE = "multiple"
 # results do not depend on it.
 BLOCK = 1 << 15
 
-# The most levels a pulse train may hold for the interferometers to
-# tabulate its pair click probabilities: 4 levels make 16 pulse states and
-# 256 pair indices, the most a uint8 index holds.
-LEVELS_MAX = 4
-
 
 class PulseBatch:
     """Struct-of-arrays pulse train.
 
-    mode_assignment is Alice's source wiring per pulse (0: coherent into the
-    H port) and rotation_quarter her rotator angle in quarter turns (0 or 1,
-    applied before the channel); field_h and field_v hold the fields in the
+    mode_secret (uint8) is Alice's mode secret per pulse: the XOR of her
+    source wiring and her rotator angle, 1 where she sent the thermal state
+    in the channel's H mode.  field_h and field_v hold the fields in the
     physical modes as currently propagating.  bob_quarter (uint8) is None
     until Bob's phases are applied (modulate_batch).
     """
 
-    __slots__ = ("mode_assignment", "rotation_quarter", "field_h", "field_v", "bob_quarter")
+    __slots__ = ("mode_secret", "field_h", "field_v", "bob_quarter")
 
-    def __init__(self, mode_assignment, rotation_quarter, field_h, field_v, bob_quarter=None):
-        self.mode_assignment = np.asarray(mode_assignment, dtype=np.uint8)
-        self.rotation_quarter = np.asarray(rotation_quarter, dtype=np.uint8)
+    def __init__(self, mode_secret, field_h, field_v, bob_quarter=None):
+        self.mode_secret = np.asarray(mode_secret, dtype=np.uint8)
         self.field_h = field_h
         self.field_v = field_v
         self.bob_quarter = bob_quarter
 
     def __len__(self) -> int:
-        return self.mode_assignment.size
+        return self.mode_secret.size
 
     def with_fields(self, field_h: FieldArray, field_v: FieldArray, bob_quarter=None) -> "PulseBatch":
-        """A new batch carrying these mode fields; it shares the secret bits
+        """A new batch carrying these mode fields; it shares the mode secret
         and, unless bob_quarter is given, Bob's phases with this one."""
         return PulseBatch(
-            self.mode_assignment,
-            self.rotation_quarter,
+            self.mode_secret,
             field_h,
             field_v,
             self.bob_quarter if bob_quarter is None else bob_quarter,
@@ -261,23 +255,24 @@ def _blocks(n: int):
 def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     """Prepare the outgoing pulse train.
 
-    Each pulse draws two independent fair bits: the source wiring
-    (mode_assignment) and the rotator angle.  Their XOR decides which
-    physical mode carries the coherent state on the channel, so the
-    channel-side placement is itself a fresh fair bit per pulse.
+    Each pulse draws two independent fair bits: the source wiring and the
+    rotator angle.  Their XOR, the mode secret, decides which physical mode
+    carries the coherent state on the channel, so the channel-side placement
+    is itself a fresh fair bit per pulse.
     """
     n = cfg.n_pulses
     assign = rng.integers(0, 2, n, dtype=np.uint8)
     rot = rng.integers(0, 2, n, dtype=np.uint8)
-    # 1 where H carries the thermal state: the level column of both modes,
-    # over swapped tables.  Read-only, so both share this very array.
+    # 1 where H carries the thermal state: the mode secret and the level
+    # column of both modes, over swapped tables.  Read-only, so all three
+    # share this very array.
     th_in_h = assign ^ rot
     th_in_h.flags.writeable = False
     phase = np.zeros(n, dtype=np.uint8)  # both modes start at phase 0
     means = [cfg.mu_coherent, cfg.mu_thermal]
     field_h = FieldArray(th_in_h, phase, [KIND_COHERENT, KIND_THERMAL], means)
     field_v = FieldArray(th_in_h, phase, [KIND_THERMAL, KIND_COHERENT], means[::-1])
-    return PulseBatch(assign, rot, field_h, field_v)
+    return PulseBatch(th_in_h, field_h, field_v)
 
 
 def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
@@ -289,11 +284,10 @@ def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
     output 2 whenever the mode secret says so.
     """
     # Undoing the rotation swaps the modes when rotation is 1; wiring 1 swaps
-    # them again.  The two cancel, so output 1 is the channel's H mode
-    # exactly when rotation equals wiring.
-    straight = batch.rotation_quarter == batch.mode_assignment
-    h, v = batch.field_h, batch.field_v
-    return FieldArray.where(straight, h, v), FieldArray.where(straight, v, h)
+    # them again.  So output 1 is the channel's V mode exactly where the
+    # mode secret, their XOR, is 1.
+    secret, h, v = batch.mode_secret, batch.field_h, batch.field_v
+    return FieldArray.where(secret, v, h), FieldArray.where(secret, h, v)
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +407,19 @@ def pair_click_probs(out1: FieldArray, det: DetectorModel):
     Coherent (or vacuum) pairs interfere with the port means; any other
     field combination carries no stable phase and is treated as an
     incoherent 1/8 split with identical statistics at all four detectors.
-    A train of L <= LEVELS_MAX levels has S = 4 L pulse states s = level << 2
-    | quarter: then p is a (4, S * S) table over the pair index s_prev * S +
-    s_curr, and index (uint8) that of each pair, so detector k's
-    probabilities are p[k][index].  Otherwise p is (4, m), one column per
-    pair, and index is None.  Both take the same elementwise formulas, so
-    the table gathers to the per-pair values bit for bit.
+    A train of L levels has S = 4 L pulse states s = level << 2 | quarter,
+    and p has one column per pair of states that light.pair_table gives:
+    a (4, S * S) table over the pair index s_prev * S + s_curr when the
+    train has at least S * S pairs, else (4, m), one column per pair.  index
+    is each pair's column, so detector k's probabilities are p[k][index].
+    Both take the same elementwise formulas, so the table gathers to the
+    per-pair values bit for bit.
     """
-    n_levels = out1.kind.size
-    if n_levels > LEVELS_MAX:  # one column per pair
-        level, q = out1.level, out1.quarter
-        prev, curr, q_prev, q_curr = level[:-1], level[1:], q[:-1], q[1:]
-        index = None
-    else:  # one column per pair index: (s_prev, s_curr) = divmod(pair, S)
-        n_states = 4 * n_levels
-        s_prev, s_curr = np.divmod(np.arange(n_states * n_states), n_states)
-        prev, curr, q_prev, q_curr = s_prev >> 2, s_curr >> 2, s_prev & 3, s_curr & 3
-        state = out1.quarter if n_levels == 1 else (out1.level << 2) | out1.quarter
-        index = state[:-1] * np.uint8(n_states)
-        index += state[1:]
+    n_states = 4 * out1.kind.size
+    state = np.left_shift(out1.level, 2, dtype=np.min_scalar_type(n_states - 1))
+    state |= out1.quarter
+    s_prev, s_curr, index = pair_table(n_states, state[:-1], n_states, state[1:])
+    prev, curr, q_prev, q_curr = s_prev >> 2, s_curr >> 2, s_prev & 3, s_curr & 3
     # r = 0 on vacuum; pairs holding any other kind are replaced below
     r = np.sqrt(out1.param)
     means = port_means(r[prev], q_prev, r[curr], q_curr)
@@ -462,11 +450,10 @@ def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorMod
     each detector clicks independently with its pair_click_probs; exactly
     one click yields a usable event, two or more a discarded double.
     Detector rows are drawn one after another, in the order of a (4, m)
-    draw; a tabulated row is gathered block by block as it is consumed."""
+    draw; each row is gathered block by block as it is consumed."""
     m = len(out1) - 1
     p, index = pair_click_probs(out1, det)
-    rows = [(lambda i, j, row=row: row[i:j]) if index is None else _gathered(row, index) for row in p]
-    clicks = [sample_blocked(m, probs, rng).view(np.uint8) for probs in rows]
+    clicks = [sample_blocked(m, _gathered(row, index), rng).view(np.uint8) for row in p]
     return {**click_events(*clicks), "delta_q": delta_q}
 
 

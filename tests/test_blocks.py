@@ -10,7 +10,6 @@ from ctqkd.detector import click_prob
 from ctqkd.light import KIND_BLINDING, KIND_COHERENT, KIND_FOCK, KIND_VACUUM, Coherent, FieldArray
 from ctqkd.protocol import (
     BLOCK,
-    LEVELS_MAX,
     PulseBatch,
     SessionConfig,
     alice_prepare,
@@ -51,13 +50,13 @@ def _batch(train, n):
     assign, rot = rng.integers(0, 2, (2, n))
     if train == "resend":
         resend = FieldArray.uniform(Coherent(0.8), n).phase_shifted(rng.integers(0, 4, n))
-        return cfg, PulseBatch(assign, rot, resend, resend)
+        return cfg, PulseBatch(assign ^ rot, resend, resend)
     if train == "two-level":
         level = rng.integers(0, 2, n)
         level[:2] = 0, 1
         two = FieldArray(level, rng.integers(0, 4, n), [KIND_COHERENT] * 2, [0.64, 0.2])
-        return cfg, PulseBatch(assign, rot, two, two)
-    return cfg, PulseBatch(assign, rot, _mixed_train(n, rng), _mixed_train(n, rng))
+        return cfg, PulseBatch(assign ^ rot, two, two)
+    return cfg, PulseBatch(assign ^ rot, _mixed_train(n, rng), _mixed_train(n, rng))
 
 
 def _dense(train):
@@ -105,9 +104,8 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     _assert_same_draws(streams.pop()[0].clicks, ref.random(n) < p, rng, ref)
 
     out1, out2 = separate_modes(batch)
-    straight = batch.rotation_quarter == batch.mode_assignment
-    _assert_selected(out1, straight, h, v)
-    _assert_selected(out2, straight, v, h)
+    _assert_selected(out1, batch.mode_secret, v, h)
+    _assert_selected(out2, batch.mode_secret, h, v)
 
     alice_thermal_monitor(out2, cfg, rng)
     det = cfg.detector_alice
@@ -116,17 +114,20 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
 
     measure_interference(out1, np.zeros(n - 1, dtype=np.uint8), det, rng)
     p, index = pair_click_probs(out1, det)
-    # Trains of at most LEVELS_MAX levels take the table, the others the
-    # per-pair path: a mixed train longer than two pulses.  The table of
-    # an honest output 1 also holds the thermal level, which no pulse uses.
+    # A train of L levels takes the table iff its (4 L)**2 state pairs are
+    # no more than its pulse pairs, else one column per pair: every train of
+    # two pulses, and a mixed train, whose levels are nearly all distinct.
+    # The table of an honest output 1 also holds the thermal level, which
+    # no pulse uses.
     levels = _n_levels(out1)
     assert levels == {"honest": 1, "resend": 1, "two-level": 2}.get(train, levels)
     assert out1.kind.size == {"honest": 2, "resend": 1, "two-level": 2}.get(train, out1.kind.size)
     assert levels <= out1.kind.size
-    if train == "mixed" and n > 2:
-        assert levels > LEVELS_MAX
-    assert (index is None) == (out1.kind.size > LEVELS_MAX)
-    whole = p if index is None else p[:, index]
+    tabulated = (4 * out1.kind.size) ** 2 <= n - 1
+    assert tabulated == (train != "mixed" and n > 2)
+    assert p.shape == (4, (4 * out1.kind.size) ** 2 if tabulated else n - 1)
+    assert index.dtype == np.min_scalar_type(p.shape[1] - 1)
+    whole = p[:, index]
     want = np.array([ref.random(n - 1) < row for row in whole])  # in the order of a (4, m) draw
     _assert_same_draws(np.array(rows.pop()), want.view(np.uint8), rng, ref)
 

@@ -22,6 +22,7 @@ from ctqkd.light import (
     FockN,
     Thermal,
     Vacuum,
+    pair_table,
 )
 
 
@@ -244,6 +245,33 @@ def test_levels_are_distinct_by_kind_and_param_bit_pattern():
     assert fa.quarter.tolist() == [0, 0, 0, 0, 0, 0, 2]
     union = FieldArray.where(np.arange(7) % 2 == 0, fa, FieldArray.uniform(Thermal(0.5), 7))
     assert union.kind.size == 5 and union.level.tolist() == [0, 0, 0, 0, 3, 0, 1]
+
+
+@pytest.mark.parametrize("n", [12, 11])
+def test_pair_table_until_it_outnumbers_the_elements(n):
+    # 3 x 4 = 12 pairs: a table for 12 elements, one pair each for 11
+    col_a = np.arange(n, dtype=np.uint8) % 3
+    col_b = np.arange(n, dtype=np.uint8) % 4
+    a, b, index = pair_table(3, col_a, 4, col_b)
+    assert index.dtype == np.uint8
+    if n == 12:
+        assert a.tolist() == [0] * 4 + [1] * 4 + [2] * 4 and b.tolist() == [0, 1, 2, 3] * 3
+        assert index.tolist() == (col_a * 4 + col_b).tolist()
+    else:
+        assert a is col_a and b is col_b and index.tolist() == list(range(11))
+    assert a[index].tolist() == col_a.tolist() and b[index].tolist() == col_b.tolist()
+
+
+@pytest.mark.parametrize("size_a,size_b,dtype", [(1, 256, np.uint8), (16, 16, np.uint8),
+                                                 (1, 257, np.uint16), (2, 129, np.uint16)])
+def test_pair_table_index_is_the_narrowest_unsigned_type(size_a, size_b, dtype):
+    # 256 entries keep a uint8 index, even with a multiplier of 256
+    n = 300
+    col_a = (np.arange(n) % size_a).astype(np.min_scalar_type(size_a - 1))
+    col_b = (np.arange(n) * 7 % size_b).astype(np.min_scalar_type(size_b - 1))
+    a, b, index = pair_table(size_a, col_a, size_b, col_b)
+    assert index.dtype == dtype and a.size == b.size == size_a * size_b
+    assert a[index].tolist() == col_a.tolist() and b[index].tolist() == col_b.tolist()
 
 
 @pytest.mark.parametrize("column", FieldArray.__slots__)

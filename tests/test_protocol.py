@@ -22,7 +22,6 @@ from ctqkd.light import (
     Vacuum,
 )
 from ctqkd.protocol import (
-    LEVELS_MAX,
     ConfigError,
     PulseBatch,
     SessionConfig,
@@ -45,7 +44,7 @@ CFG_SMALL = SessionConfig(n_pulses=2000, seed=5)
 
 def make_batch(n=1, assign=0, rot=0, field_h=Coherent(math.sqrt(0.2)), field_v=Thermal(0.2)):
     """n pulses with the given secret bits and the same field in each mode."""
-    return PulseBatch(np.broadcast_to(assign, n), np.broadcast_to(rot, n),
+    return PulseBatch(np.broadcast_to(assign ^ rot, n),
                       FieldArray.uniform(field_h, n), FieldArray.uniform(field_v, n))
 
 
@@ -56,8 +55,7 @@ def test_prepare_is_deterministic():
     cfg = SessionConfig(n_pulses=4, seed=123)
     a = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     b = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    assert np.array_equal(a.mode_assignment, b.mode_assignment)
-    assert np.array_equal(a.rotation_quarter, b.rotation_quarter)
+    assert np.array_equal(a.mode_secret, b.mode_secret)
     assert np.array_equal(a.field_h.level, b.field_h.level)
     assert a.field_h.kind.tolist() == b.field_h.kind.tolist() == [KIND_COHERENT, KIND_THERMAL]
 
@@ -66,8 +64,7 @@ def test_prepare_fair_bits():
     cfg = SessionConfig(n_pulses=10**5, seed=2)
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     sigma3 = 3 * math.sqrt(0.25 / cfg.n_pulses)
-    assert abs(batch.mode_assignment.mean() - 0.5) <= sigma3
-    assert abs(batch.rotation_quarter.mean() - 0.5) <= sigma3
+    assert abs(batch.mode_secret.mean() - 0.5) <= sigma3
     coh_in_h = batch.field_h.kind[batch.field_h.level] == 1
     assert abs(coh_in_h.mean() - 0.5) <= sigma3
 
@@ -128,7 +125,7 @@ def test_separation_honest_exhaustive():
     assign, rot = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     coh_in_h = (assign ^ rot) == 0
     coherent, thermal = FieldArray.uniform(Coherent(1.0), 4), FieldArray.uniform(Thermal(0.2), 4)
-    batch = PulseBatch(assign, rot, FieldArray.where(coh_in_h, coherent, thermal),
+    batch = PulseBatch(assign ^ rot, FieldArray.where(coh_in_h, coherent, thermal),
                        FieldArray.where(coh_in_h, thermal, coherent))
     out1, out2 = separate_modes(batch)
     assert [out1.field(i) for i in range(4)] == [Coherent(1.0)] * 4
@@ -137,7 +134,7 @@ def test_separation_honest_exhaustive():
 
 def test_separation_of_identical_substituted_fields():
     eve_field = Coherent(2.0)
-    batch = PulseBatch([0, 0, 1, 1], [0, 1, 0, 1], FieldArray.uniform(eve_field, 4),
+    batch = PulseBatch([0, 1, 1, 0], FieldArray.uniform(eve_field, 4),
                        FieldArray.uniform(eve_field, 4))
     out1, out2 = separate_modes(batch)
     for i in range(4):
@@ -350,20 +347,28 @@ MIXED_KINDS = [Coherent(1.0), Coherent(-1.0), Vacuum(), Thermal(0.4), FockN(2), 
 
 
 def test_pair_click_probs_mixed_kinds_use_the_incoherent_split():
-    # Five (kind, param) levels: more than the table takes.
+    # Five (kind, param) levels: a (4 * 5)**2-entry table would outnumber
+    # the 6 pairs, so each pair gets its own column.
     det = DetectorModel(0.3, 0.01)
     out1 = FieldArray.from_fields(MIXED_KINDS + [Blinding(0.3)])
     p, index = pair_click_probs(out1, det)
-    assert index is None and p.shape == (4, 6)
-    _assert_mixed_kind_pair_values(out1, p, det)
+    assert p.shape == (4, 6) and index.dtype == np.uint8 and index.tolist() == list(range(6))
+    _assert_mixed_kind_pair_values(out1, p[:, index], det)
 
 
 def test_pair_click_probs_four_mixed_kind_levels_take_the_table():
+    # levels (1, 1.0), (0, 0.0), (2, 0.4), (3, 2.0): 16 states, so a train
+    # takes the 256-entry table from 256 pairs on
     det = DetectorModel(0.3, 0.01)
-    out1 = FieldArray.from_fields(MIXED_KINDS)  # levels (1, 1.0), (0, 0.0), (2, 0.4), (3, 2.0)
-    table, index = pair_click_probs(out1, det)
-    assert table.shape == (4, 16 * 16) and index.dtype == np.uint8
-    _assert_mixed_kind_pair_values(out1, table[:, index], det)
+    for pairs in (255, 256):
+        out1 = FieldArray.from_fields(MIXED_KINDS + [Thermal(0.4)] * (pairs + 1 - len(MIXED_KINDS)))
+        p, index = pair_click_probs(out1, det)
+        assert out1.kind.size == 4 and len(out1) == pairs + 1
+        state = out1.level.astype(int) << 2 | out1.quarter
+        want = state[:-1] * 16 + state[1:] if pairs == 256 else np.arange(pairs)
+        assert p.shape == (4, 256 if pairs == 256 else pairs) and index.dtype == np.uint8
+        assert index.tolist() == want.tolist()
+        _assert_mixed_kind_pair_values(out1, p[:, index], det)
 
 
 def _per_pair_oracle(train, det):
@@ -388,13 +393,23 @@ def _random_levels(rng, n_levels):
     return sorted(levels)
 
 
+def _level_mixtures(rng):
+    """(levels, pulses) of 300 random mixtures of 1-8 levels, then the
+    fewest pulses at which a train of 64 levels (256 uint8 states, a uint16
+    index) and one of 65 levels (uint16 states, a uint32 index) take the
+    table."""
+    for _ in range(300):
+        yield _random_levels(rng, int(rng.integers(1, 9))), int(rng.integers(2, 3000))
+    yield _random_levels(rng, 64), 256**2 + 1
+    yield _random_levels(rng, 65), 260**2 + 1
+
+
 @pytest.mark.parametrize("det", [DetectorModel(0.1, 1e-5), DetectorModel(1.0, 0.0),
                                  DetectorModel(0.37, 0.02)])
 def test_level_table_equals_per_pair_oracle_bitwise(det):
     rng = np.random.default_rng(2024)
-    for _ in range(300):
-        levels = _random_levels(rng, int(rng.integers(1, LEVELS_MAX + 2)))
-        n = int(rng.integers(2, 3000))
+    table_indices, per_pair = set(), 0
+    for levels, n in _level_mixtures(rng):
         which = rng.integers(0, len(levels), n)
         which[:len(levels)] = np.arange(min(n, len(levels)))  # each level, if n allows
         kind = np.array([k for k, _ in levels], dtype=np.uint8)[which]
@@ -402,12 +417,17 @@ def test_level_table_equals_per_pair_oracle_bitwise(det):
         train = FieldArray.from_columns(kind, quarter, np.array([mu for _, mu in levels])[which])
         present = len(set(which.tolist()))
         p, index = pair_click_probs(train, det)
-        if present > LEVELS_MAX:
-            assert index is None and p.shape == (4, n - 1)
+        assert train.kind.size == present
+        if (4 * present) ** 2 <= n - 1:
+            assert p.shape == (4, (4 * present) ** 2)
+            table_indices.add(index.dtype)
         else:
-            assert index.dtype == np.uint8 and p.shape == (4, (4 * present) ** 2)
-            p = p[:, index]
-        assert p.tobytes() == _per_pair_oracle(train, det).tobytes(), (levels, n)
+            assert p.shape == (4, n - 1) and np.array_equal(index, np.arange(n - 1))
+            per_pair += 1
+        assert index.dtype == np.min_scalar_type(p.shape[1] - 1)
+        assert p[:, index].tobytes() == _per_pair_oracle(train, det).tobytes(), (levels, n)
+    assert table_indices == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
+    assert per_pair > 0
 
 
 def test_click_events_match_argmax_on_every_click_pattern():
@@ -627,36 +647,34 @@ def test_stages_build_new_batches_that_share_unchanged_arrays():
     cfg = SessionConfig(n_pulses=1000, seed=2)
     rng = np.random.default_rng(cfg.seed)
     batch = alice_prepare(cfg, rng)
-    snapshot = [a.copy() for a in (batch.mode_assignment, batch.rotation_quarter,
-                                   batch.field_h.quarter, batch.field_v.param)]
+    snapshot = [a.copy() for a in (batch.mode_secret, batch.field_h.quarter, batch.field_v.param)]
     lossy = batch.propagated(0.5, rng)
     modulated = modulate_batch(lossy, rng.integers(0, 4, cfg.n_pulses))
     for new in (lossy, modulated):
         assert new is not batch
-        assert np.shares_memory(new.mode_assignment, batch.mode_assignment)
-        assert np.shares_memory(new.rotation_quarter, batch.rotation_quarter)
+        assert new.mode_secret is batch.mode_secret
         assert new.field_h.level is batch.field_h.level and new.field_h.kind is batch.field_h.kind
     assert lossy.bob_quarter is batch.bob_quarter
     assert modulated.propagated(0.5, rng).bob_quarter is modulated.bob_quarter
     assert np.shares_memory(modulated.field_v.param, lossy.field_v.param)
-    for old, now in zip(snapshot, (batch.mode_assignment, batch.rotation_quarter,
-                                   batch.field_h.quarter, batch.field_v.param)):
+    for old, now in zip(snapshot, (batch.mode_secret, batch.field_h.quarter, batch.field_v.param)):
         assert np.array_equal(old, now)
 
 
 @pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
 def test_every_default_train_reaches_the_interferometers_as_a_table(monkeypatch, kind):
-    # A train of more than LEVELS_MAX levels would fall back to per-pair
-    # columns: correct, but several times slower on the attacks.
-    indices, real = [], protocol.pair_click_probs
+    # A train with more levels would take a wider index, or per-pair columns
+    # once its table outnumbers the pairs: correct, but slower on the attacks.
+    tables, real = [], protocol.pair_click_probs
 
     def recording(out1, det):
         p, index = real(out1, det)
-        indices.append(index)
+        tables.append((p.shape, (4 * out1.kind.size) ** 2, index.dtype))
         return p, index
 
     monkeypatch.setattr(protocol, "pair_click_probs", recording)
     cls = ATTACK_KINDS[kind]
     run_session(SessionConfig(n_pulses=3000, seed=5), cls() if cls else None)
-    assert len(indices) == 1 and indices[0] is not None and indices[0].dtype == np.uint8
+    [(shape, entries, dtype)] = tables
+    assert shape == (4, entries) and entries <= 256 and dtype == np.uint8
 
