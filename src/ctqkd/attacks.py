@@ -34,7 +34,15 @@ import numpy as np
 
 from .detector import DetectorModel, click_prob, require_real
 from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField, _select, gather, level_pairs
-from .protocol import ConfigError, PulseBatch, SessionConfig, SiftOutcome, modulate_batch
+from .protocol import (
+    ConfigError,
+    PulseBatch,
+    SessionConfig,
+    SiftOutcome,
+    _gathered,
+    modulate_batch,
+    sample_blocked,
+)
 
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_prob=0.0)
 
@@ -209,7 +217,7 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     p_c = float(np.mean(gather(np.where(coh_h, pair_h, pair_v), pair)))
     p_t = float(np.mean(gather(np.where(coh_h, pair_v, pair_h), pair)))
 
-    clicks = rng.random(len(batch)) < gather(p_h, h.level)
+    clicks = sample_blocked(len(batch), _gathered(p_h, h.level), rng)
     guess_coh_in_h = clicks if p_c >= p_t else ~clicks
     bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
     return guess_coh_in_h, bayes_error
@@ -297,7 +305,8 @@ class TrojanHorse(Attack):
         return batch.with_fields(FieldArray.uniform(self.probe, n), FieldArray.vacuum(n)), batch
 
     def apply_return(self, batch, held, cfg, rng):
-        counts = batch.field_h.photon_counts(rng) + batch.field_v.photon_counts(rng)
+        counts = batch.field_h.photon_counts(rng)
+        counts += batch.field_v.photon_counts(rng)
         learned = counts >= 2
         out = modulate_batch(held, batch.bob_quarter * learned)
         return out.propagated(1.0 - cfg.tap_reflectance, rng), learned

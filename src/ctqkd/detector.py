@@ -70,7 +70,7 @@ class ClickStream:
     def frequency(self) -> float:
         if self.n_gates == 0:
             raise ValueError("empty click stream")
-        return float(self.clicks.mean())
+        return float(np.count_nonzero(self.clicks) / self.n_gates)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,17 @@ KIND_THERMAL = 2
 KIND_FOCK = 3
 KIND_BLINDING = 4
 
+# Pulses per block of the block-wise stages.  A block's float64 temporaries
+# take 256 KiB each, so a stage's working set fits a 2 MiB per-core L2
+# cache; 2**14 and 2**16 measured no faster.  A constant, not a setting:
+# results do not depend on it.
+BLOCK = 1 << 15
+
+
+def blocks(n: int):
+    """(start, stop) of each block of n pulses, in order."""
+    return ((i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
+
 
 @dataclass(frozen=True)
 class Vacuum:
@@ -313,15 +324,22 @@ class FieldArray:
     def photon_counts(self, rng: np.random.Generator) -> np.ndarray:
         """Sample the photon number an ideal counter registers per pulse:
         Poisson on coherent light, Bose-Einstein on thermal light, n on a
-        definite photon number; blinding light counts as int64 max // 2."""
+        definite photon number; blinding light counts as int64 max // 2.
+        Every coherent pulse draws before every thermal one, in pulse order,
+        one block of pulses at a time."""
         k, level = self.kind, self.level
         fixed = np.where(k == KIND_FOCK, self.param, 0.0).astype(np.int64)
         fixed[k == KIND_BLINDING] = np.iinfo(np.int64).max // 2
         counts = gather(fixed, level)
-        coh, th = gather(k == KIND_COHERENT, level), gather(k == KIND_THERMAL, level)
-        counts[coh] = rng.poisson(self.param[level[coh]])
-        if th.any():
-            counts[th] = rng.geometric(1.0 / (1.0 + self.param[level[th]])) - 1
+        for kind, draw in ((KIND_COHERENT, rng.poisson),
+                           (KIND_THERMAL, lambda mu: rng.geometric(1.0 / (1.0 + mu)) - 1)):
+            of_kind = k == kind
+            if not of_kind.any():
+                continue
+            for i, j in blocks(len(self)):
+                block = level[i:j]
+                pulses = np.flatnonzero(gather(of_kind, block))
+                counts[i:j][pulses] = draw(self.param[block[pulses]])
         return counts
 
 

@@ -25,6 +25,13 @@ each block's temporaries stay in cache, and because every uniform draw
 takes one 64-bit output (every quarter one buffered 32-bit output), the
 blocks consume the stream exactly as one whole-array draw would.
 
+Few pulse pairs click, so the interferometers keep sparse events: three
+detector rows at one bit per pair, the fourth a block at a time, and of
+each block the indices, basis and port of its single clicks and the number
+of its doubles; Bob's phase difference is taken at the single clicks only.
+Alice's two outputs are built one at a time: output 2 is monitored and
+freed before output 1 is built, so no two full-length outputs are live.
+
 Every phase is a whole quarter turn (phi = q * pi/2), so a train of L
 levels holds at most 4 L pulse states level << 2 | quarter.  The
 interferometers compute the click probabilities of each pair of states once,
@@ -53,19 +60,22 @@ from .detector import (
     power_test,
     require_real,
 )
-from .light import KIND_COHERENT, KIND_THERMAL, FieldArray, gather, level_pairs, pair_table
+from .light import (
+    BLOCK,
+    KIND_COHERENT,
+    KIND_THERMAL,
+    FieldArray,
+    blocks,
+    gather,
+    level_pairs,
+    pair_table,
+)
 
 ALARM_NONE = "none"
 ALARM_QBER = "qber"
 ALARM_ALICE_POWER = "alice_power"
 ALARM_BOB_POWER = "bob_power"
 ALARM_MULTIPLE = "multiple"
-
-# Pulses per block of the block-wise stages.  A block's float64 temporaries
-# take 256 KiB each, so a stage's working set fits a 2 MiB per-core L2
-# cache; 2**14 and 2**16 measured no faster.  A constant, not a setting:
-# results do not depend on it.
-BLOCK = 1 << 15
 
 
 class PulseBatch:
@@ -247,11 +257,6 @@ class SessionResult:
 # Alice's preparation and mode separation
 
 
-def _blocks(n: int):
-    """(start, stop) of each block of n pulses, in order."""
-    return ((i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
-
-
 def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     """Prepare the outgoing pulse train.
 
@@ -283,11 +288,20 @@ def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
     (coherent, thermal); an attacker who replaced the channel fields lands on
     output 2 whenever the mode secret says so.
     """
+    return alice_output1(batch), alice_output2(batch)
+
+
+def alice_output1(batch: PulseBatch) -> FieldArray:
+    """Output 1 of separate_modes alone."""
     # Undoing the rotation swaps the modes when rotation is 1; wiring 1 swaps
     # them again.  So output 1 is the channel's V mode exactly where the
     # mode secret, their XOR, is 1.
-    secret, h, v = batch.mode_secret, batch.field_h, batch.field_v
-    return FieldArray.where(secret, v, h), FieldArray.where(secret, h, v)
+    return FieldArray.where(batch.mode_secret, batch.field_v, batch.field_h)
+
+
+def alice_output2(batch: PulseBatch) -> FieldArray:
+    """Output 2 of separate_modes alone: the mode output 1 does not take."""
+    return FieldArray.where(batch.mode_secret, batch.field_h, batch.field_v)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +315,7 @@ def bob_quarters(n: int, rng: np.random.Generator) -> np.ndarray:
     32-bit output per value), one block at a time, so the stream is the
     same and no full-length int64 array is built."""
     quarters = np.empty(n, dtype=np.uint8)
-    for i, j in _blocks(n):
+    for i, j in blocks(n):
         quarters[i:j] = rng.integers(0, 4, j - i)
     return quarters
 
@@ -316,16 +330,24 @@ def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
     return batch.with_fields(batch.field_h.phase_shifted(q), batch.field_v.phase_shifted(q), q)
 
 
-def sample_blocked(n: int, probs, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli clicks u < p of n gates, as a bool array.
+def click_blocks(n: int, probs, rng: np.random.Generator):
+    """Bernoulli clicks u < p of n gates, one block at a time: yields
+    (i, j, clicks of gates i..j-1) as bool, in a buffer the next block reuses.
 
     probs(i, j) returns the click probabilities of gates i..j-1.  Each block
     draws its uniforms into one reused buffer; Generator.random takes one
     64-bit output per double, so the draws are those of rng.random(n)."""
-    clicks = np.empty(n, dtype=bool)
     uniforms = np.empty(min(n, BLOCK))
-    for i, j in _blocks(n):
-        np.less(rng.random(out=uniforms[:j - i]), probs(i, j), out=clicks[i:j])
+    clicks = np.empty(min(n, BLOCK), dtype=bool)
+    for i, j in blocks(n):
+        yield i, j, np.less(rng.random(out=uniforms[:j - i]), probs(i, j), out=clicks[:j - i])
+
+
+def sample_blocked(n: int, probs, rng: np.random.Generator) -> np.ndarray:
+    """The clicks of click_blocks(n, probs, rng) as one bool array."""
+    clicks = np.empty(n, dtype=bool)
+    for i, j, block in click_blocks(n, probs, rng):
+        clicks[i:j] = block
     return clicks
 
 
@@ -444,33 +466,52 @@ def click_events(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray)
             "basis_q": basis, "port": port}
 
 
-def measure_interference(out1: FieldArray, delta_q: np.ndarray, det: DetectorModel,
+def measure_interference(out1: FieldArray, quarters: np.ndarray, det: DetectorModel,
                          rng: np.random.Generator) -> dict:
     """Click-sample all consecutive pulse pairs of Alice's coherent output:
     each detector clicks independently with its pair_click_probs; exactly
     one click yields a usable event, two or more a discarded double.
-    Detector rows are drawn one after another, in the order of a (4, m)
-    draw; each row is gathered block by block as it is consumed."""
+
+    The rows D0A, D1A, D0B and D1B are drawn one after another, in the order
+    of a (4, m) draw.  The first three are kept at one bit per pair; the
+    last is drawn a block at a time, and click_events reads each block of
+    all four.  Only the single clicks are kept: their pair indices s
+    ("pairs", ascending intp), "basis_q" and "port" (uint8), and Bob's phase
+    difference "delta_q" = (quarters[s + 1] - quarters[s]) & 3 at each; of
+    the doubles, their number ("doubles")."""
     m = len(out1) - 1
     p, index = pair_click_probs(out1, det)
-    clicks = [sample_blocked(m, _gathered(row, index), rng).view(np.uint8) for row in p]
-    return {**click_events(*clicks), "delta_q": delta_q}
+    # One bit per pair; BLOCK is a multiple of 8, so a block starts on a byte.
+    packed = np.empty((3, -(-m // 8)), dtype=np.uint8)
+    for row, bits in zip(p, packed):
+        for i, j, clicks in click_blocks(m, _gathered(row, index), rng):
+            bits[i // 8:-(-j // 8)] = np.packbits(clicks)
+    singles, doubles = [], 0
+    for i, j, clicks in click_blocks(m, _gathered(p[3], index), rng):
+        rows = np.unpackbits(packed[:, i // 8:-(-j // 8)], axis=1, count=j - i)
+        events = click_events(*rows, clicks.view(np.uint8))
+        s = np.flatnonzero(events["single"])
+        singles.append((s + i, events["basis_q"][s], events["port"][s]))
+        doubles += np.count_nonzero(events["double"])
+    pairs, basis_q, port = (np.concatenate(col) for col in zip(*singles))
+    return {"pairs": pairs, "basis_q": basis_q, "port": port,
+            "delta_q": (quarters[pairs + 1] - quarters[pairs]) & 3, "doubles": int(doubles)}
 
 
 def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> SiftOutcome:
     """Keep matched-basis single clicks, disclose a random sample for error
     estimation, and strip the disclosed bits from the key.
 
+    meas holds the single clicks as measure_interference returns them.
     Basis A keeps phase differences {0, pi}, basis B {pi/2, 3pi/2}.  Bob's
     bit is 0/1 for offset 0/pi from the basis phase; Alice's is the port that
     clicked.  An empty sifted set leaves qber undefined (None).
     """
-    single, basis_q = meas["single"], meas["basis_q"]
-    delta_q, port = meas["delta_q"], meas["port"]
-    kept = single & ((delta_q % 2) == basis_q)
-    idx = np.flatnonzero(kept)
-    alice_bits = port[idx].astype(np.uint8)
-    bob_bits = (((delta_q[idx] - basis_q[idx]) % 4) == 2).astype(np.uint8)
+    basis_q, delta_q = meas["basis_q"], meas["delta_q"]
+    kept = (delta_q & 1) == basis_q
+    idx = meas["pairs"][kept]
+    alice_bits = meas["port"][kept]
+    bob_bits = (((delta_q[kept] - basis_q[kept]) & 3) == 2).astype(np.uint8)
     k = idx.size
     if k == 0:
         empty = np.zeros(0, dtype=np.uint8)
@@ -538,14 +579,13 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     batch = batch.propagated(cfg.transmittance_oneway, rng)
 
     # Each later stage reads less of the train; free the rest as it goes, so
-    # the interferometers' peak does not sit on top of the whole train.
-    out1, out2 = separate_modes(batch)
+    # that no two full-length outputs are live at once: output 2 is monitored
+    # and freed before output 1 is built, and the train goes after that.
+    alice_outcome = alice_thermal_monitor(alice_output2(batch), cfg, rng)
+    out1 = alice_output1(batch)
     del batch
-    alice_outcome = alice_thermal_monitor(out2, cfg, rng)
-    del out2
-
-    delta_q = (quarters[1:] - quarters[:-1]) & 3
-    meas = measure_interference(out1, delta_q, cfg.detector_alice, rng)
+    meas = measure_interference(out1, quarters, cfg.detector_alice, rng)
+    del out1
     sift = sift_and_qber(meas, cfg, rng)
 
     eve = attack.finalize_report(carry, sift, rng) if attack is not None else None
@@ -554,8 +594,8 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     counts = {
         "sent": n,
         "pairs": n - 1,
-        "single_clicks": int(meas["single"].sum()),
-        "double_clicks": int(meas["double"].sum()),
+        "single_clicks": int(meas["pairs"].size),
+        "double_clicks": meas["doubles"],
         "sifted": int(sift.pair_indices.size),
         "disclosed": int(sift.disclosed.sum()),
     }

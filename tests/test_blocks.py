@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctqkd import protocol
-from ctqkd.detector import click_prob
+from ctqkd.detector import DetectorModel, click_prob
 from ctqkd.light import KIND_BLINDING, KIND_COHERENT, KIND_FOCK, KIND_VACUUM, Coherent, FieldArray
 from ctqkd.protocol import (
     BLOCK,
@@ -16,11 +16,13 @@ from ctqkd.protocol import (
     alice_thermal_monitor,
     bob_monitor_tap,
     bob_quarters,
+    click_events,
     measure_interference,
     modulate_batch,
     pair_click_probs,
     sample_blocked,
     separate_modes,
+    sift_and_qber,
 )
 
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
@@ -82,6 +84,20 @@ def _assert_same_draws(got, want, rng, ref):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def _assert_sparse_events(meas, clicks, quarters):
+    """meas holds the single clicks, and counts the doubles, that the dense
+    event law gives on the (4, m) bool clicks, with Bob's phase difference
+    at each single click."""
+    dense = click_events(*clicks.view(np.uint8))
+    pairs = np.flatnonzero(dense["single"])
+    assert meas["pairs"].dtype == np.intp and meas["pairs"].tobytes() == pairs.tobytes()
+    for key in ("basis_q", "port"):
+        assert meas[key].dtype == np.uint8 and meas[key].tobytes() == dense[key][pairs].tobytes()
+    delta_q = (quarters[1:] - quarters[:-1]) & 3
+    assert meas["delta_q"].tobytes() == delta_q[pairs].tobytes()
+    assert meas["doubles"] == np.count_nonzero(dense["double"])
+
+
 def _assert_selected(got, mask, a, b):
     """got holds a's field where mask, else b's, pulse by pulse."""
     for col, col_a, col_b in zip(_dense(got), _dense(a), _dense(b)):
@@ -93,7 +109,6 @@ def _assert_selected(got, mask, a, b):
 def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     cfg, batch = _batch(train, n)
     streams = _record(monkeypatch, "power_test")
-    rows = _record(monkeypatch, "click_events")
     rng, ref = np.random.default_rng(99), np.random.default_rng(99)
 
     bob_monitor_tap(batch, cfg, rng)
@@ -112,7 +127,8 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     p = click_prob(det.dark_prob, out2.noclick_factors(det.eta)[out2.level])
     _assert_same_draws(streams.pop()[0].clicks, ref.random(n) < p, rng, ref)
 
-    measure_interference(out1, np.zeros(n - 1, dtype=np.uint8), det, rng)
+    quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
+    meas = measure_interference(out1, quarters, det, rng)
     p, index = pair_click_probs(out1, det)
     # A train of L levels takes the table iff its (4 L)**2 state pairs are
     # no more than its pulse pairs, else one column per pair: every train of
@@ -127,9 +143,50 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     assert tabulated == (train != "mixed" and n > 2)
     assert p.shape == (4, (4 * out1.kind.size) ** 2 if tabulated else n - 1)
     assert index.dtype == np.min_scalar_type(p.shape[1] - 1)
-    whole = p[:, index]
-    want = np.array([ref.random(n - 1) < row for row in whole])  # in the order of a (4, m) draw
-    _assert_same_draws(np.array(rows.pop()), want.view(np.uint8), rng, ref)
+    _assert_sparse_events(meas, ref.random((4, n - 1)) < p[:, index], quarters)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _edge_train(train, n, seed):
+    """Alice's output 1 for an ideal detector, and its only possible click
+    events.  "doubles": bright coherent pulses of one phase, where D0A and
+    both basis-B detectors click on every pair, so no pair gives a single
+    click.  "block-end": vacuum but for pulse BLOCK, which lights pairs
+    BLOCK - 1 and BLOCK alike; its mean puts exactly one of pair BLOCK - 1's
+    four uniforms, and none of pair BLOCK's, below the click probability.
+    None when the uniforms of this seed allow no such mean."""
+    if train == "doubles":
+        return FieldArray.uniform(Coherent(100.0), n)
+    u = np.random.default_rng(seed).random((4, n - 1))[:, BLOCK - 1:BLOCK + 1]
+    low = np.sort(u[:, 0])
+    high = min(low[1], u[:, 1:].min(initial=1.0))
+    if not low[0] < high:
+        return None
+    p = (low[0] + high) / 2  # 1 - exp(-mu / 8) at each detector
+    level = np.zeros(n, dtype=np.uint8)
+    level[BLOCK] = 1
+    return FieldArray(level, np.zeros(n, dtype=np.uint8), [KIND_VACUUM, KIND_COHERENT],
+                      [0.0, -8.0 * np.log1p(-p)])
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("train", ["doubles", "block-end"])
+def test_sparse_events_with_no_single_click_or_one_at_a_block_end(train, n):
+    det = DetectorModel(eta=1.0, dark_prob=0.0)
+    seed = next(s for s in range(100) if _edge_train(train, n, s) is not None)
+    out1 = _edge_train(train, n, seed)
+    quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    meas = measure_interference(out1, quarters, det, rng)
+    p, index = pair_click_probs(out1, det)
+    _assert_sparse_events(meas, ref.random((4, n - 1)) < p[:, index], quarters)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if train == "doubles":
+        assert meas["pairs"].size == 0 and meas["doubles"] == n - 1
+        sift = sift_and_qber(meas, SessionConfig(n_pulses=n), rng)
+        assert sift.pair_indices.size == 0 and sift.qber is None
+    else:
+        assert meas["pairs"].tolist() == [BLOCK - 1] and meas["doubles"] == 0
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -3,6 +3,7 @@ interferometric measurement, sifting and the end-to-end run."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,11 +447,11 @@ def test_interferometer_measure_deterministic_port():
     # Ideal detector, opposite phases: the only possible single click in
     # basis A is D1A.
     det = DetectorModel(eta=1.0, dark_prob=0.0)
-    out1 = FieldArray.uniform(Coherent(2.0), 101).phase_shifted(2 * (np.arange(101) % 2))
-    meas = measure_interference(out1, np.full(100, 2), det, np.random.default_rng(3))
-    assert np.all(meas["delta_q"] == 2)
-    seen = {(int(b), int(p)) for b, p in zip(meas["basis_q"][meas["single"]],
-                                             meas["port"][meas["single"]])}
+    quarters = (2 * (np.arange(101) % 2)).astype(np.uint8)
+    out1 = FieldArray.uniform(Coherent(2.0), 101).phase_shifted(quarters)
+    meas = measure_interference(out1, quarters, det, np.random.default_rng(3))
+    assert meas["pairs"].size > 0 and np.all(meas["delta_q"] == 2)
+    seen = set(zip(meas["basis_q"].tolist(), meas["port"].tolist()))
     assert (0, 0) not in seen
     assert (0, 1) in seen
 
@@ -458,29 +459,30 @@ def test_interferometer_measure_deterministic_port():
 # --- sifting ---------------------------------------------------------------
 
 
-def _meas(single, basis_q, port, delta_q):
+def _meas(pairs, basis_q, port, delta_q):
+    """Single clicks at these pair indices, as measure_interference keeps them."""
     return {
-        "single": np.asarray(single, dtype=bool),
-        "double": np.zeros(len(single), dtype=bool),
-        "basis_q": np.asarray(basis_q, dtype=np.int8),
+        "pairs": np.asarray(pairs, dtype=np.intp),
+        "basis_q": np.asarray(basis_q, dtype=np.uint8),
         "port": np.asarray(port, dtype=np.uint8),
-        "delta_q": np.asarray(delta_q, dtype=np.int64),
+        "delta_q": np.asarray(delta_q, dtype=np.uint8),
+        "doubles": 0,
     }
 
 
 def test_sift_matched_event_bits():
     cfg = SessionConfig(n_pulses=10, seed=0, qber_sample_fraction=0.5)
-    # one matched event: basis A, delta pi, click D1 -> both bits 1
-    meas = _meas([True, True], [0, 0], [1, 1], [2, 2])
+    # matched events: basis A, delta pi, click D1 -> both bits 1
+    meas = _meas([3, 7], [0, 0], [1, 1], [2, 2])
     out = sift_and_qber(meas, cfg, np.random.default_rng(1))
-    assert out.pair_indices.size == 2
+    assert out.pair_indices.tolist() == [3, 7]
     assert out.qber == 0.0
     assert list(out.alice_bits) == [1, 1] and list(out.bob_bits) == [1, 1]
 
 
 def test_sift_drops_mismatched_basis():
     cfg = SessionConfig(n_pulses=10, seed=0)
-    meas = _meas([True, True], [0, 1], [0, 0], [1, 0])  # A with pi/2, B with 0
+    meas = _meas([0, 1], [0, 1], [0, 0], [1, 0])  # A with pi/2, B with 0
     out = sift_and_qber(meas, cfg, np.random.default_rng(1))
     assert out.pair_indices.size == 0
     assert out.qber is None
@@ -489,7 +491,7 @@ def test_sift_drops_mismatched_basis():
 def test_sift_discloses_and_strips_sample():
     cfg = SessionConfig(n_pulses=10, seed=0, qber_sample_fraction=0.25)
     k = 40
-    meas = _meas([True] * k, [0] * k, [0] * k, [0] * k)
+    meas = _meas(np.arange(0, 2 * k, 2), [0] * k, [0] * k, [0] * k)
     out = sift_and_qber(meas, cfg, np.random.default_rng(2))
     assert out.disclosed.sum() == 10
     assert len(out.key_alice) == 30
@@ -556,6 +558,21 @@ def test_honest_sessions_do_not_alarm():
     for seed in range(8):
         res = run_session(SessionConfig(n_pulses=2 * 10**4, seed=seed))
         assert res.alarm == "none"
+
+
+def test_honest_session_allocates_at_most_9_bytes_per_pulse():
+    # The peak of the traced allocations (numpy's included) above the
+    # session's start: 7.6 B/pulse, at Alice's monitor.  Four full-length
+    # click rows in the interferometers, 1 B/pulse each, push it past 9.
+    n = 2**20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_session(SessionConfig(n_pulses=n, seed=2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * n, peak / n
 
 
 def test_config_validation():
