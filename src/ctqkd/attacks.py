@@ -39,9 +39,9 @@ from .protocol import (
     PulseBatch,
     SessionConfig,
     SiftOutcome,
-    _gathered,
     modulate_batch,
     sample_blocked,
+    top_bits,
 )
 
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_prob=0.0)
@@ -97,14 +97,14 @@ def _dps_phase_estimates(delta_true: np.ndarray, rng: np.random.Generator,
     she infers one of the two phases of her own basis.  Pairs flagged
     non-informative (no stable phase reached her analyzer) behave like
     mismatches.  Takes delta_true as uint8 and returns (basis, inferred
-    delta, her key-bit guesses) as uint8.  The bits are drawn as int64, the
-    stream rng.integers(0, 2, m) takes; the arithmetic reduces mod 2 and
-    mod 4 with & on uint8 (wrap-around is a multiple of 4), where % would
-    divide.
+    delta, her key-bit guesses) as uint8.  The basis and coin bits are the
+    draws of two rng.integers(0, 2, m) calls; the arithmetic reduces mod 2
+    and mod 4 with & on uint8 (wrap-around is a multiple of 4), where %
+    would divide.
     """
     m = delta_true.size
-    basis = rng.integers(0, 2, m, dtype=np.int64).astype(np.uint8)
-    coin = rng.integers(0, 2, m, dtype=np.int64).astype(np.uint8)
+    drawn = top_bits(2 * m, 1, rng)
+    basis, coin = drawn[:m], drawn[m:]
     conclusive = (delta_true & 1) == basis
     if informative is not None:
         conclusive &= informative
@@ -217,7 +217,7 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     p_c = float(np.mean(gather(np.where(coh_h, pair_h, pair_v), pair)))
     p_t = float(np.mean(gather(np.where(coh_h, pair_v, pair_h), pair)))
 
-    clicks = sample_blocked(len(batch), _gathered(p_h, h.level), rng)
+    clicks = sample_blocked(len(batch), p_h, h.level, rng)
     guess_coh_in_h = clicks if p_c >= p_t else ~clicks
     bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
     return guess_coh_in_h, bayes_error
@@ -316,7 +316,7 @@ class TrojanHorse(Attack):
         kept = sift.pair_indices[~sift.disclosed]
         if kept.size:
             knows_pair = learned[kept] & learned[kept + 1]
-            correct = np.where(knows_pair, True, rng.integers(0, 2, kept.size) == 1)
+            correct = knows_pair | top_bits(kept.size, 1, rng).view(bool)
             frac = float(correct.mean())
         else:
             frac = 0.0

@@ -25,10 +25,20 @@ each block's temporaries stay in cache, and because every uniform draw
 takes one 64-bit output (every quarter one buffered 32-bit output), the
 blocks consume the stream exactly as one whole-array draw would.
 
+The draws are numpy's, made faster without changing a value or the
+generator's final state.  Alice's secret bits, Bob's quarters and Eve's
+coin flips are rng.integers over power-of-two ranges, which numpy takes
+as fixed bit slices of 32-bit words; uint32_words reads those words from
+the raw 64-bit outputs, so a draw is a shift.  A click stage compares
+each block's uniforms with its table's largest click probability first
+and looks up a gate's own probability only where the uniform lies between
+the table's least and largest, which few do when clicks are rare.
+
 Few pulse pairs click, so the interferometers keep sparse events: three
-detector rows at one bit per pair, the fourth a block at a time, and of
-each block the indices, basis and port of its single clicks and the number
-of its doubles; Bob's phase difference is taken at the single clicks only.
+detector rows at one bit per pair, the fourth packed a block at a time,
+and of each block the indices, basis and port of its single clicks and
+the number of its doubles, found by a bitwise event law on the packed
+rows; Bob's phase difference is taken at the single clicks only.
 Alice's two outputs are built one at a time: output 2 is monitored and
 freed before output 1 is built, so no two full-length outputs are live.
 
@@ -254,6 +264,63 @@ class SessionResult:
 
 
 # ---------------------------------------------------------------------------
+# Bounded integer draws from raw generator words
+
+
+def uint32_words(rng: np.random.Generator, k: int) -> np.ndarray:
+    """The next k 32-bit outputs of rng's bit generator, as uint32, leaving
+    it exactly as k calls of its next_uint32 would.
+
+    Such a generator buffers the upper half of a 64-bit output: a pending
+    half (state "has_uint32") comes first, then each new 64-bit output gives
+    its low half, then its high half.  The last new output's high half stays
+    in state "uinteger" even once used, as numpy leaves it.  numpy draws
+    rng.integers over a power-of-two range as fixed bit slices of these
+    words (Lemire's method never rejects there), so the draws below equal
+    its draws and leave the same state.  A generator with no such buffer
+    (MT19937) raises TypeError."""
+    bit_gen = rng.bit_generator
+    state = bit_gen.state
+    if "has_uint32" not in state:
+        raise TypeError(f"{type(bit_gen).__name__} buffers no 32-bit half-words")
+    if k == 0:
+        return np.empty(0, dtype=np.uint32)
+    pending = state["has_uint32"]
+    need = k - pending
+    # Little-endian order puts each output's low half first; a no-op view
+    # on a little-endian machine.
+    raw = bit_gen.random_raw(-(-need // 2)).astype("<u8", copy=False)
+    if pending:
+        words = np.empty(k, dtype="<u4")
+        words[0] = state["uinteger"]
+        words[1:] = raw.view("<u4")[:need]
+    else:
+        words = raw.view("<u4")[:k]
+    state = bit_gen.state
+    state["has_uint32"] = need % 2
+    if need:
+        state["uinteger"] = int(raw[-1]) >> 32
+    bit_gen.state = state
+    return words
+
+
+def fair_bits(n: int, rng: np.random.Generator) -> np.ndarray:
+    """rng.integers(0, 2, n, dtype=np.uint8): numpy takes one byte of a
+    32-bit word per value, low byte first, and keeps its top bit."""
+    bits = uint32_words(rng, -(-n // 4)).view(np.uint8)[:n]
+    bits >>= 7
+    return bits
+
+
+def top_bits(n: int, bits: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """rng.integers(0, 2**bits, n) as uint8, for 1 <= bits <= 8: numpy
+    takes one 32-bit word per value and keeps its top bits.  Written into
+    out when given."""
+    out = np.empty(n, dtype=np.uint8) if out is None else out
+    return np.right_shift(uint32_words(rng, n), 32 - bits, out=out, casting="unsafe")
+
+
+# ---------------------------------------------------------------------------
 # Alice's preparation and mode separation
 
 
@@ -266,12 +333,11 @@ def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     is itself a fresh fair bit per pulse.
     """
     n = cfg.n_pulses
-    assign = rng.integers(0, 2, n, dtype=np.uint8)
-    rot = rng.integers(0, 2, n, dtype=np.uint8)
     # 1 where H carries the thermal state: the mode secret and the level
     # column of both modes, over swapped tables.  Read-only, so all three
     # share this very array.
-    th_in_h = assign ^ rot
+    th_in_h = fair_bits(n, rng)  # source wiring
+    th_in_h ^= fair_bits(n, rng)  # rotator angle
     th_in_h.flags.writeable = False
     phase = np.zeros(n, dtype=np.uint8)  # both modes start at phase 0
     means = [cfg.mu_coherent, cfg.mu_thermal]
@@ -311,12 +377,11 @@ def alice_output2(batch: PulseBatch) -> FieldArray:
 def bob_quarters(n: int, rng: np.random.Generator) -> np.ndarray:
     """Bob's random phases in quarter turns, as a uint8 column.
 
-    Drawn as rng.integers(0, 4, n) would draw them (int64, one buffered
-    32-bit output per value), one block at a time, so the stream is the
-    same and no full-length int64 array is built."""
+    The values and the stream of rng.integers(0, 4, n), drawn one block at
+    a time, so that no full-length array of words is built."""
     quarters = np.empty(n, dtype=np.uint8)
     for i, j in blocks(n):
-        quarters[i:j] = rng.integers(0, 4, j - i)
+        top_bits(j - i, 2, rng, out=quarters[i:j])
     return quarters
 
 
@@ -330,32 +395,39 @@ def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
     return batch.with_fields(batch.field_h.phase_shifted(q), batch.field_v.phase_shifted(q), q)
 
 
-def click_blocks(n: int, probs, rng: np.random.Generator):
-    """Bernoulli clicks u < p of n gates, one block at a time: yields
-    (i, j, clicks of gates i..j-1) as bool, in a buffer the next block reuses.
+def click_blocks(n: int, table: np.ndarray, index: np.ndarray, rng: np.random.Generator):
+    """Bernoulli clicks u < table[index] of n gates, one block at a time:
+    yields (i, j, clicks of gates i..j-1) as bool, in a buffer the next
+    block reuses.
 
-    probs(i, j) returns the click probabilities of gates i..j-1.  Each block
-    draws its uniforms into one reused buffer; Generator.random takes one
-    64-bit output per double, so the draws are those of rng.random(n)."""
+    Each block draws its uniforms into one reused buffer; Generator.random
+    takes one 64-bit output per double, so the draws are those of
+    rng.random(n).  The uniforms are compared with the table's largest
+    probability first: u >= max never clicks and u < min always does, so
+    only gates with min <= u < max, few when clicks are rare, gather their
+    own probability (none when the table is constant)."""
+    high, low = table.max(), table.min()
     uniforms = np.empty(min(n, BLOCK))
     clicks = np.empty(min(n, BLOCK), dtype=bool)
     for i, j in blocks(n):
-        yield i, j, np.less(rng.random(out=uniforms[:j - i]), probs(i, j), out=clicks[:j - i])
+        u = rng.random(out=uniforms[:j - i])
+        c = np.less(u, high, out=clicks[:j - i])
+        if low < high:
+            near = c.nonzero()[0]
+            u_near = u.take(near)
+            unsure = (u_near >= low).nonzero()[0]
+            near = near.take(unsure)
+            c[near] = u_near.take(unsure) < gather(table, index[i:j].take(near))
+        yield i, j, c
 
 
-def sample_blocked(n: int, probs, rng: np.random.Generator) -> np.ndarray:
-    """The clicks of click_blocks(n, probs, rng) as one bool array."""
+def sample_blocked(n: int, table: np.ndarray, index: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The clicks of click_blocks(n, table, index, rng) as one bool array."""
     clicks = np.empty(n, dtype=bool)
-    for i, j, block in click_blocks(n, probs, rng):
+    for i, j, block in click_blocks(n, table, index, rng):
         clicks[i:j] = block
     return clicks
-
-
-def _gathered(table: np.ndarray, index: np.ndarray):
-    """probs(i, j) for sample_blocked: table[index[i:j]], gathered into one
-    reused block buffer."""
-    buf = np.empty(min(index.size, BLOCK), dtype=table.dtype)
-    return lambda i, j: gather(table, index[i:j], out=buf[:j - i])
 
 
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
@@ -373,7 +445,7 @@ def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
     level_h, level_v, index = level_pairs(h, v)
     table = click_prob(det.dark_prob, h.noclick_factors(eta_eff)[level_h]
                        * v.noclick_factors(eta_eff)[level_v])
-    stream = ClickStream(sample_blocked(len(batch), _gathered(table, index), rng))
+    stream = ClickStream(sample_blocked(len(batch), table, index, rng))
     return power_test(stream, cfg.expected_bob_monitor_p(), cfg.z_threshold)
 
 
@@ -386,7 +458,7 @@ def alice_thermal_monitor(output2: FieldArray, cfg: SessionConfig,
     det = cfg.detector_alice
 
     table = click_prob(det.dark_prob, output2.noclick_factors(det.eta))
-    stream = ClickStream(sample_blocked(len(output2), _gathered(table, output2.level), rng))
+    stream = ClickStream(sample_blocked(len(output2), table, output2.level, rng))
     return power_test(stream, cfg.expected_alice_thermal_p(), cfg.z_threshold)
 
 
@@ -456,14 +528,20 @@ def pair_click_probs(out1: FieldArray, det: DetectorModel):
 
 
 def click_events(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> dict:
-    """Single and double clicks from the four detectors' uint8 0/1 rows, and
+    """Single and double clicks from the four detectors' rows, and
     basis_q = d >> 1, port = d & 1 of the first detector d that clicked, as
-    argmax over the rows picks it (d = 0 when none did)."""
-    n_clicks = c0 + c1 + c2 + c3
-    basis = (c2 | c3) & ~(c0 | c1)
-    port = (c1 & ~c0) | (c3 & ~(c0 | c1 | c2))
-    return {"single": n_clicks == 1, "double": n_clicks >= 2,
-            "basis_q": basis, "port": port}
+    argmax over the rows picks it (d = 0 when none did).  The law is
+    bitwise, so the rows may be bool or 0/1 integers, or np.packbits of
+    them, and the events come in the same form."""
+    c01, c23 = c0 | c1, c2 | c3
+    double = c0 & c1 | c2 & c3 | c01 & c23
+    return {"single": (c01 | c23) & ~double, "double": double,
+            "basis_q": c23 & ~c01, "port": (c1 & ~c0) | (c3 & ~(c01 | c2))}
+
+
+def _bits_at(row: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Bits s of an np.packbits row, as uint8 0/1."""
+    return (row[s >> 3] << (s & 7).astype(np.uint8)) >> 7
 
 
 def measure_interference(out1: FieldArray, quarters: np.ndarray, det: DetectorModel,
@@ -474,25 +552,25 @@ def measure_interference(out1: FieldArray, quarters: np.ndarray, det: DetectorMo
 
     The rows D0A, D1A, D0B and D1B are drawn one after another, in the order
     of a (4, m) draw.  The first three are kept at one bit per pair; the
-    last is drawn a block at a time, and click_events reads each block of
-    all four.  Only the single clicks are kept: their pair indices s
-    ("pairs", ascending intp), "basis_q" and "port" (uint8), and Bob's phase
-    difference "delta_q" = (quarters[s + 1] - quarters[s]) & 3 at each; of
-    the doubles, their number ("doubles")."""
+    last is drawn a block at a time, packed, and click_events reads each
+    block of all four packed rows.  Only the single clicks are kept: their
+    pair indices s ("pairs", ascending intp), "basis_q" and "port" (uint8),
+    and Bob's phase difference "delta_q" = (quarters[s + 1] - quarters[s]) & 3
+    at each; of the doubles, their number ("doubles")."""
     m = len(out1) - 1
     p, index = pair_click_probs(out1, det)
     # One bit per pair; BLOCK is a multiple of 8, so a block starts on a byte.
     packed = np.empty((3, -(-m // 8)), dtype=np.uint8)
     for row, bits in zip(p, packed):
-        for i, j, clicks in click_blocks(m, _gathered(row, index), rng):
+        for i, j, clicks in click_blocks(m, row, index, rng):
             bits[i // 8:-(-j // 8)] = np.packbits(clicks)
     singles, doubles = [], 0
-    for i, j, clicks in click_blocks(m, _gathered(p[3], index), rng):
-        rows = np.unpackbits(packed[:, i // 8:-(-j // 8)], axis=1, count=j - i)
-        events = click_events(*rows, clicks.view(np.uint8))
-        s = np.flatnonzero(events["single"])
-        singles.append((s + i, events["basis_q"][s], events["port"][s]))
-        doubles += np.count_nonzero(events["double"])
+    for i, j, clicks in click_blocks(m, p[3], index, rng):
+        events = click_events(*packed[:, i // 8:-(-j // 8)], np.packbits(clicks))
+        # Unpacked bits are 0 or 1: as bool, numpy finds them several times faster.
+        s = np.flatnonzero(np.unpackbits(events["single"], count=j - i).view(bool))
+        singles.append((s + i, _bits_at(events["basis_q"], s), _bits_at(events["port"], s)))
+        doubles += np.count_nonzero(np.unpackbits(events["double"]).view(bool))
     pairs, basis_q, port = (np.concatenate(col) for col in zip(*singles))
     return {"pairs": pairs, "basis_q": basis_q, "port": port,
             "delta_q": (quarters[pairs + 1] - quarters[pairs]) & 3, "doubles": int(doubles)}

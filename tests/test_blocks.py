@@ -16,6 +16,7 @@ from ctqkd.protocol import (
     alice_thermal_monitor,
     bob_monitor_tap,
     bob_quarters,
+    click_blocks,
     click_events,
     measure_interference,
     modulate_batch,
@@ -204,13 +205,12 @@ def test_prepare_and_bob_quarters_equal_whole_array_draws(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_sample_blocked_asks_for_each_gate_once_in_order(n):
-    asked = []
-
-    def probs(i, j):
-        asked.append((i, j))
-        return np.full(j - i, 0.5)
-
-    clicks = sample_blocked(n, probs, np.random.default_rng(1))
-    assert clicks.shape == (n,) and clicks.dtype == bool
-    assert len(asked) == -(-n // BLOCK)  # one block when n <= BLOCK
-    assert [i for i, _ in asked] == [0] + [j for _, j in asked[:-1]] and asked[-1][1] == n
+    # Each gate has a table entry of its own, so a gate read twice, skipped
+    # or out of order would compare with another gate's probability.
+    table = np.random.default_rng(n).uniform(0.0, 0.2, n)
+    index = np.arange(n, dtype=np.min_scalar_type(n - 1))  # unsigned, as gather asks
+    spans = [(i, j) for i, j, _ in click_blocks(n, table, index, np.random.default_rng(2))]
+    assert len(spans) == -(-n // BLOCK)  # one block when n <= BLOCK
+    assert [i for i, _ in spans] == [0] + [j for _, j in spans[:-1]] and spans[-1][1] == n
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    _assert_same_draws(sample_blocked(n, table, index, rng), ref.random(n) < table, rng, ref)
