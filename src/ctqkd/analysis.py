@@ -12,8 +12,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attacks import Attack
-from .detector import DetectorModel, click_prob_coherent, click_prob_thermal
+from .detector import DetectorModel, click_prob_coherent, click_prob_thermal, require_real
 from .protocol import ALARM_NONE, ConfigError, SessionConfig, run_session
+
+
+def _is_count(value, high=math.inf) -> bool:
+    """value is an integer (not a bool) in [1, high]."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and 1 <= value <= high)
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,8 @@ class SweepSpec:
             raise ConfigError("seed cannot be swept; replicates take seeds from base.seed")
         if len(self.values) == 0:
             raise ConfigError("value grid must be nonempty")
-        if self.seeds_per_point < 1:
-            raise ConfigError("seeds_per_point must be >= 1")
+        if not _is_count(self.seeds_per_point):
+            raise ConfigError(f"seeds_per_point must be an integer >= 1, got {self.seeds_per_point!r}")
         if self.attack is not None and not isinstance(self.attack, Attack):
             raise ConfigError(f"attack must be an Attack instance or None, got {self.attack!r}")
 
@@ -85,12 +91,15 @@ def distinguishability_curve(mu_t: float, mu_c: float, det: DetectorModel,
     """Error of telling n thermal click samples from n coherent ones, for each
     n in the grid.  Decreases toward zero as n grows whenever the two click
     probabilities differ; stays at 1/2 when they coincide."""
+    require_real("mu_t", mu_t, 0.0, math.inf, "[)")
+    require_real("mu_c", mu_c, 0.0, math.inf, "[)")
+    if not _is_count(trials):
+        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
+    n_max = np.iinfo(np.int64).max  # the largest count Generator.binomial takes
+    if not all(_is_count(n, n_max) for n in n_grid):
+        raise ConfigError(f"sample counts must be integers in [1, {n_max}], got {tuple(n_grid)}")
     p_t = click_prob_thermal(det, mu_t)
     p_c = click_prob_coherent(det, mu_c)
-    n_max = np.iinfo(np.int64).max  # the largest count Generator.binomial takes
-    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= n_max
-           for n in n_grid):
-        raise ConfigError(f"sample counts must be integers in [1, {n_max}], got {tuple(n_grid)}")
     return [{
         "n_samples": int(n),
         "p_thermal": p_t,

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fock import DensityMatrix
+from .light import blocks
 
 
 class ConfigError(ValueError):
@@ -54,23 +55,24 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ClickStream:
-    """Ordered click/no-click record, one boolean per detection gate."""
+    """Click count of a run of detection gates: clicks of n_gates clicked."""
 
-    clicks: np.ndarray
+    clicks: int
+    n_gates: int
 
     def __post_init__(self):
-        c = np.asarray(self.clicks, dtype=bool)
-        c.setflags(write=False)
-        object.__setattr__(self, "clicks", c)
-
-    @property
-    def n_gates(self) -> int:
-        return int(self.clicks.size)
+        for name in ("clicks", "n_gates"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 0 <= self.clicks <= self.n_gates:
+            raise ValueError(f"clicks must be in [0, n_gates={self.n_gates}], got {self.clicks}")
 
     def frequency(self) -> float:
         if self.n_gates == 0:
             raise ValueError("empty click stream")
-        return float(np.count_nonzero(self.clicks) / self.n_gates)
+        return self.clicks / self.n_gates
 
 
 @dataclass(frozen=True)
@@ -140,12 +142,14 @@ def click_prob_state(det: DetectorModel, rho: DensityMatrix) -> float:
 
 
 def sample_clicks(p_click: float, n_gates: int, rng: np.random.Generator) -> ClickStream:
-    """Independent Bernoulli(p_click) click stream, deterministic given rng state."""
+    """Click count of n_gates independent Bernoulli(p_click) gates: that of
+    rng.random(n_gates) < p_click, drawn a block at a time."""
     if not 0.0 <= p_click <= 1.0:
         raise ValueError(f"click probability must be in [0, 1], got {p_click}")
     if n_gates < 1:
         raise ValueError(f"n_gates must be >= 1, got {n_gates}")
-    return ClickStream(rng.random(n_gates) < p_click)
+    return ClickStream(sum(np.count_nonzero(rng.random(j - i) < p_click)
+                           for i, j in blocks(n_gates)), n_gates)
 
 
 def band_power_statistic(stream: ClickStream) -> float:

@@ -34,11 +34,11 @@ each block's uniforms with its table's largest click probability first
 and looks up a gate's own probability only where the uniform lies between
 the table's least and largest, which few do when clicks are rare.
 
-Few pulse pairs click, so the interferometers keep sparse events: three
-detector rows at one bit per pair, the fourth packed a block at a time,
-and of each block the indices, basis and port of its single clicks and
-the number of its doubles, found by a bitwise event law on the packed
-rows; Bob's phase difference is taken at the single clicks only.
+The monitors count each block's clicks and keep no per-gate record.  Few
+pulse pairs click, so the interferometers keep sparse events: the four
+detector rows at one bit per pair, read once by a bitwise event law for
+the indices, basis and port of the single clicks and the number of
+doubles; Bob's phase difference is taken at the single clicks only.
 Alice's two outputs are built one at a time: output 2 is monitored and
 freed before output 1 is built, so no two full-length outputs are live.
 
@@ -430,6 +430,12 @@ def sample_blocked(n: int, table: np.ndarray, index: np.ndarray,
     return clicks
 
 
+def count_clicks(n: int, table: np.ndarray, index: np.ndarray,
+                 rng: np.random.Generator) -> ClickStream:
+    """The clicks of click_blocks(n, table, index, rng), counted block by block."""
+    return ClickStream(sum(np.count_nonzero(c) for _, _, c in click_blocks(n, table, index, rng)), n)
+
+
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
                     rng: np.random.Generator) -> Optional[PowerTestOutcome]:
     """Bob's state check: tap fraction r of both modes onto one detector and
@@ -445,7 +451,7 @@ def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
     level_h, level_v, index = level_pairs(h, v)
     table = click_prob(det.dark_prob, h.noclick_factors(eta_eff)[level_h]
                        * v.noclick_factors(eta_eff)[level_v])
-    stream = ClickStream(sample_blocked(len(batch), table, index, rng))
+    stream = count_clicks(len(batch), table, index, rng)
     return power_test(stream, cfg.expected_bob_monitor_p(), cfg.z_threshold)
 
 
@@ -458,7 +464,7 @@ def alice_thermal_monitor(output2: FieldArray, cfg: SessionConfig,
     det = cfg.detector_alice
 
     table = click_prob(det.dark_prob, output2.noclick_factors(det.eta))
-    stream = ClickStream(sample_blocked(len(output2), table, output2.level, rng))
+    stream = count_clicks(len(output2), table, output2.level, rng)
     return power_test(stream, cfg.expected_alice_thermal_p(), cfg.z_threshold)
 
 
@@ -551,29 +557,26 @@ def measure_interference(out1: FieldArray, quarters: np.ndarray, det: DetectorMo
     one click yields a usable event, two or more a discarded double.
 
     The rows D0A, D1A, D0B and D1B are drawn one after another, in the order
-    of a (4, m) draw.  The first three are kept at one bit per pair; the
-    last is drawn a block at a time, packed, and click_events reads each
-    block of all four packed rows.  Only the single clicks are kept: their
-    pair indices s ("pairs", ascending intp), "basis_q" and "port" (uint8),
-    and Bob's phase difference "delta_q" = (quarters[s + 1] - quarters[s]) & 3
-    at each; of the doubles, their number ("doubles")."""
+    of a (4, m) draw, each a block at a time and kept at one bit per pair;
+    click_events reads the four packed rows once.  Only the single clicks
+    are kept: their pair indices s ("pairs", ascending intp), "basis_q" and
+    "port" (uint8), and Bob's phase difference "delta_q" =
+    (quarters[s + 1] - quarters[s]) & 3 at each; of the doubles, their
+    number ("doubles")."""
     m = len(out1) - 1
     p, index = pair_click_probs(out1, det)
     # One bit per pair; BLOCK is a multiple of 8, so a block starts on a byte.
-    packed = np.empty((3, -(-m // 8)), dtype=np.uint8)
+    packed = np.empty((4, -(-m // 8)), dtype=np.uint8)
     for row, bits in zip(p, packed):
         for i, j, clicks in click_blocks(m, row, index, rng):
             bits[i // 8:-(-j // 8)] = np.packbits(clicks)
-    singles, doubles = [], 0
-    for i, j, clicks in click_blocks(m, p[3], index, rng):
-        events = click_events(*packed[:, i // 8:-(-j // 8)], np.packbits(clicks))
-        # Unpacked bits are 0 or 1: as bool, numpy finds them several times faster.
-        s = np.flatnonzero(np.unpackbits(events["single"], count=j - i).view(bool))
-        singles.append((s + i, _bits_at(events["basis_q"], s), _bits_at(events["port"], s)))
-        doubles += np.count_nonzero(np.unpackbits(events["double"]).view(bool))
-    pairs, basis_q, port = (np.concatenate(col) for col in zip(*singles))
-    return {"pairs": pairs, "basis_q": basis_q, "port": port,
-            "delta_q": (quarters[pairs + 1] - quarters[pairs]) & 3, "doubles": int(doubles)}
+    events = click_events(*packed)
+    # Unpacked bits are 0 or 1: as bool, numpy finds them several times faster.
+    pairs = np.flatnonzero(np.unpackbits(events["single"], count=m).view(bool))
+    return {"pairs": pairs, "basis_q": _bits_at(events["basis_q"], pairs),
+            "port": _bits_at(events["port"], pairs),
+            "delta_q": (quarters[pairs + 1] - quarters[pairs]) & 3,
+            "doubles": int(np.count_nonzero(np.unpackbits(events["double"]).view(bool)))}
 
 
 def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> SiftOutcome:

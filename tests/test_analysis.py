@@ -67,6 +67,19 @@ def test_curve_rejects_non_integer_sample_counts(grid):
         distinguishability_curve(0.2, 0.2, IDEAL, grid, np.random.default_rng(1), trials=10)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 0}, {"trials": -3}, {"trials": True}, {"trials": 2.5}, {"trials": "10"},
+    {"mu_t": -0.1}, {"mu_t": math.nan}, {"mu_c": math.nan}, {"mu_c": math.inf}, {"mu_c": True},
+])
+def test_curve_rejects_bad_trials_and_means_before_any_draw(kwargs):
+    args = {"mu_t": 0.2, "mu_c": 0.3, "trials": 10, **kwargs}
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="trials" if "trials" in kwargs else next(iter(kwargs))):
+        distinguishability_curve(args["mu_t"], args["mu_c"], IDEAL, [1, 10], rng, trials=args["trials"])
+    assert rng.bit_generator.state == state
+
+
 def test_curve_rejects_sample_counts_beyond_int64():
     # Generator.binomial takes an int64 count; a larger one is a
     # configuration error, not numpy's OverflowError.
@@ -214,6 +227,13 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="n_pulses", values=(), base=SessionConfig())
     with pytest.raises(ValueError):
         SweepSpec(parameter="n_pulses", values=(1,), base=SessionConfig(), seeds_per_point=0)
+
+
+@pytest.mark.parametrize("seeds", [2.5, 2.0, "2", True, None])
+def test_sweep_spec_rejects_a_non_integer_seed_count(seeds):
+    with pytest.raises(ConfigError, match="seeds_per_point"):
+        SweepSpec(parameter="mu_coherent", values=(0.2,), base=SessionConfig(n_pulses=2000),
+                  seeds_per_point=seeds)
 
 
 def test_sweep_spec_takes_an_attack_value_not_a_class():
