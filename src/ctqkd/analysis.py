@@ -1,35 +1,79 @@
 """Derived studies: distinguishability-vs-samples curves, parameter sweeps
-over sessions, and the CSV report writer."""
+over sessions, the CSV report writer, and the one resolver of parameter keys."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-import numbers
+import typing
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .attacks import Attack
-from .detector import DetectorModel, click_prob_coherent, click_prob_thermal, require_real
+from .detector import DetectorModel, click_prob_coherent, click_prob_thermal, require_int, require_real
+from .light import LightField
 from .protocol import ALARM_NONE, ConfigError, SessionConfig, run_session
 
+# The four parameter sections of a run (cfg, attack), each the place of one
+# object in it: its index in the pair, then the SessionConfig field holding
+# it, or None.  The key "<section>.<field>" sets a field of that object
+# annotated with one of PARAMETER_TYPES; other fields (detectors) have none.
+PARAMETER_SECTIONS = {"session": (0, None), "alice": (0, "detector_alice"),
+                      "bob": (0, "detector_bob"), "attack": (1, None)}
+PARAMETER_TYPES = (int, float, LightField)
 
-def _is_count(value, high=math.inf) -> bool:
-    """value is an integer (not a bool) in [1, high]."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
-            and 1 <= value <= high)
+
+@functools.lru_cache(maxsize=None)
+def _parameter_fields(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
+            if hints[f.name] in PARAMETER_TYPES}
+
+
+def parameter_keys(cfg: Optional[SessionConfig], attack: Optional[Attack]) -> dict:
+    """Key -> annotation of every parameter the run (cfg, attack) takes; a
+    None in the run takes no key of its sections."""
+    keys = {}
+    for section, (index, field) in PARAMETER_SECTIONS.items():
+        obj = getattr((cfg, attack)[index], field, None) if field else (cfg, attack)[index]
+        if obj is not None:
+            keys.update({f"{section}.{name}": hint
+                         for name, hint in _parameter_fields(type(obj)).items()})
+    return keys
+
+
+def resolve_parameters(cfg: Optional[SessionConfig], attack: Optional[Attack],
+                       values: dict) -> tuple:
+    """(cfg, attack) with each value set at its key, "<section>.<field>" or a
+    bare session field.  Each object changed is rebuilt once with replace,
+    detectors before the config holding them, so values are validated
+    together.  Integral floats become ints on int fields (grids parse floats)."""
+    run, keys = (cfg, attack), parameter_keys(cfg, attack)
+    changes = {place: {} for place in PARAMETER_SECTIONS.values()}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        hint = keys.get(f"{section or 'session'}.{name}")
+        if hint is None:
+            raise ConfigError(f"unknown parameter {key!r}; this run takes {', '.join(keys)}")
+        if hint is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        changes[PARAMETER_SECTIONS[section or "session"]][name] = value
+    outer = [changes[(index, None)] for index in range(len(run))]
+    for (index, field), inner in changes.items():
+        if field is not None and inner:
+            outer[index][field] = replace(getattr(run[index], field), **inner)
+    return tuple(replace(obj, **change) if change else obj for obj, change in zip(run, outer))
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept parameter over a value grid, several seeds per point.
 
-    parameter names a SessionConfig field other than seed,
-    "alice.<field>" or "bob.<field>" for a parameter of that party's
-    detector (eta or dark_prob), or "attack.<field>" for a parameter of the
-    attack strategy.
+    parameter is any key resolve_parameters takes ("session.mu_thermal",
+    "mu_thermal", "alice.eta", "attack.tap_fraction"), but not the seed.
     """
 
     parameter: str
@@ -39,14 +83,13 @@ class SweepSpec:
     seeds_per_point: int = 1
 
     def __post_init__(self):
-        if self.parameter == "seed":
+        if self.parameter in ("seed", "session.seed"):
             # run_sweep derives each replicate's seed from base.seed; a swept
             # seed would overwrite it and run every replicate on one seed.
             raise ConfigError("seed cannot be swept; replicates take seeds from base.seed")
         if len(self.values) == 0:
             raise ConfigError("value grid must be nonempty")
-        if not _is_count(self.seeds_per_point):
-            raise ConfigError(f"seeds_per_point must be an integer >= 1, got {self.seeds_per_point!r}")
+        require_int("seeds_per_point", self.seeds_per_point, 1)
         if self.attack is not None and not isinstance(self.attack, Attack):
             raise ConfigError(f"attack must be an Attack instance or None, got {self.attack!r}")
 
@@ -93,50 +136,24 @@ def distinguishability_curve(mu_t: float, mu_c: float, det: DetectorModel,
     probabilities differ; stays at 1/2 when they coincide."""
     require_real("mu_t", mu_t, 0.0, math.inf, "[)")
     require_real("mu_c", mu_c, 0.0, math.inf, "[)")
-    if not _is_count(trials):
-        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
-    n_max = np.iinfo(np.int64).max  # the largest count Generator.binomial takes
-    if not all(_is_count(n, n_max) for n in n_grid):
-        raise ConfigError(f"sample counts must be integers in [1, {n_max}], got {tuple(n_grid)}")
+    # Generator.binomial takes sizes up to intp's largest value, counts up to int64's.
+    trials = require_int("trials", trials, 1, np.iinfo(np.intp).max)
+    if len(n_grid) == 0:
+        raise ConfigError("n_grid must be nonempty")
+    n_max = np.iinfo(np.int64).max
+    try:
+        n_grid = [require_int("n", n, 1, n_max) for n in n_grid]
+    except ConfigError:
+        raise ConfigError(f"n_grid must hold sample counts that are integers in [1, {n_max}], "
+                          f"got {tuple(n_grid)}") from None
     p_t = click_prob_thermal(det, mu_t)
     p_c = click_prob_coherent(det, mu_c)
     return [{
-        "n_samples": int(n),
+        "n_samples": n,
         "p_thermal": p_t,
         "p_coherent": p_c,
-        "discrimination_error": discrimination_error(p_t, p_c, int(n), trials, rng),
+        "discrimination_error": discrimination_error(p_t, p_c, n, trials, rng),
     } for n in n_grid]
-
-
-def _field_names(obj) -> set:
-    return {f.name for f in dataclasses.fields(obj)}
-
-
-# Sweep-parameter section of each detector model in SessionConfig, as in
-# the config keys alice.eta, bob.dark_prob, ...
-_DETECTOR_FIELDS = {"alice": "detector_alice", "bob": "detector_bob"}
-
-
-def _apply_parameter(cfg: SessionConfig, attack, parameter: str, value):
-    """(cfg, attack) with the swept value set; both are rebuilt with
-    dataclasses.replace, so the value is validated like a configured one."""
-    section, dot, name = parameter.partition(".")
-    if dot and section == "attack":
-        if attack is None:
-            raise ConfigError(f"sweep parameter {parameter!r} needs an attack")
-        if name not in _field_names(attack):
-            raise ConfigError(f"{attack.label} has no parameter {name!r}")
-        return cfg, replace(attack, **{name: value})
-    if dot and section in _DETECTOR_FIELDS:
-        if name not in _field_names(DetectorModel):
-            raise ConfigError(f"unknown detector parameter {parameter!r}")
-        detector = _DETECTOR_FIELDS[section]
-        return replace(cfg, **{detector: replace(getattr(cfg, detector), **{name: value})}), attack
-    if parameter not in _field_names(cfg):
-        raise ConfigError(f"unknown session parameter {parameter!r}")
-    if parameter == "n_pulses" and float(value).is_integer():
-        value = int(value)  # grid values parse as floats; others fail in SessionConfig
-    return replace(cfg, **{parameter: value}), attack
 
 
 def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
@@ -146,7 +163,7 @@ def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
     Every grid value is applied once before any session runs, so a value the
     config or the attack rejects raises ConfigError before it costs compute.
     """
-    applied = [_apply_parameter(spec.base, spec.attack, spec.parameter, v) for v in spec.values]
+    applied = [resolve_parameters(spec.base, spec.attack, {spec.parameter: v}) for v in spec.values]
     points = []
     for value, (point_cfg, attack) in zip(spec.values, applied):
         qbers, z_a, z_b, alarms, key_rates = [], [], [], [], []

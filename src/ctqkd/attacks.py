@@ -151,8 +151,8 @@ class InterceptResend(Attack):
     def apply_return(self, batch, carry, cfg, rng):
         h, v = batch.field_h, batch.field_v
         # The phase of whichever mode holds the coherent state.
-        measured = FieldArray.where(gather(h.kind == KIND_COHERENT, h.level), h, v)
-        delta_true = np.diff(measured.quarter) & 3
+        coherent_in_h = gather(h.kind == KIND_COHERENT, h.level).view(np.uint8)
+        delta_true = np.diff(_select(coherent_in_h, h.quarter, v.quarter)) & 3
         basis, delta_hat, bits = _dps_phase_estimates(delta_true, rng)
         basis_matches = int(((delta_true & 1) == basis).sum())
         resend = _resend_train(delta_hat, self.resend_mu)

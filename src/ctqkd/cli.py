@@ -10,16 +10,15 @@ the single configured seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
 import time
-import typing
 
 import numpy as np
 
-from .analysis import SweepSpec, distinguishability_curve, export_csv, run_sweep
+from .analysis import (SweepSpec, distinguishability_curve, export_csv, parameter_keys,
+                       resolve_parameters, run_sweep)
 from .attacks import ATTACK_KINDS, eve_information_summary
 from .fock import (
     TruncationError,
@@ -31,7 +30,7 @@ from .fock import (
     trace_distance,
     vacuum_probability,
 )
-from .detector import ConfigError, DetectorModel
+from .detector import ConfigError, DetectorModel, require_int
 from .light import Blinding, Coherent, FockN, LightField, Thermal, Vacuum
 from .protocol import ALARM_NONE, SessionConfig, run_session
 
@@ -48,50 +47,35 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+# Probe kind -> the field of its argument.
+_PROBES = {"vacuum": lambda arg: Vacuum(), "coherent": lambda arg: Coherent(math.sqrt(float(arg))),
+           "thermal": lambda arg: Thermal(float(arg)), "fock": lambda arg: FockN(int(arg)),
+           "blinding": lambda arg: Blinding(float(arg))}
+
+
 def _parse_probe(text: str):
     """Probe field spec: vacuum | coherent:<mean> | thermal:<mean> |
     fock:<n> | blinding:<p>."""
     kind, _, arg = text.partition(":")
-    kind = kind.strip().lower()
+    probe = _PROBES.get(kind.strip().lower())
+    if probe is None:
+        raise ConfigError(f"unknown probe kind {text!r}")
     try:
-        if kind == "vacuum":
-            return Vacuum()
-        if kind == "coherent":
-            return Coherent(math.sqrt(float(arg)))
-        if kind == "thermal":
-            return Thermal(float(arg))
-        if kind == "fock":
-            return FockN(int(arg))
-        if kind == "blinding":
-            return Blinding(float(arg))
+        return probe(arg)
     except ValueError as exc:
         raise ConfigError(f"bad probe argument in {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown probe kind {text!r}")
 
 
-# Field annotation -> coercion from string.  Every int, float and LightField
-# field of the parameter dataclasses gets a config key; other fields (the
-# detector models inside SessionConfig and ModeDiscrimination) get none.
+# Field annotation -> coercion from string, for each of PARAMETER_TYPES.
 _FIELD_PARSERS = {int: int, float: float, LightField: _parse_probe}
 
 
-def _field_keys(section: str, *classes) -> dict:
-    """section.<field> -> parser, for each field of classes whose annotation has one."""
-    keys = {}
-    for cls in classes:
-        hints = typing.get_type_hints(cls)
-        keys.update({f"{section}.{f.name}": _FIELD_PARSERS[hints[f.name]]
-                     for f in dataclasses.fields(cls) if hints[f.name] in _FIELD_PARSERS})
-    return keys
-
-
-# key -> coercion from string: the parameter fields, then the command options.
+# key -> coercion from string: the parameters of a session with each attack
+# kind, then the command options.
 CONFIG_SCHEMA = {
-    **_field_keys("session", SessionConfig),
-    **_field_keys("alice", DetectorModel),
-    **_field_keys("bob", DetectorModel),
+    **{key: _FIELD_PARSERS[hint] for cls in ATTACK_KINDS.values()
+       for key, hint in parameter_keys(SessionConfig(), cls and cls()).items()},
     "attack.kind": str,
-    **_field_keys("attack", *(cls for cls in ATTACK_KINDS.values() if cls)),
     "states.mu_grid": _parse_floats,
     "sweep.parameter": str,
     "sweep.values": _parse_floats,
@@ -131,16 +115,14 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _section(values: dict, prefix: str) -> dict:
-    """The values whose keys start with prefix, keyed by the rest of the key."""
-    return {key[len(prefix):]: v for key, v in values.items() if key.startswith(prefix)}
+def _build(values: dict, cfg, attack) -> tuple:
+    """(cfg, attack) set from the values of the keys they take (not another attack kind's)."""
+    keys = parameter_keys(cfg, attack)
+    return resolve_parameters(cfg, attack, {k: v for k, v in values.items() if k in keys})
 
 
 def build_session_config(values: dict) -> SessionConfig:
-    defaults = SessionConfig()
-    alice = dataclasses.replace(defaults.detector_alice, **_section(values, "alice."))
-    bob = dataclasses.replace(defaults.detector_bob, **_section(values, "bob."))
-    return SessionConfig(detector_alice=alice, detector_bob=bob, **_section(values, "session."))
+    return _build(values, SessionConfig(), None)[0]
 
 
 def build_attack(values: dict):
@@ -152,10 +134,7 @@ def build_attack(values: dict):
             f"unknown attack kind {kind!r}; choose from {', '.join(sorted(ATTACK_KINDS))}"
         )
     cls = ATTACK_KINDS[kind]
-    if cls is None:
-        return None
-    params = _section(values, "attack.")
-    return cls(**{f.name: params[f.name] for f in dataclasses.fields(cls) if f.name in params})
+    return None if cls is None else _build(values, None, cls())[1]
 
 
 def _output_path(out_dir: str, command: str, seed: int, ext: str) -> str:
@@ -249,25 +228,23 @@ def cmd_sweep(values: dict, out_dir: str, out) -> int:
     return EXIT_OK
 
 
+# distinguish.* keys named unlike their distinguishability_curve argument.
+_DISTINGUISH_RENAMED = {"mu_t": "mu_thermal", "mu_c": "mu_coherent"}
+
+
 def cmd_distinguish(values: dict, out_dir: str, out) -> int:
-    # The seed obeys the session's rule: an integer >= 0.
-    seed = SessionConfig(seed=values.get("session.seed", SessionConfig.seed)).seed
-    det = DetectorModel(
-        eta=values.get("distinguish.eta", 0.1),
-        dark_prob=values.get("distinguish.dark_prob", 1e-5),
-    )
-    mu_t = values.get("distinguish.mu_thermal", 0.2)
-    mu_c = values.get("distinguish.mu_coherent", 0.2)
-    for key, mu in (("distinguish.mu_thermal", mu_t), ("distinguish.mu_coherent", mu_c)):
-        if not 0.0 <= mu < math.inf:
-            raise ConfigError(f"{key} must be finite and nonnegative, got {mu}")
-    n_grid = values.get("distinguish.n_grid", (1, 10, 100, 1000, 10000, 100000))
-    if not n_grid:
-        raise ConfigError("distinguish.n_grid must be nonempty")
-    trials = values.get("distinguish.trials", 2000)
-    if trials < 1:
-        raise ConfigError(f"distinguish.trials must be >= 1, got {trials}")
-    rows = distinguishability_curve(mu_t, mu_c, det, n_grid, np.random.default_rng(seed), trials)
+    seed = require_int("seed", values.get("session.seed", SessionConfig.seed), 0)
+    try:
+        rows = distinguishability_curve(
+            values.get("distinguish.mu_thermal", 0.2), values.get("distinguish.mu_coherent", 0.2),
+            DetectorModel(values.get("distinguish.eta", 0.1),
+                          values.get("distinguish.dark_prob", 1e-5)),
+            values.get("distinguish.n_grid", (1, 10, 100, 1000, 10000, 100000)),
+            np.random.default_rng(seed), values.get("distinguish.trials", 2000))
+    except ConfigError as exc:
+        # Each message starts with the argument it is about: name its key.
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"distinguish.{_DISTINGUISH_RENAMED.get(name, name)} {rest}") from exc
     path = _output_path(out_dir, "distinguish", seed, "csv")
     _write_atomic(path, export_csv(rows))
     print(f"wrote {path} ({len(rows)} points)", file=out)

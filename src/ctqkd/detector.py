@@ -40,6 +40,18 @@ def require_real(name: str, value, low: float = -math.inf, high: float = math.in
                           f"{ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
 
 
+def require_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
+    """value as an int if it is an integer (not a bool) from low to high, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise ConfigError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Threshold detector with quantum efficiency eta and per-gate dark-count

@@ -10,9 +10,10 @@ turn.  Each per-kind law of the light lives here: loss and the no-click
 probability of a threshold detector, evaluated once per level, and photon
 counting.  LightField is the spec of a single field (coherent amplitude
 r * i**q, thermal mean, definite photon number, saturating blinding light,
-or vacuum), converted to and from a FieldArray by FieldArray.uniform,
-from_fields and field.  Blinding light saturates a threshold detector, so
-its click probability ignores efficiency and attenuation.
+or vacuum), converted to a FieldArray by FieldArray.uniform.  Tests convert
+pulse by pulse with from_fields and field, kept beside the one map of kind
+codes to field classes so that no test copies it.  Blinding light saturates
+a threshold detector: its click probability ignores efficiency and loss.
 """
 
 from __future__ import annotations

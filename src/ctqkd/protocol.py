@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -68,6 +67,7 @@ from .detector import (
     click_prob,
     click_prob_thermal,
     power_test,
+    require_int,
     require_real,
 )
 from .light import (
@@ -151,11 +151,9 @@ class SessionConfig:
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("n_pulses", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        # numpy draws no train longer than its largest array size.
+        for name, low, high in (("n_pulses", 2, np.iinfo(np.intp).max), ("seed", 0, math.inf)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), low, high))
         for name in ("detector_alice", "detector_bob"):
             if not isinstance(getattr(self, name), DetectorModel):
                 raise ConfigError(f"{name} must be a DetectorModel, got {getattr(self, name)!r}")
@@ -167,10 +165,6 @@ class SessionConfig:
                                       ("qber_threshold", 0.0, 1.0, "()"),
                                       ("qber_sample_fraction", 0.0, 1.0, "()")):
             require_real(name, getattr(self, name), low, high, ends)
-        if self.n_pulses < 2:
-            raise ConfigError(f"n_pulses must be >= 2, got {self.n_pulses}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # A monitor expecting a click probability of exactly 0 or 1 has no
         # spread to test a click frequency against.
         monitors = [("Alice's thermal", self.expected_alice_thermal_p())]

@@ -92,6 +92,14 @@ def test_curve_rejects_sample_counts_beyond_int64():
     assert row["n_samples"] == n_max
 
 
+def test_curve_rejects_an_empty_grid_and_trials_beyond_numpy_array_sizes():
+    with pytest.raises(ConfigError, match="n_grid must be nonempty"):
+        distinguishability_curve(0.2, 0.3, IDEAL, [], np.random.default_rng(1), trials=10)
+    for trials in (np.iinfo(np.intp).max + 1, 10**20):
+        with pytest.raises(ConfigError, match="trials must be <="):
+            distinguishability_curve(0.2, 0.3, IDEAL, [10], np.random.default_rng(1), trials=trials)
+
+
 def test_curve_accepts_numpy_integer_sample_counts():
     rows = distinguishability_curve(0.2, 0.2, IDEAL, np.array([1, 7]), np.random.default_rng(1),
                                     trials=10)
@@ -153,11 +161,59 @@ def test_sweep_is_deterministic():
 def test_sweep_detector_parameter_replaces_that_detector(parameter, detector, field):
     base = SessionConfig(n_pulses=3000, seed=21)
     value = 0.25 if field == "eta" else 0.002
-    cfg, attack = analysis._apply_parameter(base, None, parameter, value)
+    cfg, attack = analysis.resolve_parameters(base, None, {parameter: value})
     other = "detector_bob" if detector == "detector_alice" else "detector_alice"
     assert getattr(cfg, detector) == dataclasses.replace(getattr(base, detector), **{field: value})
     assert getattr(cfg, other) == getattr(base, other) and attack is None
     assert dataclasses.replace(cfg, **{detector: getattr(base, detector)}) == base
+
+
+def test_resolver_rebuilds_each_object_once_so_values_are_checked_together():
+    # Alone, a dark-free Alice detector on a source with no thermal light
+    # leaves her monitor nothing to expect; set with a thermal mean, it is valid.
+    base = SessionConfig(n_pulses=3000, mu_thermal=0.0)
+    values = {"alice.dark_prob": 0.0, "session.mu_thermal": 0.2, "bob.eta": 0.3, "n_pulses": 4000.0}
+    cfg, attack = analysis.resolve_parameters(base, None, values)
+    assert cfg == dataclasses.replace(base, mu_thermal=0.2, n_pulses=4000,
+                                      detector_alice=DetectorModel(0.1, 0.0),
+                                      detector_bob=DetectorModel(0.3, 1e-5))
+    assert type(cfg.n_pulses) is int and attack is None
+    with pytest.raises(ConfigError, match="monitor"):
+        analysis.resolve_parameters(base, None, {"alice.dark_prob": 0.0})
+    assert analysis.resolve_parameters(base, None, {}) == (base, None)
+
+
+@pytest.mark.parametrize("parameter", ["attack.tap_fraction", "eve.tap_fraction", "alice",
+                                       "session.detector_alice", "alice.gain", "bob."])
+def test_resolver_names_the_keys_a_run_takes(parameter):
+    with pytest.raises(ConfigError) as info:
+        analysis.resolve_parameters(SessionConfig(n_pulses=2000), None, {parameter: 0.5})
+    message, _, taken = str(info.value).partition("; this run takes ")
+    assert message == f"unknown parameter {parameter!r}"
+    assert taken.split(", ") == list(analysis.parameter_keys(SessionConfig(), None))
+    assert "alice.eta" in taken and "attack." not in taken
+
+
+def test_sweep_over_a_session_config_key_matches_the_bare_field():
+    base = SessionConfig(n_pulses=4000, seed=17)
+    points = [run_sweep(SweepSpec(parameter=p, values=(0.1, 0.3), base=base, seeds_per_point=2))
+              for p in ("session.mu_thermal", "mu_thermal")]
+    assert points[0] == points[1]
+    assert [p.x for p in points[0]] == [0.1, 0.3]
+
+
+def test_sweep_rejects_the_seed_as_a_config_key():
+    with pytest.raises(ConfigError, match="seed cannot be swept"):
+        SweepSpec(parameter="session.seed", values=(1, 2), base=SessionConfig(n_pulses=2000))
+
+
+def test_sweep_rejects_a_pulse_count_beyond_numpy_array_sizes(monkeypatch):
+    sessions = []
+    monkeypatch.setattr(analysis, "run_session", lambda *args: sessions.append(args))
+    spec = SweepSpec(parameter="n_pulses", values=(2000.0, 1e25), base=SessionConfig())
+    with pytest.raises(ConfigError, match="n_pulses must be <="):
+        run_sweep(spec)
+    assert sessions == []
 
 
 def test_sweep_over_a_detector_parameter_matches_sessions():

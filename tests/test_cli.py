@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ctqkd import cli
+from ctqkd.analysis import parameter_keys, resolve_parameters
 from ctqkd.attacks import ATTACK_KINDS, ModeDiscrimination
 from ctqkd.cli import (
     CONFIG_SCHEMA,
@@ -110,6 +111,77 @@ def test_readme_example_config_builds_every_attack(tmp_path):
         assert attack is None if cls is None else type(attack) is cls
     assert build_attack(values).probe == Coherent(10**0.5)
     assert build_attack({**values, "attack.kind": "beam-split"}).tap_fraction == 0.5
+
+
+def test_readme_parameter_keys_build_as_a_sweep_sets_them(tmp_path):
+    # The config file and a sweep set a key through one resolver: for every
+    # parameter key of the README example, at its value and at another one,
+    # the CLI builders give the objects the sweep's resolver does.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    values = parse_config_file(write_config(tmp_path, example))
+    base = SessionConfig()
+    checked = set()
+    for key, value in values.items():
+        section, _, name = key.partition(".")
+        other = Thermal(0.5) if key == "attack.probe" else value / 2 if isinstance(value, float) \
+            else value // 2 if isinstance(value, int) else None
+        for v in (value, other):
+            if key in parameter_keys(base, None):
+                if section == "session":
+                    want = dataclasses.replace(base, **{name: v})
+                else:
+                    detector = getattr(base, f"detector_{section}")
+                    want = dataclasses.replace(base, **{f"detector_{section}":
+                                                        dataclasses.replace(detector, **{name: v})})
+                assert resolve_parameters(base, None, {key: v})[0] == want, key
+                assert build_session_config({key: v}) == want, key
+                checked.add(key)
+            for kind, cls in ATTACK_KINDS.items():
+                if cls is not None and key in parameter_keys(None, cls()):
+                    want = dataclasses.replace(cls(), **{name: v})
+                    assert resolve_parameters(base, cls(), {key: v})[1] == want, (key, kind)
+                    assert build_attack({"attack.kind": kind, key: v}) == want, (key, kind)
+                    checked.add(key)
+    sections = ("session", "alice", "bob", "attack")
+    assert checked == {k for k in CONFIG_SCHEMA if k.split(".")[0] in sections} - {"attack.kind"}
+
+
+@pytest.mark.parametrize("command,text", [
+    ("session", "session.n_pulses = 100000000000000000000"),
+    ("sweep", "sweep.parameter = n_pulses\nsweep.values = 1e25"),
+    ("sweep", "sweep.parameter = session.n_pulses\nsweep.values = 2000,1e25"),
+    ("distinguish", "distinguish.trials = 100000000000000000000"),
+])
+def test_counts_beyond_numpy_array_sizes_exit_2(tmp_path, capsys, command, text):
+    # Each once crashed inside numpy with "Maximum allowed dimension exceeded".
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "must be <= 9223372036854775807" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_pulses_flag_beyond_numpy_array_sizes_exits_2(tmp_path, capsys):
+    assert main(["session", "--pulses", "100000000000000000000",
+                 "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "n_pulses must be <=" in capsys.readouterr().err
+
+
+def test_sweep_command_takes_any_parameter_section_key(tmp_path):
+    for parameter in ("session.mu_thermal", "alice.eta", "bob.dark_prob"):
+        out_dir = tmp_path / parameter
+        path = write_config(tmp_path, f"sweep.parameter = {parameter}\nsweep.values = 0.1,0.01\n")
+        assert main(["sweep", "--config", path, "--pulses", "2000",
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        (name,) = os.listdir(out_dir)
+        lines = (out_dir / name).read_text().strip().splitlines()
+        assert len(lines) == 3 and lines[1].startswith(f"{parameter},0.1,")
+
+
+def test_distinguish_names_the_key_of_a_bad_detector_value(tmp_path, capsys):
+    path = write_config(tmp_path, "distinguish.dark_prob = 1")
+    assert main(["distinguish", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "distinguish.dark_prob must be a finite real number" in capsys.readouterr().err
 
 
 def test_build_attack_rejects_unknown_kind():

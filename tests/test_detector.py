@@ -20,6 +20,7 @@ from ctqkd.detector import (
     click_prob_state,
     click_prob_thermal,
     power_test,
+    require_int,
     require_real,
     sample_clicks,
     samples_needed,
@@ -54,6 +55,24 @@ def test_require_real_includes_an_end_only_where_bracketed(value, ends, ok):
     else:
         with pytest.raises(ConfigError, match=rf"x must be a finite real number in \{ends[0]}0, 1\{ends[1]}"):
             require_real("x", value, 0.0, 1.0, ends)
+
+
+@pytest.mark.parametrize("value,message", [
+    (2.5, "n must be an integer, got 2.5"), (3.0, "n must be an integer, got 3.0"),
+    (True, "n must be an integer, got True"), ("3", "n must be an integer, got '3'"),
+    (None, "n must be an integer, got None"), (0, "n must be >= 1, got 0"),
+    (11, "n must be <= 10, got 11"), (10**20, "n must be <= 10, got 100000000000000000000"),
+])
+def test_require_int_rejects_non_integers_and_values_out_of_range(value, message):
+    with pytest.raises(ConfigError) as info:
+        require_int("n", value, 1, 10)
+    assert str(info.value) == message
+
+
+def test_require_int_returns_a_python_int_with_both_ends_included():
+    assert [require_int("n", v, 1, 10) for v in (1, np.int64(10), np.uint8(5))] == [1, 10, 5]
+    assert type(require_int("n", np.int64(3), 1, 10)) is int
+    assert require_int("seed", 10**30, 0) == 10**30
 
 
 def test_thermal_click_limits():

@@ -635,6 +635,16 @@ def test_config_rejects_non_integer_pulse_count(value):
         SessionConfig(n_pulses=value)
 
 
+def test_config_rejects_a_pulse_count_beyond_numpy_array_sizes():
+    # A longer train cannot be drawn: numpy stops at its largest array size
+    # with "Maximum allowed dimension exceeded" halfway through the run.
+    n_max = np.iinfo(np.intp).max
+    for n in (n_max + 1, 10**20):
+        with pytest.raises(ConfigError, match=f"n_pulses must be <= {n_max}"):
+            SessionConfig(n_pulses=n)
+    assert SessionConfig(n_pulses=n_max).n_pulses == n_max
+
+
 def test_config_accepts_numpy_integers():
     cfg = SessionConfig(n_pulses=np.int64(1000), seed=np.int64(3))
     doc = json.loads(run_session(cfg).to_json())
