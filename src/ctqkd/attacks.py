@@ -39,9 +39,9 @@ from .protocol import (
     PulseBatch,
     SessionConfig,
     SiftOutcome,
+    fair_bits,
     modulate_batch,
     sample_blocked,
-    top_bits,
 )
 
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_prob=0.0)
@@ -83,10 +83,6 @@ class Attack:
         return EveReport(self.label, self.params())
 
 
-# The largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX).
-_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-
-
 def _dps_phase_estimates(delta_true: np.ndarray, rng: np.random.Generator,
                          informative: Optional[np.ndarray] = None):
     """Eve's conclusive differential-phase measurement on a pulse-pair train.
@@ -97,13 +93,12 @@ def _dps_phase_estimates(delta_true: np.ndarray, rng: np.random.Generator,
     she infers one of the two phases of her own basis.  Pairs flagged
     non-informative (no stable phase reached her analyzer) behave like
     mismatches.  Takes delta_true as uint8 and returns (basis, inferred
-    delta, her key-bit guesses) as uint8.  The basis and coin bits are the
-    draws of two rng.integers(0, 2, m) calls; the arithmetic reduces mod 2
-    and mod 4 with & on uint8 (wrap-around is a multiple of 4), where %
-    would divide.
+    delta, her key-bit guesses) as uint8.  The basis bits and then the coin
+    bits are one fair_bits draw; the arithmetic reduces mod 2 and mod 4 with
+    & on uint8 (wrap-around is a multiple of 4), where % would divide.
     """
     m = delta_true.size
-    drawn = top_bits(2 * m, 1, rng)
+    drawn = fair_bits(2 * m, rng)
     basis, coin = drawn[:m], drawn[m:]
     conclusive = (delta_true & 1) == basis
     if informative is not None:
@@ -292,9 +287,6 @@ class TrojanHorse(Attack):
     def __post_init__(self):
         if not isinstance(self.probe, LightField):
             raise ConfigError(f"probe must be a light field, got {self.probe!r}")
-        # Eve counts the returned probe's photons with Generator.poisson.
-        if getattr(self.probe, "mean_photons", 0.0) > _POISSON_MEAN_MAX:
-            raise ConfigError(f"probe mean photon number must be <= {_POISSON_MEAN_MAX:.6g}")
 
     def params(self) -> dict:
         return {"probe": repr(self.probe)}
@@ -305,9 +297,14 @@ class TrojanHorse(Attack):
         return batch.with_fields(FieldArray.uniform(self.probe, n), FieldArray.vacuum(n)), batch
 
     def apply_return(self, batch, held, cfg, rng):
-        counts = batch.field_h.photon_counts(rng)
-        counts += batch.field_v.photon_counts(rng)
-        learned = counts >= 2
+        # Eve learns a pulse's phase where her ideal counter registers at
+        # least two photons over both modes: per pair of levels, 1 - P(0, 0)
+        # - P(0, 1) - P(1, 0) of the two modes' independent photon numbers.
+        h, v = batch.field_h, batch.field_v
+        level_h, level_v, index = level_pairs(h, v)
+        (zero_h, one_h), (zero_v, one_v) = h.few_photon_probs(), v.few_photon_probs()
+        at_most_one = zero_h[level_h] * (zero_v + one_v)[level_v] + one_h[level_h] * zero_v[level_v]
+        learned = sample_blocked(len(batch), 1.0 - at_most_one, index, rng)
         out = modulate_batch(held, batch.bob_quarter * learned)
         return out.propagated(1.0 - cfg.tap_reflectance, rng), learned
 
@@ -316,7 +313,7 @@ class TrojanHorse(Attack):
         kept = sift.pair_indices[~sift.disclosed]
         if kept.size:
             knows_pair = learned[kept] & learned[kept + 1]
-            correct = knows_pair | top_bits(kept.size, 1, rng).view(bool)
+            correct = knows_pair | fair_bits(kept.size, rng).view(bool)
             frac = float(correct.mean())
         else:
             frac = 0.0

@@ -3,7 +3,8 @@
 Subcommands: states, session, attack, sweep, distinguish.  Parameters come
 from a flat key-value config file with dotted section names, overridable by
 command-line flags; unknown keys are rejected.  Exit codes: 0 success (or no
-alarm), 2 configuration error, 3 session alarm.  All randomness derives from
+alarm), 2 configuration error (or a run too large for memory), 3 session
+alarm.  All randomness derives from
 the single configured seed.
 """
 
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
         return commands[args.command](values, args.out_dir, sys.stdout)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: the run does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

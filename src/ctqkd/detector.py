@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fock import DensityMatrix
-from .light import blocks
 
 
 class ConfigError(ValueError):
@@ -154,14 +153,13 @@ def click_prob_state(det: DetectorModel, rho: DensityMatrix) -> float:
 
 
 def sample_clicks(p_click: float, n_gates: int, rng: np.random.Generator) -> ClickStream:
-    """Click count of n_gates independent Bernoulli(p_click) gates: that of
-    rng.random(n_gates) < p_click, drawn a block at a time."""
+    """Click count of n_gates independent Bernoulli(p_click) gates: one
+    binomial draw, the monitors' law."""
     if not 0.0 <= p_click <= 1.0:
         raise ValueError(f"click probability must be in [0, 1], got {p_click}")
     if n_gates < 1:
         raise ValueError(f"n_gates must be >= 1, got {n_gates}")
-    return ClickStream(sum(np.count_nonzero(rng.random(j - i) < p_click)
-                           for i, j in blocks(n_gates)), n_gates)
+    return ClickStream(int(rng.binomial(n_gates, p_click)), n_gates)
 
 
 def band_power_statistic(stream: ClickStream) -> float:

@@ -6,9 +6,10 @@ attacker.  FieldArray therefore keeps a small table of levels, each a kind
 and one real parameter (the mean photon number, or for blinding light the
 forced-click probability), and two write-once columns per pulse: the level
 index and a quarter-turn phase, since every phase in a session is a quarter
-turn.  Each per-kind law of the light lives here: loss and the no-click
-probability of a threshold detector, evaluated once per level, and photon
-counting.  LightField is the spec of a single field (coherent amplitude
+turn.  Each per-kind law of the light lives here, evaluated once per
+level: loss, the no-click probability of a threshold detector, and the
+probabilities that an ideal photon counter registers no photon or one.
+LightField is the spec of a single field (coherent amplitude
 r * i**q, thermal mean, definite photon number, saturating blinding light,
 or vacuum), converted to a FieldArray by FieldArray.uniform.  Tests convert
 pulse by pulse with from_fields and field, kept beside the one map of kind
@@ -322,26 +323,20 @@ class FieldArray:
         out[blind] = 1.0 - mu[blind]
         return out
 
-    def photon_counts(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample the photon number an ideal counter registers per pulse:
-        Poisson on coherent light, Bose-Einstein on thermal light, n on a
-        definite photon number; blinding light counts as int64 max // 2.
-        Every coherent pulse draws before every thermal one, in pulse order,
-        one block of pulses at a time."""
-        k, level = self.kind, self.level
-        fixed = np.where(k == KIND_FOCK, self.param, 0.0).astype(np.int64)
-        fixed[k == KIND_BLINDING] = np.iinfo(np.int64).max // 2
-        counts = gather(fixed, level)
-        for kind, draw in ((KIND_COHERENT, rng.poisson),
-                           (KIND_THERMAL, lambda mu: rng.geometric(1.0 / (1.0 + mu)) - 1)):
-            of_kind = k == kind
-            if not of_kind.any():
-                continue
-            for i, j in blocks(len(self)):
-                block = level[i:j]
-                pulses = np.flatnonzero(gather(of_kind, block))
-                counts[i:j][pulses] = draw(self.param[block[pulses]])
-        return counts
+    def few_photon_probs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P(N = 0), P(N = 1)) per level, for the photon number N an ideal
+        counter registers: Poisson on coherent light (and vacuum),
+        Bose-Einstein on thermal light, n itself on a definite photon
+        number; blinding light registers many photons, so both are 0."""
+        k, mu = self.kind, self.param
+        zero = np.exp(-mu)
+        one = mu * zero
+        thermal, fock, blind = k == KIND_THERMAL, k == KIND_FOCK, k == KIND_BLINDING
+        zero[thermal] = 1.0 / (1.0 + mu[thermal])
+        one[thermal] = zero[thermal] * mu[thermal] / (1.0 + mu[thermal])
+        zero[fock], one[fock] = mu[fock] == 0.0, mu[fock] == 1.0
+        zero[blind] = one[blind] = 0.0
+        return zero, one
 
 
 def pair_table(size_a: int, col_a: np.ndarray, size_b: int, col_b: np.ndarray):

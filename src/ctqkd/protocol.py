@@ -18,29 +18,22 @@ quarter-turn phase per pulse), and each stage builds a new PulseBatch that
 shares every array it does not change.  Loss and the detector laws are
 evaluated once per level and gathered per pulse.  All randomness flows
 through one numpy Generator in a fixed order, so a (config, attack, seed)
-triple reproduces results exactly.  The click stages (Bob's tap monitor,
-Alice's thermal monitor and the four interferometer detectors) and Bob's
-phase draw run block-wise over BLOCK pulses at a time, in stream order:
-each block's temporaries stay in cache, and because every uniform draw
-takes one 64-bit output (every quarter one buffered 32-bit output), the
-blocks consume the stream exactly as one whole-array draw would.
+triple reproduces results exactly.
 
-The draws are numpy's, made faster without changing a value or the
-generator's final state.  Alice's secret bits, Bob's quarters and Eve's
-coin flips are rng.integers over power-of-two ranges, which numpy takes
-as fixed bit slices of 32-bit words; uint32_words reads those words from
-the raw 64-bit outputs, so a draw is a shift.  A click stage compares
-each block's uniforms with its table's largest click probability first
-and looks up a gate's own probability only where the uniform lies between
-the table's least and largest, which few do when clicks are rare.
-
-The monitors count each block's clicks and keep no per-gate record.  Few
-pulse pairs click, so the interferometers keep sparse events: the four
-detector rows at one bit per pair, read once by a bitwise event law for
-the indices, basis and port of the single clicks and the number of
-doubles; Bob's phase difference is taken at the single clicks only.
-Alice's two outputs are built one at a time: output 2 is monitored and
-freed before output 1 is built, so no two full-length outputs are live.
+Each stage draws what it reports from that quantity's law, not gate by
+gate.  Alice's secret bits and Eve's coins are the bits of raw 64-bit
+generator outputs, and Bob's quarters their 2-bit fields.  A monitor
+reports a click count: it counts the gates at each entry of its table of
+click probabilities and draws one binomial per entry.  The interferometers
+report sparse events, the few pairs with a single click and the number of
+doubles: candidate pairs come by geometric gaps at the largest any-click
+probability of a pair state, and one uniform per candidate both thins it
+to its own state's probability and picks the outcome (see
+measure_interference).  Only per-pulse decisions, Eve's mode guess and the
+phases her probe learns, take one uniform per gate (click_blocks), a block
+of BLOCK pulses at a time, in stream order.  Alice's two outputs are built
+one at a time: output 2 is monitored and freed before output 1 is built,
+so no two full-length outputs are live.
 
 Every phase is a whole quarter turn (phi = q * pi/2), so a train of L
 levels holds at most 4 L pulse states level << 2 | quarter.  The
@@ -258,60 +251,20 @@ class SessionResult:
 
 
 # ---------------------------------------------------------------------------
-# Bounded integer draws from raw generator words
+# Fair bits from raw generator words
 
 
-def uint32_words(rng: np.random.Generator, k: int) -> np.ndarray:
-    """The next k 32-bit outputs of rng's bit generator, as uint32, leaving
-    it exactly as k calls of its next_uint32 would.
-
-    Such a generator buffers the upper half of a 64-bit output: a pending
-    half (state "has_uint32") comes first, then each new 64-bit output gives
-    its low half, then its high half.  The last new output's high half stays
-    in state "uinteger" even once used, as numpy leaves it.  numpy draws
-    rng.integers over a power-of-two range as fixed bit slices of these
-    words (Lemire's method never rejects there), so the draws below equal
-    its draws and leave the same state.  A generator with no such buffer
-    (MT19937) raises TypeError."""
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
-    if "has_uint32" not in state:
-        raise TypeError(f"{type(bit_gen).__name__} buffers no 32-bit half-words")
-    if k == 0:
-        return np.empty(0, dtype=np.uint32)
-    pending = state["has_uint32"]
-    need = k - pending
-    # Little-endian order puts each output's low half first; a no-op view
-    # on a little-endian machine.
-    raw = bit_gen.random_raw(-(-need // 2)).astype("<u8", copy=False)
-    if pending:
-        words = np.empty(k, dtype="<u4")
-        words[0] = state["uinteger"]
-        words[1:] = raw.view("<u4")[:need]
-    else:
-        words = raw.view("<u4")[:k]
-    state = bit_gen.state
-    state["has_uint32"] = need % 2
-    if need:
-        state["uinteger"] = int(raw[-1]) >> 32
-    bit_gen.state = state
-    return words
+def _raw_bytes(n_words: int, rng: np.random.Generator) -> np.ndarray:
+    """The bytes of rng's next n_words raw outputs, each output's low byte
+    first.  Every numpy bit generator but MT19937 gives 64 random bits per
+    raw output; MT19937 gives 32, and is no source for the draws below."""
+    return rng.bit_generator.random_raw(n_words).astype("<u8", copy=False).view(np.uint8)
 
 
 def fair_bits(n: int, rng: np.random.Generator) -> np.ndarray:
-    """rng.integers(0, 2, n, dtype=np.uint8): numpy takes one byte of a
-    32-bit word per value, low byte first, and keeps its top bit."""
-    bits = uint32_words(rng, -(-n // 4)).view(np.uint8)[:n]
-    bits >>= 7
-    return bits
-
-
-def top_bits(n: int, bits: int, rng: np.random.Generator, out=None) -> np.ndarray:
-    """rng.integers(0, 2**bits, n) as uint8, for 1 <= bits <= 8: numpy
-    takes one 32-bit word per value and keeps its top bits.  Written into
-    out when given."""
-    out = np.empty(n, dtype=np.uint8) if out is None else out
-    return np.right_shift(uint32_words(rng, n), 32 - bits, out=out, casting="unsafe")
+    """n fair bits as uint8 0/1: the bits of rng's next ceil(n / 64) raw
+    outputs, least significant first."""
+    return np.unpackbits(_raw_bytes(-(-n // 64), rng), count=n, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +321,21 @@ def alice_output2(batch: PulseBatch) -> FieldArray:
 # Channel and Bob's side
 
 
-def bob_quarters(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Bob's random phases in quarter turns, as a uint8 column.
+# The four 2-bit fields of each byte value, least significant first, as the
+# bytes of one little-endian uint32.
+_QUARTER_FIELDS = ((np.arange(256)[:, None] >> np.arange(0, 8, 2)) & 3).astype(np.uint8).view("<u4")[:, 0]
 
-    The values and the stream of rng.integers(0, 4, n), drawn one block at
-    a time, so that no full-length array of words is built."""
+
+def bob_quarters(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Bob's random phases in quarter turns, as a uint8 column: the 2-bit
+    fields of rng's next ceil(n / 32) raw outputs, least significant first.
+    Made one block at a time, so that no full-length array of words is
+    built; BLOCK is a multiple of 32, so the blocks take the words of one
+    whole-array draw."""
     quarters = np.empty(n, dtype=np.uint8)
     for i, j in blocks(n):
-        top_bits(j - i, 2, rng, out=quarters[i:j])
+        fields = _QUARTER_FIELDS.take(_raw_bytes(-(-(j - i) // 32), rng))
+        quarters[i:j] = fields.view(np.uint8)[:j - i]
     return quarters
 
 
@@ -424,10 +384,20 @@ def sample_blocked(n: int, table: np.ndarray, index: np.ndarray,
     return clicks
 
 
-def count_clicks(n: int, table: np.ndarray, index: np.ndarray,
-                 rng: np.random.Generator) -> ClickStream:
-    """The clicks of click_blocks(n, table, index, rng), counted block by block."""
-    return ClickStream(sum(np.count_nonzero(c) for _, _, c in click_blocks(n, table, index, rng)), n)
+def monitor_clicks(table: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> ClickStream:
+    """Clicks of index.size gates, gate g clicking with probability
+    table[index[g]], independently: one binomial draw per table entry over
+    the gates at that entry, since a sum of independent Bernoulli draws of
+    one probability is binomial.  The gates are counted a block at a time,
+    as bincount casts its index to intp; a table of at most two entries,
+    as on every honest train, counts the nonzero index entries instead, many
+    times faster."""
+    if table.size <= 2:
+        ones = np.count_nonzero(index)
+        gates = np.array([index.size - ones, ones][:table.size])
+    else:
+        gates = sum(np.bincount(index[i:j], minlength=table.size) for i, j in blocks(index.size))
+    return ClickStream(int(rng.binomial(gates, table).sum()), index.size)
 
 
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
@@ -445,7 +415,7 @@ def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
     level_h, level_v, index = level_pairs(h, v)
     table = click_prob(det.dark_prob, h.noclick_factors(eta_eff)[level_h]
                        * v.noclick_factors(eta_eff)[level_v])
-    stream = count_clicks(len(batch), table, index, rng)
+    stream = monitor_clicks(table, index, rng)
     return power_test(stream, cfg.expected_bob_monitor_p(), cfg.z_threshold)
 
 
@@ -458,7 +428,7 @@ def alice_thermal_monitor(output2: FieldArray, cfg: SessionConfig,
     det = cfg.detector_alice
 
     table = click_prob(det.dark_prob, output2.noclick_factors(det.eta))
-    stream = count_clicks(len(output2), table, output2.level, rng)
+    stream = monitor_clicks(table, output2.level, rng)
     return power_test(stream, cfg.expected_alice_thermal_p(), cfg.z_threshold)
 
 
@@ -527,21 +497,38 @@ def pair_click_probs(out1: FieldArray, det: DetectorModel):
     return p, index
 
 
-def click_events(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> dict:
-    """Single and double clicks from the four detectors' rows, and
-    basis_q = d >> 1, port = d & 1 of the first detector d that clicked, as
-    argmax over the rows picks it (d = 0 when none did).  The law is
-    bitwise, so the rows may be bool or 0/1 integers, or np.packbits of
-    them, and the events come in the same form."""
-    c01, c23 = c0 | c1, c2 | c3
-    double = c0 & c1 | c2 & c3 | c01 & c23
-    return {"single": (c01 | c23) & ~double, "double": double,
-            "basis_q": c23 & ~c01, "port": (c1 & ~c0) | (c3 & ~(c01 | c2))}
+def pair_outcome_probs(p: np.ndarray) -> np.ndarray:
+    """The probabilities of the six outcomes of a pulse pair, from the four
+    detectors' independent click probabilities p (one row per detector D0A,
+    D1A, D0B, D1B, one column per pair state), one row per outcome: no
+    click, a single click at D0A, D1A, D0B or D1B, and a double (two or
+    more clicks)."""
+    miss = 1.0 - p
+    none = np.prod(miss, axis=0)
+    singles = [p[d] * np.prod(np.delete(miss, d, axis=0), axis=0) for d in range(4)]
+    double = np.maximum(1.0 - none - sum(singles), 0.0)
+    return np.stack([none, *singles, double])
 
 
-def _bits_at(row: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Bits s of an np.packbits row, as uint8 0/1."""
-    return (row[s >> 3] << (s & 7).astype(np.uint8)) >> 7
+def candidate_blocks(m: int, q: float, rng: np.random.Generator):
+    """The candidates among m independent trials that are each a candidate
+    with probability q, ascending, in blocks of at most BLOCK: geometric gaps
+    between candidates skip the trials in between (Devroye 1986).  Each
+    block's gaps are enough for the trials left with a 4-sigma margin, so
+    few are drawn past m.  q = 0 gives none and q = 1 every trial, with no
+    draw."""
+    if q == 1.0:
+        yield from (np.arange(i, j) for i, j in blocks(m))
+        return
+    last = -1  # the last candidate so far
+    while q > 0.0 and last < m - 1:
+        expect = (m - 1 - last) * q
+        gaps = rng.geometric(q, min(BLOCK, int(expect + 4.0 * math.sqrt(expect)) + 16))
+        # A gap that passes the last trial ends the draw; clipped there, the
+        # running sum cannot overflow.
+        pos = last + np.cumsum(np.minimum(gaps, m - last, out=gaps))
+        last = pos[-1]
+        yield pos[:np.searchsorted(pos, m)]
 
 
 def measure_interference(out1: FieldArray, quarters: np.ndarray, det: DetectorModel,
@@ -550,27 +537,36 @@ def measure_interference(out1: FieldArray, quarters: np.ndarray, det: DetectorMo
     each detector clicks independently with its pair_click_probs; exactly
     one click yields a usable event, two or more a discarded double.
 
-    The rows D0A, D1A, D0B and D1B are drawn one after another, in the order
-    of a (4, m) draw, each a block at a time and kept at one bit per pair;
-    click_events reads the four packed rows once.  Only the single clicks
-    are kept: their pair indices s ("pairs", ascending intp), "basis_q" and
-    "port" (uint8), and Bob's phase difference "delta_q" =
-    (quarters[s + 1] - quarters[s]) & 3 at each; of the doubles, their
-    number ("doubles")."""
-    m = len(out1) - 1
+    Each pair's outcome is drawn by thinning (Lewis and Shedler 1979): with
+    q_max the largest probability over the pair states that any detector
+    clicks, candidate pairs come from candidate_blocks at q_max, and one
+    uniform per candidate, against its state's cumulative outcome row
+    divided by q_max, picks the single click, the double or (with the rest
+    of the probability) no click at all.  Only the single clicks are kept:
+    their pair indices s ("pairs", ascending intp), "basis_q" and "port"
+    (uint8) of the detector that clicked, and Bob's phase difference
+    "delta_q" = (quarters[s + 1] - quarters[s]) & 3 at each; of the
+    doubles, their number ("doubles")."""
     p, index = pair_click_probs(out1, det)
-    # One bit per pair; BLOCK is a multiple of 8, so a block starts on a byte.
-    packed = np.empty((4, -(-m // 8)), dtype=np.uint8)
-    for row, bits in zip(p, packed):
-        for i, j, clicks in click_blocks(m, row, index, rng):
-            bits[i // 8:-(-j // 8)] = np.packbits(clicks)
-    events = click_events(*packed)
-    # Unpacked bits are 0 or 1: as bool, numpy finds them several times faster.
-    pairs = np.flatnonzero(np.unpackbits(events["single"], count=m).view(bool))
-    return {"pairs": pairs, "basis_q": _bits_at(events["basis_q"], pairs),
-            "port": _bits_at(events["port"], pairs),
-            "delta_q": (quarters[pairs + 1] - quarters[pairs]) & 3,
-            "doubles": int(np.count_nonzero(np.unpackbits(events["double"]).view(bool)))}
+    # Rows: a single at D0A, D1A, D0B, D1B, then any click.
+    cum = np.cumsum(pair_outcome_probs(p)[1:], axis=0)
+    q_max = float(cum[-1].max())
+    if q_max > 0.0:
+        cum /= q_max  # exactly 1 at the states of the largest
+    pairs, detector, doubles = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint8)], 0
+    for cand in candidate_blocks(len(out1) - 1, q_max, rng):
+        u, state = rng.random(cand.size), index[cand]
+        # 0-3: a single click at that detector, 4: a double, 5: none
+        outcome = np.zeros(cand.size, dtype=np.uint8)
+        for row in cum:
+            outcome += u >= row.take(state)
+        single = outcome < 4
+        pairs.append(cand[single])
+        detector.append(outcome[single])
+        doubles += int(np.count_nonzero(outcome == 4))
+    pairs, detector = np.concatenate(pairs), np.concatenate(detector)
+    return {"pairs": pairs, "basis_q": detector >> 1, "port": detector & 1,
+            "delta_q": (quarters[pairs + 1] - quarters[pairs]) & 3, "doubles": doubles}
 
 
 def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> SiftOutcome:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ctqkd.attacks import (
     Attack,
@@ -22,7 +23,7 @@ from ctqkd.attacks import (
 )
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
 from ctqkd.light import Coherent, FockN, Thermal
-from ctqkd.protocol import ALARM_BOB_POWER, ConfigError, SessionConfig, alice_prepare, run_session
+from ctqkd.protocol import ALARM_BOB_POWER, ConfigError, SessionConfig, alice_prepare, fair_bits, run_session
 
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
 
@@ -113,8 +114,8 @@ def test_dps_phase_estimates_equal_the_int64_modulo_formula(with_informative):
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
     basis, delta_hat, bits = _dps_phase_estimates(delta, rng, informative)
 
-    basis_ref = ref.integers(0, 2, m, dtype=np.int64)
-    coin = ref.integers(0, 2, m, dtype=np.int64)
+    drawn = fair_bits(2 * m, ref).astype(np.int64)  # the basis bits, then the coins
+    basis_ref, coin = drawn[:m], drawn[m:]
     conclusive = (delta.astype(np.int64) % 2) == basis_ref
     if informative is not None:
         conclusive &= informative
@@ -314,7 +315,6 @@ def test_attack_parameter_validation():
                 lambda: ModeDiscrimination(resend_mu=-1.0),
                 lambda: ModeDiscrimination(eve_det=0.5),
                 lambda: TrojanHorse(probe=0.5),
-                lambda: TrojanHorse(probe=Coherent(math.sqrt(1e19))),
                 lambda: dataclasses.replace(BeamSplit(), tap_fraction=1.5),
                 lambda: dataclasses.replace(InterceptResend(), resend_mu=-1.0)):
         with pytest.raises(ConfigError):
@@ -333,12 +333,31 @@ def test_attack_parameters_reject_non_real_numbers(make):
         make()
 
 
-def test_trojan_accepts_the_brightest_probe_eve_can_count():
-    # Generator.poisson takes means up to numpy's POISSON_LAM_MAX, about 9.22e18.
-    probe = Coherent(math.sqrt(9e18))
-    res = run_session(SessionConfig(n_pulses=1000, seed=4), TrojanHorse(probe=probe))
+@pytest.mark.parametrize("mean", [9e18, 1e19, 1e300])
+def test_trojan_learns_every_phase_of_a_very_bright_probe(mean):
+    # No probe is too bright for Eve's ideal counter: she learns every
+    # phase, and Bob's monitor sees it.
+    res = run_session(SessionConfig(n_pulses=1000, seed=4), TrojanHorse(probe=Coherent(math.sqrt(mean))))
     assert res.eve.learned_phase_count == 1000
     assert ALARM_BOB_POWER in res.alarm_sources
+
+
+@pytest.mark.parametrize("probe,law", [
+    (Coherent(1.0), scipy.stats.poisson),
+    (Coherent(0.3), scipy.stats.poisson),
+    (Thermal(1.0), lambda mu: scipy.stats.nbinom(1, 1.0 / (1.0 + mu))),
+    (FockN(2), None),
+])
+def test_trojan_learns_a_phase_where_the_probe_holds_two_photons(probe, law):
+    # Eve counts the probe after Bob's tap, which passes 1 - r of it: the
+    # learned count lies within 5 standard deviations of the binomial mean
+    # at P(N >= 2) of the photon-number law there.
+    cfg = SessionConfig(n_pulses=2 * 10**4, seed=6)
+    res = run_session(cfg, TrojanHorse(probe=probe))
+    t = 1.0 - cfg.tap_reflectance
+    p = t * t if law is None else law(probe.mean_photons * t).sf(1)  # FockN(2): both photons pass
+    n = cfg.n_pulses
+    assert abs(res.eve.learned_phase_count - n * p) <= 5 * math.sqrt(n * p * (1 - p))
 
 
 def test_attack_params_are_init_fields_and_state_resets():

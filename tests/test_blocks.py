@@ -1,6 +1,8 @@
 """The block-wise stages draw, compare and count BLOCK pulses at a time.
 Each must equal its whole-array form bit for bit, and leave the generator in
-the state the whole-array draw leaves it in, at every block boundary."""
+the state the whole-array draw leaves it in, at every block boundary.  The
+interferometers draw their candidate pairs a block of candidates at a time;
+their events must be whole and sorted across those blocks."""
 
 import numpy as np
 import pytest
@@ -17,10 +19,10 @@ from ctqkd.protocol import (
     bob_monitor_tap,
     bob_quarters,
     click_blocks,
-    click_events,
     measure_interference,
     modulate_batch,
     pair_click_probs,
+    pair_outcome_probs,
     sample_blocked,
     separate_modes,
     sift_and_qber,
@@ -85,25 +87,30 @@ def _assert_same_draws(got, want, rng, ref):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _assert_same_count(stream, want, rng, ref):
-    """stream counts the clicks of the bool draw want, and rng is where the
-    draw left ref."""
-    assert (stream.clicks, stream.n_gates) == (np.count_nonzero(want), want.size)
+def _assert_binomial_count(stream, table, index, rng, ref):
+    """stream counts one binomial draw per table entry over the gates at
+    that entry, counted over the whole index at once, and rng is where
+    those draws left ref."""
+    gates = np.bincount(index, minlength=table.size)
+    assert (stream.clicks, stream.n_gates) == (int(ref.binomial(gates, table).sum()), index.size)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _assert_sparse_events(meas, clicks, quarters):
-    """meas holds the single clicks, and counts the doubles, that the dense
-    event law gives on the (4, m) bool clicks, with Bob's phase difference
-    at each single click."""
-    dense = click_events(*clicks.view(np.uint8))
-    pairs = np.flatnonzero(dense["single"])
-    assert meas["pairs"].dtype == np.intp and meas["pairs"].tobytes() == pairs.tobytes()
-    for key in ("basis_q", "port"):
-        assert meas[key].dtype == np.uint8 and meas[key].tobytes() == dense[key][pairs].tobytes()
+def _assert_sparse_events(meas, out1, det, quarters):
+    """meas holds single clicks only where the pair's state can give one at
+    that detector, ascending and distinct, with Bob's phase difference at
+    each; and no more doubles than pairs that can give one."""
+    p, index = pair_click_probs(out1, det)
+    table = pair_outcome_probs(p)
+    pairs = meas["pairs"]
+    assert pairs.dtype == np.intp and np.all(np.diff(pairs) > 0)
+    assert pairs.size == 0 or 0 <= pairs[0] and pairs[-1] < len(out1) - 1
+    for key in ("basis_q", "port", "delta_q"):
+        assert meas[key].dtype == np.uint8 and meas[key].size == pairs.size
+    assert np.all(table[1 + (meas["basis_q"] << 1 | meas["port"]), index[pairs]] > 0)
     delta_q = (quarters[1:] - quarters[:-1]) & 3
     assert meas["delta_q"].tobytes() == delta_q[pairs].tobytes()
-    assert meas["doubles"] == np.count_nonzero(dense["double"])
+    assert 0 <= meas["doubles"] <= np.count_nonzero(table[5, index] > 0)
 
 
 def _assert_selected(got, mask, a, b):
@@ -115,6 +122,9 @@ def _assert_selected(got, mask, a, b):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("train", ["honest", "resend", "two-level", "mixed"])
 def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
+    # The monitors count their gates a block at a time, and draw what one
+    # binomial per table entry over the whole index draws; the
+    # interferometers' events are whole and sorted across candidate blocks.
     cfg, batch = _batch(train, n)
     streams = _record(monkeypatch, "power_test")
     rng, ref = np.random.default_rng(99), np.random.default_rng(99)
@@ -123,8 +133,9 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     det = cfg.detector_bob
     eta = det.eta * cfg.tap_reflectance
     h, v = batch.field_h, batch.field_v
-    p = click_prob(det.dark_prob, h.noclick_factors(eta)[h.level] * v.noclick_factors(eta)[v.level])
-    _assert_same_count(streams.pop()[0], ref.random(n) < p, rng, ref)
+    level_h, level_v, index = protocol.level_pairs(h, v)
+    table = click_prob(det.dark_prob, h.noclick_factors(eta)[level_h] * v.noclick_factors(eta)[level_v])
+    _assert_binomial_count(streams.pop()[0], table, index, rng, ref)
 
     out1, out2 = separate_modes(batch)
     _assert_selected(out1, batch.mode_secret, v, h)
@@ -132,8 +143,8 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
 
     alice_thermal_monitor(out2, cfg, rng)
     det = cfg.detector_alice
-    p = click_prob(det.dark_prob, out2.noclick_factors(det.eta)[out2.level])
-    _assert_same_count(streams.pop()[0], ref.random(n) < p, rng, ref)
+    table = click_prob(det.dark_prob, out2.noclick_factors(det.eta))
+    _assert_binomial_count(streams.pop()[0], table, out2.level, rng, ref)
 
     quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
     meas = measure_interference(out1, quarters, det, rng)
@@ -151,50 +162,47 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     assert tabulated == (train != "mixed" and n > 2)
     assert p.shape == (4, (4 * out1.kind.size) ** 2 if tabulated else n - 1)
     assert index.dtype == np.min_scalar_type(p.shape[1] - 1)
-    _assert_sparse_events(meas, ref.random((4, n - 1)) < p[:, index], quarters)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    _assert_sparse_events(meas, out1, det, quarters)
 
 
-def _edge_train(train, n, seed):
-    """Alice's output 1 for an ideal detector, and its only possible click
-    events.  "doubles": bright coherent pulses of one phase, where D0A and
-    both basis-B detectors click on every pair, so no pair gives a single
-    click.  "block-end": vacuum but for pulse BLOCK, which lights pairs
-    BLOCK - 1 and BLOCK alike; its mean puts exactly one of pair BLOCK - 1's
-    four uniforms, and none of pair BLOCK's, below the click probability.
-    None when the uniforms of this seed allow no such mean."""
+def _edge_train(train, n):
+    """Alice's output 1 for an ideal detector.  "doubles": bright coherent
+    pulses of one phase, where D0A and both basis-B detectors click on every
+    pair, so no pair gives a single click.  "block-end": vacuum but for
+    pulse BLOCK, so that only pairs BLOCK - 1 and BLOCK, at the end of the
+    first block of pairs and the start of the next, can click."""
     if train == "doubles":
         return FieldArray.uniform(Coherent(100.0), n)
-    u = np.random.default_rng(seed).random((4, n - 1))[:, BLOCK - 1:BLOCK + 1]
-    low = np.sort(u[:, 0])
-    high = min(low[1], u[:, 1:].min(initial=1.0))
-    if not low[0] < high:
-        return None
-    p = (low[0] + high) / 2  # 1 - exp(-mu / 8) at each detector
     level = np.zeros(n, dtype=np.uint8)
     level[BLOCK] = 1
-    return FieldArray(level, np.zeros(n, dtype=np.uint8), [KIND_VACUUM, KIND_COHERENT],
-                      [0.0, -8.0 * np.log1p(-p)])
+    return FieldArray(level, np.zeros(n, dtype=np.uint8), [KIND_VACUUM, KIND_COHERENT], [0.0, 3.0])
 
 
 @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 3])
 @pytest.mark.parametrize("train", ["doubles", "block-end"])
 def test_sparse_events_with_no_single_click_or_one_at_a_block_end(train, n):
     det = DetectorModel(eta=1.0, dark_prob=0.0)
-    seed = next(s for s in range(100) if _edge_train(train, n, s) is not None)
-    out1 = _edge_train(train, n, seed)
+    out1 = _edge_train(train, n)
     quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    meas = measure_interference(out1, quarters, det, rng)
-    p, index = pair_click_probs(out1, det)
-    _assert_sparse_events(meas, ref.random((4, n - 1)) < p[:, index], quarters)
-    assert rng.bit_generator.state == ref.bit_generator.state
     if train == "doubles":
+        rng = np.random.default_rng(1)
+        meas = measure_interference(out1, quarters, det, rng)
+        _assert_sparse_events(meas, out1, det, quarters)
         assert meas["pairs"].size == 0 and meas["doubles"] == n - 1
         sift = sift_and_qber(meas, SessionConfig(n_pulses=n), rng)
         assert sift.pair_indices.size == 0 and sift.qber is None
-    else:
-        assert meas["pairs"].tolist() == [BLOCK - 1] and meas["doubles"] == 0
+        return
+    # Each lit pair gives a single click with probability 4 p (1 - p)**3,
+    # p = 1 - exp(-3 / 8) at each detector: over 40 seeds, each lit pair
+    # does (pair BLOCK only if the train has it).
+    lit = {BLOCK - 1, BLOCK} & set(range(n - 1))
+    seen = set()
+    for seed in range(40):
+        meas = measure_interference(out1, quarters, det, np.random.default_rng(seed))
+        _assert_sparse_events(meas, out1, det, quarters)
+        assert set(meas["pairs"].tolist()) <= lit
+        seen |= set(meas["pairs"].tolist())
+    assert seen == lit
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -202,12 +210,16 @@ def test_prepare_and_bob_quarters_equal_whole_array_draws(n):
     cfg = SessionConfig(n_pulses=n, mu_coherent=0.3, mu_thermal=0.7, seed=3)
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     batch = alice_prepare(cfg, rng)
-    th_in_h = ref.integers(0, 2, n, dtype=np.uint8) ^ ref.integers(0, 2, n, dtype=np.uint8)
+    th_in_h = protocol.fair_bits(n, ref) ^ protocol.fair_bits(n, ref)
     h, v = batch.field_h, batch.field_v
     assert h.level is v.level and h.level.tobytes() == th_in_h.tobytes()
     assert h.param[h.level].tobytes() == np.take([0.3, 0.7], th_in_h).tobytes()
     assert v.param[v.level].tobytes() == np.take([0.7, 0.3], th_in_h).tobytes()
-    _assert_same_draws(bob_quarters(n, rng), ref.integers(0, 4, n).astype(np.uint8), rng, ref)
+    # Bob's quarters, a block at a time, are the 2-bit fields of one
+    # whole-array draw of raw words.
+    words = ref.bit_generator.random_raw(-(-n // 32))
+    whole = ((words[:, None] >> np.arange(0, 64, 2, dtype=np.uint64)) & 3).astype(np.uint8).ravel()[:n]
+    _assert_same_draws(bob_quarters(n, rng), whole, rng, ref)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -147,9 +147,21 @@ def test_sample_clicks_degenerate_and_deterministic():
 def test_sample_clicks_counts_one_whole_array_draw(n):
     rng, ref = np.random.default_rng(n), np.random.default_rng(n)
     stream = sample_clicks(0.3, n, rng)
-    assert stream == ClickStream(int(np.count_nonzero(ref.random(n) < 0.3)), n)
+    assert stream == ClickStream(int(ref.binomial(n, 0.3)), n)
     assert type(stream.clicks) is int and type(stream.n_gates) is int
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_sample_clicks_follows_the_binomial_law(n):
+    # Exact at p = 0 and p = 1; at p = 0.3, over fixed seeds, each count
+    # lies within 5 standard deviations of the binomial mean.
+    assert sample_clicks(0.0, n, np.random.default_rng(n)) == ClickStream(0, n)
+    assert sample_clicks(1.0, n, np.random.default_rng(n)) == ClickStream(n, n)
+    for seed in range(5):
+        stream = sample_clicks(0.3, n, np.random.default_rng(seed))
+        assert type(stream.clicks) is int and type(stream.n_gates) is int and stream.n_gates == n
+        assert abs(stream.clicks - 0.3 * n) <= 5 * math.sqrt(0.3 * 0.7 * n)
 
 
 @pytest.mark.parametrize("clicks,n_gates", [

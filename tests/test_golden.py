@@ -17,18 +17,18 @@ from ctqkd.light import Blinding, FockN, Thermal, Vacuum
 from ctqkd.protocol import SessionConfig, run_session
 
 GOLDEN = {
-    ("none", 1000): ("04151654fab0fa5fe86f856292d6731f2093b7b1d982ea4d69c7bef2ba55db34", "ec616d3097641166bf471a5d3930851ecb6cdc2ecaab8c6172f0657896a44243"),
-    ("intercept-resend", 1000): ("7d19a5a586c781bdf143c7e18fd936c34b011d96f40909b3ff44abc632b80291", "c5a051f1f5dfec8855eabc7d2ee1406813e24e669c59fd5b3a2d60a156072b4d"),
-    ("beam-split", 1000): ("e5c393dd7e02c48735fb7ee535e41a71b435eb6f6be2c3ed8bd5402e4a6b8201", "27ecd0a598e76f8a2fd264d427df0a119903e8eae384e478902541756f089dd1"),
-    ("mode-discrimination", 1000): ("3967f6d41b69322c90d5e5897dff39e3a9b85b13c657209de2720da6e7f809ac", "3b526c381436d5c5f202ffe673eedec4c37c381e8fe02c9bf9a691ef193050ed"),
-    ("trojan", 1000): ("6617857eb68d3abaf74e9f71e3ebccddd62176294139ee0d622513510d9e2f99", "577fcad6fcd8592bf8b3b70c5ed4981eb1b2f7b7ac7ae355b930aa302ff85a55"),
-    ("bright-light", 1000): ("82839b7ecc643b036d71c6ea54324593cc5d0f94905fc9d2dbfbe59bbb11e0ca", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("none", 100000): ("c903165f132c34ce84acfddfab5308df26e776bd6228109bfccc6a7db46ffae7", "b742627820bf0ffdee30975ed82d69b0295c6f334ab1875b02486dc0304e0556"),
-    ("intercept-resend", 100000): ("28ec87a763626ccb4a914cfc653dfcb1f51b4a72fc773b2c3d0f9b71ce020458", "859693cb6b71f8c00bccb3616adfa9b2b82b47b998f4b72996a3a77b0edca49f"),
-    ("beam-split", 100000): ("f5e71f42e02e0664603e78be8b2d16aee8f06ce2feb0947b60fdc46fe245218f", "fe8416541350cd290fb7277eb653233cf2f0f0294f7f0ff07f2086328c8dd4d6"),
-    ("mode-discrimination", 100000): ("8a818e232339762e7946e27062d8642fb30720ed5e439d3534330ba0775a3496", "6bd4dc31ba1b589113540d03d054c13d9d7d9862df52449e33a84ad43992596a"),
-    ("trojan", 100000): ("79cd3c5fb8c98b9bce966f0781c378e4bf0ca55006ff0d6fc51ffe689e3aeeea", "c6211a5384639a4b25321c7b06b63232f099b0f153cae3d4f94ad7ecd85e3c0f"),
-    ("bright-light", 100000): ("d0d63b93d8ea51130c1f507ca098c7b84b71f67154209ad8db860915fe4f6c84", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("none", 1000): ("2172658abab212fe9518e68d796c2f80045fdf6b33be5450b62c3b7a3ad96df3", "7005d74defff65204b453bf2abd561cdf21968203d5c92bb8ab3b5713074ea61"),
+    ("intercept-resend", 1000): ("7d8b61c071a62e005b63bc33b8478f03c18e5c221ad3ab4d84e0f16479ca8cc4", "92590eaa9fef11cd47aaf1af758b2e49520cafb93e447cebb343e387a8bea162"),
+    ("beam-split", 1000): ("45690449b32d81d3121ae8e61a34d781bdb53692a9d67bafde9a1b1cd7ad8e50", "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+    ("mode-discrimination", 1000): ("4afebcd6ed2667e327052490b573f6400d01b6f87343f87033d52395aff7c7d0", "63d8598b1ac840ae9538668ebf45138ba40d91a3acfacced163cbd01a50e6355"),
+    ("trojan", 1000): ("65e2fa9d060c872daaa45e65750c2a0ce848090dc9ef21fedf94ff63cf7be03f", "58c89e15a2157dc71556769d73a0e4d263756b0da45c9ec45510b2b80278c9ce"),
+    ("bright-light", 1000): ("cbd67a0fc4373c6bd34148c9613f02d5da972b817c4f01ed8b4806964db1e7aa", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("none", 100000): ("4c589ab3490864bb3b1be98b4b18ae4a6eb811d86e3256535e8715226803b8ae", "76c40666cf622cb7d811578bdcccbeabbc9fa06962ddc8de6d71575cd762d7ab"),
+    ("intercept-resend", 100000): ("2f2bca0b3db1e5308296a4715a6c7af60bbeaa75261c0d6f8bb3d79661d744e8", "1e5b7430fb4748e0f42570f7b7a7d34219d5f1494fea951936d8fe0c87284103"),
+    ("beam-split", 100000): ("907e94c65b9b70ebb9088028e671c92f23fbfef6ffcaa41b82a3d59f1016222e", "d1c878ca804d13a7deab10de31aa41ee48f1a78d082a839e549a6b02d9b298f8"),
+    ("mode-discrimination", 100000): ("71611b3875987b34203988bc0f29be4292346e5cc87dc6a5390a2ed0c95dbe4e", "4d00782d6edeab89d367cd3f0f18513082ef5077eb3d6a401aa24b6673ad733b"),
+    ("trojan", 100000): ("9fd59601b469b5ae7c30c3a06c10f88cece220074e7321d0fd9ad92109ce63b2", "dfe126c618d37d7aa96c95b9957865c579273455cc41b571c32a959d3267a0e6"),
+    ("bright-light", 100000): ("2e4b9edf7f3ba9d95a78eff6d7e24dfeffb81dc3241184c3b2556b7925da4bdf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
@@ -36,13 +36,13 @@ GOLDEN = {
 # every probe kind on Bob's monitor and Eve's photon counter, Eve's own
 # detector model, a small tap, and a session without Bob's tap.
 GOLDEN_VARIANTS = {
-    "trojan-fock-3": ({}, TrojanHorse(FockN(3)), "7b85aeacdfe2bfa8a3fc48fa706350aa10897418a7b725c43c859da29c478db5", "bfa3ce5c021395b73b424984cc33355cab6cbeb4a57ccf18e53fd49d0d0b4482"),
-    "trojan-thermal-2": ({}, TrojanHorse(Thermal(2.0)), "d81a3d030ef5986bac24b17d4ec520529487a9af58933450d996334f18df63f7", "4eee16ff581cdafc3d9ca30af3fdd95b823978248a901f54dcb301429fc6c1cd"),
-    "trojan-vacuum": ({}, TrojanHorse(Vacuum()), "5fd5ded95e155f4549e3e5470bd4469aa8462ee6ee09194997ff6b89aea17c1d", "4e2cac20a0250169328fc908df73e6cd85674d7929bcf9e25bb56ab9bf2b54ca"),
-    "trojan-blinding-0.5": ({}, TrojanHorse(Blinding(0.5)), "f988e301840ca26f480cd0633ab79663fd8b725ebf43320bbded5418b1c493c7", "b742627820bf0ffdee30975ed82d69b0295c6f334ab1875b02486dc0304e0556"),
-    "mode-discrimination-eve-det": ({}, ModeDiscrimination(0.7, DetectorModel(0.4, 1e-3)), "ad9c23b18dc3324708898995da39795620be259817e615dd61d4063a7f8ca087", "c16e409d13e51a75db49fb0b257c7f15c4647e38c8f364597b83be47b7aba300"),
-    "beam-split-0.2": ({}, BeamSplit(0.2), "b7514fe073a1df40087edc5c0380d0783c90708e60f91e7a94d947e1c9f1afee", "d7d8f75a3d9014f6edce4fe26c2ecb9e2775684982aef5c350de61352a02d899"),
-    "no-tap-mu-1.7": ({"tap_reflectance": 0.0, "mu_coherent": 1.7}, None, "8c4f1416a18bf6376e37e00f1a7c40f58670a34f67634b91c17bde760e824cfc", "9a61bbe35dbbcde8805932f07e7b52ddadc09c0a0d945edd22d6c41648b86569"),
+    "trojan-fock-3": ({}, TrojanHorse(FockN(3)), "47f13d0b02ab805d3c1317b21ecdb143a0853c78b1584b3568784a27e537c847", "8d2c889425efb1c6eaaf2cccd8e0b267a181e6821d7c15b26b1f457010358e09"),
+    "trojan-thermal-2": ({}, TrojanHorse(Thermal(2.0)), "db4039b136b69fa7cc60153b82754416308dfd776f133f2aa2db6926b2184f9c", "c32daec20eea61d10c938c2783619279d2aa73b144d31c87db06fef526cc595a"),
+    "trojan-vacuum": ({}, TrojanHorse(Vacuum()), "8c53557e56c7f0e59400c5d9d88857864ab82e451e286ff921d0c01eafa9118a", "ad84e4e332a2b48772c7c8d3d6e1f553130dfcfd825c48836014ff265b396497"),
+    "trojan-blinding-0.5": ({}, TrojanHorse(Blinding(0.5)), "092bf1a4ca43698b07c189b7f06e95a0d216c5e1f850299f3fc2faffcb928119", "dfe126c618d37d7aa96c95b9957865c579273455cc41b571c32a959d3267a0e6"),
+    "mode-discrimination-eve-det": ({}, ModeDiscrimination(0.7, DetectorModel(0.4, 1e-3)), "486fc0fb73b009572d1a7e44ab48510386feaed3411dabad90ff70fe5be8e0d8", "77e92fb8a6007e74cd95df6818a2921de73ca508528abfa9f7862b10e0acaa7d"),
+    "beam-split-0.2": ({}, BeamSplit(0.2), "4fdf204f8c6b474fff6aa2696e17b065a018c09fc2bad18bdf01a47f20218e11", "05a119d1929d020cab1c12dfd0c64beff880a52bcab84eabf9cf53f52cec4717"),
+    "no-tap-mu-1.7": ({"tap_reflectance": 0.0, "mu_coherent": 1.7}, None, "ad2d45401896bfa15e98130bc48b8ae3df198a6af24b53711b2f3c7db1dc31ed", "ad83714435084d9cff3ade331153b9a87b45d7b1d72759e87fe3b71ed4b6e49c"),
 }
 
 

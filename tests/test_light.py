@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -387,15 +388,20 @@ def test_fock_thinning_and_blinding_on_mixed_arrays():
         fa.attenuated(0.6)
 
 
-def test_photon_counts_per_kind_and_draw_order():
-    fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.5), FockN(3), Vacuum(), Blinding(0.2)] * 2000)
-    counts = fa.photon_counts(np.random.default_rng(8))
-    assert counts.dtype == np.int64
-    rng = np.random.default_rng(8)  # Poisson on coherent first, then geometric on thermal
-    assert np.array_equal(counts[0::5], rng.poisson(np.full(2000, 4.0)))
-    assert np.array_equal(counts[1::5], rng.geometric(np.full(2000, 1.0 / 1.5)) - 1)
-    assert np.all(counts[2::5] == 3) and np.all(counts[3::5] == 0)
-    assert np.all(counts[4::5] == np.iinfo(np.int64).max // 2)
+def test_few_photon_probs_match_the_photon_number_pmfs():
+    fields = [Coherent(2.0), Coherent(1e-5), Thermal(0.5), Thermal(1e-7), FockN(0), FockN(1), FockN(3),
+              Vacuum(), Blinding(0.2), Coherent(math.sqrt(1e19))]
+    zero, one = FieldArray.from_fields(fields).few_photon_probs()
+    want = [scipy.stats.poisson(4.0), scipy.stats.poisson(1e-10), scipy.stats.nbinom(1, 1 / 1.5),
+            scipy.stats.nbinom(1, 1 / (1 + 1e-7))]
+    for i, law in enumerate(want):
+        assert zero[i] == pytest.approx(law.pmf(0), rel=1e-12)
+        assert one[i] == pytest.approx(law.pmf(1), rel=1e-12)
+    # definite photon numbers 0, 1, 3 and vacuum; blinding light counts
+    # many photons, and a coherent pulse of mean 1e19 more than one in
+    # all but a vanishing fraction
+    assert zero[4:].tolist() == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+    assert one[4:].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_empty_field_array():

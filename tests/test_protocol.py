@@ -30,7 +30,6 @@ from ctqkd.protocol import (
     alice_thermal_monitor,
     bob_monitor_tap,
     classify_alarm,
-    click_events,
     measure_interference,
     modulate_batch,
     pair_click_probs,
@@ -431,18 +430,6 @@ def test_level_table_equals_per_pair_oracle_bitwise(det):
     assert per_pair > 0
 
 
-def test_click_events_match_argmax_on_every_click_pattern():
-    patterns = (np.arange(16)[None, :] >> np.arange(4)[:, None]) & 1  # (4, 16): rows D0A..D1B
-    clicks = patterns.astype(bool)
-    events = click_events(*patterns.astype(np.uint8))
-    detector = clicks.argmax(axis=0)
-    n_clicks = clicks.sum(axis=0)
-    assert np.array_equal(events["single"], n_clicks == 1)
-    assert np.array_equal(events["double"], n_clicks >= 2)
-    assert np.array_equal(events["basis_q"], detector >> 1)
-    assert np.array_equal(events["port"], detector & 1)
-
-
 def test_interferometer_measure_deterministic_port():
     # Ideal detector, opposite phases: the only possible single click in
     # basis A is D1A.
@@ -584,9 +571,9 @@ def test_honest_session_allocates_at_most_9_bytes_per_pulse():
 
 
 def test_monitors_keep_no_per_gate_record():
-    # Each monitor, and sample_clicks, counts its clicks a block at a time,
-    # so it allocates one block's uniforms and clicks (0.3 B/gate at 2**20
-    # gates); a bool record of every gate would add 1 B/gate.
+    # Each monitor counts its gates per table entry, a block at a time, and
+    # draws one binomial per entry; sample_clicks draws one binomial.  A
+    # bool record of every gate would take 1 B/gate.
     n = 2**20
     cfg = SessionConfig(n_pulses=n, seed=2)
     rng = np.random.default_rng(cfg.seed)
