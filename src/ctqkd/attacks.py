@@ -212,7 +212,7 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     p_c = float(np.mean(gather(np.where(coh_h, pair_h, pair_v), pair)))
     p_t = float(np.mean(gather(np.where(coh_h, pair_v, pair_h), pair)))
 
-    clicks = sample_blocked(len(batch), p_h, h.level, rng)
+    clicks = sample_blocked(p_h, h.level, rng)
     guess_coh_in_h = clicks if p_c >= p_t else ~clicks
     bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
     return guess_coh_in_h, bayes_error
@@ -304,7 +304,7 @@ class TrojanHorse(Attack):
         level_h, level_v, index = level_pairs(h, v)
         (zero_h, one_h), (zero_v, one_v) = h.few_photon_probs(), v.few_photon_probs()
         at_most_one = zero_h[level_h] * (zero_v + one_v)[level_v] + one_h[level_h] * zero_v[level_v]
-        learned = sample_blocked(len(batch), 1.0 - at_most_one, index, rng)
+        learned = sample_blocked(1.0 - at_most_one, index, rng)
         out = modulate_batch(held, batch.bob_quarter * learned)
         return out.propagated(1.0 - cfg.tap_reflectance, rng), learned
 

@@ -34,8 +34,9 @@ KIND_BLINDING = 4
 
 # Pulses per block of the block-wise stages.  A block's float64 temporaries
 # take 256 KiB each, so a stage's working set fits a 2 MiB per-core L2
-# cache; 2**14 and 2**16 measured no faster.  A constant, not a setting:
-# results do not depend on it.
+# cache; 2**14 and 2**16 measured no faster.  A constant, not a setting, and
+# part of the RNG stream: protocol.candidate_blocks draws at most BLOCK gaps
+# at a time, so changing it changes the interferometers' and all later draws.
 BLOCK = 1 << 15
 
 
@@ -130,15 +131,14 @@ def _index_dtype(n_levels: int) -> np.dtype:
     return np.min_scalar_type(max(n_levels - 1, 0))
 
 
-def gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """table[index] for an unsigned index.  A table of at most two entries
     takes a bitwise select of their bit patterns, several times faster than
     np.take and bit-equal."""
     if table.size > 2:
-        # index is in range; mode "raise" would buffer the output
-        return np.take(table, index, out=out, mode="clip")
+        return np.take(table, index)
     bits = table.view(f"u{table.itemsize}")
-    out = np.empty(index.shape, dtype=table.dtype) if out is None else out
+    out = np.empty(index.shape, dtype=table.dtype)
     out_bits = out.view(bits.dtype)
     np.multiply(index, bits[0] ^ bits[-1], out=out_bits)  # index is 0 or 1
     np.bitwise_xor(out_bits, bits[0], out=out_bits)

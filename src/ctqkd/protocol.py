@@ -30,10 +30,10 @@ doubles: candidate pairs come by geometric gaps at the largest any-click
 probability of a pair state, and one uniform per candidate both thins it
 to its own state's probability and picks the outcome (see
 measure_interference).  Only per-pulse decisions, Eve's mode guess and the
-phases her probe learns, take one uniform per gate (click_blocks), a block
-of BLOCK pulses at a time, in stream order.  Alice's two outputs are built
-one at a time: output 2 is monitored and freed before output 1 is built,
-so no two full-length outputs are live.
+phases her probe learns, take one uniform per gate (sample_blocked), a
+block of BLOCK pulses at a time, in stream order.  Alice's two outputs are
+built one at a time: output 2 is monitored and freed before output 1 is
+built, so no two full-length outputs are live.
 
 Every phase is a whole quarter turn (phi = q * pi/2), so a train of L
 levels holds at most 4 L pulse states level << 2 | quarter.  The
@@ -102,15 +102,10 @@ class PulseBatch:
     def __len__(self) -> int:
         return self.mode_secret.size
 
-    def with_fields(self, field_h: FieldArray, field_v: FieldArray, bob_quarter=None) -> "PulseBatch":
+    def with_fields(self, field_h: FieldArray, field_v: FieldArray) -> "PulseBatch":
         """A new batch carrying these mode fields; it shares the mode secret
-        and, unless bob_quarter is given, Bob's phases with this one."""
-        return PulseBatch(
-            self.mode_secret,
-            field_h,
-            field_v,
-            self.bob_quarter if bob_quarter is None else bob_quarter,
-        )
+        and Bob's phases with this one."""
+        return PulseBatch(self.mode_secret, field_h, field_v, self.bob_quarter)
 
     def propagated(self, transmittance: float, rng: np.random.Generator | None = None) -> "PulseBatch":
         return self.with_fields(
@@ -257,7 +252,9 @@ class SessionResult:
 def _raw_bytes(n_words: int, rng: np.random.Generator) -> np.ndarray:
     """The bytes of rng's next n_words raw outputs, each output's low byte
     first.  Every numpy bit generator but MT19937 gives 64 random bits per
-    raw output; MT19937 gives 32, and is no source for the draws below."""
+    raw output; MT19937 gives 32, so it is refused (TypeError)."""
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise TypeError("MT19937 gives 32 random bits per raw output; the raw-word draws need 64")
     return rng.bit_generator.random_raw(n_words).astype("<u8", copy=False).view(np.uint8)
 
 
@@ -328,15 +325,8 @@ _QUARTER_FIELDS = ((np.arange(256)[:, None] >> np.arange(0, 8, 2)) & 3).astype(n
 
 def bob_quarters(n: int, rng: np.random.Generator) -> np.ndarray:
     """Bob's random phases in quarter turns, as a uint8 column: the 2-bit
-    fields of rng's next ceil(n / 32) raw outputs, least significant first.
-    Made one block at a time, so that no full-length array of words is
-    built; BLOCK is a multiple of 32, so the blocks take the words of one
-    whole-array draw."""
-    quarters = np.empty(n, dtype=np.uint8)
-    for i, j in blocks(n):
-        fields = _QUARTER_FIELDS.take(_raw_bytes(-(-(j - i) // 32), rng))
-        quarters[i:j] = fields.view(np.uint8)[:j - i]
-    return quarters
+    fields of rng's next ceil(n / 32) raw outputs, least significant first."""
+    return _QUARTER_FIELDS.take(_raw_bytes(-(-n // 32), rng)).view(np.uint8)[:n]
 
 
 def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
@@ -346,41 +336,27 @@ def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
     fields are phase invariant and pass bit-exactly unchanged.
     """
     q = np.asarray(quarters, dtype=np.uint8)
-    return batch.with_fields(batch.field_h.phase_shifted(q), batch.field_v.phase_shifted(q), q)
+    return PulseBatch(batch.mode_secret, batch.field_h.phase_shifted(q), batch.field_v.phase_shifted(q), q)
 
 
-def click_blocks(n: int, table: np.ndarray, index: np.ndarray, rng: np.random.Generator):
-    """Bernoulli clicks u < table[index] of n gates, one block at a time:
-    yields (i, j, clicks of gates i..j-1) as bool, in a buffer the next
-    block reuses.
-
-    Each block draws its uniforms into one reused buffer; Generator.random
-    takes one 64-bit output per double, so the draws are those of
-    rng.random(n).  The uniforms are compared with the table's largest
-    probability first: u >= max never clicks and u < min always does, so
-    only gates with min <= u < max, few when clicks are rare, gather their
-    own probability (none when the table is constant)."""
+def sample_blocked(table: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli clicks u < table[index] of the index.size gates, as bool:
+    the draws of rng.random(index.size) (one 64-bit output per double),
+    made a block at a time.  The uniforms are compared with the table's
+    largest probability first: u >= max never clicks and u < min always
+    does, so only gates with min <= u < max, few when clicks are rare,
+    gather their own probability (none when the table is constant)."""
     high, low = table.max(), table.min()
-    uniforms = np.empty(min(n, BLOCK))
-    clicks = np.empty(min(n, BLOCK), dtype=bool)
-    for i, j in blocks(n):
-        u = rng.random(out=uniforms[:j - i])
-        c = np.less(u, high, out=clicks[:j - i])
+    clicks = np.empty(index.size, dtype=bool)
+    for i, j in blocks(index.size):
+        u = rng.random(j - i)
+        c = np.less(u, high, out=clicks[i:j])
         if low < high:
             near = c.nonzero()[0]
             u_near = u.take(near)
             unsure = (u_near >= low).nonzero()[0]
             near = near.take(unsure)
             c[near] = u_near.take(unsure) < gather(table, index[i:j].take(near))
-        yield i, j, c
-
-
-def sample_blocked(n: int, table: np.ndarray, index: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The clicks of click_blocks(n, table, index, rng) as one bool array."""
-    clicks = np.empty(n, dtype=bool)
-    for i, j, block in click_blocks(n, table, index, rng):
-        clicks[i:j] = block
     return clicks
 
 
@@ -516,7 +492,7 @@ def candidate_blocks(m: int, q: float, rng: np.random.Generator):
     between candidates skip the trials in between (Devroye 1986).  Each
     block's gaps are enough for the trials left with a 4-sigma margin, so
     few are drawn past m.  q = 0 gives none and q = 1 every trial, with no
-    draw."""
+    draw.  BLOCK, capping the gaps of one draw, is part of the RNG stream."""
     if q == 1.0:
         yield from (np.arange(i, j) for i, j in blocks(m))
         return

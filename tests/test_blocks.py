@@ -18,7 +18,6 @@ from ctqkd.protocol import (
     alice_thermal_monitor,
     bob_monitor_tap,
     bob_quarters,
-    click_blocks,
     measure_interference,
     modulate_batch,
     pair_click_probs,
@@ -215,8 +214,8 @@ def test_prepare_and_bob_quarters_equal_whole_array_draws(n):
     assert h.level is v.level and h.level.tobytes() == th_in_h.tobytes()
     assert h.param[h.level].tobytes() == np.take([0.3, 0.7], th_in_h).tobytes()
     assert v.param[v.level].tobytes() == np.take([0.7, 0.3], th_in_h).tobytes()
-    # Bob's quarters, a block at a time, are the 2-bit fields of one
-    # whole-array draw of raw words.
+    # Bob's quarters are the 2-bit fields of one whole-array draw of raw
+    # words.
     words = ref.bit_generator.random_raw(-(-n // 32))
     whole = ((words[:, None] >> np.arange(0, 64, 2, dtype=np.uint64)) & 3).astype(np.uint8).ravel()[:n]
     _assert_same_draws(bob_quarters(n, rng), whole, rng, ref)
@@ -228,8 +227,5 @@ def test_sample_blocked_asks_for_each_gate_once_in_order(n):
     # or out of order would compare with another gate's probability.
     table = np.random.default_rng(n).uniform(0.0, 0.2, n)
     index = np.arange(n, dtype=np.min_scalar_type(n - 1))  # unsigned, as gather asks
-    spans = [(i, j) for i, j, _ in click_blocks(n, table, index, np.random.default_rng(2))]
-    assert len(spans) == -(-n // BLOCK)  # one block when n <= BLOCK
-    assert [i for i, _ in spans] == [0] + [j for _, j in spans[:-1]] and spans[-1][1] == n
     rng, ref = np.random.default_rng(1), np.random.default_rng(1)
-    _assert_same_draws(sample_blocked(n, table, index, rng), ref.random(n) < table, rng, ref)
+    _assert_same_draws(sample_blocked(table, index, rng), ref.random(n) < table, rng, ref)

@@ -2,6 +2,7 @@
 
 Fair bits and Bob's quarters are the bits and 2-bit fields of raw generator
 words: each value comes at its frequency and adjacent draws are independent.
+A bit generator with 32-bit raw words (MT19937) is refused.
 The screened click sampler gives rng.random(n) < table[index] exactly.  The
 monitors draw one binomial per table entry, and the interferometers thin
 candidate pairs drawn by geometric gaps; on small tables their outcome
@@ -14,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from ctqkd.attacks import _dps_phase_estimates
 from ctqkd.detector import ClickStream, DetectorModel
 from ctqkd.light import BLOCK, KIND_COHERENT, Coherent, FieldArray, Vacuum, pair_table
 from ctqkd.protocol import (
@@ -75,6 +77,20 @@ def test_bits_and_quarters_take_whole_raw_words_in_order(n):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("draw", [
+    fair_bits,
+    bob_quarters,
+    lambda n, rng: _dps_phase_estimates(np.zeros(n, dtype=np.uint8), rng),
+])
+def test_raw_word_draws_refuse_mt19937(draw):
+    # MT19937's raw outputs hold 32 random bits, so the upper half of each
+    # 64-bit word would read as zeros; the draw fails before taking any.
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(TypeError, match="MT19937"):
+        draw(100, rng)
+    assert rng.bit_generator.random_raw() == np.random.MT19937(1).random_raw()
+
+
 def _tables(n, rng):
     """(name, table, index): probabilities 0 and 1 among others, a constant
     table, two entries (gather's bitwise select), one entry per element from
@@ -100,7 +116,7 @@ def _tables(n, rng):
 def test_screened_clicks_equal_the_dense_comparison(n):
     for name, table, index in _tables(n, np.random.default_rng(n)):
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        assert np.array_equal(sample_blocked(n, table, index, rng), ref.random(n) < table[index])
+        assert np.array_equal(sample_blocked(table, index, rng), ref.random(n) < table[index])
         assert rng.bit_generator.state == ref.bit_generator.state
         if name == "per-pair":
             assert np.array_equal(index, np.arange(n))

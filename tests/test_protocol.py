@@ -560,11 +560,11 @@ def _traced_peak(fn, *args):
 
 def test_honest_session_allocates_at_most_9_bytes_per_pulse():
     # The peak of the traced allocations (numpy's included) above the
-    # session's start: 7.0 B/pulse, where Alice builds her two outputs; her
-    # monitor (6.3) and the interferometers (6.2) stay below it.  A process's
-    # first session reads 7.7, as it also traces the modules numpy imports
-    # on first use.  Four full-length click rows in the interferometers,
-    # 1 B/pulse each, push it past 9.
+    # session's start: 7.0 B/pulse, where Alice builds her outputs.  Her
+    # monitor (6.0), Bob's quarters (5.3) and the interferometers (5.0),
+    # which keep only the candidate pairs of a block, stay below it.  A
+    # process's first session reads 7.7, as it also traces the modules numpy
+    # imports on first use.
     n = 2**20
     peak = _traced_peak(run_session, SessionConfig(n_pulses=n, seed=2))
     assert peak <= 9 * n, peak / n
