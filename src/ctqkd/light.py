@@ -252,12 +252,11 @@ class FieldArray:
     @classmethod
     def where(cls, mask: np.ndarray, a: "FieldArray", b: "FieldArray") -> "FieldArray":
         """Elementwise select, a where mask else b: the level indices select
-        into the union of the two tables, de-duplicated."""
-        kind, param, new = _distinct(np.concatenate([a.kind, b.kind]),
-                                     np.concatenate([a.param, b.param]))
+        into level_union(a, b)."""
+        levels, new_a, new_b = level_union(a, b)
         m = np.asarray(mask, dtype=bool).view(np.uint8)
-        level = _select(m, _relevel(a.level, new[:a.kind.size]), _relevel(b.level, new[a.kind.size:]))
-        return cls(level, _select(m, a.quarter, b.quarter), kind, param)
+        level = _select(m, _relevel(a.level, new_a), _relevel(b.level, new_b))
+        return cls(level, _select(m, a.quarter, b.quarter), levels.kind, levels.param)
 
     def attenuated(self, transmittance: float, rng: np.random.Generator | None = None) -> "FieldArray":
         """Loss channel: every mean photon number scales by T, definite
@@ -337,6 +336,17 @@ class FieldArray:
         zero[fock], one[fock] = mu[fock] == 0.0, mu[fock] == 1.0
         zero[blind] = one[blind] = 0.0
         return zero, one
+
+
+def level_union(a: FieldArray, b: FieldArray):
+    """(levels, new_a, new_b): a FieldArray of no pulses over the union of
+    a's and b's level tables, a's levels first, de-duplicated by kind and
+    param bit pattern, unused levels kept; and the index in it of each of
+    a's and of b's levels.  FieldArray.where selects into this table, so a
+    reader of a select's pulses needs only the two tables and columns."""
+    kind, param, new = _distinct(np.concatenate([a.kind, b.kind]),
+                                 np.concatenate([a.param, b.param]))
+    return FieldArray((), (), kind, param), new[:a.kind.size], new[a.kind.size:]
 
 
 def pair_table(size_a: int, col_a: np.ndarray, size_b: int, col_b: np.ndarray):

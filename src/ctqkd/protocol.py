@@ -31,9 +31,12 @@ probability of a pair state, and one uniform per candidate both thins it
 to its own state's probability and picks the outcome (see
 measure_interference).  Only per-pulse decisions, Eve's mode guess and the
 phases her probe learns, take one uniform per gate (sample_blocked), a
-block of BLOCK pulses at a time, in stream order.  Alice's two outputs are
-built one at a time: output 2 is monitored and freed before output 1 is
-built, so no two full-length outputs are live.
+block of BLOCK pulses at a time, in stream order.  Neither of Alice's two
+outputs is built in a session: her monitor counts its gates per joint
+(mode secret, H level, V level) entry, and the interferometers read output
+1's pulse states from the mode secret and both modes' columns, only at the
+candidate pairs (output1_states).  separate_modes builds both outputs, for
+tests and tracing.
 
 Every phase is a whole quarter turn (phi = q * pi/2), so a train of L
 levels holds at most 4 L pulse states level << 2 | quarter.  The
@@ -68,9 +71,12 @@ from .light import (
     KIND_COHERENT,
     KIND_THERMAL,
     FieldArray,
+    _relevel,
+    _select,
     blocks,
     gather,
     level_pairs,
+    level_union,
     pair_table,
 )
 
@@ -279,9 +285,12 @@ def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     n = cfg.n_pulses
     # 1 where H carries the thermal state: the mode secret and the level
     # column of both modes, over swapped tables.  Read-only, so all three
-    # share this very array.
-    th_in_h = fair_bits(n, rng)  # source wiring
-    th_in_h ^= fair_bits(n, rng)  # rotator angle
+    # share this very array.  The XOR of two fair_bits draws, unpacked once
+    # from the XOR of their raw words.
+    words = -(-n // 64)
+    raw = _raw_bytes(words, rng)  # source wiring
+    raw ^= _raw_bytes(words, rng)  # rotator angle
+    th_in_h = np.unpackbits(raw, count=n, bitorder="little")
     th_in_h.flags.writeable = False
     phase = np.zeros(n, dtype=np.uint8)  # both modes start at phase 0
     means = [cfg.mu_coherent, cfg.mu_thermal]
@@ -298,20 +307,12 @@ def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
     (coherent, thermal); an attacker who replaced the channel fields lands on
     output 2 whenever the mode secret says so.
     """
-    return alice_output1(batch), alice_output2(batch)
-
-
-def alice_output1(batch: PulseBatch) -> FieldArray:
-    """Output 1 of separate_modes alone."""
     # Undoing the rotation swaps the modes when rotation is 1; wiring 1 swaps
     # them again.  So output 1 is the channel's V mode exactly where the
     # mode secret, their XOR, is 1.
-    return FieldArray.where(batch.mode_secret, batch.field_v, batch.field_h)
-
-
-def alice_output2(batch: PulseBatch) -> FieldArray:
-    """Output 2 of separate_modes alone: the mode output 1 does not take."""
-    return FieldArray.where(batch.mode_secret, batch.field_h, batch.field_v)
+    secret = batch.mode_secret
+    return (FieldArray.where(secret, batch.field_v, batch.field_h),
+            FieldArray.where(secret, batch.field_h, batch.field_v))
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +361,23 @@ def sample_blocked(table: np.ndarray, index: np.ndarray, rng: np.random.Generato
     return clicks
 
 
+def gate_counts(index: np.ndarray, size: int) -> np.ndarray:
+    """How many entries of index hold each of the values 0 .. size - 1.  The
+    index is counted a block at a time, as bincount casts it to intp; at
+    most two values, as on every honest train, count the nonzero entries
+    instead, many times faster."""
+    if size <= 2:
+        ones = np.count_nonzero(index)
+        return np.array([index.size - ones, ones][:size])
+    return sum(np.bincount(index[i:j], minlength=size) for i, j in blocks(index.size))
+
+
 def monitor_clicks(table: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> ClickStream:
     """Clicks of index.size gates, gate g clicking with probability
     table[index[g]], independently: one binomial draw per table entry over
-    the gates at that entry, since a sum of independent Bernoulli draws of
-    one probability is binomial.  The gates are counted a block at a time,
-    as bincount casts its index to intp; a table of at most two entries,
-    as on every honest train, counts the nonzero index entries instead, many
-    times faster."""
-    if table.size <= 2:
-        ones = np.count_nonzero(index)
-        gates = np.array([index.size - ones, ones][:table.size])
-    else:
-        gates = sum(np.bincount(index[i:j], minlength=table.size) for i, j in blocks(index.size))
-    return ClickStream(int(rng.binomial(gates, table).sum()), index.size)
+    the gates at that entry (gate_counts), since a sum of independent
+    Bernoulli draws of one probability is binomial."""
+    return ClickStream(int(rng.binomial(gate_counts(index, table.size), table).sum()), index.size)
 
 
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
@@ -395,16 +399,35 @@ def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
     return power_test(stream, cfg.expected_bob_monitor_p(), cfg.z_threshold)
 
 
-def alice_thermal_monitor(output2: FieldArray, cfg: SessionConfig,
+def alice_thermal_monitor(batch: PulseBatch, cfg: SessionConfig,
                           rng: np.random.Generator) -> PowerTestOutcome:
-    """Protection-layer monitor on Alice's output 2.
+    """Protection-layer monitor on Alice's output 2 of the train as it
+    returns to her (the second FieldArray separate_modes gives).
 
     Samples clicks from whatever actually arrived and z-tests the frequency
-    against the thermal expectation mu_thermal * T^2 * (1-r)."""
+    against the thermal expectation mu_thermal * T^2 * (1-r).  Output 2 is
+    not built: the gates are counted per joint (mode secret, H level, V
+    level) entry, and each entry's count goes to the output-2 level it
+    selects (H's where the mode secret is 1), over the table
+    FieldArray.where(mode_secret, field_h, field_v) builds.  On an honest
+    train the mode secret is both level columns, so the entries are its
+    two values."""
     det = cfg.detector_alice
+    h, v, secret = batch.field_h, batch.field_v, batch.mode_secret
 
-    table = click_prob(det.dark_prob, output2.noclick_factors(det.eta))
-    stream = monitor_clicks(table, output2.level, rng)
+    levels, new_h, new_v = level_union(h, v)
+    if secret is h.level is v.level:
+        on_h = level_h = level_v = np.arange(2)
+        joint = gate_counts(secret, 2)
+    else:
+        level_h, level_v, pair = level_pairs(h, v)
+        on_h, entry, index = pair_table(2, secret, level_h.size, pair)
+        level_h, level_v = level_h[entry], level_v[entry]
+        joint = gate_counts(index, on_h.size)
+    gates = np.zeros(levels.kind.size, dtype=np.int64)
+    np.add.at(gates, np.where(on_h, new_h[level_h], new_v[level_v]), joint)
+    table = click_prob(det.dark_prob, levels.noclick_factors(det.eta))
+    stream = ClickStream(int(rng.binomial(gates, table).sum()), len(batch))
     return power_test(stream, cfg.expected_alice_thermal_p(), cfg.z_threshold)
 
 
@@ -440,37 +463,101 @@ def port_means(r_prev: np.ndarray, q_prev: np.ndarray, r_curr: np.ndarray,
     return means
 
 
-def pair_click_probs(out1: FieldArray, det: DetectorModel):
-    """Click probabilities of the four detectors over the consecutive pulse
-    pairs of Alice's coherent output, as (p, index).
+def state_pair_probs(levels: FieldArray, s_prev: np.ndarray, s_curr: np.ndarray,
+                     det: DetectorModel) -> np.ndarray:
+    """Click probabilities of the four detectors, as a (4, m) array, for m
+    consecutive pulse pairs in the states s_prev and s_curr (level << 2 |
+    quarter, over the level table of levels).
 
     Coherent (or vacuum) pairs interfere with the port means; any other
     field combination carries no stable phase and is treated as an
     incoherent 1/8 split with identical statistics at all four detectors.
-    A train of L levels has S = 4 L pulse states s = level << 2 | quarter,
-    and p has one column per pair of states that light.pair_table gives:
-    a (4, S * S) table over the pair index s_prev * S + s_curr when the
-    train has at least S * S pairs, else (4, m), one column per pair.  index
-    is each pair's column, so detector k's probabilities are p[k][index].
-    Both take the same elementwise formulas, so the table gathers to the
-    per-pair values bit for bit.
     """
-    n_states = 4 * out1.kind.size
-    state = np.left_shift(out1.level, 2, dtype=np.min_scalar_type(n_states - 1))
-    state |= out1.quarter
-    s_prev, s_curr, index = pair_table(n_states, state[:-1], n_states, state[1:])
     prev, curr, q_prev, q_curr = s_prev >> 2, s_curr >> 2, s_prev & 3, s_curr & 3
     # r = 0 on vacuum; pairs holding any other kind are replaced below
-    r = np.sqrt(out1.param)
+    r = np.sqrt(levels.param)
     means = port_means(r[prev], q_prev, r[curr], q_curr)
     np.exp(np.multiply(-det.eta, means, out=means), out=means)
     p = click_prob(det.dark_prob, means)
-    coherent = out1.kind <= KIND_COHERENT  # vacuum or coherent
+    coherent = levels.kind <= KIND_COHERENT  # vacuum or coherent
     if not coherent.all():
-        f = out1.noclick_factors(det.eta / 8.0)
+        f = levels.noclick_factors(det.eta / 8.0)
         p_inc = click_prob(det.dark_prob, f[prev], f[curr])
         p = np.where(coherent[prev] & coherent[curr], p, p_inc)
-    return p, index
+    return p
+
+
+def _states(level: np.ndarray, quarter: np.ndarray, n_levels: int) -> np.ndarray:
+    """The pulse states level << 2 | quarter, in the narrowest unsigned type
+    that holds the 4 * n_levels states."""
+    state = np.left_shift(level, 2, dtype=np.min_scalar_type(4 * n_levels - 1))
+    state |= quarter
+    return state
+
+
+def pair_click_probs(out1: FieldArray, det: DetectorModel):
+    """Click probabilities of the four detectors over the consecutive pulse
+    pairs of a built output 1, as (p, index).
+
+    A train of L levels has S = 4 L pulse states s = level << 2 | quarter,
+    and p (state_pair_probs) has one column per pair of states that
+    light.pair_table gives: a (4, S * S) table over the pair index
+    s_prev * S + s_curr when the train has at least S * S pairs, else
+    (4, m), one column per pair.  index is each pair's column, so detector
+    k's probabilities are p[k][index].  Both take the same elementwise
+    formulas, so the table gathers to the per-pair values bit for bit.
+    measure_interference takes the same table, reading output 1 from the
+    train instead of building it.
+    """
+    n_states = 4 * out1.kind.size
+    state = _states(out1.level, out1.quarter, out1.kind.size)
+    s_prev, s_curr, index = pair_table(n_states, state[:-1], n_states, state[1:])
+    return state_pair_probs(out1, s_prev, s_curr, det), index
+
+
+def output1_states(batch: PulseBatch):
+    """Alice's output 1 read from the train, not built: (levels, states).
+    levels is a FieldArray of no pulses over the level table that
+    separate_modes' FieldArray.where(mode_secret, field_v, field_h) builds,
+    and states(at) output 1's pulse states level << 2 | quarter at the
+    pulses at (a slice or an intp index array).  A column that is the mode
+    secret or another mode's column too is read once, and two modes that
+    share a column take no select and no read of the mode secret for it."""
+    v, h, secret = batch.field_v, batch.field_h, batch.mode_secret
+    levels, new_v, new_h = level_union(v, h)
+
+    def states(at):
+        read = {}
+
+        def col(a):
+            if id(a) not in read:
+                read[id(a)] = a[at] if isinstance(at, slice) else a.take(at)
+            return read[id(a)]
+
+        def pick(a, b):  # a where the mode secret is 1, else b
+            return a if a is b else _select(col(secret), a, b)
+
+        level = pick(_relevel(col(v.level), new_v), _relevel(col(h.level), new_h))
+        return _states(level, pick(col(v.quarter), col(h.quarter)), levels.kind.size)
+
+    return levels, states
+
+
+def _pair_columns(states, cand: np.ndarray, n_states: int) -> np.ndarray:
+    """The column s_prev * n_states + s_curr of each candidate pair in a
+    (4, n_states**2) table, in the narrowest unsigned type that holds it,
+    from the states at pulses cand and cand + 1: one slice when the
+    candidates are consecutive (cand is ascending and distinct)."""
+    k = cand.size
+    if k and cand[-1] - cand[0] + 1 == k:
+        state = states(slice(cand[0], cand[-1] + 2))
+        s_prev, s_curr = state[:-1], state[1:]
+    else:
+        state = states(np.concatenate((cand, cand + 1)))
+        s_prev, s_curr = state[:k], state[k:]
+    column = np.multiply(s_prev, n_states, dtype=np.min_scalar_type(n_states * n_states - 1))
+    column += s_curr
+    return column
 
 
 def pair_outcome_probs(p: np.ndarray) -> np.ndarray:
@@ -507,11 +594,12 @@ def candidate_blocks(m: int, q: float, rng: np.random.Generator):
         yield pos[:np.searchsorted(pos, m)]
 
 
-def measure_interference(out1: FieldArray, quarters: np.ndarray, det: DetectorModel,
+def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorModel,
                          rng: np.random.Generator) -> dict:
-    """Click-sample all consecutive pulse pairs of Alice's coherent output:
-    each detector clicks independently with its pair_click_probs; exactly
-    one click yields a usable event, two or more a discarded double.
+    """Click-sample all consecutive pulse pairs of Alice's output 1 (the
+    first FieldArray separate_modes gives) of the train as it returns to
+    her: each detector clicks independently with its state_pair_probs;
+    exactly one click yields a usable event, two or more a discarded double.
 
     Each pair's outcome is drawn by thinning (Lewis and Shedler 1979): with
     q_max the largest probability over the pair states that any detector
@@ -521,17 +609,32 @@ def measure_interference(out1: FieldArray, quarters: np.ndarray, det: DetectorMo
     of the probability) no click at all.  Only the single clicks are kept:
     their pair indices s ("pairs", ascending intp), "basis_q" and "port"
     (uint8) of the detector that clicked, and Bob's phase difference
-    "delta_q" = (quarters[s + 1] - quarters[s]) & 3 at each; of the
-    doubles, their number ("doubles")."""
-    p, index = pair_click_probs(out1, det)
+    "delta_q" = (quarters[s + 1] - quarters[s]) & 3 at each, from Bob's own
+    quarters, not the train's; of the doubles, their number ("doubles").
+
+    Output 1 is not built (output1_states).  On the (4, S * S) table, each
+    block of candidates reads its pair states at its own pulses only
+    (_pair_columns); a train whose table would outnumber its pairs, by
+    light.pair_table's rule, reads the state of every pulse, for one column
+    per pair."""
+    levels, states = output1_states(batch)
+    n_states, m = 4 * levels.kind.size, len(batch) - 1
+    tabulated = n_states * n_states <= m
+    if tabulated:
+        s_prev, s_curr = np.divmod(np.arange(n_states * n_states), n_states)
+    else:
+        state = states(slice(None))
+        s_prev, s_curr = state[:-1], state[1:]
+    p = state_pair_probs(levels, s_prev, s_curr, det)
     # Rows: a single at D0A, D1A, D0B, D1B, then any click.
     cum = np.cumsum(pair_outcome_probs(p)[1:], axis=0)
     q_max = float(cum[-1].max())
     if q_max > 0.0:
         cum /= q_max  # exactly 1 at the states of the largest
     pairs, detector, doubles = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint8)], 0
-    for cand in candidate_blocks(len(out1) - 1, q_max, rng):
-        u, state = rng.random(cand.size), index[cand]
+    for cand in candidate_blocks(m, q_max, rng):
+        u = rng.random(cand.size)
+        state = _pair_columns(states, cand, n_states) if tabulated else cand
         # 0-3: a single click at that detector, 4: a double, 5: none
         outcome = np.zeros(cand.size, dtype=np.uint8)
         for row in cum:
@@ -625,14 +728,8 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
         batch, carry = attack.apply_return(batch, carry, cfg, rng)
     batch = batch.propagated(cfg.transmittance_oneway, rng)
 
-    # Each later stage reads less of the train; free the rest as it goes, so
-    # that no two full-length outputs are live at once: output 2 is monitored
-    # and freed before output 1 is built, and the train goes after that.
-    alice_outcome = alice_thermal_monitor(alice_output2(batch), cfg, rng)
-    out1 = alice_output1(batch)
-    del batch
-    meas = measure_interference(out1, quarters, cfg.detector_alice, rng)
-    del out1
+    alice_outcome = alice_thermal_monitor(batch, cfg, rng)
+    meas = measure_interference(batch, quarters, cfg.detector_alice, rng)
     sift = sift_and_qber(meas, cfg, rng)
 
     eve = attack.finalize_report(carry, sift, rng) if attack is not None else None

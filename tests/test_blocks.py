@@ -2,14 +2,25 @@
 Each must equal its whole-array form bit for bit, and leave the generator in
 the state the whole-array draw leaves it in, at every block boundary.  The
 interferometers draw their candidate pairs a block of candidates at a time;
-their events must be whole and sorted across those blocks."""
+their events must be whole and sorted across those blocks.  Alice's monitor
+and interferometers read her outputs from the train, a block of candidates
+at a time; each must equal the same stage over the outputs separate_modes
+builds, draw for draw."""
 
 import numpy as np
 import pytest
 
 from ctqkd import protocol
 from ctqkd.detector import DetectorModel, click_prob
-from ctqkd.light import KIND_BLINDING, KIND_COHERENT, KIND_FOCK, KIND_VACUUM, Coherent, FieldArray
+from ctqkd.light import (
+    KIND_BLINDING,
+    KIND_COHERENT,
+    KIND_FOCK,
+    KIND_THERMAL,
+    KIND_VACUUM,
+    Coherent,
+    FieldArray,
+)
 from ctqkd.protocol import (
     BLOCK,
     PulseBatch,
@@ -18,6 +29,7 @@ from ctqkd.protocol import (
     alice_thermal_monitor,
     bob_monitor_tap,
     bob_quarters,
+    candidate_blocks,
     measure_interference,
     modulate_batch,
     pair_click_probs,
@@ -41,11 +53,21 @@ def _mixed_train(n, rng):
     return FieldArray.from_columns(kind, quarter, param)
 
 
+def _two_levels(rng, n, params):
+    """Coherent pulses at two levels, each used, at random phases."""
+    level = rng.integers(0, 2, n)
+    level[:2] = 0, 1
+    return FieldArray(level, rng.integers(0, 4, n), [KIND_COHERENT] * 2, params)
+
+
 def _batch(train, n):
     """A session config and the pulse train Bob's tap sees: an honest one
     from the pipeline, a resend train of one magnitude in both modes, coherent
     pulses of two magnitudes in both modes (as mode discrimination leaves
-    them), or every kind mixed in both modes."""
+    them), every kind mixed in both modes, ("bright") two magnitudes, one
+    so bright that its pairs click at every detector, with columns of their
+    own in each mode, or ("secret-levels") a train whose mode secret is the
+    level column of both modes, as on an honest train, over other tables."""
     cfg = SessionConfig(n_pulses=n, seed=n)
     rng = np.random.default_rng(n)
     if train == "honest":
@@ -56,10 +78,18 @@ def _batch(train, n):
         resend = FieldArray.uniform(Coherent(0.8), n).phase_shifted(rng.integers(0, 4, n))
         return cfg, PulseBatch(assign ^ rot, resend, resend)
     if train == "two-level":
-        level = rng.integers(0, 2, n)
-        level[:2] = 0, 1
-        two = FieldArray(level, rng.integers(0, 4, n), [KIND_COHERENT] * 2, [0.64, 0.2])
+        two = _two_levels(rng, n, [0.64, 0.2])
         return cfg, PulseBatch(assign ^ rot, two, two)
+    if train == "secret-levels":
+        secret = (assign ^ rot).astype(np.uint8)
+        secret.flags.writeable = False  # so that both modes share it
+        h = FieldArray(secret, np.zeros(n, dtype=np.uint8), [KIND_COHERENT, KIND_THERMAL], [0.5, 0.1])
+        v = FieldArray(secret, rng.integers(0, 4, n), [KIND_COHERENT] * 2, [0.3, 2.0])
+        assert h.level is v.level is PulseBatch(secret, h, v).mode_secret
+        return cfg, PulseBatch(secret, h, v)
+    if train == "bright":
+        bright = [1e4, 0.2]
+        return cfg, PulseBatch(assign ^ rot, _two_levels(rng, n, bright), _two_levels(rng, n, bright))
     return cfg, PulseBatch(assign ^ rot, _mixed_train(n, rng), _mixed_train(n, rng))
 
 
@@ -112,6 +142,37 @@ def _assert_sparse_events(meas, out1, det, quarters):
     assert 0 <= meas["doubles"] <= np.count_nonzero(table[5, index] > 0)
 
 
+def both_outputs(train):
+    """A pulse train whose outputs 1 and 2 are both this FieldArray."""
+    return PulseBatch(np.zeros(len(train), dtype=np.uint8), train, train)
+
+
+def _interference_over(out1, quarters, det, rng):
+    """measure_interference over a built output 1: the candidates read each
+    pair's column of pair_click_probs' table from its index over all pairs."""
+    p, index = pair_click_probs(out1, det)
+    cum = np.cumsum(pair_outcome_probs(p)[1:], axis=0)
+    q_max = float(cum[-1].max())
+    if q_max > 0.0:
+        cum /= q_max
+    pairs, detector, doubles = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint8)], 0
+    for cand in candidate_blocks(len(out1) - 1, q_max, rng):
+        u, state = rng.random(cand.size), index[cand]
+        outcome = sum((u >= row[state]).astype(np.uint8) for row in cum)
+        pairs.append(cand[outcome < 4])
+        detector.append(outcome[outcome < 4])
+        doubles += int(np.count_nonzero(outcome == 4))
+    pairs, detector = np.concatenate(pairs), np.concatenate(detector)
+    return {"pairs": pairs, "basis_q": detector >> 1, "port": detector & 1,
+            "delta_q": (quarters[pairs + 1] - quarters[pairs]) & 3, "doubles": doubles}, q_max
+
+
+def _assert_same_events(meas, want):
+    assert meas.keys() == want.keys() and meas["doubles"] == want["doubles"]
+    for key in ("pairs", "basis_q", "port", "delta_q"):
+        assert meas[key].dtype == want[key].dtype and meas[key].tobytes() == want[key].tobytes()
+
+
 def _assert_selected(got, mask, a, b):
     """got holds a's field where mask, else b's, pulse by pulse."""
     for col, col_a, col_b in zip(_dense(got), _dense(a), _dense(b)):
@@ -119,11 +180,13 @@ def _assert_selected(got, mask, a, b):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("train", ["honest", "resend", "two-level", "mixed"])
+@pytest.mark.parametrize("train", ["honest", "resend", "two-level", "mixed", "bright", "secret-levels"])
 def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     # The monitors count their gates a block at a time, and draw what one
     # binomial per table entry over the whole index draws; the
     # interferometers' events are whole and sorted across candidate blocks.
+    # Alice's monitor and interferometers, reading her outputs from the
+    # train, draw what they draw over the built outputs.
     cfg, batch = _batch(train, n)
     streams = _record(monkeypatch, "power_test")
     rng, ref = np.random.default_rng(99), np.random.default_rng(99)
@@ -140,13 +203,19 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     _assert_selected(out1, batch.mode_secret, v, h)
     _assert_selected(out2, batch.mode_secret, h, v)
 
-    alice_thermal_monitor(out2, cfg, rng)
+    alice_thermal_monitor(batch, cfg, rng)
     det = cfg.detector_alice
     table = click_prob(det.dark_prob, out2.noclick_factors(det.eta))
     _assert_binomial_count(streams.pop()[0], table, out2.level, rng, ref)
 
     quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
-    meas = measure_interference(out1, quarters, det, rng)
+    meas = measure_interference(batch, quarters, det, rng)
+    want, q_max = _interference_over(out1, quarters, det, ref)
+    _assert_same_events(meas, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # Every pair of the bright train is a candidate, so its candidate
+    # blocks are runs of consecutive pairs, across BLOCK.
+    assert q_max == 1.0 or train != "bright"
     p, index = pair_click_probs(out1, det)
     # A train of L levels takes the table iff its (4 L)**2 state pairs are
     # no more than its pulse pairs, else one column per pair: every train of
@@ -154,8 +223,9 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     # The table of an honest output 1 also holds the thermal level, which
     # no pulse uses.
     levels = _n_levels(out1)
-    assert levels == {"honest": 1, "resend": 1, "two-level": 2}.get(train, levels)
-    assert out1.kind.size == {"honest": 2, "resend": 1, "two-level": 2}.get(train, out1.kind.size)
+    assert levels == {"honest": 1, "resend": 1, "two-level": 2, "bright": 2}.get(train, levels)
+    tables = {"honest": 2, "resend": 1, "two-level": 2, "bright": 2}
+    assert out1.kind.size == tables.get(train, out1.kind.size)
     assert levels <= out1.kind.size
     tabulated = (4 * out1.kind.size) ** 2 <= n - 1
     assert tabulated == (train != "mixed" and n > 2)
@@ -185,7 +255,7 @@ def test_sparse_events_with_no_single_click_or_one_at_a_block_end(train, n):
     quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
     if train == "doubles":
         rng = np.random.default_rng(1)
-        meas = measure_interference(out1, quarters, det, rng)
+        meas = measure_interference(both_outputs(out1), quarters, det, rng)
         _assert_sparse_events(meas, out1, det, quarters)
         assert meas["pairs"].size == 0 and meas["doubles"] == n - 1
         sift = sift_and_qber(meas, SessionConfig(n_pulses=n), rng)
@@ -197,7 +267,7 @@ def test_sparse_events_with_no_single_click_or_one_at_a_block_end(train, n):
     lit = {BLOCK - 1, BLOCK} & set(range(n - 1))
     seen = set()
     for seed in range(40):
-        meas = measure_interference(out1, quarters, det, np.random.default_rng(seed))
+        meas = measure_interference(both_outputs(out1), quarters, det, np.random.default_rng(seed))
         _assert_sparse_events(meas, out1, det, quarters)
         assert set(meas["pairs"].tolist()) <= lit
         seen |= set(meas["pairs"].tolist())

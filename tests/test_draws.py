@@ -28,6 +28,7 @@ from ctqkd.protocol import (
     pair_outcome_probs,
     sample_blocked,
 )
+from test_blocks import both_outputs
 
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 Z = 5.0  # half-width of every binomial bound, in standard deviations
@@ -223,7 +224,7 @@ def _measure_counts(out1, det, seeds):
     singles = np.zeros((p.shape[1], 4), dtype=np.int64)
     doubles = 0
     for seed in seeds:
-        meas = measure_interference(out1, quarters, det, np.random.default_rng(seed))
+        meas = measure_interference(both_outputs(out1), quarters, det, np.random.default_rng(seed))
         pairs += np.bincount(index, minlength=p.shape[1])
         np.add.at(singles, (index[meas["pairs"]], meas["basis_q"] << 1 | meas["port"]), 1)
         doubles += meas["doubles"]
@@ -251,16 +252,18 @@ def test_interferometers_are_exact_on_degenerate_tables():
     # No light and no dark counts: no event and no draw.
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
-    meas = measure_interference(FieldArray.uniform(Vacuum(), quarters.size), quarters, ideal, rng)
+    dark = both_outputs(FieldArray.uniform(Vacuum(), quarters.size))
+    meas = measure_interference(dark, quarters, ideal, rng)
     assert meas["pairs"].size == 0 and meas["doubles"] == 0
     assert meas["pairs"].dtype == np.intp and meas["basis_q"].dtype == np.uint8
     assert rng.bit_generator.state == state
     # Light bright enough that every detector clicks: every pair a double.
-    meas = measure_interference(FieldArray.uniform(Coherent(100.0), quarters.size), quarters, ideal, rng)
+    bright = both_outputs(FieldArray.uniform(Coherent(100.0), quarters.size))
+    meas = measure_interference(bright, quarters, ideal, rng)
     assert meas["pairs"].size == 0 and meas["doubles"] == quarters.size - 1
     # One pair state, aligned phases, no dark counts: D1A, the dark port
     # of basis A, never clicks.
     out1 = FieldArray.uniform(Coherent(0.3), quarters.size)
-    meas = measure_interference(out1, quarters, ideal, np.random.default_rng(2))
+    meas = measure_interference(both_outputs(out1), quarters, ideal, np.random.default_rng(2))
     assert meas["pairs"].size > 0
     assert (0, 1) not in set(zip(meas["basis_q"].tolist(), meas["port"].tolist()))

@@ -38,6 +38,7 @@ from ctqkd.protocol import (
     separate_modes,
     sift_and_qber,
 )
+from test_blocks import both_outputs
 
 CFG_SMALL = SessionConfig(n_pulses=2000, seed=5)
 
@@ -206,14 +207,14 @@ def test_thermal_monitor_honest_passes():
     cfg = SessionConfig(n_pulses=10**4, seed=24)
     rng = np.random.default_rng(cfg.seed)
     fields = FieldArray.uniform(Thermal(cfg.mu_thermal_at_alice()), cfg.n_pulses)
-    assert alice_thermal_monitor(fields, cfg, rng).passed
+    assert alice_thermal_monitor(both_outputs(fields), cfg, rng).passed
 
 
 def test_thermal_monitor_blinded_band_statistic():
     cfg = SessionConfig(n_pulses=10**4, seed=25)
     rng = np.random.default_rng(cfg.seed)
     fields = FieldArray.uniform(Blinding(1.0), cfg.n_pulses)
-    outcome = alice_thermal_monitor(fields, cfg, rng)
+    outcome = alice_thermal_monitor(both_outputs(fields), cfg, rng)
     assert outcome.observed_stat == 0.0
     assert not outcome.passed
 
@@ -237,7 +238,7 @@ def test_thermal_monitor_equal_mean_coherent_fails_at_sample_count():
     )
     rng = np.random.default_rng(cfg.seed)
     fields = FieldArray.uniform(Coherent(math.sqrt(mu)), cfg.n_pulses)
-    outcome = alice_thermal_monitor(fields, cfg, rng)
+    outcome = alice_thermal_monitor(both_outputs(fields), cfg, rng)
     assert not outcome.passed
 
 
@@ -436,7 +437,7 @@ def test_interferometer_measure_deterministic_port():
     det = DetectorModel(eta=1.0, dark_prob=0.0)
     quarters = (2 * (np.arange(101) % 2)).astype(np.uint8)
     out1 = FieldArray.uniform(Coherent(2.0), 101).phase_shifted(quarters)
-    meas = measure_interference(out1, quarters, det, np.random.default_rng(3))
+    meas = measure_interference(both_outputs(out1), quarters, det, np.random.default_rng(3))
     assert meas["pairs"].size > 0 and np.all(meas["delta_q"] == 2)
     seen = set(zip(meas["basis_q"].tolist(), meas["port"].tolist()))
     assert (0, 0) not in seen
@@ -560,28 +561,38 @@ def _traced_peak(fn, *args):
 
 def test_honest_session_allocates_at_most_9_bytes_per_pulse():
     # The peak of the traced allocations (numpy's included) above the
-    # session's start: 7.0 B/pulse, where Alice builds her outputs.  Her
-    # monitor (6.0), Bob's quarters (5.3) and the interferometers (5.0),
-    # which keep only the candidate pairs of a block, stay below it.  A
-    # process's first session reads 7.7, as it also traces the modules numpy
-    # imports on first use.
+    # session's start: 5.25 B/pulse, at Bob's quarters, whose take casts
+    # its byte index to intp.  Alice builds neither output: her monitor
+    # counts the mode secret, and the interferometers read output 1 at the
+    # candidate pairs of a block only.  A process's first session also
+    # traces the modules numpy imports on first use.
     n = 2**20
     peak = _traced_peak(run_session, SessionConfig(n_pulses=n, seed=2))
     assert peak <= 9 * n, peak / n
 
 
+def test_honest_session_peak_stays_below_alice_outputs():
+    # Building Alice's two outputs, one at a time, peaked at 7.0 B/pulse;
+    # reading them from the train leaves 5.25, at Bob's quarters.  The
+    # bound allows 0.75 B/pulse, 0.75 MiB here, for numpy's own allocations
+    # and a process's first session.
+    n = 2**20
+    peak = _traced_peak(run_session, SessionConfig(n_pulses=n, seed=2))
+    assert peak <= 6 * n, peak / n
+
+
 def test_monitors_keep_no_per_gate_record():
     # Each monitor counts its gates per table entry, a block at a time, and
     # draws one binomial per entry; sample_clicks draws one binomial.  A
-    # bool record of every gate would take 1 B/gate.
+    # bool record of every gate would take 1 B/gate, and Alice's output 2
+    # 2 B/gate.
     n = 2**20
     cfg = SessionConfig(n_pulses=n, seed=2)
     rng = np.random.default_rng(cfg.seed)
     batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway, rng)
     batch = modulate_batch(batch, protocol.bob_quarters(n, rng))
-    _, out2 = separate_modes(batch)
-    for monitor, train in ((bob_monitor_tap, batch), (alice_thermal_monitor, out2)):
-        peak = _traced_peak(monitor, train, cfg, rng)
+    for monitor in (bob_monitor_tap, alice_thermal_monitor):
+        peak = _traced_peak(monitor, batch, cfg, rng)
         assert peak < 0.5 * n, (monitor.__name__, peak / n)
     peak = _traced_peak(sample_clicks, 0.3, n, rng)
     assert peak < 0.5 * n, ("sample_clicks", peak / n)
@@ -704,16 +715,26 @@ def test_stages_build_new_batches_that_share_unchanged_arrays():
 def test_every_default_train_reaches_the_interferometers_as_a_table(monkeypatch, kind):
     # A train with more levels would take a wider index, or per-pair columns
     # once its table outnumbers the pairs: correct, but slower on the attacks.
-    tables, real = [], protocol.pair_click_probs
+    # Recorded: the table the session draws from, and the column each block
+    # of candidate pairs reads in it.
+    tables, columns = [], []
+    real_probs, real_columns = protocol.state_pair_probs, protocol._pair_columns
 
-    def recording(out1, det):
-        p, index = real(out1, det)
-        tables.append((p.shape, (4 * out1.kind.size) ** 2, index.dtype))
-        return p, index
+    def recording_probs(levels, s_prev, s_curr, det):
+        p = real_probs(levels, s_prev, s_curr, det)
+        tables.append((p.shape, (4 * levels.kind.size) ** 2))
+        return p
 
-    monkeypatch.setattr(protocol, "pair_click_probs", recording)
+    def recording_columns(*args):
+        column = real_columns(*args)
+        columns.append(column.dtype)
+        return column
+
+    monkeypatch.setattr(protocol, "state_pair_probs", recording_probs)
+    monkeypatch.setattr(protocol, "_pair_columns", recording_columns)
     cls = ATTACK_KINDS[kind]
     run_session(SessionConfig(n_pulses=3000, seed=5), cls() if cls else None)
-    [(shape, entries, dtype)] = tables
-    assert shape == (4, entries) and entries <= 256 and dtype == np.uint8
+    [(shape, entries)] = tables
+    assert shape == (4, entries) and entries <= 256
+    assert columns and set(columns) == {np.dtype(np.uint8)}
 
