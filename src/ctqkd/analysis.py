@@ -181,9 +181,9 @@ def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
             x=float(value),
             alarm_rate=float(np.mean(alarms)),
             mean_qber=float(np.mean(qbers)) if qbers else math.nan,
-            mean_z_alice=float(np.mean(z_a)) if z_a else math.nan,
+            mean_z_alice=float(np.mean(z_a)),
             mean_z_bob=float(np.mean(z_b)) if z_b else math.nan,
-            key_rate=float(np.mean(key_rates)) if key_rates else 0.0,
+            key_rate=float(np.mean(key_rates)),
         ))
     return points
 

@@ -2,7 +2,11 @@
 
 Each strategy interposes on the pulse train at its natural position:
 TrojanHorse swaps probes in on the way to Bob and puts Alice's pulses back
-afterwards; the others act on the light leaving Bob.  Strategies are duck
+afterwards; the others act on the light leaving Bob.  The train is held as
+Alice's two outputs (protocol.PulseBatch): strategies that treat both
+polarizations alike act on them as they are, and the two that pick a
+polarization, TrojanHorse and ModeDiscrimination, reach the channel's
+modes through protocol.separate_modes.  Strategies are duck
 interfaces for protocol.run_session with three hooks: apply_forward,
 apply_return and finalize_report.  Eve's own equipment is deliberately
 idealized (unit efficiency, no dark counts, conclusive interferometry)
@@ -42,6 +46,7 @@ from .protocol import (
     fair_bits,
     modulate_batch,
     sample_blocked,
+    separate_modes,
 )
 
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_prob=0.0)
@@ -144,10 +149,10 @@ class InterceptResend(Attack):
         require_real("resend_mu", self.resend_mu, 0.0, math.inf)
 
     def apply_return(self, batch, carry, cfg, rng):
-        h, v = batch.field_h, batch.field_v
+        out1, out2 = batch.out1, batch.out2
         # The phase of whichever mode holds the coherent state.
-        coherent_in_h = gather(h.kind == KIND_COHERENT, h.level).view(np.uint8)
-        delta_true = np.diff(_select(coherent_in_h, h.quarter, v.quarter)) & 3
+        coherent_in_1 = gather(out1.kind == KIND_COHERENT, out1.level).view(np.uint8)
+        delta_true = np.diff(_select(coherent_in_1, out1.quarter, out2.quarter)) & 3
         basis, delta_hat, bits = _dps_phase_estimates(delta_true, rng)
         basis_matches = int(((delta_true & 1) == basis).sum())
         resend = _resend_train(delta_hat, self.resend_mu)
@@ -179,9 +184,9 @@ class BeamSplit(Attack):
         require_real("tap_fraction", self.tap_fraction, 0.0, 1.0)
 
     def apply_return(self, batch, carry, cfg, rng):
-        h, v = batch.field_h, batch.field_v
-        level_h, level_v, pair = level_pairs(h, v)
-        means = gather(h.mean_photons()[level_h] + v.mean_photons()[level_v], pair)
+        out1, out2 = batch.out1, batch.out2
+        level_1, level_2, pair = level_pairs(out1, out2)
+        means = gather(out1.mean_photons()[level_1] + out2.mean_photons()[level_2], pair)
         tapped_energy = float(np.sum(means[np.isfinite(means)]) * self.tap_fraction)
         return batch.propagated(1.0 - self.tap_fraction, rng), tapped_energy
 
@@ -192,9 +197,10 @@ class BeamSplit(Attack):
         )
 
 
-def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
+def mode_discrimination_batch(h: FieldArray, v: FieldArray, eve_det: DetectorModel,
                               rng: np.random.Generator):
-    """Single-shot mode guessing for every pulse of a train.
+    """Single-shot mode guessing for every pulse of a train whose channel
+    modes are h and v (separate_modes gives them from Alice's outputs).
 
     Eve fires one threshold detector at the H mode and makes the Bayes
     decision between "H carries the coherent state" and "H carries the
@@ -203,7 +209,6 @@ def mode_discrimination_batch(batch: PulseBatch, eve_det: DetectorModel,
     probabilities; the per-pulse placement stays hidden, which is what caps
     her accuracy.
     """
-    h, v = batch.field_h, batch.field_v
     # Per level of each mode, then per pair of levels the pulses hold;
     # p_c and p_t are means over the pulses, gathered.
     p_h, p_v = (click_prob(eve_det.dark_prob, f.noclick_factors(eve_det.eta)) for f in (h, v))
@@ -243,9 +248,15 @@ class ModeDiscrimination(Attack):
                 "eve_dark_prob": self.eve_det.dark_prob}
 
     def apply_return(self, batch, carry, cfg, rng):
-        guess_h, bayes_error = mode_discrimination_batch(batch, self.eve_det, rng)
+        secret = batch.mode_secret
+        # Her detector sees the channel's H mode, which no later step needs.
+        guess_h, bayes_error = mode_discrimination_batch(
+            *separate_modes(secret, batch.out1, batch.out2), self.eve_det, rng)
+        # 1 where her guessed mode is output 1: H is output 1 where the mode
+        # secret is 0.
+        on_1 = guess_h ^ secret.view(bool)
 
-        measured = FieldArray.where(guess_h, batch.field_h, batch.field_v)
+        measured = FieldArray.where(on_1, batch.out1, batch.out2)
         truly_coherent = gather(measured.kind == KIND_COHERENT, measured.level)
         delta_true = np.diff(measured.quarter) & 3
         informative = truly_coherent[:-1] & truly_coherent[1:]
@@ -253,8 +264,8 @@ class ModeDiscrimination(Attack):
 
         resend = _resend_train(delta_hat, self.resend_mu)
         out = batch.with_fields(
-            FieldArray.where(guess_h, resend, batch.field_h),
-            FieldArray.where(guess_h, batch.field_v, resend),
+            FieldArray.where(on_1, resend, batch.out1),
+            FieldArray.where(on_1, batch.out2, resend),
         )
         return out, (bits, bayes_error)
 
@@ -293,17 +304,19 @@ class TrojanHorse(Attack):
 
     def apply_forward(self, batch, cfg, rng):
         n = len(batch)
-        # Alice's train is held as the carry until apply_return sends it on.
-        return batch.with_fields(FieldArray.uniform(self.probe, n), FieldArray.vacuum(n)), batch
+        # The probe goes in H, vacuum in V.  Alice's train is held as the
+        # carry until apply_return sends it on.
+        probe = separate_modes(batch.mode_secret, FieldArray.uniform(self.probe, n), FieldArray.vacuum(n))
+        return batch.with_fields(*probe), batch
 
     def apply_return(self, batch, held, cfg, rng):
         # Eve learns a pulse's phase where her ideal counter registers at
         # least two photons over both modes: per pair of levels, 1 - P(0, 0)
         # - P(0, 1) - P(1, 0) of the two modes' independent photon numbers.
-        h, v = batch.field_h, batch.field_v
-        level_h, level_v, index = level_pairs(h, v)
-        (zero_h, one_h), (zero_v, one_v) = h.few_photon_probs(), v.few_photon_probs()
-        at_most_one = zero_h[level_h] * (zero_v + one_v)[level_v] + one_h[level_h] * zero_v[level_v]
+        out1, out2 = batch.out1, batch.out2
+        level_1, level_2, index = level_pairs(out1, out2)
+        (zero_1, one_1), (zero_2, one_2) = out1.few_photon_probs(), out2.few_photon_probs()
+        at_most_one = zero_1[level_1] * (zero_2 + one_2)[level_2] + one_1[level_1] * zero_2[level_2]
         learned = sample_blocked(1.0 - at_most_one, index, rng)
         out = modulate_batch(held, batch.bob_quarter * learned)
         return out.propagated(1.0 - cfg.tap_reflectance, rng), learned

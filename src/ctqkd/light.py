@@ -252,11 +252,12 @@ class FieldArray:
     @classmethod
     def where(cls, mask: np.ndarray, a: "FieldArray", b: "FieldArray") -> "FieldArray":
         """Elementwise select, a where mask else b: the level indices select
-        into level_union(a, b)."""
-        levels, new_a, new_b = level_union(a, b)
+        into the union of the two tables, de-duplicated, a's levels first."""
+        kind, param, new = _distinct(np.concatenate([a.kind, b.kind]),
+                                     np.concatenate([a.param, b.param]))
         m = np.asarray(mask, dtype=bool).view(np.uint8)
-        level = _select(m, _relevel(a.level, new_a), _relevel(b.level, new_b))
-        return cls(level, _select(m, a.quarter, b.quarter), levels.kind, levels.param)
+        level = _select(m, _relevel(a.level, new[:a.kind.size]), _relevel(b.level, new[a.kind.size:]))
+        return cls(level, _select(m, a.quarter, b.quarter), kind, param)
 
     def attenuated(self, transmittance: float, rng: np.random.Generator | None = None) -> "FieldArray":
         """Loss channel: every mean photon number scales by T, definite
@@ -288,10 +289,14 @@ class FieldArray:
     def phase_shifted(self, quarters) -> "FieldArray":
         """Turn coherent phases by whole quarter turns (an integer or one per
         pulse); phase-invariant fields keep quarter 0.  The result shares the
-        level, kind and param arrays."""
+        level, kind and param arrays; a train with no coherent level, as
+        Alice's thermal output, is itself the result."""
+        coherent = self.kind == KIND_COHERENT
+        if not coherent.any():
+            return self
         # (quarter + (quarters on coherent pulses, else 0)) & 3 in one new
         # array, since quarter is 0 off coherent pulses.
-        turned = gather((self.kind == KIND_COHERENT) * np.uint8(3), self.level)
+        turned = gather(coherent * np.uint8(3), self.level)
         turned &= np.asarray(quarters, dtype=np.uint8)
         turned += self.quarter
         turned &= 3
@@ -338,17 +343,6 @@ class FieldArray:
         return zero, one
 
 
-def level_union(a: FieldArray, b: FieldArray):
-    """(levels, new_a, new_b): a FieldArray of no pulses over the union of
-    a's and b's level tables, a's levels first, de-duplicated by kind and
-    param bit pattern, unused levels kept; and the index in it of each of
-    a's and of b's levels.  FieldArray.where selects into this table, so a
-    reader of a select's pulses needs only the two tables and columns."""
-    kind, param, new = _distinct(np.concatenate([a.kind, b.kind]),
-                                 np.concatenate([a.param, b.param]))
-    return FieldArray((), (), kind, param), new[:a.kind.size], new[a.kind.size:]
-
-
 def pair_table(size_a: int, col_a: np.ndarray, size_b: int, col_b: np.ndarray):
     """(a, b, each element's index among these pairs) for two index columns
     over size_a and size_b values: all size_a x size_b pairs, row-major, the
@@ -368,9 +362,10 @@ def pair_table(size_a: int, col_a: np.ndarray, size_b: int, col_b: np.ndarray):
 
 def level_pairs(a: FieldArray, b: FieldArray):
     """(levels of a, levels of b, each pulse's index among these pairs):
-    the pairs (l, l) and the level column when a and b share it, else
-    pair_table's over the two level columns."""
-    if a.level is b.level:
+    the pairs (l, l) and the level column when a and b hold equal level
+    columns, as both outputs of one mode swap of two single-level trains
+    do, else pair_table's over the two level columns."""
+    if a.level is b.level or np.array_equal(a.level, b.level):
         pairs = np.arange(min(a.kind.size, b.kind.size))
         return pairs, pairs, a.level
     return pair_table(a.kind.size, a.level, b.kind.size, b.level)

@@ -12,10 +12,14 @@ keeps single-click events whose interferometer basis matches the phase
 difference Bob applied, and a disclosed random sample of the sifted key
 estimates the error rate.
 
-The engine works on struct-of-array batches: each polarization mode is a
-light.FieldArray (a small table of levels, with a level index and a
-quarter-turn phase per pulse), and each stage builds a new PulseBatch that
-shares every array it does not change.  Loss and the detector laws are
+The engine works on struct-of-array batches in Alice's frame: each of her
+two outputs is a light.FieldArray (a small table of levels, with a level
+index and a quarter-turn phase per pulse), and each stage builds a new
+PulseBatch that shares every array it does not change.  Loss, Bob's
+modulator and tap, and the mode-blind attacks treat both polarizations
+alike, so they act on the outputs as they are; separate_modes, the one
+mode swap, maps the outputs to the channel's H and V modes and back, for
+the attacks that act on one polarization.  Loss and the detector laws are
 evaluated once per level and gathered per pulse.  All randomness flows
 through one numpy Generator in a fixed order, so a (config, attack, seed)
 triple reproduces results exactly.
@@ -31,12 +35,9 @@ probability of a pair state, and one uniform per candidate both thins it
 to its own state's probability and picks the outcome (see
 measure_interference).  Only per-pulse decisions, Eve's mode guess and the
 phases her probe learns, take one uniform per gate (sample_blocked), a
-block of BLOCK pulses at a time, in stream order.  Neither of Alice's two
-outputs is built in a session: her monitor counts its gates per joint
-(mode secret, H level, V level) entry, and the interferometers read output
-1's pulse states from the mode secret and both modes' columns, only at the
-candidate pairs (output1_states).  separate_modes builds both outputs, for
-tests and tracing.
+block of BLOCK pulses at a time, in stream order.  The honest stages never
+read the mode secret: Alice's monitor counts output 2's levels, and the
+interferometers read output 1's pulse states only at the candidate pairs.
 
 Every phase is a whole quarter turn (phi = q * pi/2), so a train of L
 levels holds at most 4 L pulse states level << 2 | quarter.  The
@@ -71,12 +72,9 @@ from .light import (
     KIND_COHERENT,
     KIND_THERMAL,
     FieldArray,
-    _relevel,
-    _select,
     blocks,
     gather,
     level_pairs,
-    level_union,
     pair_table,
 )
 
@@ -88,35 +86,38 @@ ALARM_MULTIPLE = "multiple"
 
 
 class PulseBatch:
-    """Struct-of-arrays pulse train.
+    """Struct-of-arrays pulse train, in Alice's frame.
 
     mode_secret (uint8) is Alice's mode secret per pulse: the XOR of her
     source wiring and her rotator angle, 1 where she sent the thermal state
-    in the channel's H mode.  field_h and field_v hold the fields in the
-    physical modes as currently propagating.  bob_quarter (uint8) is None
-    until Bob's phases are applied (modulate_batch).
+    in the channel's H mode.  out1 and out2 hold the fields as they
+    propagate, each in the mode that lands on Alice's output 1 or 2 when
+    she separates the modes: on an honest train the coherent and the
+    thermal state.  separate_modes(mode_secret, out1, out2) gives the
+    channel's H and V modes.  bob_quarter (uint8) is None until Bob's
+    phases are applied (modulate_batch).
     """
 
-    __slots__ = ("mode_secret", "field_h", "field_v", "bob_quarter")
+    __slots__ = ("mode_secret", "out1", "out2", "bob_quarter")
 
-    def __init__(self, mode_secret, field_h, field_v, bob_quarter=None):
+    def __init__(self, mode_secret, out1, out2, bob_quarter=None):
         self.mode_secret = np.asarray(mode_secret, dtype=np.uint8)
-        self.field_h = field_h
-        self.field_v = field_v
+        self.out1 = out1
+        self.out2 = out2
         self.bob_quarter = bob_quarter
 
     def __len__(self) -> int:
         return self.mode_secret.size
 
-    def with_fields(self, field_h: FieldArray, field_v: FieldArray) -> "PulseBatch":
-        """A new batch carrying these mode fields; it shares the mode secret
-        and Bob's phases with this one."""
-        return PulseBatch(self.mode_secret, field_h, field_v, self.bob_quarter)
+    def with_fields(self, out1: FieldArray, out2: FieldArray) -> "PulseBatch":
+        """A new batch carrying these outputs; it shares the mode secret and
+        Bob's phases with this one."""
+        return PulseBatch(self.mode_secret, out1, out2, self.bob_quarter)
 
     def propagated(self, transmittance: float, rng: np.random.Generator | None = None) -> "PulseBatch":
         return self.with_fields(
-            self.field_h.attenuated(transmittance, rng),
-            self.field_v.attenuated(transmittance, rng),
+            self.out1.attenuated(transmittance, rng),
+            self.out2.attenuated(transmittance, rng),
         )
 
 
@@ -275,7 +276,8 @@ def fair_bits(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
-    """Prepare the outgoing pulse train.
+    """Prepare the outgoing pulse train: the coherent state on output 1 and
+    the thermal state on output 2, both at phase 0.
 
     Each pulse draws two independent fair bits: the source wiring and the
     rotator angle.  Their XOR, the mode secret, decides which physical mode
@@ -283,36 +285,30 @@ def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     is itself a fresh fair bit per pulse.
     """
     n = cfg.n_pulses
-    # 1 where H carries the thermal state: the mode secret and the level
-    # column of both modes, over swapped tables.  Read-only, so all three
-    # share this very array.  The XOR of two fair_bits draws, unpacked once
-    # from the XOR of their raw words.
+    # The XOR of two fair_bits draws, unpacked once from the XOR of their
+    # raw words.
     words = -(-n // 64)
     raw = _raw_bytes(words, rng)  # source wiring
     raw ^= _raw_bytes(words, rng)  # rotator angle
-    th_in_h = np.unpackbits(raw, count=n, bitorder="little")
-    th_in_h.flags.writeable = False
-    phase = np.zeros(n, dtype=np.uint8)  # both modes start at phase 0
-    means = [cfg.mu_coherent, cfg.mu_thermal]
-    field_h = FieldArray(th_in_h, phase, [KIND_COHERENT, KIND_THERMAL], means)
-    field_v = FieldArray(th_in_h, phase, [KIND_THERMAL, KIND_COHERENT], means[::-1])
-    return PulseBatch(th_in_h, field_h, field_v)
+    secret = np.unpackbits(raw, count=n, bitorder="little")
+    # Level and phase of both outputs: read-only, so all four share it.
+    zeros = np.zeros(n, dtype=np.uint8)
+    zeros.flags.writeable = False
+    return PulseBatch(secret, FieldArray(zeros, zeros, [KIND_COHERENT], [cfg.mu_coherent]),
+                      FieldArray(zeros, zeros, [KIND_THERMAL], [cfg.mu_thermal]))
 
 
-def separate_modes(batch: PulseBatch) -> tuple[FieldArray, FieldArray]:
-    """Undo Alice's rotation and route by her source wiring.
-
-    Output 1 receives whatever sits in the mode she assigned the coherent
-    state to; output 2 the other mode.  Honest pulses therefore always yield
-    (coherent, thermal); an attacker who replaced the channel fields lands on
-    output 2 whenever the mode secret says so.
+def separate_modes(secret: np.ndarray, a: FieldArray, b: FieldArray) -> tuple[FieldArray, FieldArray]:
+    """The one mode swap: (b where the mode secret is 1 else a, a where it
+    is 1 else b).  From the channel's H and V modes it gives Alice's outputs
+    1 and 2 (she undoes her rotation and routes by her source wiring); from
+    her outputs, the channel's modes.  An attacker who replaced the channel
+    fields lands on output 2 whenever the mode secret says so.
     """
     # Undoing the rotation swaps the modes when rotation is 1; wiring 1 swaps
     # them again.  So output 1 is the channel's V mode exactly where the
-    # mode secret, their XOR, is 1.
-    secret = batch.mode_secret
-    return (FieldArray.where(secret, batch.field_v, batch.field_h),
-            FieldArray.where(secret, batch.field_h, batch.field_v))
+    # mode secret, their XOR, is 1, and the swap is its own inverse.
+    return FieldArray.where(secret, b, a), FieldArray.where(secret, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,7 @@ def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
     fields are phase invariant and pass bit-exactly unchanged.
     """
     q = np.asarray(quarters, dtype=np.uint8)
-    return PulseBatch(batch.mode_secret, batch.field_h.phase_shifted(q), batch.field_v.phase_shifted(q), q)
+    return PulseBatch(batch.mode_secret, batch.out1.phase_shifted(q), batch.out2.phase_shifted(q), q)
 
 
 def sample_blocked(table: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -361,73 +357,53 @@ def sample_blocked(table: np.ndarray, index: np.ndarray, rng: np.random.Generato
     return clicks
 
 
-def gate_counts(index: np.ndarray, size: int) -> np.ndarray:
-    """How many entries of index hold each of the values 0 .. size - 1.  The
-    index is counted a block at a time, as bincount casts it to intp; at
-    most two values, as on every honest train, count the nonzero entries
-    instead, many times faster."""
-    if size <= 2:
-        ones = np.count_nonzero(index)
-        return np.array([index.size - ones, ones][:size])
-    return sum(np.bincount(index[i:j], minlength=size) for i, j in blocks(index.size))
-
-
 def monitor_clicks(table: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> ClickStream:
     """Clicks of index.size gates, gate g clicking with probability
     table[index[g]], independently: one binomial draw per table entry over
-    the gates at that entry (gate_counts), since a sum of independent
-    Bernoulli draws of one probability is binomial."""
-    return ClickStream(int(rng.binomial(gate_counts(index, table.size), table).sum()), index.size)
+    the gates at that entry, since a sum of independent Bernoulli draws of
+    one probability is binomial.  The gates are counted a block at a time,
+    as bincount casts the index to intp; a table of at most two entries, as
+    on every honest train, counts the nonzero entries instead, many times
+    faster."""
+    if table.size <= 2:
+        ones = np.count_nonzero(index)
+        gates = np.array([index.size - ones, ones][:table.size])
+    else:
+        gates = sum(np.bincount(index[i:j], minlength=table.size) for i, j in blocks(index.size))
+    return ClickStream(int(rng.binomial(gates, table).sum()), index.size)
 
 
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
                     rng: np.random.Generator) -> Optional[PowerTestOutcome]:
     """Bob's state check: tap fraction r of both modes onto one detector and
     z-test the click frequency against the expectation for the announced
-    source means.  Returns None when the tap is disabled (r = 0)."""
+    source means.  Returns None when the tap is disabled (r = 0).  The
+    detector is blind to polarization, so its table is over pairs of output
+    levels: one entry on an honest train, whose outputs share a level
+    column."""
     r = cfg.tap_reflectance
     if r == 0.0:
         return None
     det = cfg.detector_bob
     eta_eff = det.eta * r
 
-    h, v = batch.field_h, batch.field_v
-    level_h, level_v, index = level_pairs(h, v)
-    table = click_prob(det.dark_prob, h.noclick_factors(eta_eff)[level_h]
-                       * v.noclick_factors(eta_eff)[level_v])
+    out1, out2 = batch.out1, batch.out2
+    level_1, level_2, index = level_pairs(out1, out2)
+    table = click_prob(det.dark_prob, out1.noclick_factors(eta_eff)[level_1],
+                       out2.noclick_factors(eta_eff)[level_2])
     stream = monitor_clicks(table, index, rng)
     return power_test(stream, cfg.expected_bob_monitor_p(), cfg.z_threshold)
 
 
 def alice_thermal_monitor(batch: PulseBatch, cfg: SessionConfig,
                           rng: np.random.Generator) -> PowerTestOutcome:
-    """Protection-layer monitor on Alice's output 2 of the train as it
-    returns to her (the second FieldArray separate_modes gives).
-
-    Samples clicks from whatever actually arrived and z-tests the frequency
-    against the thermal expectation mu_thermal * T^2 * (1-r).  Output 2 is
-    not built: the gates are counted per joint (mode secret, H level, V
-    level) entry, and each entry's count goes to the output-2 level it
-    selects (H's where the mode secret is 1), over the table
-    FieldArray.where(mode_secret, field_h, field_v) builds.  On an honest
-    train the mode secret is both level columns, so the entries are its
-    two values."""
-    det = cfg.detector_alice
-    h, v, secret = batch.field_h, batch.field_v, batch.mode_secret
-
-    levels, new_h, new_v = level_union(h, v)
-    if secret is h.level is v.level:
-        on_h = level_h = level_v = np.arange(2)
-        joint = gate_counts(secret, 2)
-    else:
-        level_h, level_v, pair = level_pairs(h, v)
-        on_h, entry, index = pair_table(2, secret, level_h.size, pair)
-        level_h, level_v = level_h[entry], level_v[entry]
-        joint = gate_counts(index, on_h.size)
-    gates = np.zeros(levels.kind.size, dtype=np.int64)
-    np.add.at(gates, np.where(on_h, new_h[level_h], new_v[level_v]), joint)
-    table = click_prob(det.dark_prob, levels.noclick_factors(det.eta))
-    stream = ClickStream(int(rng.binomial(gates, table).sum()), len(batch))
+    """Protection-layer monitor on Alice's output 2 (batch.out2) of the
+    train as it returns to her: samples clicks from whatever actually
+    arrived and z-tests the frequency against the thermal expectation
+    mu_thermal * T^2 * (1-r)."""
+    det, out2 = cfg.detector_alice, batch.out2
+    table = click_prob(det.dark_prob, out2.noclick_factors(det.eta))
+    stream = monitor_clicks(table, out2.level, rng)
     return power_test(stream, cfg.expected_alice_thermal_p(), cfg.z_threshold)
 
 
@@ -506,8 +482,8 @@ def pair_click_probs(out1: FieldArray, det: DetectorModel):
     (4, m), one column per pair.  index is each pair's column, so detector
     k's probabilities are p[k][index].  Both take the same elementwise
     formulas, so the table gathers to the per-pair values bit for bit.
-    measure_interference takes the same table, reading output 1 from the
-    train instead of building it.
+    measure_interference takes the same table, reading the states only at
+    its candidate pairs.
     """
     n_states = 4 * out1.kind.size
     state = _states(out1.level, out1.quarter, out1.kind.size)
@@ -515,45 +491,19 @@ def pair_click_probs(out1: FieldArray, det: DetectorModel):
     return state_pair_probs(out1, s_prev, s_curr, det), index
 
 
-def output1_states(batch: PulseBatch):
-    """Alice's output 1 read from the train, not built: (levels, states).
-    levels is a FieldArray of no pulses over the level table that
-    separate_modes' FieldArray.where(mode_secret, field_v, field_h) builds,
-    and states(at) output 1's pulse states level << 2 | quarter at the
-    pulses at (a slice or an intp index array).  A column that is the mode
-    secret or another mode's column too is read once, and two modes that
-    share a column take no select and no read of the mode secret for it."""
-    v, h, secret = batch.field_v, batch.field_h, batch.mode_secret
-    levels, new_v, new_h = level_union(v, h)
-
-    def states(at):
-        read = {}
-
-        def col(a):
-            if id(a) not in read:
-                read[id(a)] = a[at] if isinstance(at, slice) else a.take(at)
-            return read[id(a)]
-
-        def pick(a, b):  # a where the mode secret is 1, else b
-            return a if a is b else _select(col(secret), a, b)
-
-        level = pick(_relevel(col(v.level), new_v), _relevel(col(h.level), new_h))
-        return _states(level, pick(col(v.quarter), col(h.quarter)), levels.kind.size)
-
-    return levels, states
-
-
-def _pair_columns(states, cand: np.ndarray, n_states: int) -> np.ndarray:
-    """The column s_prev * n_states + s_curr of each candidate pair in a
-    (4, n_states**2) table, in the narrowest unsigned type that holds it,
-    from the states at pulses cand and cand + 1: one slice when the
+def _pair_columns(out1: FieldArray, cand: np.ndarray, n_states: int) -> np.ndarray:
+    """The column s_prev * n_states + s_curr of each candidate pair of out1
+    in a (4, n_states**2) table, in the narrowest unsigned type that holds
+    it, from the states at pulses cand and cand + 1: one slice when the
     candidates are consecutive (cand is ascending and distinct)."""
     k = cand.size
     if k and cand[-1] - cand[0] + 1 == k:
-        state = states(slice(cand[0], cand[-1] + 2))
+        at = slice(cand[0], cand[-1] + 2)
+        state = _states(out1.level[at], out1.quarter[at], out1.kind.size)
         s_prev, s_curr = state[:-1], state[1:]
     else:
-        state = states(np.concatenate((cand, cand + 1)))
+        at = np.concatenate((cand, cand + 1))
+        state = _states(out1.level.take(at), out1.quarter.take(at), out1.kind.size)
         s_prev, s_curr = state[:k], state[k:]
     column = np.multiply(s_prev, n_states, dtype=np.min_scalar_type(n_states * n_states - 1))
     column += s_curr
@@ -596,10 +546,10 @@ def candidate_blocks(m: int, q: float, rng: np.random.Generator):
 
 def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorModel,
                          rng: np.random.Generator) -> dict:
-    """Click-sample all consecutive pulse pairs of Alice's output 1 (the
-    first FieldArray separate_modes gives) of the train as it returns to
-    her: each detector clicks independently with its state_pair_probs;
-    exactly one click yields a usable event, two or more a discarded double.
+    """Click-sample all consecutive pulse pairs of Alice's output 1
+    (batch.out1) of the train as it returns to her: each detector clicks
+    independently with its state_pair_probs; exactly one click yields a
+    usable event, two or more a discarded double.
 
     Each pair's outcome is drawn by thinning (Lewis and Shedler 1979): with
     q_max the largest probability over the pair states that any detector
@@ -612,20 +562,19 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     "delta_q" = (quarters[s + 1] - quarters[s]) & 3 at each, from Bob's own
     quarters, not the train's; of the doubles, their number ("doubles").
 
-    Output 1 is not built (output1_states).  On the (4, S * S) table, each
-    block of candidates reads its pair states at its own pulses only
-    (_pair_columns); a train whose table would outnumber its pairs, by
-    light.pair_table's rule, reads the state of every pulse, for one column
-    per pair."""
-    levels, states = output1_states(batch)
-    n_states, m = 4 * levels.kind.size, len(batch) - 1
+    On the (4, S * S) table, each block of candidates reads its pair states
+    at its own pulses only (_pair_columns); a train whose table would
+    outnumber its pairs, by light.pair_table's rule, reads the state of
+    every pulse, for one column per pair."""
+    out1 = batch.out1
+    n_states, m = 4 * out1.kind.size, len(batch) - 1
     tabulated = n_states * n_states <= m
     if tabulated:
         s_prev, s_curr = np.divmod(np.arange(n_states * n_states), n_states)
     else:
-        state = states(slice(None))
+        state = _states(out1.level, out1.quarter, out1.kind.size)
         s_prev, s_curr = state[:-1], state[1:]
-    p = state_pair_probs(levels, s_prev, s_curr, det)
+    p = state_pair_probs(out1, s_prev, s_curr, det)
     # Rows: a single at D0A, D1A, D0B, D1B, then any click.
     cum = np.cumsum(pair_outcome_probs(p)[1:], axis=0)
     q_max = float(cum[-1].max())
@@ -634,7 +583,7 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     pairs, detector, doubles = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint8)], 0
     for cand in candidate_blocks(m, q_max, rng):
         u = rng.random(cand.size)
-        state = _pair_columns(states, cand, n_states) if tabulated else cand
+        state = _pair_columns(out1, cand, n_states) if tabulated else cand
         # 0-3: a single click at that detector, 4: a double, 5: none
         outcome = np.zeros(cand.size, dtype=np.uint8)
         for row in cum:

@@ -32,9 +32,9 @@ from ctqkd.fock import (
     trace_distance,
 )
 from ctqkd.light import Coherent, FockN
-from ctqkd.protocol import SessionConfig, alice_prepare, run_session
+from ctqkd.protocol import SessionConfig, run_session
 
-from test_attacks import intercept_resend_enumeration
+from test_attacks import intercept_resend_enumeration, prepared_modes
 
 T40 = TruncationConfig(n_max=40)
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
@@ -176,18 +176,18 @@ def test_criterion_6_beam_split_sample_count():
 def test_criterion_7_mode_discrimination_accuracy():
     n = 10**5
     cfg = SessionConfig(n_pulses=n, seed=4000)
-    batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    guess_h, bayes = mode_discrimination_batch(batch, IDEAL, np.random.default_rng(4001))
-    accuracy = float(np.mean(guess_h == (batch.field_h.kind[batch.field_h.level] == 1)))
+    h, v = prepared_modes(cfg)
+    guess_h, bayes = mode_discrimination_batch(h, v, IDEAL, np.random.default_rng(4001))
+    accuracy = float(np.mean(guess_h == (h.kind[h.level] == 1)))
     expected = 1.0 - bayes
     sigma = math.sqrt(expected * (1.0 - expected) / n)
     assert abs(accuracy - expected) <= 3 * sigma
 
     mu_t = 0.2
     cfg_eq = SessionConfig(n_pulses=n, seed=4002, mu_coherent=math.log(1 + mu_t), mu_thermal=mu_t)
-    batch_eq = alice_prepare(cfg_eq, np.random.default_rng(cfg_eq.seed))
-    guess_eq, bayes_eq = mode_discrimination_batch(batch_eq, IDEAL, np.random.default_rng(4003))
-    acc_eq = float(np.mean(guess_eq == (batch_eq.field_h.kind[batch_eq.field_h.level] == 1)))
+    h_eq, v_eq = prepared_modes(cfg_eq)
+    guess_eq, bayes_eq = mode_discrimination_batch(h_eq, v_eq, IDEAL, np.random.default_rng(4003))
+    acc_eq = float(np.mean(guess_eq == (h_eq.kind[h_eq.level] == 1)))
     assert bayes_eq == pytest.approx(0.5, abs=1e-9)
     assert acc_eq <= 0.51
     _report("criterion 7 (mode discrimination)",

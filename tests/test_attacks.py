@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from ctqkd import attacks
 from ctqkd.attacks import (
     Attack,
     BeamSplit,
@@ -22,10 +23,25 @@ from ctqkd.attacks import (
     mode_discrimination_batch,
 )
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
-from ctqkd.light import Coherent, FockN, Thermal
-from ctqkd.protocol import ALARM_BOB_POWER, ConfigError, SessionConfig, alice_prepare, fair_bits, run_session
+from ctqkd.light import KIND_COHERENT, KIND_VACUUM, Coherent, FieldArray, FockN, Thermal
+from ctqkd.protocol import (
+    ALARM_BOB_POWER,
+    ConfigError,
+    SessionConfig,
+    alice_prepare,
+    fair_bits,
+    run_session,
+    separate_modes,
+)
+from test_blocks import _batch, _dense, assert_same_pulses
 
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
+
+
+def prepared_modes(cfg: SessionConfig):
+    """The channel's H and V modes of the train Alice prepares at cfg's seed."""
+    batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
+    return separate_modes(batch.mode_secret, batch.out1, batch.out2)
 
 
 def intercept_resend_enumeration(cfg: SessionConfig, resend_mu: float):
@@ -185,8 +201,7 @@ def test_beam_split_alarm_at_separation_count():
 
 def test_mode_discrimination_bayes_error_reference():
     pulse_cfg = SessionConfig(n_pulses=2, seed=0)
-    batch = alice_prepare(pulse_cfg, np.random.default_rng(0))
-    guess_h, err = mode_discrimination_batch(batch, IDEAL, np.random.default_rng(1))
+    guess_h, err = mode_discrimination_batch(*prepared_modes(pulse_cfg), IDEAL, np.random.default_rng(1))
     p_c, p_t = 1 - math.exp(-0.2), 1 - 1 / 1.2
     expected = 0.5 * (min(p_c, p_t) + min(1 - p_c, 1 - p_t))
     assert err == pytest.approx(expected, abs=1e-12)
@@ -197,9 +212,9 @@ def test_mode_discrimination_bayes_error_reference():
 def test_mode_discrimination_empirical_accuracy():
     n = 4 * 10**4
     cfg = SessionConfig(n_pulses=n, seed=8)
-    batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    guess_h, bayes = mode_discrimination_batch(batch, IDEAL, np.random.default_rng(9))
-    actual_h = batch.field_h.kind[batch.field_h.level] == 1
+    h, v = prepared_modes(cfg)
+    guess_h, bayes = mode_discrimination_batch(h, v, IDEAL, np.random.default_rng(9))
+    actual_h = h.kind[h.level] == 1
     accuracy = float(np.mean(guess_h == actual_h))
     expected = 1.0 - bayes
     sigma = math.sqrt(expected * (1 - expected) / n)
@@ -214,11 +229,49 @@ def test_mode_discrimination_blind_when_rates_match():
     mu_c = math.log(1 + mu_t)
     n = 4 * 10**4
     cfg = SessionConfig(n_pulses=n, seed=10, mu_coherent=mu_c, mu_thermal=mu_t)
-    batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    guess_h, bayes = mode_discrimination_batch(batch, IDEAL, np.random.default_rng(11))
+    h, v = prepared_modes(cfg)
+    guess_h, bayes = mode_discrimination_batch(h, v, IDEAL, np.random.default_rng(11))
     assert bayes == pytest.approx(0.5, abs=1e-9)
-    accuracy = float(np.mean(guess_h == (batch.field_h.kind[batch.field_h.level] == 1)))
+    accuracy = float(np.mean(guess_h == (h.kind[h.level] == 1)))
     assert accuracy <= 0.51
+
+
+@pytest.mark.parametrize("train", ["honest", "mixed"])
+def test_mode_discrimination_resends_on_the_guessed_mode(monkeypatch, train):
+    # Eve measures the mode she guessed and resends on it; the reference
+    # writes this out in the channel's modes and swaps to Alice's outputs.
+    cfg, batch = _batch(train, 3000)
+    recorded = {}
+
+    def record(name):
+        real = getattr(attacks, name)
+
+        def call(*args):
+            recorded[name] = real(*args)
+            return recorded[name]
+
+        monkeypatch.setattr(attacks, name, call)
+
+    record("mode_discrimination_batch")
+    record("_resend_train")
+    out, _ = ModeDiscrimination().apply_return(batch, None, cfg, np.random.default_rng(1))
+    (guess, _), resend = recorded["mode_discrimination_batch"], recorded["_resend_train"]
+    secret = batch.mode_secret
+    h, v = separate_modes(secret, batch.out1, batch.out2)
+    want1, want2 = separate_modes(secret, FieldArray.where(guess, resend, h), FieldArray.where(guess, v, resend))
+    assert_same_pulses(out.out1, want1)
+    assert_same_pulses(out.out2, want2)
+
+
+def test_trojan_forward_puts_the_probe_on_output_1_where_the_mode_secret_is_0():
+    cfg = SessionConfig(n_pulses=1000, seed=3)
+    batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
+    out, held = TrojanHorse().apply_forward(batch, cfg, None)
+    assert held is batch and out.mode_secret is batch.mode_secret
+    kind_1, kind_2 = _dense(out.out1)[0], _dense(out.out2)[0]
+    probe_on_1 = batch.mode_secret == 0
+    assert np.array_equal(kind_1, np.where(probe_on_1, KIND_COHERENT, KIND_VACUUM))
+    assert np.array_equal(kind_2, np.where(probe_on_1, KIND_VACUUM, KIND_COHERENT))
 
 
 def test_mode_discrimination_attack_trips_alice_side():

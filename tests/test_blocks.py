@@ -2,10 +2,10 @@
 Each must equal its whole-array form bit for bit, and leave the generator in
 the state the whole-array draw leaves it in, at every block boundary.  The
 interferometers draw their candidate pairs a block of candidates at a time;
-their events must be whole and sorted across those blocks.  Alice's monitor
-and interferometers read her outputs from the train, a block of candidates
-at a time; each must equal the same stage over the outputs separate_modes
-builds, draw for draw."""
+their events must be whole and sorted across those blocks.  The
+interferometers read output 1's states at the candidate pairs, a block of
+candidates at a time; they must equal the same stage over the states of
+every pair, draw for draw."""
 
 import numpy as np
 import pytest
@@ -62,12 +62,13 @@ def _two_levels(rng, n, params):
 
 def _batch(train, n):
     """A session config and the pulse train Bob's tap sees: an honest one
-    from the pipeline, a resend train of one magnitude in both modes, coherent
-    pulses of two magnitudes in both modes (as mode discrimination leaves
-    them), every kind mixed in both modes, ("bright") two magnitudes, one
-    so bright that its pairs click at every detector, with columns of their
-    own in each mode, or ("secret-levels") a train whose mode secret is the
-    level column of both modes, as on an honest train, over other tables."""
+    from the pipeline, a resend train of one magnitude on both outputs,
+    coherent pulses of two magnitudes on both outputs (as mode
+    discrimination leaves them), every kind mixed on both outputs,
+    ("bright") two magnitudes, one so bright that its pairs click at every
+    detector, with columns of their own on each output, or
+    ("secret-levels") two outputs of two levels each that share one level
+    column, as on an honest train, which is also the mode secret."""
     cfg = SessionConfig(n_pulses=n, seed=n)
     rng = np.random.default_rng(n)
     if train == "honest":
@@ -179,29 +180,47 @@ def _assert_selected(got, mask, a, b):
         assert col.tobytes() == np.where(mask, col_a, col_b).tobytes()
 
 
+def assert_same_pulses(got, want):
+    """got and want hold the same field at every pulse, whatever their
+    level tables."""
+    for col, col_want in zip(_dense(got), _dense(want)):
+        assert col.tobytes() == col_want.tobytes()
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("train", ["honest", "resend", "two-level", "mixed", "bright", "secret-levels"])
 def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     # The monitors count their gates a block at a time, and draw what one
     # binomial per table entry over the whole index draws; the
-    # interferometers' events are whole and sorted across candidate blocks.
-    # Alice's monitor and interferometers, reading her outputs from the
-    # train, draw what they draw over the built outputs.
+    # interferometers' events are whole and sorted across candidate blocks,
+    # and reading output 1 at the candidate pairs draws what reading every
+    # pair draws.
     cfg, batch = _batch(train, n)
     streams = _record(monkeypatch, "power_test")
     rng, ref = np.random.default_rng(99), np.random.default_rng(99)
+    out1, out2, secret = batch.out1, batch.out2, batch.mode_secret
 
     bob_monitor_tap(batch, cfg, rng)
+    stream = streams.pop()[0]
+    if train == "honest":
+        # Bob's detector is blind to polarization: on an honest train his
+        # gates are one binomial at the announced law.
+        law = np.random.default_rng(99)
+        assert (stream.clicks, stream.n_gates) == (int(law.binomial(n, cfg.expected_bob_monitor_p())), n)
+        assert rng.bit_generator.state == law.bit_generator.state
     det = cfg.detector_bob
     eta = det.eta * cfg.tap_reflectance
-    h, v = batch.field_h, batch.field_v
-    level_h, level_v, index = protocol.level_pairs(h, v)
-    table = click_prob(det.dark_prob, h.noclick_factors(eta)[level_h] * v.noclick_factors(eta)[level_v])
-    _assert_binomial_count(streams.pop()[0], table, index, rng, ref)
+    level_1, level_2, index = protocol.level_pairs(out1, out2)
+    table = click_prob(det.dark_prob, out1.noclick_factors(eta)[level_1], out2.noclick_factors(eta)[level_2])
+    _assert_binomial_count(stream, table, index, rng, ref)
 
-    out1, out2 = separate_modes(batch)
-    _assert_selected(out1, batch.mode_secret, v, h)
-    _assert_selected(out2, batch.mode_secret, h, v)
+    # The mode swap takes the outputs to the channel's modes, and back.
+    h, v = separate_modes(secret, out1, out2)
+    _assert_selected(h, secret, out2, out1)
+    _assert_selected(v, secret, out1, out2)
+    back1, back2 = separate_modes(secret, h, v)
+    assert_same_pulses(back1, out1)
+    assert_same_pulses(back2, out2)
 
     alice_thermal_monitor(batch, cfg, rng)
     det = cfg.detector_alice
@@ -220,11 +239,9 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     # A train of L levels takes the table iff its (4 L)**2 state pairs are
     # no more than its pulse pairs, else one column per pair: every train of
     # two pulses, and a mixed train, whose levels are nearly all distinct.
-    # The table of an honest output 1 also holds the thermal level, which
-    # no pulse uses.
     levels = _n_levels(out1)
     assert levels == {"honest": 1, "resend": 1, "two-level": 2, "bright": 2}.get(train, levels)
-    tables = {"honest": 2, "resend": 1, "two-level": 2, "bright": 2}
+    tables = {"honest": 1, "resend": 1, "two-level": 2, "bright": 2}
     assert out1.kind.size == tables.get(train, out1.kind.size)
     assert levels <= out1.kind.size
     tabulated = (4 * out1.kind.size) ** 2 <= n - 1
@@ -280,8 +297,13 @@ def test_prepare_and_bob_quarters_equal_whole_array_draws(n):
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     batch = alice_prepare(cfg, rng)
     th_in_h = protocol.fair_bits(n, ref) ^ protocol.fair_bits(n, ref)
-    h, v = batch.field_h, batch.field_v
-    assert h.level is v.level and h.level.tobytes() == th_in_h.tobytes()
+    assert batch.mode_secret.tobytes() == th_in_h.tobytes()
+    # Both outputs share one zeros column as level and phase.
+    out1, out2 = batch.out1, batch.out2
+    assert out1.level is out2.level is out1.quarter is out2.quarter and not out1.level.any()
+    assert (out1.kind.tolist(), out1.param.tolist()) == ([KIND_COHERENT], [0.3])
+    assert (out2.kind.tolist(), out2.param.tolist()) == ([KIND_THERMAL], [0.7])
+    h, v = separate_modes(batch.mode_secret, out1, out2)
     assert h.param[h.level].tobytes() == np.take([0.3, 0.7], th_in_h).tobytes()
     assert v.param[v.level].tobytes() == np.take([0.7, 0.3], th_in_h).tobytes()
     # Bob's quarters are the 2-bit fields of one whole-array draw of raw

@@ -17,18 +17,18 @@ from ctqkd.light import Blinding, FockN, Thermal, Vacuum
 from ctqkd.protocol import SessionConfig, run_session
 
 GOLDEN = {
-    ("none", 1000): ("2172658abab212fe9518e68d796c2f80045fdf6b33be5450b62c3b7a3ad96df3", "7005d74defff65204b453bf2abd561cdf21968203d5c92bb8ab3b5713074ea61"),
-    ("intercept-resend", 1000): ("7d8b61c071a62e005b63bc33b8478f03c18e5c221ad3ab4d84e0f16479ca8cc4", "92590eaa9fef11cd47aaf1af758b2e49520cafb93e447cebb343e387a8bea162"),
-    ("beam-split", 1000): ("45690449b32d81d3121ae8e61a34d781bdb53692a9d67bafde9a1b1cd7ad8e50", "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
-    ("mode-discrimination", 1000): ("4afebcd6ed2667e327052490b573f6400d01b6f87343f87033d52395aff7c7d0", "63d8598b1ac840ae9538668ebf45138ba40d91a3acfacced163cbd01a50e6355"),
-    ("trojan", 1000): ("65e2fa9d060c872daaa45e65750c2a0ce848090dc9ef21fedf94ff63cf7be03f", "58c89e15a2157dc71556769d73a0e4d263756b0da45c9ec45510b2b80278c9ce"),
-    ("bright-light", 1000): ("cbd67a0fc4373c6bd34148c9613f02d5da972b817c4f01ed8b4806964db1e7aa", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("none", 100000): ("4c589ab3490864bb3b1be98b4b18ae4a6eb811d86e3256535e8715226803b8ae", "76c40666cf622cb7d811578bdcccbeabbc9fa06962ddc8de6d71575cd762d7ab"),
-    ("intercept-resend", 100000): ("2f2bca0b3db1e5308296a4715a6c7af60bbeaa75261c0d6f8bb3d79661d744e8", "1e5b7430fb4748e0f42570f7b7a7d34219d5f1494fea951936d8fe0c87284103"),
-    ("beam-split", 100000): ("907e94c65b9b70ebb9088028e671c92f23fbfef6ffcaa41b82a3d59f1016222e", "d1c878ca804d13a7deab10de31aa41ee48f1a78d082a839e549a6b02d9b298f8"),
-    ("mode-discrimination", 100000): ("71611b3875987b34203988bc0f29be4292346e5cc87dc6a5390a2ed0c95dbe4e", "4d00782d6edeab89d367cd3f0f18513082ef5077eb3d6a401aa24b6673ad733b"),
-    ("trojan", 100000): ("9fd59601b469b5ae7c30c3a06c10f88cece220074e7321d0fd9ad92109ce63b2", "dfe126c618d37d7aa96c95b9957865c579273455cc41b571c32a959d3267a0e6"),
-    ("bright-light", 100000): ("2e4b9edf7f3ba9d95a78eff6d7e24dfeffb81dc3241184c3b2556b7925da4bdf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("none", 1000): ("91f4e15707181e8205840955558f8d6e7c284fb76c5a71f5290d17b15e08d2c9", "30fba0faf3ba8f074fa92bb980b25fb69692365465b451d938169e7690f779c0"),
+    ("intercept-resend", 1000): ("fa71e89c5a7cbddba4732fa5884f330640adc4cda79b964a08dd2b2c0b1f8b98", "949f59d4d27043ba6f6343a93afb229865baa2c331b5767d5a1ba80c4b071117"),
+    ("beam-split", 1000): ("abff5b2bd5d7b126ea3dd701f3d1c7ef4946ce0fd3951ab664396b4ba5881326", "76cc5805dab9b4eacefdb477f498020fd82bccdbc9c6a2d9ce10586ac85512b4"),
+    ("mode-discrimination", 1000): ("2644e267bc3f5685a4172472ae2a37442abe6060596c6342972c782e9aa88222", "3bee36e8077a31f776122b8e4ea5cad1bac0054e798ceea45a78467f108beb80"),
+    ("trojan", 1000): ("402abc4f69f3a04b577ef918f619ce28008bde60480ba1602c31bc4c7be8eaea", "58c89e15a2157dc71556769d73a0e4d263756b0da45c9ec45510b2b80278c9ce"),
+    ("bright-light", 1000): ("82839b7ecc643b036d71c6ea54324593cc5d0f94905fc9d2dbfbe59bbb11e0ca", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("none", 100000): ("1c2dde07ad22fa5a0def352d10f9c81ce8a66df50ebfd798d49764d9b417e0f6", "ac42584424e435d298ff2c48368bee6b020df9c77f8e14e7c11cf9eb34a7bc3d"),
+    ("intercept-resend", 100000): ("dcb15220d270de4f93b693785f4458cb442b86fae232c0fb344e46e350a77337", "cf1d7bffda369f9eb931fb69d6678e1f6d9dea36d056adcf96f9d4b84c011961"),
+    ("beam-split", 100000): ("df8bb4c4c65f373089e378469b2c5e0360445a18a3d08f683a56221c75f6b781", "6e966456b04a5b277e2760d16cb126476ae1db83afcec2dd569cb047a3a0ae08"),
+    ("mode-discrimination", 100000): ("6bea5e180f656ba0b05c7fdc00355adf06ba7a77c21c0e028f455b709eea1cf5", "9bee8eab623941060a04c968382a8a652e9d43afcc387687cd83fc9d6cb64621"),
+    ("trojan", 100000): ("700257f5ab06738b91184ae80f00bbc20a45ef13e260a5f75d82d2be17e4e871", "46d8b190ba2385a6b30a913af38fac9a66fe9478afd51f18c8a0f601f84dd2b2"),
+    ("bright-light", 100000): ("5e7e33e991111e021de32a14db54ab1e39a3ac1bee504341c701923bb899636d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
@@ -36,12 +36,12 @@ GOLDEN = {
 # every probe kind on Bob's monitor and Eve's photon counter, Eve's own
 # detector model, a small tap, and a session without Bob's tap.
 GOLDEN_VARIANTS = {
-    "trojan-fock-3": ({}, TrojanHorse(FockN(3)), "47f13d0b02ab805d3c1317b21ecdb143a0853c78b1584b3568784a27e537c847", "8d2c889425efb1c6eaaf2cccd8e0b267a181e6821d7c15b26b1f457010358e09"),
-    "trojan-thermal-2": ({}, TrojanHorse(Thermal(2.0)), "db4039b136b69fa7cc60153b82754416308dfd776f133f2aa2db6926b2184f9c", "c32daec20eea61d10c938c2783619279d2aa73b144d31c87db06fef526cc595a"),
+    "trojan-fock-3": ({}, TrojanHorse(FockN(3)), "e170011471133dc85ad7064a628ff903e134c002a306b2a51a35cfd0f794af79", "553d430f1f43e761ec6b00dcdf38af8a448e9b7498c2c1b38bc02fafbea07599"),
+    "trojan-thermal-2": ({}, TrojanHorse(Thermal(2.0)), "5835a7c413dc4470396dca527fd50b2483fc1026249b5616ed24df9782b39d3c", "61c4e7335bfc276d720ece060e4dbcf0b181748cb43fe10e0e78393ef67f46ad"),
     "trojan-vacuum": ({}, TrojanHorse(Vacuum()), "8c53557e56c7f0e59400c5d9d88857864ab82e451e286ff921d0c01eafa9118a", "ad84e4e332a2b48772c7c8d3d6e1f553130dfcfd825c48836014ff265b396497"),
-    "trojan-blinding-0.5": ({}, TrojanHorse(Blinding(0.5)), "092bf1a4ca43698b07c189b7f06e95a0d216c5e1f850299f3fc2faffcb928119", "dfe126c618d37d7aa96c95b9957865c579273455cc41b571c32a959d3267a0e6"),
-    "mode-discrimination-eve-det": ({}, ModeDiscrimination(0.7, DetectorModel(0.4, 1e-3)), "486fc0fb73b009572d1a7e44ab48510386feaed3411dabad90ff70fe5be8e0d8", "77e92fb8a6007e74cd95df6818a2921de73ca508528abfa9f7862b10e0acaa7d"),
-    "beam-split-0.2": ({}, BeamSplit(0.2), "4fdf204f8c6b474fff6aa2696e17b065a018c09fc2bad18bdf01a47f20218e11", "05a119d1929d020cab1c12dfd0c64beff880a52bcab84eabf9cf53f52cec4717"),
+    "trojan-blinding-0.5": ({}, TrojanHorse(Blinding(0.5)), "fd321657df7dd64780ef11b207eda50cb4205f3bd548a1c9bdb2a8fb2d18b677", "46d8b190ba2385a6b30a913af38fac9a66fe9478afd51f18c8a0f601f84dd2b2"),
+    "mode-discrimination-eve-det": ({}, ModeDiscrimination(0.7, DetectorModel(0.4, 1e-3)), "5e0bbfa66f9196bbf15dae548a99eda08a7abdb31981e79367c14c3632754e65", "977a98b53c4f4a6df9f042919f99153d2c8ff601c89b73246833622fdfda26c4"),
+    "beam-split-0.2": ({}, BeamSplit(0.2), "8f1b5eefa1f91fc1cca53c6b9aae130271ceeacb0e00507e7aec526d3100af56", "65cfb03168d7533bb4d07f90e856955b1de002ea31c4ef98e581f18f5cc866b8"),
     "no-tap-mu-1.7": ({"tap_reflectance": 0.0, "mu_coherent": 1.7}, None, "ad2d45401896bfa15e98130bc48b8ae3df198a6af24b53711b2f3c7db1dc31ed", "ad83714435084d9cff3ade331153b9a87b45d7b1d72759e87fe3b71ed4b6e49c"),
 }
 

@@ -23,6 +23,7 @@ from ctqkd.light import (
     FockN,
     Thermal,
     Vacuum,
+    level_pairs,
     pair_table,
 )
 
@@ -273,6 +274,24 @@ def test_pair_table_index_is_the_narrowest_unsigned_type(size_a, size_b, dtype):
     a, b, index = pair_table(size_a, col_a, size_b, col_b)
     assert index.dtype == dtype and a.size == b.size == size_a * size_b
     assert a[index].tolist() == col_a.tolist() and b[index].tolist() == col_b.tolist()
+
+
+@pytest.mark.parametrize("columns", ["shared", "equal", "distinct"])
+def test_level_pairs_give_each_pulse_its_own_pair(columns):
+    # Both outputs of one mode swap of two single-level trains hold equal
+    # level columns: their pairs are (l, l), two of them, not all 2 x 2.
+    n = 50
+    mask = np.arange(n) % 3 == 0
+    probe, vacuum = FieldArray.uniform(Coherent(2.0), n), FieldArray.vacuum(n)
+    a, b = FieldArray.where(mask, vacuum, probe), FieldArray.where(mask, probe, vacuum)
+    if columns == "shared":
+        b = FieldArray(a.level, b.quarter, b.kind, b.param)
+    elif columns == "distinct":
+        b = FieldArray.where(np.arange(n) % 2 == 0, probe, vacuum)
+    assert (a.level is b.level) == (columns == "shared")
+    level_a, level_b, index = level_pairs(a, b)
+    assert level_a[index].tolist() == a.level.tolist() and level_b[index].tolist() == b.level.tolist()
+    assert level_a.size == (4 if columns == "distinct" else 2)
 
 
 @pytest.mark.parametrize("column", FieldArray.__slots__)

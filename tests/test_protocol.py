@@ -43,10 +43,10 @@ from test_blocks import both_outputs
 CFG_SMALL = SessionConfig(n_pulses=2000, seed=5)
 
 
-def make_batch(n=1, assign=0, rot=0, field_h=Coherent(math.sqrt(0.2)), field_v=Thermal(0.2)):
-    """n pulses with the given secret bits and the same field in each mode."""
+def make_batch(n=1, assign=0, rot=0, out1=Coherent(math.sqrt(0.2)), out2=Thermal(0.2)):
+    """n pulses with the given secret bits and the same field on each output."""
     return PulseBatch(np.broadcast_to(assign ^ rot, n),
-                      FieldArray.uniform(field_h, n), FieldArray.uniform(field_v, n))
+                      FieldArray.uniform(out1, n), FieldArray.uniform(out2, n))
 
 
 # --- preparation -----------------------------------------------------------
@@ -57,8 +57,9 @@ def test_prepare_is_deterministic():
     a = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     b = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     assert np.array_equal(a.mode_secret, b.mode_secret)
-    assert np.array_equal(a.field_h.level, b.field_h.level)
-    assert a.field_h.kind.tolist() == b.field_h.kind.tolist() == [KIND_COHERENT, KIND_THERMAL]
+    assert np.array_equal(a.out1.level, b.out1.level)
+    assert a.out1.kind.tolist() == b.out1.kind.tolist() == [KIND_COHERENT]
+    assert a.out2.kind.tolist() == b.out2.kind.tolist() == [KIND_THERMAL]
 
 
 def test_prepare_fair_bits():
@@ -66,15 +67,17 @@ def test_prepare_fair_bits():
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
     sigma3 = 3 * math.sqrt(0.25 / cfg.n_pulses)
     assert abs(batch.mode_secret.mean() - 0.5) <= sigma3
-    coh_in_h = batch.field_h.kind[batch.field_h.level] == 1
+    h, _ = separate_modes(batch.mode_secret, batch.out1, batch.out2)
+    coh_in_h = h.kind[h.level] == 1
     assert abs(coh_in_h.mean() - 0.5) <= sigma3
 
 
 def test_prepare_each_pulse_has_one_coherent_one_thermal():
     cfg = SessionConfig(n_pulses=500, seed=9)
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    h, v = batch.field_h, batch.field_v
-    assert h.level is v.level
+    # Alice's two outputs share one level column, over one level each.
+    assert batch.out1.level is batch.out2.level
+    h, v = separate_modes(batch.mode_secret, batch.out1, batch.out2)
     for kind_h, kind_v in zip(h.kind[h.level], v.kind[v.level]):
         assert {kind_h, kind_v} == {KIND_COHERENT, KIND_THERMAL}
 
@@ -86,21 +89,21 @@ def test_modulate_zero_phase_records_only():
     batch = make_batch()
     assert batch.bob_quarter is None
     out = modulate_batch(batch, np.array([0]))
-    assert out.field_h.field(0) == Coherent(math.sqrt(0.2))
-    assert out.field_v.field(0) == Thermal(0.2)
+    assert out.out1.field(0) == Coherent(math.sqrt(0.2))
+    assert out.out2.field(0) == Thermal(0.2)
     assert out.bob_quarter.tolist() == [0]
 
 
 def test_modulate_pi_flips_coherent_sign():
     out = modulate_batch(make_batch(), np.array([2]))
-    assert out.field_h.field(0).amplitude == pytest.approx(-math.sqrt(0.2), abs=1e-15)
+    assert out.out1.field(0).amplitude == pytest.approx(-math.sqrt(0.2), abs=1e-15)
 
 
 def test_modulate_leaves_thermal_bit_exact():
     batch = make_batch(4)
     out = modulate_batch(batch, np.arange(4))
-    assert out.field_v.param.tobytes() == batch.field_v.param.tobytes()
-    assert [out.field_v.field(i) for i in range(4)] == [Thermal(0.2)] * 4
+    assert out.out2.param.tobytes() == batch.out2.param.tobytes()
+    assert [out.out2.field(i) for i in range(4)] == [Thermal(0.2)] * 4
 
 
 # --- channel ---------------------------------------------------------------
@@ -108,14 +111,14 @@ def test_modulate_leaves_thermal_bit_exact():
 
 def test_propagate_identity():
     out = make_batch().propagated(1.0)
-    assert out.field_h.field(0) == Coherent(math.sqrt(0.2))
-    assert out.field_v.field(0) == Thermal(0.2)
+    assert out.out1.field(0) == Coherent(math.sqrt(0.2))
+    assert out.out2.field(0) == Thermal(0.2)
 
 
 def test_propagate_scales_both_modes():
     out = make_batch().propagated(0.5)
-    assert out.field_h.field(0).mean_photons == pytest.approx(0.1, abs=1e-12)
-    assert out.field_v.field(0) == Thermal(0.1)
+    assert out.out1.field(0).mean_photons == pytest.approx(0.1, abs=1e-12)
+    assert out.out2.field(0) == Thermal(0.1)
 
 
 # --- mode separation -------------------------------------------------------
@@ -126,18 +129,16 @@ def test_separation_honest_exhaustive():
     assign, rot = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     coh_in_h = (assign ^ rot) == 0
     coherent, thermal = FieldArray.uniform(Coherent(1.0), 4), FieldArray.uniform(Thermal(0.2), 4)
-    batch = PulseBatch(assign ^ rot, FieldArray.where(coh_in_h, coherent, thermal),
-                       FieldArray.where(coh_in_h, thermal, coherent))
-    out1, out2 = separate_modes(batch)
+    out1, out2 = separate_modes(assign ^ rot, FieldArray.where(coh_in_h, coherent, thermal),
+                                FieldArray.where(coh_in_h, thermal, coherent))
     assert [out1.field(i) for i in range(4)] == [Coherent(1.0)] * 4
     assert [out2.field(i) for i in range(4)] == [Thermal(0.2)] * 4
 
 
 def test_separation_of_identical_substituted_fields():
     eve_field = Coherent(2.0)
-    batch = PulseBatch([0, 1, 1, 0], FieldArray.uniform(eve_field, 4),
-                       FieldArray.uniform(eve_field, 4))
-    out1, out2 = separate_modes(batch)
+    out1, out2 = separate_modes(np.array([0, 1, 1, 0]), FieldArray.uniform(eve_field, 4),
+                                FieldArray.uniform(eve_field, 4))
     for i in range(4):
         assert out1.field(i) == eve_field and out2.field(i) == eve_field
 
@@ -152,9 +153,8 @@ def test_separation_random_mode_guess_hits_output2_half_the_time():
     guess = rng.integers(0, 2, n).astype(bool)
     eve_coh = FieldArray.uniform(Coherent(1.0), n)
     eve_th = FieldArray.uniform(Thermal(0.1), n)
-    batch.field_h = FieldArray.where(guess, eve_coh, eve_th)
-    batch.field_v = FieldArray.where(guess, eve_th, eve_coh)
-    _, out2 = separate_modes(batch)
+    _, out2 = separate_modes(batch.mode_secret, FieldArray.where(guess, eve_coh, eve_th),
+                             FieldArray.where(guess, eve_th, eve_coh))
     frac_coherent = np.mean(out2.kind[out2.level] == 1)
     assert abs(frac_coherent - 0.5) <= 3 * math.sqrt(0.25 / n)
 
@@ -185,8 +185,8 @@ def test_bob_monitor_flags_bright_probe():
     cfg = SessionConfig(n_pulses=10**4, seed=22)
     rng = np.random.default_rng(cfg.seed)
     batch = _bob_ready_batch(cfg, rng)
-    batch.field_h = FieldArray.uniform(Coherent(math.sqrt(10.0)), len(batch))
-    batch.field_v = FieldArray.vacuum(len(batch))
+    batch.out1 = FieldArray.uniform(Coherent(math.sqrt(10.0)), len(batch))
+    batch.out2 = FieldArray.vacuum(len(batch))
     outcome = bob_monitor_tap(batch, cfg, rng)
     assert not outcome.passed and outcome.z_score > 5
 
@@ -197,8 +197,8 @@ def test_bob_monitor_flags_vacuum_substitution():
     cfg = SessionConfig(n_pulses=10**5, seed=23)
     rng = np.random.default_rng(cfg.seed)
     batch = _bob_ready_batch(cfg, rng)
-    batch.field_h = FieldArray.vacuum(len(batch))
-    batch.field_v = FieldArray.vacuum(len(batch))
+    batch.out1 = FieldArray.vacuum(len(batch))
+    batch.out2 = FieldArray.vacuum(len(batch))
     outcome = bob_monitor_tap(batch, cfg, rng)
     assert not outcome.passed and outcome.z_score < -5
 
@@ -562,18 +562,20 @@ def _traced_peak(fn, *args):
 def test_honest_session_allocates_at_most_9_bytes_per_pulse():
     # The peak of the traced allocations (numpy's included) above the
     # session's start: 5.25 B/pulse, at Bob's quarters, whose take casts
-    # its byte index to intp.  Alice builds neither output: her monitor
-    # counts the mode secret, and the interferometers read output 1 at the
-    # candidate pairs of a block only.  A process's first session also
-    # traces the modules numpy imports on first use.
+    # its byte index to intp.  The train is Alice's two outputs, sharing
+    # one level and phase column until Bob turns output 1's phases: her
+    # monitor counts output 2's level column, and the interferometers read
+    # output 1 at the candidate pairs of a block only.  A process's first
+    # session also traces the modules numpy imports on first use.
     n = 2**20
     peak = _traced_peak(run_session, SessionConfig(n_pulses=n, seed=2))
     assert peak <= 9 * n, peak / n
 
 
 def test_honest_session_peak_stays_below_alice_outputs():
-    # Building Alice's two outputs, one at a time, peaked at 7.0 B/pulse;
-    # reading them from the train leaves 5.25, at Bob's quarters.  The
+    # Building Alice's two outputs from the channel's modes, one at a
+    # time, peaked at 7.0 B/pulse; carrying the train as her outputs
+    # leaves 5.25, at Bob's quarters.  The
     # bound allows 0.75 B/pulse, 0.75 MiB here, for numpy's own allocations
     # and a process's first session.
     n = 2**20
@@ -674,14 +676,12 @@ def test_thermal_layer_transparent_to_bob_phase():
     batch = alice_prepare(cfg, rng)
     quarters = rng.integers(0, 4, cfg.n_pulses)
     modulated = modulate_batch(batch, quarters)
-    h, out = batch.field_h, modulated.field_h
-    assert out.level is h.level and out.kind is h.kind and out.param is h.param
-    th_mask = h.kind[h.level] == 2
-    assert np.all(out.quarter[th_mask] == 0)
+    for old, new in ((batch.out1, modulated.out1), (batch.out2, modulated.out2)):
+        assert new.level is old.level and new.kind is old.kind and new.param is old.param
+    assert np.all(modulated.out2.quarter == 0)
 
     # statistical: monitor clicks independent of Bob's phase choice
-    batch2 = modulated.propagated(cfg.transmittance_oneway, rng)
-    _, out2 = separate_modes(batch2)
+    out2 = modulated.propagated(cfg.transmittance_oneway, rng).out2
     det = cfg.detector_alice
     p_click = 1 - (1 - det.dark_prob) * out2.noclick_factors(det.eta)[out2.level]
     clicks = rng.random(cfg.n_pulses) < p_click
@@ -697,17 +697,17 @@ def test_stages_build_new_batches_that_share_unchanged_arrays():
     cfg = SessionConfig(n_pulses=1000, seed=2)
     rng = np.random.default_rng(cfg.seed)
     batch = alice_prepare(cfg, rng)
-    snapshot = [a.copy() for a in (batch.mode_secret, batch.field_h.quarter, batch.field_v.param)]
+    snapshot = [a.copy() for a in (batch.mode_secret, batch.out1.quarter, batch.out2.param)]
     lossy = batch.propagated(0.5, rng)
     modulated = modulate_batch(lossy, rng.integers(0, 4, cfg.n_pulses))
     for new in (lossy, modulated):
         assert new is not batch
         assert new.mode_secret is batch.mode_secret
-        assert new.field_h.level is batch.field_h.level and new.field_h.kind is batch.field_h.kind
+        assert new.out1.level is batch.out1.level and new.out1.kind is batch.out1.kind
     assert lossy.bob_quarter is batch.bob_quarter
     assert modulated.propagated(0.5, rng).bob_quarter is modulated.bob_quarter
-    assert np.shares_memory(modulated.field_v.param, lossy.field_v.param)
-    for old, now in zip(snapshot, (batch.mode_secret, batch.field_h.quarter, batch.field_v.param)):
+    assert np.shares_memory(modulated.out2.param, lossy.out2.param)
+    for old, now in zip(snapshot, (batch.mode_secret, batch.out1.quarter, batch.out2.param)):
         assert np.array_equal(old, now)
 
 
