@@ -25,7 +25,6 @@ from .detector import (
     NotDistinguishableError,
     PowerTestOutcome,
     band_power,
-    band_power_statistic,
     click_prob_coherent,
     click_prob_state,
     click_prob_thermal,

@@ -43,6 +43,7 @@ from .protocol import (
     PulseBatch,
     SessionConfig,
     SiftOutcome,
+    entry_counts,
     fair_bits,
     modulate_batch,
     sample_blocked,
@@ -123,11 +124,16 @@ def _resend_train(delta_hat: np.ndarray, resend_mu: float) -> FieldArray:
     return FieldArray.uniform(Coherent(math.sqrt(resend_mu)), phases.size).phase_shifted(phases)
 
 
+def _key_pairs(sift: SiftOutcome) -> np.ndarray:
+    """The pair index of each key bit: the sifted pairs not disclosed."""
+    return sift.pair_indices.take(np.flatnonzero(~sift.disclosed))
+
+
 def _fraction_correct(bits_by_pair: np.ndarray, sift: SiftOutcome) -> float:
-    kept = sift.pair_indices[~sift.disclosed]
+    kept = _key_pairs(sift)
     if kept.size == 0:
         return 0.0
-    return float(np.mean(bits_by_pair[kept] == sift.key_bob))
+    return float(np.mean(bits_by_pair.take(kept) == sift.key_bob))
 
 
 @dataclass(frozen=True)
@@ -185,9 +191,13 @@ class BeamSplit(Attack):
 
     def apply_return(self, batch, carry, cfg, rng):
         out1, out2 = batch.out1, batch.out2
+        # Per pair of levels: the pulses holding it times its total mean,
+        # blinding light's infinite mean left out.
         level_1, level_2, pair = level_pairs(out1, out2)
-        means = gather(out1.mean_photons()[level_1] + out2.mean_photons()[level_2], pair)
-        tapped_energy = float(np.sum(means[np.isfinite(means)]) * self.tap_fraction)
+        means = out1.mean_photons()[level_1] + out2.mean_photons()[level_2]
+        finite = np.isfinite(means)
+        total = entry_counts(pair, means.size)[finite] @ means[finite]
+        tapped_energy = float(total * self.tap_fraction)
         return batch.propagated(1.0 - self.tap_fraction, rng), tapped_energy
 
     def finalize_report(self, tapped_energy, sift, rng):
@@ -195,6 +205,21 @@ class BeamSplit(Attack):
             self.label, self.params(),
             notes=f"tapped mean photon total {tapped_energy:.6g} (undecoded)",
         )
+
+
+def _click_means(h: FieldArray, v: FieldArray, eve_det: DetectorModel):
+    """(p_h, p_c, p_t): the click probability of Eve's detector on each
+    level of h, and its means over the pulses of the train on the mode that
+    carries the coherent state (p_c) and on the other one (p_t).  The
+    means are taken per pair of levels the pulses hold, weighted by the
+    pulses at each pair."""
+    p_h, p_v = (click_prob(eve_det.dark_prob, f.noclick_factors(eve_det.eta)) for f in (h, v))
+    level_h, level_v, pair = level_pairs(h, v)
+    coh_h, pair_h, pair_v = h.kind[level_h] == KIND_COHERENT, p_h[level_h], p_v[level_v]
+    counts = entry_counts(pair, level_h.size)
+    p_c = float(counts @ np.where(coh_h, pair_h, pair_v) / pair.size)
+    p_t = float(counts @ np.where(coh_h, pair_v, pair_h) / pair.size)
+    return p_h, p_c, p_t
 
 
 def mode_discrimination_batch(h: FieldArray, v: FieldArray, eve_det: DetectorModel,
@@ -209,14 +234,7 @@ def mode_discrimination_batch(h: FieldArray, v: FieldArray, eve_det: DetectorMod
     probabilities; the per-pulse placement stays hidden, which is what caps
     her accuracy.
     """
-    # Per level of each mode, then per pair of levels the pulses hold;
-    # p_c and p_t are means over the pulses, gathered.
-    p_h, p_v = (click_prob(eve_det.dark_prob, f.noclick_factors(eve_det.eta)) for f in (h, v))
-    level_h, level_v, pair = level_pairs(h, v)
-    coh_h, pair_h, pair_v = h.kind[level_h] == KIND_COHERENT, p_h[level_h], p_v[level_v]
-    p_c = float(np.mean(gather(np.where(coh_h, pair_h, pair_v), pair)))
-    p_t = float(np.mean(gather(np.where(coh_h, pair_v, pair_h), pair)))
-
+    p_h, p_c, p_t = _click_means(h, v, eve_det)
     clicks = sample_blocked(p_h, h.level, rng)
     guess_coh_in_h = clicks if p_c >= p_t else ~clicks
     bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
@@ -323,9 +341,9 @@ class TrojanHorse(Attack):
 
     def finalize_report(self, learned, sift, rng):
         learned_phase_count = int(learned.sum())
-        kept = sift.pair_indices[~sift.disclosed]
+        kept = _key_pairs(sift)
         if kept.size:
-            knows_pair = learned[kept] & learned[kept + 1]
+            knows_pair = learned.take(kept) & learned[1:].take(kept)
             correct = knows_pair | fair_bits(kept.size, rng).view(bool)
             frac = float(correct.mean())
         else:

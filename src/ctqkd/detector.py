@@ -162,15 +162,11 @@ def sample_clicks(p_click: float, n_gates: int, rng: np.random.Generator) -> Cli
     return ClickStream(int(rng.binomial(n_gates, p_click)), n_gates)
 
 
-def band_power_statistic(stream: ClickStream) -> float:
-    """Empirical P(1-P): the normalized fixed-band electrical power of the
-    detector output.  Vanishes both for a dead detector (P=0) and for a
-    saturated one (P=1), which is the blinded-detector signature."""
-    return band_power(stream.frequency())
-
-
 def band_power(p):
-    """The band-power statistic P(1-P) of click probability p."""
+    """The band-power statistic P(1-P) of click probability p: the
+    normalized fixed-band electrical power of the detector output.  Of a
+    click frequency it vanishes both for a dead detector (P=0) and for a
+    saturated one (P=1), which is the blinded-detector signature."""
     return p * (1.0 - p)
 
 

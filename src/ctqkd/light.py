@@ -166,6 +166,17 @@ def _distinct(kind: np.ndarray, param: np.ndarray):
             np.array(index, dtype=_index_dtype(len(first))))
 
 
+def _unique_inverse(values: np.ndarray):
+    """np.unique(values, return_inverse=True) of a 1-D integer column:
+    counted, not sorted, when the values span no more than their number."""
+    low = values.min()
+    if values.max() - low >= values.size:
+        unique, inverse = np.unique(values, return_inverse=True)
+        return unique, inverse.ravel()
+    present = np.bincount(values - low) > 0
+    return np.flatnonzero(present) + low, (np.cumsum(present) - 1).take(values - low)
+
+
 def _relevel(level: np.ndarray, new: np.ndarray) -> np.ndarray:
     """new[level]; level itself when new renumbers nothing."""
     if level.dtype == new.dtype and np.array_equal(new, np.arange(new.size)):
@@ -272,16 +283,21 @@ class FieldArray:
         param = self.param * t
         blind, fock = self.kind == KIND_BLINDING, self.kind == KIND_FOCK
         param[blind] = self.param[blind]
-        pulses = gather(fock, self.level) if fock.any() else None
-        if pulses is None or not pulses.any():
+        pulses = np.flatnonzero(gather(fock, self.level)) if fock.any() else np.empty(0, np.intp)
+        if pulses.size == 0:
             return FieldArray(self.level, self.quarter, self.kind, param)
         if rng is None:
             raise ValueError("rng required to thin definite photon numbers through loss")
-        drawn = rng.binomial(self.param[self.level[pulses]].astype(np.int64), t)
-        photons, fock_level = np.unique(drawn, return_inverse=True)
+        # One draw per Fock pulse, in pulse order; each number drawn becomes
+        # a level after the kept ones.
+        numbers = np.where(fock, self.param, 0.0).astype(np.int64)
+        drawn = rng.binomial(numbers.take(self.level.take(pulses)), t)
+        photons, fock_level = _unique_inverse(drawn)
         keep = np.flatnonzero(~fock)
-        level = (np.cumsum(~fock) - 1)[self.level]  # each kept level's new index
-        level[pulses] = keep.size + fock_level.ravel()
+        new = np.zeros(fock.size, dtype=_index_dtype(keep.size + photons.size))
+        new[keep] = np.arange(keep.size)  # each kept level's new index
+        level = gather(new, self.level)
+        level[pulses] = keep.size + fock_level
         return FieldArray(level, self.quarter,
                           np.concatenate([self.kind[keep], np.full(photons.size, KIND_FOCK)]),
                           np.concatenate([param[keep], photons]))

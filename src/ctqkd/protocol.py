@@ -75,7 +75,6 @@ from .light import (
     blocks,
     gather,
     level_pairs,
-    pair_table,
 )
 
 ALARM_NONE = "none"
@@ -357,19 +356,27 @@ def sample_blocked(table: np.ndarray, index: np.ndarray, rng: np.random.Generato
     return clicks
 
 
+def entry_counts(index: np.ndarray, size: int) -> np.ndarray:
+    """How many elements of an unsigned index hold each entry of a table of
+    size entries, as intp: np.bincount(index, minlength=size).  The index is
+    counted a block at a time, as bincount casts it to intp; a table of at
+    most two entries, as on every honest train, counts the nonzero entries
+    instead, many times faster."""
+    if size <= 2:
+        ones = np.count_nonzero(index)
+        return np.array([index.size - ones, ones][:size], dtype=np.intp)
+    counts = np.zeros(size, dtype=np.intp)
+    for i, j in blocks(index.size):
+        counts += np.bincount(index[i:j], minlength=size)
+    return counts
+
+
 def monitor_clicks(table: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> ClickStream:
     """Clicks of index.size gates, gate g clicking with probability
     table[index[g]], independently: one binomial draw per table entry over
-    the gates at that entry, since a sum of independent Bernoulli draws of
-    one probability is binomial.  The gates are counted a block at a time,
-    as bincount casts the index to intp; a table of at most two entries, as
-    on every honest train, counts the nonzero entries instead, many times
-    faster."""
-    if table.size <= 2:
-        ones = np.count_nonzero(index)
-        gates = np.array([index.size - ones, ones][:table.size])
-    else:
-        gates = sum(np.bincount(index[i:j], minlength=table.size) for i, j in blocks(index.size))
+    the gates at that entry (entry_counts), since a sum of independent
+    Bernoulli draws of one probability is binomial."""
+    gates = entry_counts(index, table.size)
     return ClickStream(int(rng.binomial(gates, table).sum()), index.size)
 
 
@@ -448,6 +455,12 @@ def state_pair_probs(levels: FieldArray, s_prev: np.ndarray, s_curr: np.ndarray,
     Coherent (or vacuum) pairs interfere with the port means; any other
     field combination carries no stable phase and is treated as an
     incoherent 1/8 split with identical statistics at all four detectors.
+
+    That branch treats the four detectors as independent, which is exact
+    for coherent light only, not for thermal or Fock light, whose photon
+    numbers at the four ports are correlated.  In a session output 1
+    reaches the interferometers as coherent light, vacuum or blinding
+    light; only tests run the branch with thermal or Fock light.
     """
     prev, curr, q_prev, q_curr = s_prev >> 2, s_curr >> 2, s_prev & 3, s_curr & 3
     # r = 0 on vacuum; pairs holding any other kind are replaced below
@@ -471,40 +484,20 @@ def _states(level: np.ndarray, quarter: np.ndarray, n_levels: int) -> np.ndarray
     return state
 
 
-def pair_click_probs(out1: FieldArray, det: DetectorModel):
-    """Click probabilities of the four detectors over the consecutive pulse
-    pairs of a built output 1, as (p, index).
-
-    A train of L levels has S = 4 L pulse states s = level << 2 | quarter,
-    and p (state_pair_probs) has one column per pair of states that
-    light.pair_table gives: a (4, S * S) table over the pair index
-    s_prev * S + s_curr when the train has at least S * S pairs, else
-    (4, m), one column per pair.  index is each pair's column, so detector
-    k's probabilities are p[k][index].  Both take the same elementwise
-    formulas, so the table gathers to the per-pair values bit for bit.
-    measure_interference takes the same table, reading the states only at
-    its candidate pairs.
-    """
-    n_states = 4 * out1.kind.size
-    state = _states(out1.level, out1.quarter, out1.kind.size)
-    s_prev, s_curr, index = pair_table(n_states, state[:-1], n_states, state[1:])
-    return state_pair_probs(out1, s_prev, s_curr, det), index
-
-
 def _pair_columns(out1: FieldArray, cand: np.ndarray, n_states: int) -> np.ndarray:
     """The column s_prev * n_states + s_curr of each candidate pair of out1
     in a (4, n_states**2) table, in the narrowest unsigned type that holds
     it, from the states at pulses cand and cand + 1: one slice when the
-    candidates are consecutive (cand is ascending and distinct)."""
-    k = cand.size
+    candidates are consecutive (cand is ascending and distinct).  The
+    states at cand + 1 are taken at cand from the columns shifted by one,
+    so no second index is built."""
+    k, level, quarter, n_levels = cand.size, out1.level, out1.quarter, out1.kind.size
     if k and cand[-1] - cand[0] + 1 == k:
-        at = slice(cand[0], cand[-1] + 2)
-        state = _states(out1.level[at], out1.quarter[at], out1.kind.size)
+        state = _states(level[cand[0]:cand[-1] + 2], quarter[cand[0]:cand[-1] + 2], n_levels)
         s_prev, s_curr = state[:-1], state[1:]
     else:
-        at = np.concatenate((cand, cand + 1))
-        state = _states(out1.level.take(at), out1.quarter.take(at), out1.kind.size)
-        s_prev, s_curr = state[:k], state[k:]
+        s_prev = _states(level.take(cand), quarter.take(cand), n_levels)
+        s_curr = _states(level[1:].take(cand), quarter[1:].take(cand), n_levels)
     column = np.multiply(s_prev, n_states, dtype=np.min_scalar_type(n_states * n_states - 1))
     column += s_curr
     return column
@@ -562,10 +555,13 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     "delta_q" = (quarters[s + 1] - quarters[s]) & 3 at each, from Bob's own
     quarters, not the train's; of the doubles, their number ("doubles").
 
-    On the (4, S * S) table, each block of candidates reads its pair states
-    at its own pulses only (_pair_columns); a train whose table would
-    outnumber its pairs, by light.pair_table's rule, reads the state of
-    every pulse, for one column per pair."""
+    A train of L levels has S = 4 L pulse states.  On the (4, S * S) table
+    over the pair index s_prev * S + s_curr, each block of candidates reads
+    its pair states at its own pulses only (_pair_columns); a train whose
+    table would outnumber its pairs, by light.pair_table's rule, reads the
+    state of every pulse, for one column per pair.  A row equal at every
+    state is compared as one number, and when no row varies no state is
+    read at all."""
     out1 = batch.out1
     n_states, m = 4 * out1.kind.size, len(batch) - 1
     tabulated = n_states * n_states <= m
@@ -580,21 +576,25 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     q_max = float(cum[-1].max())
     if q_max > 0.0:
         cum /= q_max  # exactly 1 at the states of the largest
+    # All five rows are flat on a train of blinding light.
+    flat = (cum.min(axis=1) == cum.max(axis=1)).tolist()
     pairs, detector, doubles = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint8)], 0
     for cand in candidate_blocks(m, q_max, rng):
         u = rng.random(cand.size)
-        state = _pair_columns(out1, cand, n_states) if tabulated else cand
+        if not all(flat):
+            # take casts a narrow index to intp on every call: cast once.
+            state = _pair_columns(out1, cand, n_states).astype(np.intp) if tabulated else cand
         # 0-3: a single click at that detector, 4: a double, 5: none
         outcome = np.zeros(cand.size, dtype=np.uint8)
-        for row in cum:
-            outcome += u >= row.take(state)
-        single = outcome < 4
-        pairs.append(cand[single])
-        detector.append(outcome[single])
+        for row, row_flat in zip(cum, flat):
+            outcome += u >= (row[0] if row_flat else row.take(state))
+        single = np.flatnonzero(outcome < 4)
+        pairs.append(cand.take(single))
+        detector.append(outcome.take(single))
         doubles += int(np.count_nonzero(outcome == 4))
     pairs, detector = np.concatenate(pairs), np.concatenate(detector)
     return {"pairs": pairs, "basis_q": detector >> 1, "port": detector & 1,
-            "delta_q": (quarters[pairs + 1] - quarters[pairs]) & 3, "doubles": doubles}
+            "delta_q": (quarters[1:].take(pairs) - quarters.take(pairs)) & 3, "doubles": doubles}
 
 
 def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> SiftOutcome:
@@ -607,10 +607,12 @@ def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> S
     clicked.  An empty sifted set leaves qber undefined (None).
     """
     basis_q, delta_q = meas["basis_q"], meas["delta_q"]
-    kept = (delta_q & 1) == basis_q
-    idx = meas["pairs"][kept]
-    alice_bits = meas["port"][kept]
-    bob_bits = (((delta_q[kept] - basis_q[kept]) & 3) == 2).astype(np.uint8)
+    # Each selection takes its positions once, then takes them from every
+    # column: far faster than indexing each column by a random bool mask.
+    kept = np.flatnonzero((delta_q & 1) == basis_q)
+    idx = meas["pairs"].take(kept)
+    alice_bits = meas["port"].take(kept)
+    bob_bits = (((delta_q.take(kept) - basis_q.take(kept)) & 3) == 2).astype(np.uint8)
     k = idx.size
     if k == 0:
         empty = np.zeros(0, dtype=np.uint8)
@@ -620,15 +622,16 @@ def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> S
     disc_idx = np.sort(rng.choice(k, size=n_disc, replace=False))
     disclosed = np.zeros(k, dtype=bool)
     disclosed[disc_idx] = True
-    qber = float(np.mean(alice_bits[disclosed] != bob_bits[disclosed]))
+    qber = float(np.mean(alice_bits.take(disc_idx) != bob_bits.take(disc_idx)))
+    key_idx = np.flatnonzero(~disclosed)
     return SiftOutcome(
         pair_indices=idx,
         alice_bits=alice_bits,
         bob_bits=bob_bits,
         disclosed=disclosed,
         qber=qber,
-        key_alice=alice_bits[~disclosed],
-        key_bob=bob_bits[~disclosed],
+        key_alice=alice_bits.take(key_idx),
+        key_bob=bob_bits.take(key_idx),
     )
 
 

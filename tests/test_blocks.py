@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ctqkd import protocol
+from ctqkd.attacks import BeamSplit, TrojanHorse, _click_means
 from ctqkd.detector import DetectorModel, click_prob
 from ctqkd.light import (
     KIND_BLINDING,
@@ -18,8 +19,13 @@ from ctqkd.light import (
     KIND_FOCK,
     KIND_THERMAL,
     KIND_VACUUM,
+    Blinding,
     Coherent,
     FieldArray,
+    FockN,
+    gather,
+    level_pairs,
+    pair_table,
 )
 from ctqkd.protocol import (
     BLOCK,
@@ -30,13 +36,14 @@ from ctqkd.protocol import (
     bob_monitor_tap,
     bob_quarters,
     candidate_blocks,
+    entry_counts,
     measure_interference,
     modulate_batch,
-    pair_click_probs,
     pair_outcome_probs,
     sample_blocked,
     separate_modes,
     sift_and_qber,
+    state_pair_probs,
 )
 
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
@@ -141,6 +148,25 @@ def _assert_sparse_events(meas, out1, det, quarters):
     delta_q = (quarters[1:] - quarters[:-1]) & 3
     assert meas["delta_q"].tobytes() == delta_q[pairs].tobytes()
     assert 0 <= meas["doubles"] <= np.count_nonzero(table[5, index] > 0)
+
+
+def pair_click_probs(out1, det):
+    """Click probabilities of the four detectors over the consecutive pulse
+    pairs of a built output 1, as (p, index): the reference that
+    measure_interference must equal.
+
+    A train of L levels has S = 4 L pulse states s = level << 2 | quarter,
+    and p (state_pair_probs) has one column per pair of states that
+    light.pair_table gives: a (4, S * S) table over the pair index
+    s_prev * S + s_curr when the train has at least S * S pairs, else
+    (4, m), one column per pair.  index is each pair's column, so detector
+    k's probabilities are p[k][index].  Both take the same elementwise
+    formulas, so the table gathers to the per-pair values bit for bit.
+    """
+    n_states = 4 * out1.kind.size
+    state = protocol._states(out1.level, out1.quarter, out1.kind.size)
+    s_prev, s_curr, index = pair_table(n_states, state[:-1], n_states, state[1:])
+    return state_pair_probs(out1, s_prev, s_curr, det), index
 
 
 def both_outputs(train):
@@ -321,3 +347,105 @@ def test_sample_blocked_asks_for_each_gate_once_in_order(n):
     index = np.arange(n, dtype=np.min_scalar_type(n - 1))  # unsigned, as gather asks
     rng, ref = np.random.default_rng(1), np.random.default_rng(1)
     _assert_same_draws(sample_blocked(table, index, rng), ref.random(n) < table, rng, ref)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("size", [1, 2, 3, 257])
+def test_entry_counts_equal_one_whole_array_bincount(size, n):
+    # Tables of at most two entries count the nonzero entries; larger ones
+    # count a block at a time.
+    rng = np.random.default_rng(size * n)
+    index = rng.integers(0, size, n).astype(np.min_scalar_type(size - 1))
+    index[-1] = size - 1  # the last entry is held, at the last element
+    counts = entry_counts(index, size)
+    want = np.bincount(index, minlength=size)
+    assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
+
+
+def _attack_batch(train, n):
+    """The train leaving Bob as an attack's return hook finds it: honest,
+    honest with blinding light on output 1 at about half the pulses, or a
+    Trojan's Fock probe of 3 photons, thinned by the fiber to several
+    levels."""
+    cfg = SessionConfig(n_pulses=n, seed=n)
+    rng = np.random.default_rng(n)
+    batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway, rng)
+    if train == "fock":
+        batch, _ = TrojanHorse(FockN(3)).apply_forward(batch, cfg, rng)
+        batch = batch.propagated(0.5, rng)
+        assert batch.out1.kind.size > 2
+    batch = modulate_batch(batch, bob_quarters(n, rng))
+    if train == "blinding":
+        lit = rng.integers(0, 2, n)
+        blinding = FieldArray.uniform(Blinding(0.9), n)
+        batch = batch.with_fields(FieldArray.where(lit, blinding, batch.out1), batch.out2)
+    return cfg, batch
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("train", ["honest", "blinding", "fock"])
+def test_attack_means_over_level_pairs_equal_the_per_pulse_means(train, n):
+    # Beam splitting's tapped energy and mode discrimination's mean click
+    # probabilities count the pulses at each pair of levels; gathering one
+    # value per pulse and reducing gives the same sums, to rounding.
+    cfg, batch = _attack_batch(train, n)
+    out1, out2 = batch.out1, batch.out2
+    tap = 0.3
+    level_1, level_2, pair = level_pairs(out1, out2)
+    means = gather(out1.mean_photons()[level_1] + out2.mean_photons()[level_2], pair)
+    want = float(np.sum(means[np.isfinite(means)]) * tap)
+    _, tapped = BeamSplit(tap).apply_return(batch, None, cfg, np.random.default_rng(0))
+    assert tapped == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.isfinite(tapped) and (train == "blinding") == (np.isinf(means).any())
+
+    det = DetectorModel(0.8, 1e-4)
+    h, v = separate_modes(batch.mode_secret, out1, out2)
+    p_h, p_v = (click_prob(det.dark_prob, f.noclick_factors(det.eta)) for f in (h, v))
+    level_h, level_v, pair = level_pairs(h, v)
+    coh_h, pair_h, pair_v = h.kind[level_h] == KIND_COHERENT, p_h[level_h], p_v[level_v]
+    want_c = float(np.mean(gather(np.where(coh_h, pair_h, pair_v), pair)))
+    want_t = float(np.mean(gather(np.where(coh_h, pair_v, pair_h), pair)))
+    got_h, p_c, p_t = _click_means(h, v, det)
+    assert got_h.tobytes() == p_h.tobytes()
+    assert p_c == pytest.approx(want_c, rel=1e-12, abs=0.0)
+    assert p_t == pytest.approx(want_t, rel=1e-12, abs=0.0)
+    assert (p_c >= p_t) == (want_c >= want_t)
+
+
+def _sift_by_masks(meas, cfg, rng):
+    """sift_and_qber's selections as bool masks over the events:
+    (pair indices, Alice's bits, Bob's bits, disclosed, qber, keys)."""
+    basis_q, delta_q = meas["basis_q"], meas["delta_q"]
+    kept = (delta_q & 1) == basis_q
+    alice_bits = meas["port"][kept]
+    bob_bits = (((delta_q[kept] - basis_q[kept]) & 3) == 2).astype(np.uint8)
+    k = alice_bits.size
+    if k == 0:
+        return meas["pairs"][kept], alice_bits, bob_bits, np.zeros(0, dtype=bool), None
+    n_disc = min(k, max(1, round(cfg.qber_sample_fraction * k)))
+    disclosed = np.zeros(k, dtype=bool)
+    disclosed[np.sort(rng.choice(k, size=n_disc, replace=False))] = True
+    qber = float(np.mean(alice_bits[disclosed] != bob_bits[disclosed]))
+    return (meas["pairs"][kept], alice_bits, bob_bits, disclosed, qber,
+            alice_bits[~disclosed], bob_bits[~disclosed])
+
+
+@pytest.mark.parametrize("n", [2, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("train", ["honest", "resend", "mixed"])
+def test_sift_selects_by_position_what_the_masks_select(train, n):
+    cfg, batch = _batch(train, n)
+    quarters = batch.bob_quarter
+    if quarters is None:
+        quarters = bob_quarters(n, np.random.default_rng(3))
+    meas = measure_interference(batch, quarters, cfg.detector_alice, np.random.default_rng(4))
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    sift = sift_and_qber(meas, cfg, rng)
+    want = _sift_by_masks(meas, cfg, ref)
+    got = (sift.pair_indices, sift.alice_bits, sift.bob_bits, sift.disclosed, sift.qber,
+           sift.key_alice, sift.key_bob)[:len(want)]
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+    assert rng.bit_generator.state == ref.bit_generator.state

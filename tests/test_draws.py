@@ -24,11 +24,10 @@ from ctqkd.protocol import (
     fair_bits,
     measure_interference,
     monitor_clicks,
-    pair_click_probs,
     pair_outcome_probs,
     sample_blocked,
 )
-from test_blocks import both_outputs
+from test_blocks import both_outputs, pair_click_probs
 
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 Z = 5.0  # half-width of every binomial bound, in standard deviations

@@ -139,6 +139,27 @@ def test_attenuate_fock_thins_binomially():
     assert np.mean(outs) == pytest.approx(3.0, abs=0.1)
 
 
+@pytest.mark.parametrize("numbers", [[5], [5, 2], [2**53], [2**53, 7]])
+def test_fock_thinning_draws_each_pulse_in_order(numbers):
+    # One binomial per Fock pulse, in pulse order, whether the train holds
+    # one photon number or several; each number drawn becomes a level after
+    # the kept one, in ascending order, whether the numbers drawn are
+    # counted (a narrow span) or sorted (a span of about 10**8 around
+    # 0.6 * 2**53).
+    n = 3000
+    table = FieldArray.from_fields([Thermal(0.5)] + [FockN(k) for k in numbers])
+    level = np.random.default_rng(len(numbers)).integers(0, table.kind.size, n)
+    fa = FieldArray(level, np.zeros(n, dtype=np.uint8), table.kind, table.param)
+    out = fa.attenuated(0.6, np.random.default_rng(9))
+    fock = _kinds(fa) == KIND_FOCK
+    drawn = np.random.default_rng(9).binomial(_params(fa)[fock].astype(np.int64), 0.6)
+    photons, inverse = np.unique(drawn, return_inverse=True)
+    assert out.kind.tolist() == [KIND_THERMAL] + [KIND_FOCK] * photons.size
+    assert out.param.tolist() == [0.5 * 0.6] + photons.tolist()
+    assert out.level.dtype == np.min_scalar_type(photons.size)
+    assert np.array_equal(out.level[fock], 1 + inverse.ravel()) and not out.level[~fock].any()
+
+
 def test_attenuate_fock_requires_rng():
     with pytest.raises(ValueError):
         _attenuated(FockN(2), 0.5)

@@ -32,13 +32,12 @@ from ctqkd.protocol import (
     classify_alarm,
     measure_interference,
     modulate_batch,
-    pair_click_probs,
     port_means,
     run_session,
     separate_modes,
     sift_and_qber,
 )
-from test_blocks import both_outputs
+from test_blocks import both_outputs, pair_click_probs
 
 CFG_SMALL = SessionConfig(n_pulses=2000, seed=5)
 
@@ -583,6 +582,25 @@ def test_honest_session_peak_stays_below_alice_outputs():
     assert peak <= 6 * n, peak / n
 
 
+# Bounds on the traced peak of an attacked session at 2**18 pulses, in
+# B/pulse.  Beam-split counts its pulses per pair of levels and peaks at
+# 5.27 (gathering a float64 mean per pulse, 21.0); each other bound is the
+# measured peak plus 0.75 B/pulse, as above.
+ATTACK_PEAK_BOUNDS = {"intercept-resend": 13.03 + 0.75, "beam-split": 6.0,
+                      "mode-discrimination": 21.04 + 0.75, "trojan": 10.04 + 0.75,
+                      "bright-light": 6.17 + 0.75}
+
+
+@pytest.mark.parametrize("kind", sorted(ATTACK_PEAK_BOUNDS))
+def test_attacked_session_peak_per_pulse(kind):
+    # A small session first, so that the traced one holds no first-use
+    # imports of the attack's path.
+    run_session(SessionConfig(n_pulses=3000, seed=2), ATTACK_KINDS[kind]())
+    n = 2**18
+    peak = _traced_peak(run_session, SessionConfig(n_pulses=n, seed=2), ATTACK_KINDS[kind]())
+    assert peak <= ATTACK_PEAK_BOUNDS[kind] * n, peak / n
+
+
 def test_monitors_keep_no_per_gate_record():
     # Each monitor counts its gates per table entry, a block at a time, and
     # draws one binomial per entry; sample_clicks draws one binomial.  A
@@ -716,7 +734,8 @@ def test_every_default_train_reaches_the_interferometers_as_a_table(monkeypatch,
     # A train with more levels would take a wider index, or per-pair columns
     # once its table outnumbers the pairs: correct, but slower on the attacks.
     # Recorded: the table the session draws from, and the column each block
-    # of candidate pairs reads in it.
+    # of candidate pairs reads in it.  Bright light's table has five flat
+    # outcome rows, so its candidates read no column at all.
     tables, columns = [], []
     real_probs, real_columns = protocol.state_pair_probs, protocol._pair_columns
 
@@ -736,5 +755,8 @@ def test_every_default_train_reaches_the_interferometers_as_a_table(monkeypatch,
     run_session(SessionConfig(n_pulses=3000, seed=5), cls() if cls else None)
     [(shape, entries)] = tables
     assert shape == (4, entries) and entries <= 256
-    assert columns and set(columns) == {np.dtype(np.uint8)}
+    if kind == "bright-light":
+        assert columns == []
+    else:
+        assert columns and set(columns) == {np.dtype(np.uint8)}
 
