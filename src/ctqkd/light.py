@@ -166,17 +166,6 @@ def _distinct(kind: np.ndarray, param: np.ndarray):
             np.array(index, dtype=_index_dtype(len(first))))
 
 
-def _unique_inverse(values: np.ndarray):
-    """np.unique(values, return_inverse=True) of a 1-D integer column:
-    counted, not sorted, when the values span no more than their number."""
-    low = values.min()
-    if values.max() - low >= values.size:
-        unique, inverse = np.unique(values, return_inverse=True)
-        return unique, inverse.ravel()
-    present = np.bincount(values - low) > 0
-    return np.flatnonzero(present) + low, (np.cumsum(present) - 1).take(values - low)
-
-
 def _relevel(level: np.ndarray, new: np.ndarray) -> np.ndarray:
     """new[level]; level itself when new renumbers nothing."""
     if level.dtype == new.dtype and np.array_equal(new, np.arange(new.size)):
@@ -292,12 +281,12 @@ class FieldArray:
         # a level after the kept ones.
         numbers = np.where(fock, self.param, 0.0).astype(np.int64)
         drawn = rng.binomial(numbers.take(self.level.take(pulses)), t)
-        photons, fock_level = _unique_inverse(drawn)
+        photons, fock_level = np.unique(drawn, return_inverse=True)
         keep = np.flatnonzero(~fock)
         new = np.zeros(fock.size, dtype=_index_dtype(keep.size + photons.size))
         new[keep] = np.arange(keep.size)  # each kept level's new index
         level = gather(new, self.level)
-        level[pulses] = keep.size + fock_level
+        level[pulses] = keep.size + fock_level.ravel()
         return FieldArray(level, self.quarter,
                           np.concatenate([self.kind[keep], np.full(photons.size, KIND_FOCK)]),
                           np.concatenate([param[keep], photons]))

@@ -486,8 +486,8 @@ def _states(level: np.ndarray, quarter: np.ndarray, n_levels: int) -> np.ndarray
 
 def _pair_columns(out1: FieldArray, cand: np.ndarray, n_states: int) -> np.ndarray:
     """The column s_prev * n_states + s_curr of each candidate pair of out1
-    in a (4, n_states**2) table, in the narrowest unsigned type that holds
-    it, from the states at pulses cand and cand + 1: one slice when the
+    in a (4, n_states**2) table, as intp (the index type take reads without
+    a cast), from the states at pulses cand and cand + 1: one slice when the
     candidates are consecutive (cand is ascending and distinct).  The
     states at cand + 1 are taken at cand from the columns shifted by one,
     so no second index is built."""
@@ -498,7 +498,7 @@ def _pair_columns(out1: FieldArray, cand: np.ndarray, n_states: int) -> np.ndarr
     else:
         s_prev = _states(level.take(cand), quarter.take(cand), n_levels)
         s_curr = _states(level[1:].take(cand), quarter[1:].take(cand), n_levels)
-    column = np.multiply(s_prev, n_states, dtype=np.min_scalar_type(n_states * n_states - 1))
+    column = np.multiply(s_prev, n_states, dtype=np.intp)
     column += s_curr
     return column
 
@@ -582,8 +582,7 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     for cand in candidate_blocks(m, q_max, rng):
         u = rng.random(cand.size)
         if not all(flat):
-            # take casts a narrow index to intp on every call: cast once.
-            state = _pair_columns(out1, cand, n_states).astype(np.intp) if tabulated else cand
+            state = _pair_columns(out1, cand, n_states) if tabulated else cand
         # 0-3: a single click at that detector, 4: a double, 5: none
         outcome = np.zeros(cand.size, dtype=np.uint8)
         for row, row_flat in zip(cum, flat):

@@ -143,9 +143,8 @@ def test_attenuate_fock_thins_binomially():
 def test_fock_thinning_draws_each_pulse_in_order(numbers):
     # One binomial per Fock pulse, in pulse order, whether the train holds
     # one photon number or several; each number drawn becomes a level after
-    # the kept one, in ascending order, whether the numbers drawn are
-    # counted (a narrow span) or sorted (a span of about 10**8 around
-    # 0.6 * 2**53).
+    # the kept one, in ascending order, whether the numbers drawn are small
+    # or about 0.6 * 2**53.
     n = 3000
     table = FieldArray.from_fields([Thermal(0.5)] + [FockN(k) for k in numbers])
     level = np.random.default_rng(len(numbers)).integers(0, table.kind.size, n)

@@ -731,10 +731,10 @@ def test_stages_build_new_batches_that_share_unchanged_arrays():
 
 @pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
 def test_every_default_train_reaches_the_interferometers_as_a_table(monkeypatch, kind):
-    # A train with more levels would take a wider index, or per-pair columns
-    # once its table outnumbers the pairs: correct, but slower on the attacks.
-    # Recorded: the table the session draws from, and the column each block
-    # of candidate pairs reads in it.  Bright light's table has five flat
+    # A train with more levels would read per-pair columns once its table
+    # outnumbers the pairs.  Recorded: the table the session draws from, and
+    # the column each block of candidate pairs reads in it (intp, the index
+    # type take reads without a cast).  Bright light's table has five flat
     # outcome rows, so its candidates read no column at all.
     tables, columns = [], []
     real_probs, real_columns = protocol.state_pair_probs, protocol._pair_columns
@@ -758,5 +758,5 @@ def test_every_default_train_reaches_the_interferometers_as_a_table(monkeypatch,
     if kind == "bright-light":
         assert columns == []
     else:
-        assert columns and set(columns) == {np.dtype(np.uint8)}
+        assert columns and set(columns) == {np.dtype(np.intp)}
 
