@@ -29,7 +29,6 @@ from .detector import (
     click_prob_state,
     click_prob_thermal,
     power_test,
-    sample_clicks,
     samples_needed,
 )
 from .light import Blinding, Coherent, FockN, LightField, Thermal, Vacuum

@@ -128,14 +128,14 @@ def discrimination_error(p_a: float, p_b: float, n: int, trials: int,
     return 0.5 * float(err_a + err_b)
 
 
-def distinguishability_curve(mu_t: float, mu_c: float, det: DetectorModel,
+def distinguishability_curve(mu_thermal: float, mu_coherent: float, det: DetectorModel,
                              n_grid: Sequence[int], rng: np.random.Generator,
                              trials: int = 2000) -> list[dict]:
     """Error of telling n thermal click samples from n coherent ones, for each
     n in the grid.  Decreases toward zero as n grows whenever the two click
     probabilities differ; stays at 1/2 when they coincide."""
-    require_real("mu_t", mu_t, 0.0, math.inf, "[)")
-    require_real("mu_c", mu_c, 0.0, math.inf, "[)")
+    require_real("mu_thermal", mu_thermal, 0.0, math.inf, "[)")
+    require_real("mu_coherent", mu_coherent, 0.0, math.inf, "[)")
     # Generator.binomial takes sizes up to intp's largest value, counts up to int64's.
     trials = require_int("trials", trials, 1, np.iinfo(np.intp).max)
     if len(n_grid) == 0:
@@ -146,8 +146,8 @@ def distinguishability_curve(mu_t: float, mu_c: float, det: DetectorModel,
     except ConfigError:
         raise ConfigError(f"n_grid must hold sample counts that are integers in [1, {n_max}], "
                           f"got {tuple(n_grid)}") from None
-    p_t = click_prob_thermal(det, mu_t)
-    p_c = click_prob_coherent(det, mu_c)
+    p_t = click_prob_thermal(det, mu_thermal)
+    p_c = click_prob_coherent(det, mu_coherent)
     return [{
         "n_samples": n,
         "p_thermal": p_t,

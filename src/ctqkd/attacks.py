@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .detector import DetectorModel, click_prob, require_real
-from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField, _select, gather, level_pairs
+from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField, _select, level_pairs
 from .protocol import (
     ConfigError,
     PulseBatch,
@@ -155,10 +155,9 @@ class InterceptResend(Attack):
         require_real("resend_mu", self.resend_mu, 0.0, math.inf)
 
     def apply_return(self, batch, carry, cfg, rng):
-        out1, out2 = batch.out1, batch.out2
-        # The phase of whichever mode holds the coherent state.
-        coherent_in_1 = gather(out1.kind == KIND_COHERENT, out1.level).view(np.uint8)
-        delta_true = np.diff(_select(coherent_in_1, out1.quarter, out2.quarter)) & 3
+        # With no forward hook she finds the honest train: output 1 holds
+        # the coherent state on every pulse, and its phases are Bob's.
+        delta_true = np.diff(batch.out1.quarter) & 3
         basis, delta_hat, bits = _dps_phase_estimates(delta_true, rng)
         basis_matches = int(((delta_true & 1) == basis).sum())
         resend = _resend_train(delta_hat, self.resend_mu)
@@ -274,11 +273,14 @@ class ModeDiscrimination(Attack):
         # secret is 0.
         on_1 = guess_h ^ secret.view(bool)
 
-        measured = FieldArray.where(on_1, batch.out1, batch.out2)
-        truly_coherent = gather(measured.kind == KIND_COHERENT, measured.level)
-        delta_true = np.diff(measured.quarter) & 3
-        informative = truly_coherent[:-1] & truly_coherent[1:]
-        _, delta_hat, bits = _dps_phase_estimates(delta_true, rng, informative)
+        # With no forward hook she finds the honest train, coherent on
+        # output 1 and thermal on output 2, so she measures coherent light
+        # exactly where she guessed output 1.  Only a pair measured on
+        # output 1 at both pulses is informative, and only there is its
+        # phase difference read: output 1's is Bob's.  Both columns are
+        # freed once her estimates are made.
+        _, delta_hat, bits = _dps_phase_estimates(np.diff(batch.out1.quarter) & 3, rng,
+                                                  on_1[:-1] & on_1[1:])
 
         resend = _resend_train(delta_hat, self.resend_mu)
         out = batch.with_fields(

@@ -11,6 +11,7 @@ the single configured seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -143,12 +144,25 @@ def _output_path(out_dir: str, command: str, seed: int, ext: str) -> str:
     return os.path.join(out_dir, f"{command}_{stamp}_{seed}.{ext}")
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, text: str) -> str:
+    """Write text to a temporary file and publish it whole under path, or,
+    if path exists, under the first free <stem>_<k>.<ext> (k = 1, 2, ...):
+    a hard link never replaces a file, so two runs in one second with one
+    seed keep both outputs.  Returns the path published."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    stem, ext = os.path.splitext(path)
+    try:
+        for k in itertools.count(1):
+            try:
+                os.link(tmp, path)
+                return path
+            except FileExistsError:
+                path = f"{stem}_{k}{ext}"
+    finally:
+        os.remove(tmp)
 
 
 def cmd_states(values: dict, out) -> int:
@@ -181,8 +195,7 @@ def cmd_session(values: dict, out_dir: str, out) -> int:
     cfg = build_session_config(values)
     attack = build_attack(values)
     result = run_session(cfg, attack)
-    path = _output_path(out_dir, "session", cfg.seed, "json")
-    _write_atomic(path, result.to_json() + "\n")
+    path = _write_atomic(_output_path(out_dir, "session", cfg.seed, "json"), result.to_json() + "\n")
     print(result.summary_line(), file=out)
     print(f"wrote {path}", file=out)
     return EXIT_OK if result.alarm == ALARM_NONE else EXIT_ALARM
@@ -197,8 +210,7 @@ def cmd_attack(values: dict, out_dir: str, out) -> int:
         {"label": "baseline", **eve_information_summary(baseline)},
         {"label": "attacked", **eve_information_summary(attacked)},
     ]
-    path = _output_path(out_dir, "attack", cfg.seed, "csv")
-    _write_atomic(path, export_csv(rows))
+    path = _write_atomic(_output_path(out_dir, "attack", cfg.seed, "csv"), export_csv(rows))
     for row in rows:
         print(
             f"{row['label']}: attack={row['attack']} qber={row['qber']} "
@@ -223,14 +235,9 @@ def cmd_sweep(values: dict, out_dir: str, out) -> int:
     )
     points = run_sweep(spec)
     rows = [{"parameter": spec.parameter, **p.to_dict()} for p in points]
-    path = _output_path(out_dir, "sweep", cfg.seed, "csv")
-    _write_atomic(path, export_csv(rows))
+    path = _write_atomic(_output_path(out_dir, "sweep", cfg.seed, "csv"), export_csv(rows))
     print(f"wrote {path} ({len(rows)} points)", file=out)
     return EXIT_OK
-
-
-# distinguish.* keys named unlike their distinguishability_curve argument.
-_DISTINGUISH_RENAMED = {"mu_t": "mu_thermal", "mu_c": "mu_coherent"}
 
 
 def cmd_distinguish(values: dict, out_dir: str, out) -> int:
@@ -243,11 +250,9 @@ def cmd_distinguish(values: dict, out_dir: str, out) -> int:
             values.get("distinguish.n_grid", (1, 10, 100, 1000, 10000, 100000)),
             np.random.default_rng(seed), values.get("distinguish.trials", 2000))
     except ConfigError as exc:
-        # Each message starts with the argument it is about: name its key.
-        name, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"distinguish.{_DISTINGUISH_RENAMED.get(name, name)} {rest}") from exc
-    path = _output_path(out_dir, "distinguish", seed, "csv")
-    _write_atomic(path, export_csv(rows))
+        # Each message starts with the argument it is about, named as its key.
+        raise ConfigError(f"distinguish.{exc}") from exc
+    path = _write_atomic(_output_path(out_dir, "distinguish", seed, "csv"), export_csv(rows))
     print(f"wrote {path} ({len(rows)} points)", file=out)
     return EXIT_OK
 

@@ -152,16 +152,6 @@ def click_prob_state(det: DetectorModel, rho: DensityMatrix) -> float:
     return click_prob(det.dark_prob, float(rho.diagonal() @ weights))
 
 
-def sample_clicks(p_click: float, n_gates: int, rng: np.random.Generator) -> ClickStream:
-    """Click count of n_gates independent Bernoulli(p_click) gates: one
-    binomial draw, the monitors' law."""
-    if not 0.0 <= p_click <= 1.0:
-        raise ValueError(f"click probability must be in [0, 1], got {p_click}")
-    if n_gates < 1:
-        raise ValueError(f"n_gates must be >= 1, got {n_gates}")
-    return ClickStream(int(rng.binomial(n_gates, p_click)), n_gates)
-
-
 def band_power(p):
     """The band-power statistic P(1-P) of click probability p: the
     normalized fixed-band electrical power of the detector output.  Of a

@@ -147,8 +147,6 @@ def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a where mask (uint8 0 or 1) else b, for integer columns of one dtype."""
-    if a is b:
-        return a
     out = np.bitwise_xor(a, b)
     out *= mask
     out ^= b

@@ -92,9 +92,12 @@ class PulseBatch:
     in the channel's H mode.  out1 and out2 hold the fields as they
     propagate, each in the mode that lands on Alice's output 1 or 2 when
     she separates the modes: on an honest train the coherent and the
-    thermal state.  separate_modes(mode_secret, out1, out2) gives the
-    channel's H and V modes.  bob_quarter (uint8) is None until Bob's
-    phases are applied (modulate_batch).
+    thermal state.  Loss and Bob's modulator keep each pulse's kind, so an
+    attack with no forward hook finds, at its return hook, every pulse of
+    output 1 at a coherent level and every pulse of output 2 at a thermal
+    level.  separate_modes(mode_secret, out1, out2) gives the channel's H
+    and V modes.  bob_quarter (uint8) is None until Bob's phases are
+    applied (modulate_batch).
     """
 
     __slots__ = ("mode_secret", "out1", "out2", "bob_quarter")
@@ -358,17 +361,13 @@ def sample_blocked(table: np.ndarray, index: np.ndarray, rng: np.random.Generato
 
 def entry_counts(index: np.ndarray, size: int) -> np.ndarray:
     """How many elements of an unsigned index hold each entry of a table of
-    size entries, as intp: np.bincount(index, minlength=size).  The index is
-    counted a block at a time, as bincount casts it to intp; a table of at
-    most two entries, as on every honest train, counts the nonzero entries
-    instead, many times faster."""
+    size entries, as intp: np.bincount(index, minlength=size).  A table of
+    at most two entries, as every session builds, counts the nonzero
+    entries instead, many times faster and with no intp copy of the index."""
     if size <= 2:
         ones = np.count_nonzero(index)
         return np.array([index.size - ones, ones][:size], dtype=np.intp)
-    counts = np.zeros(size, dtype=np.intp)
-    for i, j in blocks(index.size):
-        counts += np.bincount(index[i:j], minlength=size)
-    return counts
+    return np.bincount(index, minlength=size)
 
 
 def monitor_clicks(table: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> ClickStream:
@@ -487,17 +486,12 @@ def _states(level: np.ndarray, quarter: np.ndarray, n_levels: int) -> np.ndarray
 def _pair_columns(out1: FieldArray, cand: np.ndarray, n_states: int) -> np.ndarray:
     """The column s_prev * n_states + s_curr of each candidate pair of out1
     in a (4, n_states**2) table, as intp (the index type take reads without
-    a cast), from the states at pulses cand and cand + 1: one slice when the
-    candidates are consecutive (cand is ascending and distinct).  The
-    states at cand + 1 are taken at cand from the columns shifted by one,
-    so no second index is built."""
-    k, level, quarter, n_levels = cand.size, out1.level, out1.quarter, out1.kind.size
-    if k and cand[-1] - cand[0] + 1 == k:
-        state = _states(level[cand[0]:cand[-1] + 2], quarter[cand[0]:cand[-1] + 2], n_levels)
-        s_prev, s_curr = state[:-1], state[1:]
-    else:
-        s_prev = _states(level.take(cand), quarter.take(cand), n_levels)
-        s_curr = _states(level[1:].take(cand), quarter[1:].take(cand), n_levels)
+    a cast), from the states at pulses cand and cand + 1.  The states at
+    cand + 1 are taken at cand from the columns shifted by one, so no
+    second index is built."""
+    level, quarter, n_levels = out1.level, out1.quarter, out1.kind.size
+    s_prev = _states(level.take(cand), quarter.take(cand), n_levels)
+    s_curr = _states(level[1:].take(cand), quarter[1:].take(cand), n_levels)
     column = np.multiply(s_prev, n_states, dtype=np.intp)
     column += s_curr
     return column

@@ -18,7 +18,6 @@ from ctqkd.detector import (
     click_prob_coherent,
     click_prob_state,
     click_prob_thermal,
-    sample_clicks,
     samples_needed,
 )
 from ctqkd.fock import (
@@ -35,6 +34,7 @@ from ctqkd.light import Coherent, FockN
 from ctqkd.protocol import SessionConfig, run_session
 
 from test_attacks import intercept_resend_enumeration, prepared_modes
+from test_detector import sample_clicks
 
 T40 = TruncationConfig(n_max=40)
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)

@@ -23,7 +23,7 @@ from ctqkd.attacks import (
     mode_discrimination_batch,
 )
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
-from ctqkd.light import KIND_COHERENT, KIND_VACUUM, Coherent, FieldArray, FockN, Thermal
+from ctqkd.light import KIND_COHERENT, KIND_THERMAL, KIND_VACUUM, Coherent, FieldArray, FockN, Thermal
 from ctqkd.protocol import (
     ALARM_BOB_POWER,
     ConfigError,
@@ -430,6 +430,25 @@ def test_attack_params_are_init_fields_and_state_resets():
 
 
 FIVE_ATTACKS = (InterceptResend, BeamSplit, ModeDiscrimination, TrojanHorse, BrightLight)
+
+
+@pytest.mark.parametrize("mu_coherent", [0.2, 0.0])
+@pytest.mark.parametrize("kind", [InterceptResend, BeamSplit, ModeDiscrimination, BrightLight])
+def test_return_hook_after_no_forward_hook_finds_coherent_output_1(monkeypatch, kind, mu_coherent):
+    # Intercept-resend and mode discrimination read output 1 as the
+    # coherent light and output 2 as the thermal light, pulse for pulse.
+    assert kind.apply_forward is Attack.apply_forward
+    seen, real = [], kind.apply_return
+
+    def apply_return(self, batch, *args):
+        seen.append(batch)
+        return real(self, batch, *args)
+
+    monkeypatch.setattr(kind, "apply_return", apply_return)
+    run_session(SessionConfig(n_pulses=3000, seed=4, mu_coherent=mu_coherent), kind())
+    [batch] = seen
+    assert np.all(_dense(batch.out1)[0] == KIND_COHERENT)
+    assert np.all(_dense(batch.out2)[0] == KIND_THERMAL)
 
 
 @pytest.mark.parametrize("kind", FIVE_ATTACKS)

@@ -353,7 +353,7 @@ def test_sample_blocked_asks_for_each_gate_once_in_order(n):
 @pytest.mark.parametrize("size", [1, 2, 3, 257])
 def test_entry_counts_equal_one_whole_array_bincount(size, n):
     # Tables of at most two entries count the nonzero entries; larger ones
-    # count a block at a time.
+    # take one bincount over the whole index.
     rng = np.random.default_rng(size * n)
     index = rng.integers(0, size, n).astype(np.min_scalar_type(size - 1))
     index[-1] = size - 1  # the last entry is held, at the last element

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,20 @@ def test_session_json_content(tmp_path):
     doc = json.loads(open(os.path.join(out_dir, name)).read())
     assert doc["alarm"] == "none"
     assert doc["config"]["seed"] == 5
+
+
+def test_runs_in_one_second_with_one_seed_keep_both_outputs(tmp_path, capsys, monkeypatch):
+    frozen = time.gmtime()
+    monkeypatch.setattr(time, "gmtime", lambda *args: frozen)
+    out_dir = tmp_path / "out"
+    for pulses in (10000, 12000):
+        main(["session", "--seed", "5", "--pulses", str(pulses), "--out-dir", str(out_dir)])
+    stamp = time.strftime("%Y%m%d%H%M%S", frozen)
+    names = [f"session_{stamp}_5.json", f"session_{stamp}_5_1.json"]
+    assert sorted(os.listdir(out_dir)) == names
+    assert [json.loads((out_dir / name).read_text())["config"]["n_pulses"] for name in names] == [10000, 12000]
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {out_dir / name}" for name in names]
 
 
 def test_attack_command(tmp_path, capsys):

@@ -21,7 +21,6 @@ from ctqkd.detector import (
     power_test,
     require_int,
     require_real,
-    sample_clicks,
     samples_needed,
 )
 from ctqkd.fock import TruncationConfig, coherent_state, fock_state, thermal_state
@@ -131,6 +130,13 @@ def test_click_probabilities_monotone():
                 assert np.all(np.diff(vals) >= -1e-15)
             vals = [f(DetectorModel(0.3, pd), mu) for pd in pds]
             assert np.all(np.diff(vals) >= -1e-15)
+
+
+def sample_clicks(p_click, n_gates, rng):
+    """Click count of n_gates gates that each click with probability
+    p_click: the monitors' draw (protocol.monitor_clicks) over a one-entry
+    table."""
+    return protocol.monitor_clicks(np.array([p_click]), np.zeros(n_gates, dtype=np.uint8), rng)
 
 
 def test_sample_clicks_degenerate_and_deterministic():

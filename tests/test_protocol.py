@@ -11,7 +11,7 @@ from scipy.stats import chi2_contingency
 
 from ctqkd import protocol
 from ctqkd.attacks import ATTACK_KINDS
-from ctqkd.detector import DetectorModel, click_prob, sample_clicks, samples_needed
+from ctqkd.detector import DetectorModel, click_prob, samples_needed
 from ctqkd.light import (
     KIND_COHERENT,
     KIND_THERMAL,
@@ -585,9 +585,13 @@ def test_honest_session_peak_stays_below_alice_outputs():
 # Bounds on the traced peak of an attacked session at 2**18 pulses, in
 # B/pulse.  Beam-split counts its pulses per pair of levels and peaks at
 # 5.27 (gathering a float64 mean per pulse, 21.0); each other bound is the
-# measured peak plus 0.75 B/pulse, as above.
-ATTACK_PEAK_BOUNDS = {"intercept-resend": 13.03 + 0.75, "beam-split": 6.0,
-                      "mode-discrimination": 21.04 + 0.75, "trojan": 10.04 + 0.75,
+# measured peak plus 0.75 B/pulse, as above.  Intercept-resend and mode
+# discrimination read output 1's phases as the coherent light's, and mode
+# discrimination frees its phase differences and informative mask once
+# Eve's estimates are made (13.03 and 21.04 when they selected the phases
+# pulse by pulse from both outputs and held every column to the end).
+ATTACK_PEAK_BOUNDS = {"intercept-resend": 12.02 + 0.75, "beam-split": 6.0,
+                      "mode-discrimination": 16.03 + 0.75, "trojan": 10.04 + 0.75,
                       "bright-light": 6.17 + 0.75}
 
 
@@ -602,10 +606,9 @@ def test_attacked_session_peak_per_pulse(kind):
 
 
 def test_monitors_keep_no_per_gate_record():
-    # Each monitor counts its gates per table entry, a block at a time, and
-    # draws one binomial per entry; sample_clicks draws one binomial.  A
-    # bool record of every gate would take 1 B/gate, and Alice's output 2
-    # 2 B/gate.
+    # Each monitor counts its gates per table entry and draws one binomial
+    # per entry; on a one-entry table that is one binomial.  A bool record
+    # of every gate would take 1 B/gate, and Alice's output 2 2 B/gate.
     n = 2**20
     cfg = SessionConfig(n_pulses=n, seed=2)
     rng = np.random.default_rng(cfg.seed)
@@ -614,8 +617,8 @@ def test_monitors_keep_no_per_gate_record():
     for monitor in (bob_monitor_tap, alice_thermal_monitor):
         peak = _traced_peak(monitor, batch, cfg, rng)
         assert peak < 0.5 * n, (monitor.__name__, peak / n)
-    peak = _traced_peak(sample_clicks, 0.3, n, rng)
-    assert peak < 0.5 * n, ("sample_clicks", peak / n)
+    peak = _traced_peak(protocol.monitor_clicks, np.array([0.3]), np.zeros(n, dtype=np.uint8), rng)
+    assert peak < 0.5 * n, ("one-entry table", peak / n)
 
 
 def test_config_validation():
