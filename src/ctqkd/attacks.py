@@ -45,7 +45,6 @@ from .protocol import (
     SiftOutcome,
     entry_counts,
     fair_bits,
-    modulate_batch,
     sample_blocked,
     separate_modes,
 )
@@ -270,8 +269,8 @@ class ModeDiscrimination(Attack):
         guess_h, bayes_error = mode_discrimination_batch(
             *separate_modes(secret, batch.out1, batch.out2), self.eve_det, rng)
         # 1 where her guessed mode is output 1: H is output 1 where the mode
-        # secret is 0.
-        on_1 = guess_h ^ secret.view(bool)
+        # secret is 0.  Made in place, as the guess is not needed again.
+        on_1 = np.bitwise_xor(guess_h, secret.view(bool), out=guess_h)
 
         # With no forward hook she finds the honest train, coherent on
         # output 1 and thermal on output 2, so she measures coherent light
@@ -338,7 +337,10 @@ class TrojanHorse(Attack):
         (zero_1, one_1), (zero_2, one_2) = out1.few_photon_probs(), out2.few_photon_probs()
         at_most_one = zero_1[level_1] * (zero_2 + one_2)[level_2] + one_1[level_1] * zero_2[level_2]
         learned = sample_blocked(1.0 - at_most_one, index, rng)
-        out = modulate_batch(held, batch.bob_quarter * learned)
+        # She turns Alice's held train by the phases she learned; the batch
+        # still carries Bob's own.
+        applied = batch.bob_quarter * learned
+        out = batch.with_fields(held.out1.phase_shifted(applied), held.out2.phase_shifted(applied))
         return out.propagated(1.0 - cfg.tap_reflectance, rng), learned
 
     def finalize_report(self, learned, sift, rng):

@@ -257,26 +257,31 @@ def cmd_distinguish(values: dict, out_dir: str, out) -> int:
     return EXIT_OK
 
 
+# Override flag, by its dest -> (type, the configuration key it sets).
+_OVERRIDES = {"seed": (int, "session.seed"), "attack": (str, "attack.kind"),
+              "pulses": (int, "session.n_pulses"), "z_threshold": (float, "session.z_threshold")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctqkd",
         description="Monte Carlo simulator for a coherent/thermal two-layer QKD link",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("states", "tabulate state distances, overlaps and kernel checks over a mean-photon grid"),
-        ("session", "run one session and write its JSON result"),
-        ("attack", "run matched baseline and attacked sessions, write a comparison CSV"),
-        ("sweep", "sweep one parameter over a grid of sessions, write a CSV curve"),
-        ("distinguish", "Monte Carlo distinguishability vs sample count, write a CSV curve"),
+    # Each command takes only the overrides it reads.
+    for name, overrides, help_text in [
+        ("states", (), "tabulate state distances, overlaps and kernel checks over a mean-photon grid"),
+        ("session", _OVERRIDES, "run one session and write its JSON result"),
+        ("attack", _OVERRIDES, "run matched baseline and attacked sessions, write a comparison CSV"),
+        ("sweep", _OVERRIDES, "sweep one parameter over a grid of sessions, write a CSV curve"),
+        ("distinguish", ("seed",), "Monte Carlo distinguishability vs sample count, write a CSV curve"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key-value configuration file")
-        p.add_argument("--seed", type=int, help="override session.seed")
         p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--attack", help="override attack.kind")
-        p.add_argument("--pulses", type=int, help="override session.n_pulses")
-        p.add_argument("--z-threshold", type=float, help="override session.z_threshold")
+        for dest in overrides:
+            kind, key = _OVERRIDES[dest]
+            p.add_argument("--" + dest.replace("_", "-"), type=kind, help=f"override {key}")
     return parser
 
 
@@ -284,10 +289,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         values = parse_config_file(args.config) if args.config else {}
-        for flag, key in (("seed", "session.seed"), ("attack", "attack.kind"),
-                          ("pulses", "session.n_pulses"), ("z_threshold", "session.z_threshold")):
-            if getattr(args, flag) is not None:
-                values[key] = getattr(args, flag)
+        for dest, (_, key) in _OVERRIDES.items():
+            if getattr(args, dest, None) is not None:
+                values[key] = getattr(args, dest)
         if args.command == "states":
             return cmd_states(values, sys.stdout)
         commands = {"session": cmd_session, "attack": cmd_attack, "sweep": cmd_sweep,

@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fock import DensityMatrix
+if TYPE_CHECKING:  # fock imports this module's range checks
+    from .fock import DensityMatrix
 
 
 class ConfigError(ValueError):
@@ -72,13 +74,8 @@ class ClickStream:
     n_gates: int
 
     def __post_init__(self):
-        for name in ("clicks", "n_gates"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 0 <= self.clicks <= self.n_gates:
-            raise ValueError(f"clicks must be in [0, n_gates={self.n_gates}], got {self.clicks}")
+        object.__setattr__(self, "n_gates", require_int("n_gates", self.n_gates, 0))
+        object.__setattr__(self, "clicks", require_int("clicks", self.clicks, 0, self.n_gates))
 
     def frequency(self) -> float:
         if self.n_gates == 0:
@@ -123,8 +120,7 @@ def click_prob(dark_prob, *noclick_factors):
 def click_prob_thermal(det: DetectorModel, mu_t: float) -> float:
     """Avalanche probability under thermal light of mean photon number mu_t:
     1 - (1 - dark_prob) / (1 + eta mu_t)."""
-    if mu_t < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu_t}")
+    require_real("mu_t", mu_t, 0.0, math.inf, "[)")
     # Kept as a quotient: (1 - dark_prob) * (1 / (1 + eta mu_t)) through
     # click_prob differs in the last bit for about one input in five, and
     # this value is the thermal monitor's expectation in every session.
@@ -134,8 +130,7 @@ def click_prob_thermal(det: DetectorModel, mu_t: float) -> float:
 def click_prob_coherent(det: DetectorModel, mu: float) -> float:
     """Avalanche probability under coherent light of mean photon number mu:
     1 - (1 - dark_prob) exp(-eta mu)."""
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
+    require_real("mu", mu, 0.0, math.inf, "[)")
     return click_prob(det.dark_prob, math.exp(-det.eta * mu))
 
 
@@ -167,8 +162,7 @@ def power_test(stream: ClickStream, expected_p: float, z_threshold: float) -> Po
     passes iff |z| <= z_threshold.  The band statistic is reported alongside
     because detector blinding is most visible there.
     """
-    if not 0.0 < expected_p < 1.0:
-        raise ValueError(f"expected_p must be strictly inside (0, 1), got {expected_p}")
+    require_real("expected_p", expected_p, 0.0, 1.0)
     p_hat = stream.frequency()
     sigma = math.sqrt(expected_p * (1.0 - expected_p) / stream.n_gates)
     z = (p_hat - expected_p) / sigma
@@ -188,9 +182,8 @@ def samples_needed(p_a: float, p_b: float, z: float) -> int:
     with z-sigma separation on both sides.  The closer the rates, the larger
     the count; equal rates are not distinguishable by any finite n.
     """
-    for name, p in (("p_a", p_a), ("p_b", p_b)):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"{name} must be strictly inside (0, 1), got {p}")
+    require_real("p_a", p_a, 0.0, 1.0)
+    require_real("p_b", p_b, 0.0, 1.0)
     if p_a == p_b:
         raise NotDistinguishableError("p_a == p_b: no finite sample count distinguishes them")
     spread = math.sqrt(p_a * (1.0 - p_a)) + math.sqrt(p_b * (1.0 - p_b))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import require_int, require_real
+
 HERMITICITY_TOL = 1e-12
 PSD_TOL = -1e-10
 IMAG_TOL = 1e-10
@@ -37,10 +39,8 @@ class TruncationConfig:
     tol_trace: float = 1e-10
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if not (0.0 < self.tol_trace < 1.0):
-            raise ValueError(f"tol_trace must be in (0, 1), got {self.tol_trace}")
+        require_int("n_max", self.n_max, 1)
+        require_real("tol_trace", self.tol_trace, 0.0, 1.0)
 
     @property
     def dim(self) -> int:
@@ -102,8 +102,7 @@ def coherent_state(alpha: complex, trunc: TruncationConfig = DEFAULT_TRUNCATION)
     """
     alpha = complex(alpha)
     mean = abs(alpha) * abs(alpha)
-    if not math.isfinite(mean):
-        raise ValueError(f"mean photon number |alpha|^2 must be finite, got {mean}")
+    require_real("|alpha|^2", mean, 0.0, math.inf, "[)")
     c = np.zeros(trunc.dim, dtype=np.complex128)
     c[0] = 1.0
     for n in range(1, trunc.dim):
@@ -120,8 +119,7 @@ def thermal_state(mu_t: float, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> 
     Diagonal in the Fock basis with weights mu_t^n / (1+mu_t)^(n+1); all
     off-diagonal entries are exactly zero.
     """
-    if not 0.0 <= mu_t < math.inf:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mu_t}")
+    require_real("mu_t", mu_t, 0.0, math.inf, "[)")
     n = np.arange(trunc.dim)
     if mu_t == 0.0:
         p = np.zeros(trunc.dim)
@@ -137,8 +135,7 @@ def thermal_state(mu_t: float, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> 
 
 def fock_state(n: int, trunc: TruncationConfig = DEFAULT_TRUNCATION) -> DensityMatrix:
     """Photon-number eigenstate projector |n><n|."""
-    if not 0 <= n <= trunc.n_max:
-        raise ValueError(f"photon number {n} outside truncated basis 0..{trunc.n_max}")
+    n = require_int("n", n, 0, trunc.n_max)
     m = np.zeros((trunc.dim, trunc.dim), dtype=np.complex128)
     m[n, n] = 1.0
     return DensityMatrix(m)
@@ -149,8 +146,7 @@ def phase_shift(rho: DensityMatrix, phi: float) -> DensityMatrix:
 
     Leaves the spectrum untouched; diagonal states are exactly invariant.
     """
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi}")
+    require_real("phi", phi)
     n = np.arange(rho.dim)
     # phase factor built from n - m so the diagonal stays exactly 1
     factor = np.exp(1j * phi * (n[:, None] - n[None, :]))
@@ -166,9 +162,8 @@ def attenuate(rho: DensityMatrix, transmittance: float) -> DensityMatrix:
     truncated space.  Coherent states map to coherent states of amplitude
     sqrt(T) alpha and thermal states to thermal states of mean T mu.
     """
+    require_real("transmittance", transmittance, 0.0, 1.0, "[]")
     t = float(transmittance)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmittance must be in [0, 1], got {t}")
     if t == 1.0:
         return rho
     dim = rho.dim
@@ -212,8 +207,7 @@ def expectation(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def overlap_coherent_thermal(alpha: complex, mu_t: float) -> float:
     """Closed-form <alpha| rho_thermal |alpha> = exp(-|alpha|^2/(1+mu_t)) / (1+mu_t)."""
-    if mu_t < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu_t}")
+    require_real("mu_t", mu_t, 0.0, math.inf, "[)")
     return math.exp(-abs(alpha) ** 2 / (1.0 + mu_t)) / (1.0 + mu_t)
 
 

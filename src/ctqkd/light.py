@@ -20,11 +20,12 @@ a threshold detector: its click probability ignores efficiency and loss.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .detector import require_int, require_real
 
 KIND_VACUUM = 0
 KIND_COHERENT = 1
@@ -79,8 +80,7 @@ class Thermal:
     mean_photons: float
 
     def __post_init__(self):
-        if not 0.0 <= self.mean_photons < math.inf:
-            raise ValueError(f"mean photon number must be finite, >= 0, got {self.mean_photons}")
+        require_real("mean_photons", self.mean_photons, 0.0, math.inf, "[)")
 
 
 # The largest photon number the float64 param table holds exactly (every
@@ -93,10 +93,7 @@ class FockN:
     n: int
 
     def __post_init__(self):
-        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
-                or not 0 <= self.n <= FOCK_N_MAX):
-            raise ValueError(f"photon number must be an integer in [0, 2**53], got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", require_int("n", self.n, 0, FOCK_N_MAX))
 
     @property
     def mean_photons(self) -> float:
@@ -108,10 +105,7 @@ class Blinding:
     forced_click_prob: float
 
     def __post_init__(self):
-        if not 0.0 <= self.forced_click_prob <= 1.0:
-            raise ValueError(
-                f"forced click probability must be in [0, 1], got {self.forced_click_prob}"
-            )
+        require_real("forced_click_prob", self.forced_click_prob, 0.0, 1.0, "[]")
 
 
 LightField = Union[Vacuum, Coherent, Thermal, FockN, Blinding]
@@ -262,9 +256,8 @@ class FieldArray:
         photon numbers undergo binomial thinning (needs rng; one draw per
         pulse, in order, and each number drawn becomes a level), blinding
         light is unaffected.  Without thinning the pulse columns are shared."""
+        require_real("transmittance", transmittance, 0.0, 1.0, "[]")
         t = float(transmittance)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmittance must be in [0, 1], got {t}")
         if t == 1.0:
             return self
         param = self.param * t
@@ -318,8 +311,7 @@ class FieldArray:
         regardless of eta.  Factors for independent fields on one detector
         multiply.
         """
-        if not 0.0 <= eta_eff <= 1.0:
-            raise ValueError(f"effective efficiency must be in [0, 1], got {eta_eff}")
+        require_real("eta_eff", eta_eff, 0.0, 1.0, "[]")
         k, mu = self.kind, self.param
         # exp(-eta mu_coh) / (1 + eta mu_th): each mean is masked to exactly
         # 0 off its kind, so each factor is exactly 1 there.

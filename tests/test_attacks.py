@@ -2,6 +2,7 @@
 25% intercept-resend error rate against an exhaustive enumeration oracle,
 and the information ceilings the mode secret imposes."""
 
+import copy
 import dataclasses
 import math
 
@@ -29,7 +30,9 @@ from ctqkd.protocol import (
     ConfigError,
     SessionConfig,
     alice_prepare,
+    bob_quarters,
     fair_bits,
+    modulate_batch,
     run_session,
     separate_modes,
 )
@@ -247,8 +250,10 @@ def test_mode_discrimination_resends_on_the_guessed_mode(monkeypatch, train):
         real = getattr(attacks, name)
 
         def call(*args):
-            recorded[name] = real(*args)
-            return recorded[name]
+            result = real(*args)
+            # A copy, as the hook may write over the arrays it is given.
+            recorded[name] = copy.deepcopy(result)
+            return result
 
         monkeypatch.setattr(attacks, name, call)
 
@@ -272,6 +277,18 @@ def test_trojan_forward_puts_the_probe_on_output_1_where_the_mode_secret_is_0():
     probe_on_1 = batch.mode_secret == 0
     assert np.array_equal(kind_1, np.where(probe_on_1, KIND_COHERENT, KIND_VACUUM))
     assert np.array_equal(kind_2, np.where(probe_on_1, KIND_VACUUM, KIND_COHERENT))
+
+
+def test_trojan_return_keeps_bob_phases_and_turns_alice_train_by_the_learned_ones():
+    cfg = SessionConfig(n_pulses=1000, seed=1)
+    rng = np.random.default_rng(cfg.seed)
+    attack = TrojanHorse(probe=Coherent(1.0))
+    probe, held = attack.apply_forward(alice_prepare(cfg, rng), cfg, rng)
+    quarters = bob_quarters(cfg.n_pulses, rng)
+    out, learned = attack.apply_return(modulate_batch(probe, quarters), held, cfg, rng)
+    assert 0 < learned.sum() < learned.size
+    assert out.mode_secret is held.mode_secret and np.array_equal(out.bob_quarter, quarters)
+    assert np.array_equal(out.out1.quarter, held.out1.phase_shifted(quarters * learned).quarter)
 
 
 def test_mode_discrimination_attack_trips_alice_side():

@@ -262,7 +262,7 @@ def test_session_json_content(tmp_path):
     main(["session", "--seed", "5", "--pulses", "10000", "--out-dir", out_dir])
     (name,) = os.listdir(out_dir)
     assert name.startswith("session_") and name.endswith("_5.json")
-    doc = json.loads(open(os.path.join(out_dir, name)).read())
+    doc = json.loads(Path(out_dir, name).read_text())
     assert doc["alarm"] == "none"
     assert doc["config"]["seed"] == 5
 
@@ -289,7 +289,7 @@ def test_attack_command(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     (name,) = os.listdir(out_dir)
-    lines = open(os.path.join(out_dir, name)).read().strip().splitlines()
+    lines = Path(out_dir, name).read_text().strip().splitlines()
     assert lines[0].startswith("label,attack,")
     assert lines[1].startswith("baseline,none,")
     assert lines[2].startswith("attacked,bright-light,")
@@ -310,7 +310,7 @@ def test_sweep_command(tmp_path):
     )
     assert main(["sweep", "--config", path, "--out-dir", out_dir]) == EXIT_OK
     (name,) = os.listdir(out_dir)
-    lines = open(os.path.join(out_dir, name)).read().strip().splitlines()
+    lines = Path(out_dir, name).read_text().strip().splitlines()
     assert lines[0] == "parameter,x,alarm_rate,mean_qber,mean_z_alice,mean_z_bob,key_rate"
     assert len(lines) == 3
 
@@ -348,7 +348,7 @@ def test_distinguish_command(tmp_path):
     )
     assert main(["distinguish", "--config", path, "--out-dir", out_dir]) == EXIT_OK
     (name,) = os.listdir(out_dir)
-    lines = open(os.path.join(out_dir, name)).read().strip().splitlines()
+    lines = Path(out_dir, name).read_text().strip().splitlines()
     assert lines[0] == "n_samples,p_thermal,p_coherent,discrimination_error"
     assert len(lines) == 3
 
@@ -432,6 +432,17 @@ def test_non_utf8_config_file_is_config_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == "" and f"{path}: not UTF-8 text" in captured.err
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv", [["states", "--pulses", "5"], ["states", "--attack", "trojan"],
+                                  ["states", "--seed", "9"], ["distinguish", "--attack", "trojan"],
+                                  ["distinguish", "--pulses", "7"], ["distinguish", "--z-threshold", "2"]])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file_is_config_error(capsys):

@@ -23,8 +23,9 @@ from ctqkd.detector import (
     require_real,
     samples_needed,
 )
-from ctqkd.fock import TruncationConfig, coherent_state, fock_state, thermal_state
-from ctqkd.light import BLOCK
+from ctqkd.fock import (TruncationConfig, attenuate, coherent_state, fock_state, overlap_coherent_thermal,
+                        phase_shift, thermal_state)
+from ctqkd.light import BLOCK, Blinding, FieldArray, FockN, Thermal
 
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
 TYPICAL = DetectorModel(eta=0.1, dark_prob=1e-5)
@@ -65,6 +66,23 @@ def test_require_int_rejects_non_integers_and_values_out_of_range(value, message
     with pytest.raises(ConfigError) as info:
         require_int("n", value, 1, 10)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Thermal(True), lambda: Thermal("0.2"), lambda: Blinding(True), lambda: FockN(2.5),
+    lambda: FieldArray.vacuum(2).attenuated(True), lambda: FieldArray.vacuum(2).noclick_factors(1.5),
+    lambda: ClickStream(3, 2), lambda: click_prob_coherent(TYPICAL, math.nan),
+    lambda: click_prob_thermal(TYPICAL, math.inf), lambda: power_test(ClickStream(1, 2), 1.0, 3.0),
+    lambda: samples_needed(0.0, 0.5, 3.0), lambda: TruncationConfig(n_max=2.5),
+    lambda: fock_state(1.5), lambda: phase_shift(thermal_state(0.1), math.nan),
+    lambda: attenuate(thermal_state(0.1), True), lambda: overlap_coherent_thermal(0.5, math.nan),
+], ids=["thermal-bool", "thermal-str", "blinding-bool", "fock-float", "attenuated-bool",
+        "noclick-eta", "clicks-over-gates", "coherent-nan", "thermal-inf", "power-test-p1",
+        "samples-p0", "n-max-float", "fock-state-float", "phase-nan", "attenuate-bool",
+        "overlap-nan"])
+def test_every_numeric_input_takes_the_shared_range_check(make):
+    with pytest.raises(ConfigError, match="must be a finite real number|must be an integer|must be <="):
+        make()
 
 
 def test_require_int_returns_a_python_int_with_both_ends_included():

@@ -89,7 +89,7 @@ def test_thermal_cutoff_too_small():
                          ids=["thermal-nan", "thermal-inf", "coherent-nan", "coherent-inf",
                               "coherent-imag-nan", "coherent-mean-overflows"])
 def test_states_reject_a_non_finite_mean(make):
-    with pytest.raises(ValueError, match="must be finite") as exc:
+    with pytest.raises(ValueError, match="must be a finite real number") as exc:
         make()
     assert not isinstance(exc.value, TruncationError)
 
