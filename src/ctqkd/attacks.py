@@ -3,10 +3,11 @@
 Each strategy interposes on the pulse train at its natural position:
 TrojanHorse swaps probes in on the way to Bob and puts Alice's pulses back
 afterwards; the others act on the light leaving Bob.  The train is held as
-Alice's two outputs (protocol.PulseBatch): strategies that treat both
-polarizations alike act on them as they are, and the two that pick a
-polarization, TrojanHorse and ModeDiscrimination, reach the channel's
-modes through protocol.separate_modes.  Strategies are duck
+Alice's two outputs (protocol.PulseBatch).  A return hook with no forward
+hook finds the honest train, one coherent level on output 1 and one thermal
+level on output 2, and reads those two levels; ModeDiscrimination finds
+the channel's H mode on output 1 where the mode secret is 0.  TrojanHorse
+puts its probe in H through protocol.separate_modes.  Strategies are duck
 interfaces for protocol.run_session with three hooks: apply_forward,
 apply_return and finalize_report.  Eve's own equipment is deliberately
 idealized (unit efficiency, no dark counts, conclusive interferometry)
@@ -37,13 +38,12 @@ from typing import Optional
 import numpy as np
 
 from .detector import DetectorModel, click_prob, require_real
-from .light import KIND_COHERENT, Blinding, Coherent, FieldArray, LightField, _select, level_pairs
+from .light import Blinding, Coherent, FieldArray, LightField, _select, level_pairs
 from .protocol import (
     ConfigError,
     PulseBatch,
     SessionConfig,
     SiftOutcome,
-    entry_counts,
     fair_bits,
     sample_blocked,
     separate_modes,
@@ -188,14 +188,9 @@ class BeamSplit(Attack):
         require_real("tap_fraction", self.tap_fraction, 0.0, 1.0)
 
     def apply_return(self, batch, carry, cfg, rng):
+        # The honest train: one level on each output.
         out1, out2 = batch.out1, batch.out2
-        # Per pair of levels: the pulses holding it times its total mean,
-        # blinding light's infinite mean left out.
-        level_1, level_2, pair = level_pairs(out1, out2)
-        means = out1.mean_photons()[level_1] + out2.mean_photons()[level_2]
-        finite = np.isfinite(means)
-        total = entry_counts(pair, means.size)[finite] @ means[finite]
-        tapped_energy = float(total * self.tap_fraction)
+        tapped_energy = float(len(batch) * (out1.param[0] + out2.param[0]) * self.tap_fraction)
         return batch.propagated(1.0 - self.tap_fraction, rng), tapped_energy
 
     def finalize_report(self, tapped_energy, sift, rng):
@@ -203,40 +198,6 @@ class BeamSplit(Attack):
             self.label, self.params(),
             notes=f"tapped mean photon total {tapped_energy:.6g} (undecoded)",
         )
-
-
-def _click_means(h: FieldArray, v: FieldArray, eve_det: DetectorModel):
-    """(p_h, p_c, p_t): the click probability of Eve's detector on each
-    level of h, and its means over the pulses of the train on the mode that
-    carries the coherent state (p_c) and on the other one (p_t).  The
-    means are taken per pair of levels the pulses hold, weighted by the
-    pulses at each pair."""
-    p_h, p_v = (click_prob(eve_det.dark_prob, f.noclick_factors(eve_det.eta)) for f in (h, v))
-    level_h, level_v, pair = level_pairs(h, v)
-    coh_h, pair_h, pair_v = h.kind[level_h] == KIND_COHERENT, p_h[level_h], p_v[level_v]
-    counts = entry_counts(pair, level_h.size)
-    p_c = float(counts @ np.where(coh_h, pair_h, pair_v) / pair.size)
-    p_t = float(counts @ np.where(coh_h, pair_v, pair_h) / pair.size)
-    return p_h, p_c, p_t
-
-
-def mode_discrimination_batch(h: FieldArray, v: FieldArray, eve_det: DetectorModel,
-                              rng: np.random.Generator):
-    """Single-shot mode guessing for every pulse of a train whose channel
-    modes are h and v (separate_modes gives them from Alice's outputs).
-
-    Eve fires one threshold detector at the H mode and makes the Bayes
-    decision between "H carries the coherent state" and "H carries the
-    thermal state".  Returns (guessed coherent-in-H mask, analytic Bayes
-    error).  The error probability uses the true ensemble click
-    probabilities; the per-pulse placement stays hidden, which is what caps
-    her accuracy.
-    """
-    p_h, p_c, p_t = _click_means(h, v, eve_det)
-    clicks = sample_blocked(p_h, h.level, rng)
-    guess_coh_in_h = clicks if p_c >= p_t else ~clicks
-    bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
-    return guess_coh_in_h, bayes_error
 
 
 @dataclass(frozen=True)
@@ -264,20 +225,24 @@ class ModeDiscrimination(Attack):
                 "eve_dark_prob": self.eve_det.dark_prob}
 
     def apply_return(self, batch, carry, cfg, rng):
-        secret = batch.mode_secret
-        # Her detector sees the channel's H mode, which no later step needs.
-        guess_h, bayes_error = mode_discrimination_batch(
-            *separate_modes(secret, batch.out1, batch.out2), self.eve_det, rng)
-        # 1 where her guessed mode is output 1: H is output 1 where the mode
-        # secret is 0.  Made in place, as the guess is not needed again.
+        # On the honest train her one threshold detector on the channel's H
+        # mode sees output 1's coherent level where the mode secret is 0,
+        # else output 2's thermal one.  She makes the Bayes decision from
+        # the true click probabilities; the placement stays hidden.
+        det, secret = self.eve_det, batch.mode_secret
+        p_c, p_t = (click_prob(det.dark_prob, out.noclick_factors(det.eta))
+                    for out in (batch.out1, batch.out2))
+        clicks = sample_blocked(np.concatenate([p_c, p_t]), secret, rng)
+        p_c, p_t = float(p_c[0]), float(p_t[0])
+        bayes_error = 0.5 * (min(p_c, p_t) + min(1.0 - p_c, 1.0 - p_t))
+        # 1 where her guessed mode is output 1, made in place.
+        guess_h = clicks if p_c >= p_t else ~clicks
         on_1 = np.bitwise_xor(guess_h, secret.view(bool), out=guess_h)
 
-        # With no forward hook she finds the honest train, coherent on
-        # output 1 and thermal on output 2, so she measures coherent light
-        # exactly where she guessed output 1.  Only a pair measured on
-        # output 1 at both pulses is informative, and only there is its
-        # phase difference read: output 1's is Bob's.  Both columns are
-        # freed once her estimates are made.
+        # She measures coherent light exactly where she guessed output 1.
+        # Only a pair measured on output 1 at both pulses is informative,
+        # and only there is its phase difference read: output 1's is Bob's.
+        # Both columns are freed once her estimates are made.
         _, delta_hat, bits = _dps_phase_estimates(np.diff(batch.out1.quarter) & 3, rng,
                                                   on_1[:-1] & on_1[1:])
 

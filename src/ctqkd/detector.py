@@ -41,6 +41,13 @@ def require_real(name: str, value, low: float = -math.inf, high: float = math.in
                           f"{ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
 
 
+def require_complex(name: str, value) -> complex:
+    """value as a complex if it is a number (not a bool or a str), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ConfigError(f"{name} must be a complex number, got {value!r}")
+    return complex(value)
+
+
 def require_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
     """value as an int if it is an integer (not a bool) from low to high, else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -163,6 +170,7 @@ def power_test(stream: ClickStream, expected_p: float, z_threshold: float) -> Po
     because detector blinding is most visible there.
     """
     require_real("expected_p", expected_p, 0.0, 1.0)
+    require_real("z_threshold", z_threshold, 0.0, math.inf, "()")
     p_hat = stream.frequency()
     sigma = math.sqrt(expected_p * (1.0 - expected_p) / stream.n_gates)
     z = (p_hat - expected_p) / sigma
@@ -184,6 +192,7 @@ def samples_needed(p_a: float, p_b: float, z: float) -> int:
     """
     require_real("p_a", p_a, 0.0, 1.0)
     require_real("p_b", p_b, 0.0, 1.0)
+    require_real("z", z, 0.0, math.inf, "()")
     if p_a == p_b:
         raise NotDistinguishableError("p_a == p_b: no finite sample count distinguishes them")
     spread = math.sqrt(p_a * (1.0 - p_a)) + math.sqrt(p_b * (1.0 - p_b))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import require_int, require_real
+from .detector import require_complex, require_int, require_real
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -100,7 +100,7 @@ def coherent_state(alpha: complex, trunc: TruncationConfig = DEFAULT_TRUNCATION)
     Amplitudes follow c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), evaluated
     by the stable recurrence c_n = c_{n-1} alpha / sqrt(n).
     """
-    alpha = complex(alpha)
+    alpha = require_complex("alpha", alpha)
     mean = abs(alpha) * abs(alpha)
     require_real("|alpha|^2", mean, 0.0, math.inf, "[)")
     c = np.zeros(trunc.dim, dtype=np.complex128)

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .detector import require_int, require_real
+from .detector import ConfigError, require_complex, require_int, require_real
 
 KIND_VACUUM = 0
 KIND_COHERENT = 1
@@ -59,10 +59,10 @@ class Coherent:
     amplitude: complex
 
     def __post_init__(self):
-        a = complex(self.amplitude)
+        a = require_complex("coherent amplitude", self.amplitude)
         if not (math.isfinite(abs(a) * abs(a)) and 0.0 in (a.real, a.imag)):
-            raise ValueError(f"coherent amplitude must be r * i**q with a finite mean photon "
-                             f"number r**2, got {self.amplitude}")
+            raise ConfigError(f"coherent amplitude must be r * i**q with a finite mean photon "
+                              f"number r**2, got {self.amplitude}")
 
     @property
     def quarter(self) -> int:
@@ -297,10 +297,6 @@ class FieldArray:
         turned += self.quarter
         turned &= 3
         return FieldArray(self.level, turned, self.kind, self.param)
-
-    def mean_photons(self) -> np.ndarray:
-        """Mean photon number per level; blinding light reports +inf."""
-        return np.where(self.kind == KIND_BLINDING, np.inf, self.param)
 
     def noclick_factors(self, eta_eff: float) -> np.ndarray:
         """No-click probability per level at effective efficiency eta_eff,

@@ -19,7 +19,7 @@ PulseBatch that shares every array it does not change.  Loss, Bob's
 modulator and tap, and the mode-blind attacks treat both polarizations
 alike, so they act on the outputs as they are; separate_modes, the one
 mode swap, maps the outputs to the channel's H and V modes and back, for
-the attacks that act on one polarization.  Loss and the detector laws are
+the Trojan's probe.  Loss and the detector laws are
 evaluated once per level and gathered per pulse.  All randomness flows
 through one numpy Generator in a fixed order, so a (config, attack, seed)
 triple reproduces results exactly.
@@ -304,8 +304,10 @@ def separate_modes(secret: np.ndarray, a: FieldArray, b: FieldArray) -> tuple[Fi
     """The one mode swap: (b where the mode secret is 1 else a, a where it
     is 1 else b).  From the channel's H and V modes it gives Alice's outputs
     1 and 2 (she undoes her rotation and routes by her source wiring); from
-    her outputs, the channel's modes.  An attacker who replaced the channel
-    fields lands on output 2 whenever the mode secret says so.
+    her outputs, the channel's modes.  It places the Trojan's probe, sent in
+    H, which lands on output 2 wherever the mode secret is 1.  Mode
+    discrimination needs no swap: on the honest train it reads H as output 1
+    where the mode secret is 0.
     """
     # Undoing the rotation swaps the modes when rotation is 1; wiring 1 swaps
     # them again.  So output 1 is the channel's V mode exactly where the

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ctqkd.attacks import BeamSplit, BrightLight, InterceptResend, TrojanHorse, mode_discrimination_batch
+from ctqkd.attacks import BeamSplit, BrightLight, InterceptResend, TrojanHorse
 from ctqkd.detector import (
     DetectorModel,
     click_prob_coherent,
@@ -33,11 +33,10 @@ from ctqkd.fock import (
 from ctqkd.light import Coherent, FockN
 from ctqkd.protocol import SessionConfig, run_session
 
-from test_attacks import intercept_resend_enumeration, prepared_modes
+from test_attacks import guess_prepared_modes, intercept_resend_enumeration
 from test_detector import sample_clicks
 
 T40 = TruncationConfig(n_max=40)
-IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -175,19 +174,16 @@ def test_criterion_6_beam_split_sample_count():
 
 def test_criterion_7_mode_discrimination_accuracy():
     n = 10**5
-    cfg = SessionConfig(n_pulses=n, seed=4000)
-    h, v = prepared_modes(cfg)
-    guess_h, bayes = mode_discrimination_batch(h, v, IDEAL, np.random.default_rng(4001))
-    accuracy = float(np.mean(guess_h == (h.kind[h.level] == 1)))
+    right, bayes = guess_prepared_modes(SessionConfig(n_pulses=n, seed=4000), 4001)
+    accuracy = float(np.mean(right))
     expected = 1.0 - bayes
     sigma = math.sqrt(expected * (1.0 - expected) / n)
     assert abs(accuracy - expected) <= 3 * sigma
 
     mu_t = 0.2
     cfg_eq = SessionConfig(n_pulses=n, seed=4002, mu_coherent=math.log(1 + mu_t), mu_thermal=mu_t)
-    h_eq, v_eq = prepared_modes(cfg_eq)
-    guess_eq, bayes_eq = mode_discrimination_batch(h_eq, v_eq, IDEAL, np.random.default_rng(4003))
-    acc_eq = float(np.mean(guess_eq == (h_eq.kind[h_eq.level] == 1)))
+    right_eq, bayes_eq = guess_prepared_modes(cfg_eq, 4003)
+    acc_eq = float(np.mean(right_eq))
     assert bayes_eq == pytest.approx(0.5, abs=1e-9)
     assert acc_eq <= 0.51
     _report("criterion 7 (mode discrimination)",

@@ -21,7 +21,6 @@ from ctqkd.attacks import (
     _dps_phase_estimates,
     _resend_train,
     eve_information_summary,
-    mode_discrimination_batch,
 )
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
 from ctqkd.light import KIND_COHERENT, KIND_THERMAL, KIND_VACUUM, Coherent, FieldArray, FockN, Thermal
@@ -41,10 +40,15 @@ from test_blocks import _batch, _dense, assert_same_pulses
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
 
 
-def prepared_modes(cfg: SessionConfig):
-    """The channel's H and V modes of the train Alice prepares at cfg's seed."""
+def guess_prepared_modes(cfg: SessionConfig, seed: int):
+    """Mode discrimination's return hook with an ideal detector, at rng
+    seed, on the train Alice prepares at cfg's seed: (1 where Eve guessed
+    the coherent mode, the Bayes error).  She resends on output 1 exactly
+    where she guessed right, so there output 2 is still thermal."""
     batch = alice_prepare(cfg, np.random.default_rng(cfg.seed))
-    return separate_modes(batch.mode_secret, batch.out1, batch.out2)
+    out, (_, bayes) = ModeDiscrimination(eve_det=IDEAL).apply_return(
+        batch, None, cfg, np.random.default_rng(seed))
+    return out.out2.kind[out.out2.level] == KIND_THERMAL, bayes
 
 
 def intercept_resend_enumeration(cfg: SessionConfig, resend_mu: float):
@@ -203,22 +207,18 @@ def test_beam_split_alarm_at_separation_count():
 
 
 def test_mode_discrimination_bayes_error_reference():
-    pulse_cfg = SessionConfig(n_pulses=2, seed=0)
-    guess_h, err = mode_discrimination_batch(*prepared_modes(pulse_cfg), IDEAL, np.random.default_rng(1))
+    right, err = guess_prepared_modes(SessionConfig(n_pulses=2, seed=0), 1)
     p_c, p_t = 1 - math.exp(-0.2), 1 - 1 / 1.2
     expected = 0.5 * (min(p_c, p_t) + min(1 - p_c, 1 - p_t))
     assert err == pytest.approx(expected, abs=1e-12)
     assert err == pytest.approx(0.4927, abs=1e-4)
-    assert guess_h.dtype == bool and guess_h.shape == (2,)
+    assert right.dtype == bool and right.shape == (2,)
 
 
 def test_mode_discrimination_empirical_accuracy():
     n = 4 * 10**4
-    cfg = SessionConfig(n_pulses=n, seed=8)
-    h, v = prepared_modes(cfg)
-    guess_h, bayes = mode_discrimination_batch(h, v, IDEAL, np.random.default_rng(9))
-    actual_h = h.kind[h.level] == 1
-    accuracy = float(np.mean(guess_h == actual_h))
+    right, bayes = guess_prepared_modes(SessionConfig(n_pulses=n, seed=8), 9)
+    accuracy = float(np.mean(right))
     expected = 1.0 - bayes
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(accuracy - expected) <= 3 * sigma
@@ -232,17 +232,18 @@ def test_mode_discrimination_blind_when_rates_match():
     mu_c = math.log(1 + mu_t)
     n = 4 * 10**4
     cfg = SessionConfig(n_pulses=n, seed=10, mu_coherent=mu_c, mu_thermal=mu_t)
-    h, v = prepared_modes(cfg)
-    guess_h, bayes = mode_discrimination_batch(h, v, IDEAL, np.random.default_rng(11))
+    right, bayes = guess_prepared_modes(cfg, 11)
     assert bayes == pytest.approx(0.5, abs=1e-9)
-    accuracy = float(np.mean(guess_h == (h.kind[h.level] == 1)))
+    accuracy = float(np.mean(right))
     assert accuracy <= 0.51
 
 
-@pytest.mark.parametrize("train", ["honest", "mixed"])
+@pytest.mark.parametrize("train", ["honest"])  # the only train a session gives the hook
 def test_mode_discrimination_resends_on_the_guessed_mode(monkeypatch, train):
     # Eve measures the mode she guessed and resends on it; the reference
     # writes this out in the channel's modes and swaps to Alice's outputs.
+    # A click of her detector on H says H holds the coherent state where
+    # p_c >= p_t, else the thermal one.
     cfg, batch = _batch(train, 3000)
     recorded = {}
 
@@ -257,10 +258,13 @@ def test_mode_discrimination_resends_on_the_guessed_mode(monkeypatch, train):
 
         monkeypatch.setattr(attacks, name, call)
 
-    record("mode_discrimination_batch")
+    record("sample_blocked")
     record("_resend_train")
     out, _ = ModeDiscrimination().apply_return(batch, None, cfg, np.random.default_rng(1))
-    (guess, _), resend = recorded["mode_discrimination_batch"], recorded["_resend_train"]
+    clicks, resend = recorded["sample_blocked"], recorded["_resend_train"]
+    p_c = click_prob_coherent(IDEAL, batch.out1.param[0])
+    p_t = click_prob_thermal(IDEAL, batch.out2.param[0])
+    guess = clicks ^ (p_c < p_t)
     secret = batch.mode_secret
     h, v = separate_modes(secret, batch.out1, batch.out2)
     want1, want2 = separate_modes(secret, FieldArray.where(guess, resend, h), FieldArray.where(guess, v, resend))
@@ -466,6 +470,8 @@ def test_return_hook_after_no_forward_hook_finds_coherent_output_1(monkeypatch, 
     [batch] = seen
     assert np.all(_dense(batch.out1)[0] == KIND_COHERENT)
     assert np.all(_dense(batch.out2)[0] == KIND_THERMAL)
+    # One level each, as the hooks read.
+    assert batch.out1.kind.size == batch.out2.kind.size == 1
 
 
 @pytest.mark.parametrize("kind", FIVE_ATTACKS)

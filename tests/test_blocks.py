@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ctqkd import protocol
-from ctqkd.attacks import BeamSplit, TrojanHorse, _click_means
+from ctqkd.attacks import BeamSplit, ModeDiscrimination
 from ctqkd.detector import DetectorModel, click_prob
 from ctqkd.light import (
     KIND_BLINDING,
@@ -19,12 +19,8 @@ from ctqkd.light import (
     KIND_FOCK,
     KIND_THERMAL,
     KIND_VACUUM,
-    Blinding,
     Coherent,
     FieldArray,
-    FockN,
-    gather,
-    level_pairs,
     pair_table,
 )
 from ctqkd.protocol import (
@@ -362,54 +358,26 @@ def test_entry_counts_equal_one_whole_array_bincount(size, n):
     assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
 
 
-def _attack_batch(train, n):
-    """The train leaving Bob as an attack's return hook finds it: honest,
-    honest with blinding light on output 1 at about half the pulses, or a
-    Trojan's Fock probe of 3 photons, thinned by the fiber to several
-    levels."""
-    cfg = SessionConfig(n_pulses=n, seed=n)
-    rng = np.random.default_rng(n)
-    batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway, rng)
-    if train == "fock":
-        batch, _ = TrojanHorse(FockN(3)).apply_forward(batch, cfg, rng)
-        batch = batch.propagated(0.5, rng)
-        assert batch.out1.kind.size > 2
-    batch = modulate_batch(batch, bob_quarters(n, rng))
-    if train == "blinding":
-        lit = rng.integers(0, 2, n)
-        blinding = FieldArray.uniform(Blinding(0.9), n)
-        batch = batch.with_fields(FieldArray.where(lit, blinding, batch.out1), batch.out2)
-    return cfg, batch
-
-
 @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 3])
-@pytest.mark.parametrize("train", ["honest", "blinding", "fock"])
+@pytest.mark.parametrize("train", ["honest"])  # the only train a session gives these hooks
 def test_attack_means_over_level_pairs_equal_the_per_pulse_means(train, n):
-    # Beam splitting's tapped energy and mode discrimination's mean click
-    # probabilities count the pulses at each pair of levels; gathering one
-    # value per pulse and reducing gives the same sums, to rounding.
-    cfg, batch = _attack_batch(train, n)
+    # Beam splitting's tapped energy and mode discrimination's click
+    # probabilities read the one pair of levels the outputs hold; gathering
+    # one value per pulse and reducing gives the same, to rounding.
+    cfg, batch = _batch(train, n)
     out1, out2 = batch.out1, batch.out2
     tap = 0.3
-    level_1, level_2, pair = level_pairs(out1, out2)
-    means = gather(out1.mean_photons()[level_1] + out2.mean_photons()[level_2], pair)
-    want = float(np.sum(means[np.isfinite(means)]) * tap)
+    want = float(np.sum(out1.param[out1.level] + out2.param[out2.level]) * tap)
     _, tapped = BeamSplit(tap).apply_return(batch, None, cfg, np.random.default_rng(0))
     assert tapped == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert np.isfinite(tapped) and (train == "blinding") == (np.isinf(means).any())
 
     det = DetectorModel(0.8, 1e-4)
     h, v = separate_modes(batch.mode_secret, out1, out2)
-    p_h, p_v = (click_prob(det.dark_prob, f.noclick_factors(det.eta)) for f in (h, v))
-    level_h, level_v, pair = level_pairs(h, v)
-    coh_h, pair_h, pair_v = h.kind[level_h] == KIND_COHERENT, p_h[level_h], p_v[level_v]
-    want_c = float(np.mean(gather(np.where(coh_h, pair_h, pair_v), pair)))
-    want_t = float(np.mean(gather(np.where(coh_h, pair_v, pair_h), pair)))
-    got_h, p_c, p_t = _click_means(h, v, det)
-    assert got_h.tobytes() == p_h.tobytes()
-    assert p_c == pytest.approx(want_c, rel=1e-12, abs=0.0)
-    assert p_t == pytest.approx(want_t, rel=1e-12, abs=0.0)
-    assert (p_c >= p_t) == (want_c >= want_t)
+    p_h, p_v = (click_prob(det.dark_prob, f.noclick_factors(det.eta))[f.level] for f in (h, v))
+    coh_h = h.kind[h.level] == KIND_COHERENT
+    p_c, p_t = float(np.mean(np.where(coh_h, p_h, p_v))), float(np.mean(np.where(coh_h, p_v, p_h)))
+    _, (_, bayes) = ModeDiscrimination(eve_det=det).apply_return(batch, None, cfg, np.random.default_rng(0))
+    assert bayes == pytest.approx(0.5 * (min(p_c, p_t) + min(1 - p_c, 1 - p_t)), rel=1e-12, abs=0.0)
 
 
 def _sift_by_masks(meas, cfg, rng):

@@ -19,13 +19,14 @@ from ctqkd.detector import (
     click_prob_state,
     click_prob_thermal,
     power_test,
+    require_complex,
     require_int,
     require_real,
     samples_needed,
 )
 from ctqkd.fock import (TruncationConfig, attenuate, coherent_state, fock_state, overlap_coherent_thermal,
                         phase_shift, thermal_state)
-from ctqkd.light import BLOCK, Blinding, FieldArray, FockN, Thermal
+from ctqkd.light import BLOCK, Blinding, Coherent, FieldArray, FockN, Thermal
 
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
 TYPICAL = DetectorModel(eta=0.1, dark_prob=1e-5)
@@ -76,13 +77,29 @@ def test_require_int_rejects_non_integers_and_values_out_of_range(value, message
     lambda: samples_needed(0.0, 0.5, 3.0), lambda: TruncationConfig(n_max=2.5),
     lambda: fock_state(1.5), lambda: phase_shift(thermal_state(0.1), math.nan),
     lambda: attenuate(thermal_state(0.1), True), lambda: overlap_coherent_thermal(0.5, math.nan),
+    lambda: samples_needed(0.1, 0.5, math.inf), lambda: samples_needed(0.1, 0.5, math.nan),
+    lambda: power_test(ClickStream(50, 100), 0.5, math.nan),
 ], ids=["thermal-bool", "thermal-str", "blinding-bool", "fock-float", "attenuated-bool",
         "noclick-eta", "clicks-over-gates", "coherent-nan", "thermal-inf", "power-test-p1",
         "samples-p0", "n-max-float", "fock-state-float", "phase-nan", "attenuate-bool",
-        "overlap-nan"])
+        "overlap-nan", "samples-z-inf", "samples-z-nan", "power-test-z-nan"])
 def test_every_numeric_input_takes_the_shared_range_check(make):
     with pytest.raises(ConfigError, match="must be a finite real number|must be an integer|must be <="):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Coherent(True), lambda: Coherent("1"), lambda: Coherent(None),
+    lambda: coherent_state(True), lambda: coherent_state("1"),
+], ids=["coherent-bool", "coherent-str", "coherent-none", "state-bool", "state-str"])
+def test_an_amplitude_must_be_a_complex_number(make):
+    with pytest.raises(ConfigError, match="must be a complex number"):
+        make()
+
+
+def test_require_complex_returns_a_python_complex_for_any_number():
+    assert [require_complex("a", v) for v in (2, np.int64(2), 0.5j, np.complex128(0.5j))] == [2, 2, 0.5j, 0.5j]
+    assert type(require_complex("a", np.float64(1.0))) is complex
 
 
 def test_require_int_returns_a_python_int_with_both_ends_included():

@@ -210,13 +210,9 @@ def test_field_array_where():
 def test_mean_photons_per_kind():
     fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.7), FockN(3), Vacuum(), Blinding(1.0),
                                  Coherent(-0.3j)])
-    means = fa.mean_photons()
-    assert means[0] == pytest.approx(4.0)
-    assert means[1] == pytest.approx(0.7)
-    assert means[2] == pytest.approx(3.0)
-    assert means[3] == 0.0
-    assert math.isinf(means[4])
-    assert means.tolist() == [4.0, 0.7, 3.0, 0.0, math.inf, 0.3**2]
+    # param is each level's mean photon number; blinding light's is its
+    # forced-click probability.
+    assert fa.param.tolist() == [4.0, 0.7, 3.0, 0.0, 1.0, 0.3**2]
 
 
 def test_noclick_factor_bounds():
