@@ -116,6 +116,11 @@ def discrimination_error(p_a: float, p_b: float, n: int, trials: int,
     which side of (p_a + p_b)/2 they fall (ties break toward p_a).  At n = 1
     this reproduces the single-shot Bayes error of a threshold detector.
     """
+    for name, p in (("p_a", p_a), ("p_b", p_b)):
+        require_real(name, p, 0.0, 1.0, "[]")
+    # Generator.binomial takes sizes up to intp's largest value, counts up to int64's.
+    n = require_int("n", n, 1, np.iinfo(np.int64).max)
+    trials = require_int("trials", trials, 1, np.iinfo(np.intp).max)
     mid = 0.5 * (p_a + p_b)
     f_a = rng.binomial(n, p_a, size=trials) / n
     f_b = rng.binomial(n, p_b, size=trials) / n
@@ -136,7 +141,6 @@ def distinguishability_curve(mu_thermal: float, mu_coherent: float, det: Detecto
     probabilities differ; stays at 1/2 when they coincide."""
     require_real("mu_thermal", mu_thermal, 0.0, math.inf, "[)")
     require_real("mu_coherent", mu_coherent, 0.0, math.inf, "[)")
-    # Generator.binomial takes sizes up to intp's largest value, counts up to int64's.
     trials = require_int("trials", trials, 1, np.iinfo(np.intp).max)
     if len(n_grid) == 0:
         raise ConfigError("n_grid must be nonempty")

@@ -32,7 +32,7 @@ from .fock import (
     trace_distance,
     vacuum_probability,
 )
-from .detector import ConfigError, DetectorModel, require_int
+from .detector import ConfigError, DetectorModel, require_int, require_real
 from .light import Blinding, Coherent, FockN, LightField, Thermal, Vacuum
 from .protocol import ALARM_NONE, SessionConfig, run_session
 
@@ -49,8 +49,20 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _vacuum_probe(arg: str) -> Vacuum:
+    if arg.strip():
+        raise ConfigError(f"a vacuum probe takes no argument, got {arg!r}")
+    return Vacuum()
+
+
+def _coherent_probe(arg: str) -> Coherent:
+    mean = float(arg)
+    require_real("coherent probe mean", mean, 0.0, math.inf, "[)")
+    return Coherent(math.sqrt(mean))
+
+
 # Probe kind -> the field of its argument.
-_PROBES = {"vacuum": lambda arg: Vacuum(), "coherent": lambda arg: Coherent(math.sqrt(float(arg))),
+_PROBES = {"vacuum": _vacuum_probe, "coherent": _coherent_probe,
            "thermal": lambda arg: Thermal(float(arg)), "fock": lambda arg: FockN(int(arg)),
            "blinding": lambda arg: Blinding(float(arg))}
 

@@ -14,7 +14,8 @@ r * i**q, thermal mean, definite photon number, saturating blinding light,
 or vacuum), converted to a FieldArray by FieldArray.uniform.  Tests convert
 pulse by pulse with from_fields and field, kept beside the one map of kind
 codes to field classes so that no test copies it.  Blinding light saturates
-a threshold detector: its click probability ignores efficiency and loss.
+a threshold detector: its click probability ignores efficiency and loss,
+and the monitors and the interferometers alike read it from noclick_factors.
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ class FieldArray:
 
         Coherent: exp(-eta mu); thermal: 1/(1 + eta mu); photon number n:
         (1 - eta)^n; vacuum: 1.  Blinding light returns 1 - forced_click_prob
-        regardless of eta.  Factors for independent fields on one detector
-        multiply.
+        regardless of eta, so at eta 0 it alone has a factor below 1.
+        Factors for independent fields on one detector multiply.
         """
         require_real("eta_eff", eta_eff, 0.0, 1.0, "[]")
         k, mu = self.kind, self.param

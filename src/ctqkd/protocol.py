@@ -69,7 +69,9 @@ from .detector import (
 )
 from .light import (
     BLOCK,
+    KIND_BLINDING,
     KIND_COHERENT,
+    KIND_FOCK,
     KIND_THERMAL,
     FieldArray,
     blocks,
@@ -453,28 +455,23 @@ def state_pair_probs(levels: FieldArray, s_prev: np.ndarray, s_curr: np.ndarray,
     consecutive pulse pairs in the states s_prev and s_curr (level << 2 |
     quarter, over the level table of levels).
 
-    Coherent (or vacuum) pairs interfere with the port means; any other
-    field combination carries no stable phase and is treated as an
-    incoherent 1/8 split with identical statistics at all four detectors.
-
-    That branch treats the four detectors as independent, which is exact
-    for coherent light only, not for thermal or Fock light, whose photon
-    numbers at the four ports are correlated.  In a session output 1
-    reaches the interferometers as coherent light, vacuum or blinding
-    light; only tests run the branch with thermal or Fock light.
+    Coherent light interferes by its port means (vacuum and blinding light
+    have amplitude 0), and blinding light multiplies each detector's no-click
+    probability by its noclick_factors value once per pulse of the pair.
+    Thermal or Fock light, which no session brings here, raises ConfigError.
     """
+    kinds = set(levels.kind.tolist())
+    if kinds & {KIND_THERMAL, KIND_FOCK}:
+        raise ConfigError("the interferometers take no thermal or Fock light on output 1")
     prev, curr, q_prev, q_curr = s_prev >> 2, s_curr >> 2, s_prev & 3, s_curr & 3
-    # r = 0 on vacuum; pairs holding any other kind are replaced below
-    r = np.sqrt(levels.param)
+    r = np.sqrt(levels.param * (levels.kind == KIND_COHERENT))
     means = port_means(r[prev], q_prev, r[curr], q_curr)
     np.exp(np.multiply(-det.eta, means, out=means), out=means)
-    p = click_prob(det.dark_prob, means)
-    coherent = levels.kind <= KIND_COHERENT  # vacuum or coherent
-    if not coherent.all():
-        f = levels.noclick_factors(det.eta / 8.0)
-        p_inc = click_prob(det.dark_prob, f[prev], f[curr])
-        p = np.where(coherent[prev] & coherent[curr], p, p_inc)
-    return p
+    if KIND_BLINDING in kinds:
+        # At efficiency 0 only blinding light clicks: its factor, 1 elsewhere.
+        f = levels.noclick_factors(0.0)
+        return click_prob(det.dark_prob, means, f[prev], f[curr])
+    return click_prob(det.dark_prob, means)
 
 
 def _states(level: np.ndarray, quarter: np.ndarray, n_levels: int) -> np.ndarray:
@@ -538,7 +535,8 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     """Click-sample all consecutive pulse pairs of Alice's output 1
     (batch.out1) of the train as it returns to her: each detector clicks
     independently with its state_pair_probs; exactly one click yields a
-    usable event, two or more a discarded double.
+    usable event, two or more a discarded double.  A thermal or Fock level
+    on output 1 raises ConfigError (state_pair_probs) before any draw.
 
     Each pair's outcome is drawn by thinning (Lewis and Shedler 1979): with
     q_max the largest probability over the pair states that any detector

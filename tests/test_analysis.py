@@ -100,6 +100,20 @@ def test_curve_rejects_an_empty_grid_and_trials_beyond_numpy_array_sizes():
             distinguishability_curve(0.2, 0.3, IDEAL, [10], np.random.default_rng(1), trials=trials)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"n": 0}, "n"), ({"n": 2.5}, "n"), ({"n": True}, "n"), ({"n": np.iinfo(np.int64).max + 1}, "n"),
+    ({"trials": 0}, "trials"), ({"trials": np.iinfo(np.intp).max + 1}, "trials"),
+    ({"p_a": 1.5}, "p_a"), ({"p_a": math.nan}, "p_a"), ({"p_b": -0.1}, "p_b"), ({"p_b": True}, "p_b"),
+])
+def test_discrimination_error_rejects_bad_inputs_before_any_draw(kwargs, name):
+    args = {"p_a": 0.2, "p_b": 0.3, "n": 10, "trials": 10, **kwargs}
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        discrimination_error(args["p_a"], args["p_b"], args["n"], args["trials"], rng)
+    assert rng.bit_generator.state == state
+
+
 def test_curve_accepts_numpy_integer_sample_counts():
     rows = distinguishability_curve(0.2, 0.2, IDEAL, np.array([1, 7]), np.random.default_rng(1),
                                     trials=10)

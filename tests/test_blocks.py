@@ -45,9 +45,9 @@ from ctqkd.protocol import (
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
 
-def _mixed_train(n, rng):
-    """All five kinds at random, with valid columns for each."""
-    kind = rng.integers(0, 5, n).astype(np.uint8)
+def _mixed_train(n, rng, kinds=(KIND_VACUUM, KIND_COHERENT, KIND_THERMAL, KIND_FOCK, KIND_BLINDING)):
+    """The given kinds at random, with valid columns for each."""
+    kind = rng.choice(np.array(kinds, dtype=np.uint8), n)
     quarter = np.where(kind == KIND_COHERENT, rng.integers(0, 4, n), 0)
     param = rng.exponential(0.6, n)
     param[kind == KIND_FOCK] = rng.integers(0, 6, n)[kind == KIND_FOCK]
@@ -67,11 +67,13 @@ def _batch(train, n):
     """A session config and the pulse train Bob's tap sees: an honest one
     from the pipeline, a resend train of one magnitude on both outputs,
     coherent pulses of two magnitudes on both outputs (as mode
-    discrimination leaves them), every kind mixed on both outputs,
+    discrimination leaves them), ("mixed") the three kinds the
+    interferometers take mixed on output 1 and all five on output 2,
     ("bright") two magnitudes, one so bright that its pairs click at every
     detector, with columns of their own on each output, or
-    ("secret-levels") two outputs of two levels each that share one level
-    column, as on an honest train, which is also the mode secret."""
+    ("secret-levels") two outputs of two levels each, two coherent ones on
+    output 1 and a coherent and a thermal one on output 2, that share one
+    level column, as on an honest train, which is also the mode secret."""
     cfg = SessionConfig(n_pulses=n, seed=n)
     rng = np.random.default_rng(n)
     if train == "honest":
@@ -86,15 +88,16 @@ def _batch(train, n):
         return cfg, PulseBatch(assign ^ rot, two, two)
     if train == "secret-levels":
         secret = (assign ^ rot).astype(np.uint8)
-        secret.flags.writeable = False  # so that both modes share it
-        h = FieldArray(secret, np.zeros(n, dtype=np.uint8), [KIND_COHERENT, KIND_THERMAL], [0.5, 0.1])
-        v = FieldArray(secret, rng.integers(0, 4, n), [KIND_COHERENT] * 2, [0.3, 2.0])
-        assert h.level is v.level is PulseBatch(secret, h, v).mode_secret
-        return cfg, PulseBatch(secret, h, v)
+        secret.flags.writeable = False  # so that both outputs share it
+        out2 = FieldArray(secret, np.zeros(n, dtype=np.uint8), [KIND_COHERENT, KIND_THERMAL], [0.5, 0.1])
+        out1 = FieldArray(secret, rng.integers(0, 4, n), [KIND_COHERENT] * 2, [0.3, 2.0])
+        assert out1.level is out2.level is PulseBatch(secret, out1, out2).mode_secret
+        return cfg, PulseBatch(secret, out1, out2)
     if train == "bright":
         bright = [1e4, 0.2]
         return cfg, PulseBatch(assign ^ rot, _two_levels(rng, n, bright), _two_levels(rng, n, bright))
-    return cfg, PulseBatch(assign ^ rot, _mixed_train(n, rng), _mixed_train(n, rng))
+    out1 = _mixed_train(n, rng, (KIND_VACUUM, KIND_COHERENT, KIND_BLINDING))
+    return cfg, PulseBatch(assign ^ rot, out1, _mixed_train(n, rng))
 
 
 def _dense(train):

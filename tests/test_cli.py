@@ -79,6 +79,10 @@ def test_parse_probe_kinds():
     assert _parse_probe("blinding:0.99") == Blinding(0.99)
     with pytest.raises(ConfigError):
         _parse_probe("squeezed:1")
+    with pytest.raises(ConfigError, match="a vacuum probe takes no argument, got '3'"):
+        _parse_probe("vacuum:3")
+    with pytest.raises(ConfigError, match=r"coherent probe mean must be a finite real number in \[0, inf\)"):
+        _parse_probe("coherent:-1")
 
 
 def _names(cls, init_only=False) -> set:

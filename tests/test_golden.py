@@ -46,6 +46,31 @@ GOLDEN_VARIANTS = {
 }
 
 
+# Sessions of 2, 3, 17 and 65 pulses at seed 7.  Each golden above has at
+# least 1000 pulses, so its interferometers read a table of pair states;
+# below 17 pulses on one level of output 1, or 65 on two (as mode
+# discrimination leaves it), they evaluate the click law once per pulse
+# pair instead, and at 17 and 65 they take the smallest table.
+GOLDEN_SHORT = {
+    ("none", 2): ("d8ac0031ab5364abb9923710423235b8c61765964c84ac0b7d0cbe7ef2dd094f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("none", 3): ("e8a8e9da6ec9882411fc9233e9bfa9ba1d7ad62b21fa94b199beae3a5746c398", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("none", 17): ("ab138d0d556baca9d7eec108acde4e86d4eee566a36fe25fc5e97e89171aeeb4", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("none", 65): ("55c051417fe4c321c97b8f636929e60f430d9f3599b7da2c9e6aa49a1d53edf0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("intercept-resend", 2): ("6b9a4bcc4b68b423aa375bfe22fb7ec9ac6a09f3e548b401a1ac5107804ee70d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("intercept-resend", 3): ("4eeabb3e9153b92f18a9f0c45c0c3a66c15f8edb61a961c41396f88db7ac3c8a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("intercept-resend", 17): ("c4619d54b97733917ef416b6e26e338ee36585d757ebc93adceaf1d100a9fb9c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("intercept-resend", 65): ("e780e6b736476ba32deb26d789b8f170583b86ff1573a95122a3296b61f35709", "1f236747fbd2a228d4db7e6e50f2e3d415fb21c505e3b1a8b41780b1b5bc9314"),
+    ("mode-discrimination", 2): ("3ba53576b0f3da420b5a951c7ee601a87010690e11942d9d9ea120c0f4bfe6b0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("mode-discrimination", 3): ("1e423a053baff86fa8f3fd6837724e0e9a401d123b6cee5ed4feb15448c201bd", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("mode-discrimination", 17): ("0b88a2d0fae042fb9f02ad49f47d42c68f1420fd194201d42f8243c165267c32", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("mode-discrimination", 65): ("8608727e655efaf77974cdb90526457f863932e39c0831c1f55d37abe8db4b27", "cbd95ae5ef8810691e3fc7efb7c39ef9ffb661135d858aa0ccc81fc74a0160ae"),
+    ("bright-light", 2): ("33a2c3c35e720034d78056cd552f08fc29e4589c0b40b3b6bdc8a22ed5e8a78d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("bright-light", 3): ("2ee5af59ac0d706b9a13825658a4283f58f813d24b23d6b33321f6d5e83ba958", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("bright-light", 17): ("6003478ef6f800f863ca590b3dc4e598c760b214386997c950e8bb2011fe6226", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("bright-light", 65): ("0b9932e86155a646e5d8b06deab20352bc8bad0e38a701ebcbd3adbbf3f36abf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
 def _assert_golden(res, json_sha, key_sha):
     assert hashlib.sha256(res.to_json().encode()).hexdigest() == json_sha
     keys = res.sifted_key_alice.tobytes() + res.sifted_key_bob.tobytes()
@@ -64,3 +89,10 @@ def test_variant_session_matches_golden(name):
     overrides, attack, json_sha, key_sha = GOLDEN_VARIANTS[name]
     res = run_session(SessionConfig(n_pulses=100_000, seed=7, **overrides), attack)
     _assert_golden(res, json_sha, key_sha)
+
+
+@pytest.mark.parametrize("kind,n_pulses", sorted(GOLDEN_SHORT))
+def test_short_session_matches_golden(kind, n_pulses):
+    cls = ATTACK_KINDS[kind]
+    res = run_session(SessionConfig(n_pulses=n_pulses, seed=7), cls() if cls else None)
+    _assert_golden(res, *GOLDEN_SHORT[kind, n_pulses])

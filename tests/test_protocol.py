@@ -13,8 +13,10 @@ from ctqkd import protocol
 from ctqkd.attacks import ATTACK_KINDS
 from ctqkd.detector import DetectorModel, click_prob, samples_needed
 from ctqkd.light import (
+    KIND_BLINDING,
     KIND_COHERENT,
     KIND_THERMAL,
+    KIND_VACUUM,
     Blinding,
     Coherent,
     FieldArray,
@@ -333,62 +335,55 @@ def test_uniform_train_table_equals_general_path_bitwise(magnitude, det):
     assert table[:, index[1:]].tobytes() == general[:, 1:].tobytes()
 
 
-def _assert_mixed_kind_pair_values(out1, p, det):
-    """Coherent pairs 0 and 1 interfere; every later pair holds a thermal,
-    Fock or blinding field and takes the incoherent split."""
-    f = out1.noclick_factors(det.eta / 8.0)[out1.level]
-    means = _complex_port_means(np.array([1.0, -1.0 + 0j]), np.array([-1.0 + 0j, 0j]))
-    assert p[:, :2].tobytes() == click_prob(det.dark_prob, np.exp(-det.eta * means)).tobytes()
-    for i in range(2, len(out1) - 1):
-        assert np.all(p[:, i] == click_prob(det.dark_prob, f[i], f[i + 1]))
+def _per_pair_oracle(train, det):
+    """Pair click probabilities one column per pair, by the one law: the
+    port means of the complex sum of the coherent amplitudes (0 on vacuum
+    and blinding light), and a factor 1 - forced_click_prob per blinding
+    pulse of the pair."""
+    kind, param, q = train.kind[train.level], train.param[train.level], train.quarter
+    amplitude = np.where(kind == KIND_COHERENT, np.sqrt(param) * QUARTER_PHASES[q], 0.0)
+    f = np.where(kind == KIND_BLINDING, 1.0 - param, 1.0)
+    means = _complex_port_means(amplitude[:-1], amplitude[1:])
+    return click_prob(det.dark_prob, np.exp(-det.eta * means), f[:-1], f[1:])
 
 
-MIXED_KINDS = [Coherent(1.0), Coherent(-1.0), Vacuum(), Thermal(0.4), FockN(2), Coherent(1j)]
+# Pairs 4 and 5 mix coherent and blinding light.
+MIXED_KINDS = [Coherent(1.0), Coherent(-1.0), Vacuum(), Blinding(0.4), Blinding(0.2), Coherent(1j)]
 
 
-def test_pair_click_probs_mixed_kinds_use_the_incoherent_split():
+def test_pair_click_probs_mixed_kinds_take_one_law():
     # Five (kind, param) levels: a (4 * 5)**2-entry table would outnumber
     # the 6 pairs, so each pair gets its own column.
     det = DetectorModel(0.3, 0.01)
     out1 = FieldArray.from_fields(MIXED_KINDS + [Blinding(0.3)])
     p, index = pair_click_probs(out1, det)
     assert p.shape == (4, 6) and index.dtype == np.uint8 and index.tolist() == list(range(6))
-    _assert_mixed_kind_pair_values(out1, p[:, index], det)
+    assert p[:, index].tobytes() == _per_pair_oracle(out1, det).tobytes()
 
 
 def test_pair_click_probs_four_mixed_kind_levels_take_the_table():
-    # levels (1, 1.0), (0, 0.0), (2, 0.4), (3, 2.0): 16 states, so a train
+    # levels (1, 1.0), (0, 0.0), (4, 0.4), (4, 0.2): 16 states, so a train
     # takes the 256-entry table from 256 pairs on
     det = DetectorModel(0.3, 0.01)
     for pairs in (255, 256):
-        out1 = FieldArray.from_fields(MIXED_KINDS + [Thermal(0.4)] * (pairs + 1 - len(MIXED_KINDS)))
+        out1 = FieldArray.from_fields(MIXED_KINDS + [Blinding(0.4)] * (pairs + 1 - len(MIXED_KINDS)))
         p, index = pair_click_probs(out1, det)
         assert out1.kind.size == 4 and len(out1) == pairs + 1
         state = out1.level.astype(int) << 2 | out1.quarter
         want = state[:-1] * 16 + state[1:] if pairs == 256 else np.arange(pairs)
         assert p.shape == (4, 256 if pairs == 256 else pairs) and index.dtype == np.uint8
         assert index.tolist() == want.tolist()
-        _assert_mixed_kind_pair_values(out1, p[:, index], det)
-
-
-def _per_pair_oracle(train, det):
-    """Pair click probabilities one column per pair: port means on coherent
-    or vacuum pairs, the incoherent 1/8 split on every other pair."""
-    r, q = np.sqrt(train.param[train.level]), train.quarter
-    coherent = click_prob(det.dark_prob, np.exp(-det.eta * port_means(r[:-1], q[:-1], r[1:], q[1:])))
-    f = train.noclick_factors(det.eta / 8.0)[train.level]
-    incoherent = click_prob(det.dark_prob, f[:-1], f[1:])
-    both = train.kind[train.level] <= KIND_COHERENT
-    return np.where(both[:-1] & both[1:], coherent, incoherent)
+        assert p[:, index].tobytes() == _per_pair_oracle(out1, det).tobytes()
 
 
 def _random_levels(rng, n_levels):
-    """n_levels distinct (kind, param) levels, any of the five kinds."""
+    """n_levels distinct (kind, param) levels of the three kinds the
+    interferometers take: vacuum, coherent and blinding light."""
     levels = set()
     while len(levels) < n_levels:
-        kind = int(rng.integers(0, 5))
-        param = [0.0, rng.exponential(1.0), rng.exponential(1.0), float(rng.integers(0, 6)),
-                 rng.uniform(0.0, 1.0)][kind]
+        kind = (KIND_VACUUM, KIND_COHERENT, KIND_BLINDING)[int(rng.integers(0, 3))]
+        param = {KIND_VACUUM: 0.0, KIND_COHERENT: rng.exponential(1.0),
+                 KIND_BLINDING: rng.uniform(0.0, 1.0)}[kind]
         levels.add((kind, param))
     return sorted(levels)
 
@@ -441,6 +436,19 @@ def test_interferometer_measure_deterministic_port():
     seen = set(zip(meas["basis_q"].tolist(), meas["port"].tolist()))
     assert (0, 0) not in seen
     assert (0, 1) in seen
+
+
+@pytest.mark.parametrize("stray", [Thermal(0.2), FockN(1)])
+def test_interferometers_refuse_thermal_or_fock_light_on_output_1(stray):
+    # No session puts such light on output 1, and the one law of
+    # state_pair_probs does not model it: refused before any draw.
+    out1 = FieldArray.from_fields([Coherent(1.0)] * 50 + [stray] + [Coherent(1.0)] * 50)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="no thermal or Fock light on output 1"):
+        measure_interference(both_outputs(out1), np.zeros(len(out1), dtype=np.uint8),
+                             CFG_SMALL.detector_alice, rng)
+    assert rng.bit_generator.state == state
 
 
 # --- sifting ---------------------------------------------------------------
