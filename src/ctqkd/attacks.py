@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import DetectorModel, click_prob, require_real
+from .detector import DetectorModel, click_prob, require_detector, require_real
 from .light import Blinding, Coherent, FieldArray, LightField, _select, level_pairs
 from .protocol import (
     ConfigError,
@@ -217,8 +217,7 @@ class ModeDiscrimination(Attack):
 
     def __post_init__(self):
         require_real("resend_mu", self.resend_mu, 0.0, math.inf)
-        if not isinstance(self.eve_det, DetectorModel):
-            raise ConfigError(f"eve_det must be a DetectorModel, got {self.eve_det!r}")
+        require_detector("eve_det", self.eve_det)
 
     def params(self) -> dict:
         return {"resend_mu": self.resend_mu, "eve_eta": self.eve_det.eta,

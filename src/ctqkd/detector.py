@@ -34,7 +34,8 @@ def require_real(name: str, value, low: float = -math.inf, high: float = math.in
                  ends: str = "()") -> None:
     """Raise ConfigError unless value is a finite real number (not a bool)
     from low to high, each end included where ends reads "[" or "]"."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+    # float first: isinstance settles a float without numbers.Real's slower ABC check.
+    if (isinstance(value, bool) or not isinstance(value, (float, numbers.Real)) or not math.isfinite(value)
             or not low <= value <= high or (value, ends[0]) == (low, "(")
             or (value, ends[1]) == (high, ")")):
         raise ConfigError(f"{name} must be a finite real number in "
@@ -50,7 +51,8 @@ def require_complex(name: str, value) -> complex:
 
 def require_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
     """value as an int if it is an integer (not a bool) from low to high, else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # int first: isinstance settles an int without numbers.Integral's slower ABC check.
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < low:
@@ -71,6 +73,12 @@ class DetectorModel:
     def __post_init__(self):
         require_real("eta", self.eta, 0.0, 1.0, "[]")
         require_real("dark_prob", self.dark_prob, 0.0, 1.0, "[)")
+
+
+def require_detector(name: str, value) -> None:
+    """Raise ConfigError unless value is a DetectorModel."""
+    if not isinstance(value, DetectorModel):
+        raise ConfigError(f"{name} must be a DetectorModel, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,7 @@ def click_prob(dark_prob, *noclick_factors):
 def click_prob_thermal(det: DetectorModel, mu_t: float) -> float:
     """Avalanche probability under thermal light of mean photon number mu_t:
     1 - (1 - dark_prob) / (1 + eta mu_t)."""
+    require_detector("det", det)
     require_real("mu_t", mu_t, 0.0, math.inf, "[)")
     # Kept as a quotient: (1 - dark_prob) * (1 / (1 + eta mu_t)) through
     # click_prob differs in the last bit for about one input in five, and
@@ -137,6 +146,7 @@ def click_prob_thermal(det: DetectorModel, mu_t: float) -> float:
 def click_prob_coherent(det: DetectorModel, mu: float) -> float:
     """Avalanche probability under coherent light of mean photon number mu:
     1 - (1 - dark_prob) exp(-eta mu)."""
+    require_detector("det", det)
     require_real("mu", mu, 0.0, math.inf, "[)")
     return click_prob(det.dark_prob, math.exp(-det.eta * mu))
 
@@ -150,6 +160,7 @@ def click_prob_state(det: DetectorModel, rho: DensityMatrix) -> float:
     one yields a different click probability and is therefore separable with
     enough samples.
     """
+    require_detector("det", det)
     weights = (1.0 - det.eta) ** np.arange(rho.dim)
     return click_prob(det.dark_prob, float(rho.diagonal() @ weights))
 

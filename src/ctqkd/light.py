@@ -123,7 +123,7 @@ def _read_only(values, dtype) -> np.ndarray:
 
 def _index_dtype(n_levels: int) -> np.dtype:
     """The narrowest unsigned integer type that indexes n_levels levels."""
-    return np.min_scalar_type(max(n_levels - 1, 0))
+    return np.dtype(np.uint8) if n_levels <= 256 else np.min_scalar_type(n_levels - 1)
 
 
 def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -262,10 +262,12 @@ class FieldArray:
         if t == 1.0:
             return self
         param = self.param * t
-        blind, fock = self.kind == KIND_BLINDING, self.kind == KIND_FOCK
-        param[blind] = self.param[blind]
-        pulses = np.flatnonzero(gather(fock, self.level)) if fock.any() else np.empty(0, np.intp)
-        if pulses.size == 0:
+        kinds = self.kind.tolist()
+        if KIND_BLINDING in kinds:
+            param[self.kind == KIND_BLINDING] = self.param[self.kind == KIND_BLINDING]
+        fock = self.kind == KIND_FOCK
+        pulses = np.flatnonzero(gather(fock, self.level)) if KIND_FOCK in kinds else ()
+        if len(pulses) == 0:
             return FieldArray(self.level, self.quarter, self.kind, param)
         if rng is None:
             raise ValueError("rng required to thin definite photon numbers through loss")
@@ -284,18 +286,27 @@ class FieldArray:
                           np.concatenate([param[keep], photons]))
 
     def phase_shifted(self, quarters) -> "FieldArray":
-        """Turn coherent phases by whole quarter turns (an integer or one per
-        pulse); phase-invariant fields keep quarter 0.  The result shares the
-        level, kind and param arrays; a train with no coherent level, as
-        Alice's thermal output, is itself the result."""
-        coherent = self.kind == KIND_COHERENT
-        if not coherent.any():
+        """Turn coherent phases by whole quarter turns (an integer or an
+        integer array, one per pulse, each taken mod 4, so -1 turns like 3);
+        phase-invariant fields keep quarter 0.  The result shares the level,
+        kind and param arrays; a train with no coherent level, as Alice's
+        thermal output, is itself the result."""
+        if np.ndim(quarters) == 0 and not isinstance(quarters, np.ndarray):
+            quarters = require_int("quarters", quarters) & 3
+        elif np.asarray(quarters).dtype.kind not in "iu":
+            raise ConfigError(f"quarters must be integers, got an array of {np.asarray(quarters).dtype}")
+        kinds = self.kind.tolist()
+        if KIND_COHERENT not in kinds:
             return self
         # (quarter + (quarters on coherent pulses, else 0)) & 3 in one new
         # array, since quarter is 0 off coherent pulses.
-        turned = gather(coherent * np.uint8(3), self.level)
-        turned &= np.asarray(quarters, dtype=np.uint8)
-        turned += self.quarter
+        q = np.asarray(quarters, dtype=np.uint8)
+        if kinds.count(KIND_COHERENT) == len(kinds):
+            turned = np.add(self.quarter, q)
+        else:
+            turned = gather((self.kind == KIND_COHERENT) * np.uint8(3), self.level)
+            turned &= q
+            turned += self.quarter
         turned &= 3
         return FieldArray(self.level, turned, self.kind, self.param)
 
@@ -310,13 +321,15 @@ class FieldArray:
         """
         require_real("eta_eff", eta_eff, 0.0, 1.0, "[]")
         k, mu = self.kind, self.param
-        # exp(-eta mu_coh) / (1 + eta mu_th): each mean is masked to exactly
-        # 0 off its kind, so each factor is exactly 1 there.
-        out = np.exp(-eta_eff * ((k == KIND_COHERENT).astype(np.float64) * mu))
-        out /= 1.0 + eta_eff * ((k == KIND_THERMAL).astype(np.float64) * mu)
-        fock, blind = k == KIND_FOCK, k == KIND_BLINDING
-        out[fock] = (1.0 - eta_eff) ** mu[fock]
-        out[blind] = 1.0 - mu[blind]
+        # exp(-eta mu_coh) / (1 + eta mu_th), each mean masked to exactly 0 off
+        # its kind: each factor is exactly 1 there, as exp's is with no coherent level.
+        kinds = k.tolist()
+        out = np.exp(-eta_eff * ((k == KIND_COHERENT) * mu)) if KIND_COHERENT in kinds else np.ones(k.size)
+        out /= 1.0 + eta_eff * ((k == KIND_THERMAL) * mu)
+        if KIND_FOCK in kinds:
+            out[k == KIND_FOCK] = (1.0 - eta_eff) ** mu[k == KIND_FOCK]
+        if KIND_BLINDING in kinds:
+            out[k == KIND_BLINDING] = 1.0 - mu[k == KIND_BLINDING]
         return out
 
     def few_photon_probs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -64,6 +64,7 @@ from .detector import (
     click_prob,
     click_prob_thermal,
     power_test,
+    require_detector,
     require_int,
     require_real,
 )
@@ -154,8 +155,7 @@ class SessionConfig:
         for name, low, high in (("n_pulses", 2, np.iinfo(np.intp).max), ("seed", 0, math.inf)):
             object.__setattr__(self, name, require_int(name, getattr(self, name), low, high))
         for name in ("detector_alice", "detector_bob"):
-            if not isinstance(getattr(self, name), DetectorModel):
-                raise ConfigError(f"{name} must be a DetectorModel, got {getattr(self, name)!r}")
+            require_detector(name, getattr(self, name))
         for name, low, high, ends in (("mu_coherent", 0.0, math.inf, "[)"),
                                       ("mu_thermal", 0.0, math.inf, "[)"),
                                       ("transmittance_oneway", 0.0, 1.0, "[]"),
@@ -378,9 +378,12 @@ def monitor_clicks(table: np.ndarray, index: np.ndarray, rng: np.random.Generato
     """Clicks of index.size gates, gate g clicking with probability
     table[index[g]], independently: one binomial draw per table entry over
     the gates at that entry (entry_counts), since a sum of independent
-    Bernoulli draws of one probability is binomial."""
+    Bernoulli draws of one probability is binomial (scalar draws, the same
+    and far faster, on a table of at most two entries)."""
     gates = entry_counts(index, table.size)
-    return ClickStream(int(rng.binomial(gates, table).sum()), index.size)
+    clicks = (sum(map(rng.binomial, gates.tolist(), table.tolist())) if table.size <= 2
+              else int(rng.binomial(gates, table).sum()))
+    return ClickStream(clicks, index.size)
 
 
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
@@ -433,20 +436,17 @@ def port_means(r_prev: np.ndarray, q_prev: np.ndarray, r_curr: np.ndarray,
     make the two amplitudes aligned, opposite or orthogonal, so the modulus
     is r_prev + r_curr, |r_prev - r_curr| or |r_prev + i r_curr|, bit-equal
     to the modulus of the complex sum."""
-    plus = np.square(r_prev + r_curr) / 8.0
-    minus = np.square(r_prev - r_curr) / 8.0
+    pair = np.empty((np.size(r_prev), 2))
+    pair[:, 0], pair[:, 1] = r_prev, r_curr
     # |r_prev + i r_curr| by numpy's complex-modulus kernel, through a complex
     # view of the two real columns: np.hypot rounds differently from that
     # kernel (max * sqrt(fma(ratio, ratio, 1)) in SIMD) for a third of inputs.
-    pair = np.empty((np.size(r_prev), 2))
-    pair[:, 0], pair[:, 1] = r_prev, r_curr
-    orth = np.square(np.abs(pair.view(np.complex128)[:, 0])) / 8.0
-    means = np.empty((4, np.size(r_prev)))
-    for b in (0, 1):
-        turn = (q_curr - q_prev - b) & 3  # phase of a_curr against a_prev i**b
-        means[2 * b] = np.choose(turn, (plus, orth, minus, orth))
-        means[2 * b + 1] = np.choose(turn, (minus, orth, plus, orth))
-    return means
+    orth = np.square(np.abs(pair.view(np.complex128)[:, 0]))
+    # Row t: the mean at a port where a_curr turns by t quarters against a_prev
+    # i**b; the other port reads row t ^ 2 = (t + 2) & 3 (basis B: t = turn - 1).
+    ports = np.stack([np.square(r_prev + r_curr), orth, np.square(r_prev - r_curr), orth]) / 8.0
+    turn = (q_curr - q_prev) & 3
+    return ports[[turn, turn ^ 2, (turn - 1) & 3, (turn + 1) & 3], np.arange(np.size(r_prev))]
 
 
 def state_pair_probs(levels: FieldArray, s_prev: np.ndarray, s_curr: np.ndarray,
@@ -489,8 +489,11 @@ def _pair_columns(out1: FieldArray, cand: np.ndarray, n_states: int) -> np.ndarr
     cand + 1 are taken at cand from the columns shifted by one, so no
     second index is built."""
     level, quarter, n_levels = out1.level, out1.quarter, out1.kind.size
-    s_prev = _states(level.take(cand), quarter.take(cand), n_levels)
-    s_curr = _states(level[1:].take(cand), quarter[1:].take(cand), n_levels)
+    if n_levels == 1:  # every level 0: the states are the quarters
+        s_prev, s_curr = quarter.take(cand), quarter[1:].take(cand)
+    else:
+        s_prev = _states(level.take(cand), quarter.take(cand), n_levels)
+        s_curr = _states(level[1:].take(cand), quarter[1:].take(cand), n_levels)
     column = np.multiply(s_prev, n_states, dtype=np.intp)
     column += s_curr
     return column
@@ -502,11 +505,13 @@ def pair_outcome_probs(p: np.ndarray) -> np.ndarray:
     D1A, D0B, D1B, one column per pair state), one row per outcome: no
     click, a single click at D0A, D1A, D0B or D1B, and a double (two or
     more clicks)."""
-    miss = 1.0 - p
-    none = np.prod(miss, axis=0)
-    singles = [p[d] * np.prod(np.delete(miss, d, axis=0), axis=0) for d in range(4)]
-    double = np.maximum(1.0 - none - sum(singles), 0.0)
-    return np.stack([none, *singles, double])
+    m0, m1, m2, m3 = 1.0 - p
+    # Each product of misses runs left to right, as np.prod over the rows.
+    m01 = m0 * m1
+    m012 = m01 * m2
+    none = m012 * m3
+    singles = p[0] * (m1 * m2 * m3), p[1] * (m0 * m2 * m3), p[2] * (m01 * m3), p[3] * m012
+    return np.array([none, *singles, np.maximum(1.0 - none - sum(singles), 0.0)])
 
 
 def candidate_blocks(m: int, q: float, rng: np.random.Generator):
@@ -581,7 +586,7 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
         outcome = np.zeros(cand.size, dtype=np.uint8)
         for row, row_flat in zip(cum, flat):
             outcome += u >= (row[0] if row_flat else row.take(state))
-        single = np.flatnonzero(outcome < 4)
+        single = (outcome < 4).nonzero()[0]
         pairs.append(cand.take(single))
         detector.append(outcome.take(single))
         doubles += int(np.count_nonzero(outcome == 4))
@@ -602,7 +607,7 @@ def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> S
     basis_q, delta_q = meas["basis_q"], meas["delta_q"]
     # Each selection takes its positions once, then takes them from every
     # column: far faster than indexing each column by a random bool mask.
-    kept = np.flatnonzero((delta_q & 1) == basis_q)
+    kept = ((delta_q & 1) == basis_q).nonzero()[0]
     idx = meas["pairs"].take(kept)
     alice_bits = meas["port"].take(kept)
     bob_bits = (((delta_q.take(kept) - basis_q.take(kept)) & 3) == 2).astype(np.uint8)
@@ -615,8 +620,8 @@ def sift_and_qber(meas: dict, cfg: SessionConfig, rng: np.random.Generator) -> S
     disc_idx = np.sort(rng.choice(k, size=n_disc, replace=False))
     disclosed = np.zeros(k, dtype=bool)
     disclosed[disc_idx] = True
-    qber = float(np.mean(alice_bits.take(disc_idx) != bob_bits.take(disc_idx)))
-    key_idx = np.flatnonzero(~disclosed)
+    qber = int(np.count_nonzero(alice_bits.take(disc_idx) != bob_bits.take(disc_idx))) / n_disc
+    key_idx = (~disclosed).nonzero()[0]
     return SiftOutcome(
         pair_indices=idx,
         alice_bits=alice_bits,
@@ -686,7 +691,7 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
         "single_clicks": int(meas["pairs"].size),
         "double_clicks": meas["doubles"],
         "sifted": int(sift.pair_indices.size),
-        "disclosed": int(sift.disclosed.sum()),
+        "disclosed": int(np.count_nonzero(sift.disclosed)),
     }
     return SessionResult(
         config=cfg,

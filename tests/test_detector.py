@@ -8,6 +8,7 @@ import pytest
 
 import ctqkd
 from ctqkd import protocol
+from ctqkd.analysis import distinguishability_curve
 from ctqkd.detector import (
     ClickStream,
     ConfigError,
@@ -85,6 +86,16 @@ def test_require_int_rejects_non_integers_and_values_out_of_range(value, message
         "overlap-nan", "samples-z-inf", "samples-z-nan", "power-test-z-nan"])
 def test_every_numeric_input_takes_the_shared_range_check(make):
     with pytest.raises(ConfigError, match="must be a finite real number|must be an integer|must be <="):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: distinguishability_curve(0.2, 0.3, "det", [1], np.random.default_rng(1), trials=5),
+    lambda: click_prob_coherent("x", 0.1), lambda: click_prob_thermal(None, 0.1),
+    lambda: click_prob_state(0.1, thermal_state(0.1)),
+], ids=["distinguishability-str", "coherent-str", "thermal-none", "state-float"])
+def test_a_detector_argument_must_be_a_detector_model(make):
+    with pytest.raises(ConfigError, match="det must be a DetectorModel"):
         make()
 
 

@@ -25,6 +25,7 @@ from ctqkd.protocol import (
     measure_interference,
     monitor_clicks,
     pair_outcome_probs,
+    port_means,
     sample_blocked,
 )
 from test_blocks import both_outputs, pair_click_probs
@@ -147,6 +148,30 @@ def test_monitor_counts_fall_within_binomial_bounds(seed, size):
     assert stream.n_gates == index.size and _within(stream.clicks, index.size, p)
 
 
+def _monitor_tables(rng):
+    """(table, index) of one and two entries: zero-gate entries, and
+    probabilities 0 and 1 among random ones."""
+    out = []
+    for size in (1, 2):
+        for n in (0, 1, 2, 7, 1000):
+            for table in (rng.uniform(0.0, 1.0, size), np.zeros(size), np.ones(size),
+                          np.array([0.0, 1.0])[:size], np.array([1.0, 0.3])[:size]):
+                out.append((table, rng.integers(0, size, n).astype(np.uint8)))
+        out.append((rng.uniform(0.0, 1.0, 2), np.ones(50, dtype=np.uint8)))  # entry 0 has no gate
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_monitor_clicks_on_small_tables_draw_the_array_binomial(seed):
+    # Scalar draws per entry give the array draw's count and leave the
+    # generator where it leaves it.
+    for table, index in _monitor_tables(np.random.default_rng(seed)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = int(ref.binomial(np.bincount(index, minlength=table.size), table).sum())
+        assert monitor_clicks(table, index, rng) == ClickStream(want, index.size)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 # --- interferometers: thinning by geometric gaps ---------------------------
 
 
@@ -212,6 +237,55 @@ def test_outcome_table_is_the_product_law_of_four_detectors(source):
     if source == "random":
         assert table[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert table[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def _outcome_probs_by_delete(p):
+    """pair_outcome_probs written row by row with np.delete, np.prod and
+    np.stack: the reference its explicit products must equal bit for bit."""
+    miss = 1.0 - p
+    none = np.prod(miss, axis=0)
+    singles = [p[d] * np.prod(np.delete(miss, d, axis=0), axis=0) for d in range(4)]
+    double = np.maximum(1.0 - none - sum(singles), 0.0)
+    return np.stack([none, *singles, double])
+
+
+def _port_means_by_choose(r_prev, q_prev, r_curr, q_curr):
+    """port_means choosing each detector's mean with np.choose: the
+    reference its one indexed table must equal bit for bit."""
+    plus = np.square(r_prev + r_curr) / 8.0
+    minus = np.square(r_prev - r_curr) / 8.0
+    pair = np.empty((np.size(r_prev), 2))
+    pair[:, 0], pair[:, 1] = r_prev, r_curr
+    orth = np.square(np.abs(pair.view(np.complex128)[:, 0])) / 8.0
+    means = np.empty((4, np.size(r_prev)))
+    for b in (0, 1):
+        turn = (q_curr - q_prev - b) & 3
+        means[2 * b] = np.choose(turn, (plus, orth, minus, orth))
+        means[2 * b + 1] = np.choose(turn, (minus, orth, plus, orth))
+    return means
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_outcome_table_is_bit_equal_to_the_row_by_row_form(seed):
+    rng = np.random.default_rng(seed)
+    for k in (1, 16, 257, 4096):
+        p = rng.uniform(0.0, 1.0, (4, k)) ** rng.uniform(0.5, 8.0)
+        p[:, rng.integers(0, k, k // 4)] = 0.0  # exact 0 and 1, alone and mixed
+        p[rng.integers(0, 4, k // 4), rng.integers(0, k, k // 4)] = 1.0
+        p[rng.integers(0, 4, k // 8), rng.integers(0, k, k // 8)] = 0.0
+        assert pair_outcome_probs(p).tobytes() == _outcome_probs_by_delete(p).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_port_means_are_bit_equal_to_the_chosen_form(dtype):
+    rng = np.random.default_rng(8)
+    for m in (1, 16, 1000):
+        r_prev, r_curr = rng.uniform(0.0, 3.0, (2, m)) ** 2
+        r_prev[rng.integers(0, m, m // 4)] = 0.0  # columns with r = 0
+        r_curr[rng.integers(0, m, m // 4)] = 0.0
+        q_prev, q_curr = rng.integers(0, 4, (2, m)).astype(dtype)
+        got = port_means(r_prev, q_prev, r_curr, q_curr)
+        assert got.tobytes() == _port_means_by_choose(r_prev, q_prev, r_curr, q_curr).tobytes()
 
 
 def _measure_counts(out1, det, seeds):

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from ctqkd.analysis import SweepSpec, export_csv, run_sweep
 from ctqkd.attacks import ATTACK_KINDS, BeamSplit, ModeDiscrimination, TrojanHorse
 from ctqkd.detector import DetectorModel
 from ctqkd.light import Blinding, FockN, Thermal, Vacuum
@@ -71,6 +72,15 @@ GOLDEN_SHORT = {
 }
 
 
+# The SHA-256 of analysis.export_csv over run_sweep of mu_thermal in (0.1,
+# 0.3), three seeds per point from seed 7, at 1e4 pulses: the path of the
+# benchmark's sweep-1e4 workload, honest and under intercept-resend.
+GOLDEN_SWEEPS = {
+    "none": "2a93e5a237f6f8c1698838ae33c53181756728cfb6f7c231f842005be008eea4",
+    "intercept-resend": "5a81e0ad4b645b4c2d37f41ad37b8378620c5a275bca54f91e75f8c0037db0f1",
+}
+
+
 def _assert_golden(res, json_sha, key_sha):
     assert hashlib.sha256(res.to_json().encode()).hexdigest() == json_sha
     keys = res.sifted_key_alice.tobytes() + res.sifted_key_bob.tobytes()
@@ -96,3 +106,12 @@ def test_short_session_matches_golden(kind, n_pulses):
     cls = ATTACK_KINDS[kind]
     res = run_session(SessionConfig(n_pulses=n_pulses, seed=7), cls() if cls else None)
     _assert_golden(res, *GOLDEN_SHORT[kind, n_pulses])
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SWEEPS))
+def test_sweep_matches_golden(kind):
+    cls = ATTACK_KINDS[kind]
+    spec = SweepSpec("mu_thermal", (0.1, 0.3), SessionConfig(n_pulses=10_000, seed=7),
+                     cls() if cls else None, seeds_per_point=3)
+    csv = export_csv([point.to_dict() for point in run_sweep(spec)])
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SWEEPS[kind]

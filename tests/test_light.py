@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctqkd.detector import DetectorModel, click_prob, click_prob_state
+from ctqkd.detector import ConfigError, DetectorModel, click_prob, click_prob_state
 from ctqkd.fock import attenuate, coherent_state, fock_state, phase_shift, thermal_state, trace_distance
 from ctqkd.light import (
     FOCK_N_MAX,
@@ -173,6 +173,30 @@ def test_phase_shift_field():
     assert turned.field(1) == Thermal(0.3)
     assert turned.field(2) == FockN(2)
     assert fa.phase_shifted(np.array([3, 1, 2], dtype=np.uint8)).phase_shifted(1).field(0) == Coherent(2.0)
+
+
+@pytest.mark.parametrize("turn", [-1, -2, -6, 5, 259, 300, np.int64(-3), 2**70 + 1])
+def test_a_turn_is_taken_mod_4_alike_as_a_scalar_and_an_array(turn):
+    # An integer array's uint8 cast wraps mod 256, a multiple of 4, so an
+    # array holding -1 turns by 3; the scalar -1 turns alike.
+    fa = FieldArray.from_fields([Coherent(1.0), Coherent(1j), Vacuum()])
+    want = [int(turn + q) % 4 for q in (0, 1)] + [0]
+    assert fa.phase_shifted(turn).quarter.tolist() == want
+    if abs(turn) < 2**63:
+        assert fa.phase_shifted(np.full(3, turn, dtype=np.int64)).quarter.tolist() == want
+        assert fa.phase_shifted(np.array(turn)).quarter.tolist() == want
+
+
+@pytest.mark.parametrize("turn", [1.5, 2.0, True, None, "1", np.array(2.0), np.array([1.0, 2.0, 0.0]),
+                                  np.array([True, False, True]), [0.5, 1, 2]],
+                         ids=["float", "integral-float", "bool", "none", "str", "float-0d", "float-array",
+                              "bool-array", "float-list"])
+def test_a_non_integer_turn_is_refused(turn):
+    # Refused on a train with no coherent level too, which it leaves as is.
+    for fa in (FieldArray.from_fields([Coherent(1.0), Thermal(0.3), Vacuum()]),
+               FieldArray.uniform(Thermal(0.3), 3)):
+        with pytest.raises(ConfigError, match="must be an integer|must be integers"):
+            fa.phase_shifted(turn)
 
 
 def test_click_prob_per_kind():
