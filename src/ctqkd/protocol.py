@@ -378,12 +378,11 @@ def monitor_clicks(table: np.ndarray, index: np.ndarray, rng: np.random.Generato
     """Clicks of index.size gates, gate g clicking with probability
     table[index[g]], independently: one binomial draw per table entry over
     the gates at that entry (entry_counts), since a sum of independent
-    Bernoulli draws of one probability is binomial (scalar draws, the same
-    and far faster, on a table of at most two entries)."""
+    Bernoulli draws of one probability is binomial.  Scalar draws, entry by
+    entry, are the array draw's own and far faster on the few entries a
+    session's table holds."""
     gates = entry_counts(index, table.size)
-    clicks = (sum(map(rng.binomial, gates.tolist(), table.tolist())) if table.size <= 2
-              else int(rng.binomial(gates, table).sum()))
-    return ClickStream(clicks, index.size)
+    return ClickStream(sum(map(rng.binomial, gates.tolist(), table.tolist())), index.size)
 
 
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,

@@ -149,22 +149,22 @@ def test_monitor_counts_fall_within_binomial_bounds(seed, size):
 
 
 def _monitor_tables(rng):
-    """(table, index) of one and two entries: zero-gate entries, and
+    """(table, index) of 1 to 300 entries: zero-gate entries, and
     probabilities 0 and 1 among random ones."""
     out = []
-    for size in (1, 2):
+    for size in (1, 2, 3, 16, 300):
         for n in (0, 1, 2, 7, 1000):
             for table in (rng.uniform(0.0, 1.0, size), np.zeros(size), np.ones(size),
-                          np.array([0.0, 1.0])[:size], np.array([1.0, 0.3])[:size]):
-                out.append((table, rng.integers(0, size, n).astype(np.uint8)))
-        out.append((rng.uniform(0.0, 1.0, 2), np.ones(50, dtype=np.uint8)))  # entry 0 has no gate
+                          np.resize([0.0, 1.0], size), np.resize([1.0, 0.3], size)):
+                out.append((table, rng.integers(0, size, n).astype(np.min_scalar_type(size - 1))))
+        out.append((rng.uniform(0.0, 1.0, size), np.full(50, size - 1, dtype=np.uint16)))  # one entry gated
     return out
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_monitor_clicks_on_small_tables_draw_the_array_binomial(seed):
+def test_monitor_clicks_draw_the_array_binomial(seed):
     # Scalar draws per entry give the array draw's count and leave the
-    # generator where it leaves it.
+    # generator where it leaves it, on a table of any size.
     for table, index in _monitor_tables(np.random.default_rng(seed)):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         want = int(ref.binomial(np.bincount(index, minlength=table.size), table).sum())
