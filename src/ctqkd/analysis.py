@@ -73,7 +73,8 @@ class SweepSpec:
     """One swept parameter over a value grid, several seeds per point.
 
     parameter is any key resolve_parameters takes ("session.mu_thermal",
-    "mu_thermal", "alice.eta", "attack.tap_fraction"), but not the seed.
+    "mu_thermal", "alice.eta", "attack.tap_fraction"), but not the seed;
+    values is a tuple or list of its grid values.
     """
 
     parameter: str
@@ -83,6 +84,12 @@ class SweepSpec:
     seeds_per_point: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.base, SessionConfig):
+            raise ConfigError(f"base must be a SessionConfig, got {self.base!r}")
+        if not isinstance(self.parameter, str):
+            raise ConfigError(f"parameter must be a str, got {self.parameter!r}")
+        if not isinstance(self.values, (tuple, list)):
+            raise ConfigError(f"values must be a tuple or list, got {self.values!r}")
         if self.parameter in ("seed", "session.seed"):
             # run_sweep derives each replicate's seed from base.seed; a swept
             # seed would overwrite it and run every replicate on one seed.

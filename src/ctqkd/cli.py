@@ -129,26 +129,17 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _build(values: dict, cfg, attack) -> tuple:
-    """(cfg, attack) set from the values of the keys they take (not another attack kind's)."""
-    keys = parameter_keys(cfg, attack)
-    return resolve_parameters(cfg, attack, {k: v for k, v in values.items() if k in keys})
-
-
-def build_session_config(values: dict) -> SessionConfig:
-    return _build(values, SessionConfig(), None)[0]
-
-
-def build_attack(values: dict):
-    """The configured attack, built from the attack.* values that name its
-    parameters; the others belong to other kinds and are ignored."""
+def build_run(values: dict) -> tuple:
+    """(cfg, attack) of the configured run, set from the values of the keys
+    it takes; the attack.* values of other attack kinds are ignored."""
     kind = values.get("attack.kind", "none")
     if kind not in ATTACK_KINDS:
-        raise ConfigError(
-            f"unknown attack kind {kind!r}; choose from {', '.join(sorted(ATTACK_KINDS))}"
-        )
+        raise ConfigError(f"unknown attack kind {kind!r}; "
+                          f"choose from {', '.join(sorted(ATTACK_KINDS))}")
     cls = ATTACK_KINDS[kind]
-    return None if cls is None else _build(values, None, cls())[1]
+    run = (SessionConfig(), cls and cls())
+    keys = parameter_keys(*run)
+    return resolve_parameters(*run, {k: v for k, v in values.items() if k in keys})
 
 
 def _output_path(out_dir: str, command: str, seed: int, ext: str) -> str:
@@ -177,14 +168,15 @@ def _write_atomic(path: str, text: str) -> str:
         os.remove(tmp)
 
 
-def cmd_states(values: dict, out) -> int:
+def cmd_states(values: dict, out_dir: str, out) -> int:
     grid = values.get("states.mu_grid", (0.1, 0.2, 0.5, 1.0))
-    if not grid or not all(0.0 <= m < math.inf for m in grid):
+    if not grid:
         raise ConfigError(f"states.mu_grid must be nonempty, finite and nonnegative, got {grid}")
     try:
-        coherent = [coherent_state(math.sqrt(mu)) for mu in grid]
+        # Thermal first: thermal_state judges each mean before a square root is taken.
         thermal = [thermal_state(mu) for mu in grid]
-    except TruncationError as exc:
+        coherent = [coherent_state(math.sqrt(mu)) for mu in grid]
+    except (ConfigError, TruncationError) as exc:
         raise ConfigError(f"states.mu_grid: {exc}") from exc
     header = (
         "mu_coherent mu_thermal trace_dist overlap_closed overlap_numeric "
@@ -204,8 +196,7 @@ def cmd_states(values: dict, out) -> int:
 
 
 def cmd_session(values: dict, out_dir: str, out) -> int:
-    cfg = build_session_config(values)
-    attack = build_attack(values)
+    cfg, attack = build_run(values)
     result = run_session(cfg, attack)
     path = _write_atomic(_output_path(out_dir, "session", cfg.seed, "json"), result.to_json() + "\n")
     print(result.summary_line(), file=out)
@@ -214,8 +205,7 @@ def cmd_session(values: dict, out_dir: str, out) -> int:
 
 
 def cmd_attack(values: dict, out_dir: str, out) -> int:
-    cfg = build_session_config(values)
-    attack = build_attack(values)
+    cfg, attack = build_run(values)
     baseline = run_session(cfg, None)
     attacked = run_session(cfg, attack)
     rows = [
@@ -237,12 +227,12 @@ def cmd_sweep(values: dict, out_dir: str, out) -> int:
     for key in ("sweep.parameter", "sweep.values"):
         if key not in values:
             raise ConfigError(f"sweep requires {key}")
-    cfg = build_session_config(values)
+    cfg, attack = build_run(values)
     spec = SweepSpec(
         parameter=values["sweep.parameter"],
-        values=tuple(values["sweep.values"]),
+        values=values["sweep.values"],
         base=cfg,
-        attack=build_attack(values),
+        attack=attack,
         seeds_per_point=values.get("sweep.seeds_per_point", 1),
     )
     points = run_sweep(spec)
@@ -269,9 +259,20 @@ def cmd_distinguish(values: dict, out_dir: str, out) -> int:
     return EXIT_OK
 
 
-# Override flag, by its dest -> (type, the configuration key it sets).
-_OVERRIDES = {"seed": (int, "session.seed"), "attack": (str, "attack.kind"),
-              "pulses": (int, "session.n_pulses"), "z_threshold": (float, "session.z_threshold")}
+# Override flag, by its dest -> the configuration key it sets, and parses as.
+_OVERRIDES = {"seed": "session.seed", "attack": "attack.kind", "pulses": "session.n_pulses",
+              "z_threshold": "session.z_threshold"}
+
+# Command -> (its function (values, out_dir, out) -> exit code, the override flags it reads, its help).
+COMMANDS = {
+    "states": (cmd_states, (),
+               "tabulate state distances, overlaps and kernel checks over a mean-photon grid"),
+    "session": (cmd_session, _OVERRIDES, "run one session and write its JSON result"),
+    "attack": (cmd_attack, _OVERRIDES, "run matched baseline and attacked sessions, write a comparison CSV"),
+    "sweep": (cmd_sweep, _OVERRIDES, "sweep one parameter over a grid of sessions, write a CSV curve"),
+    "distinguish": (cmd_distinguish, ("seed",),
+                    "Monte Carlo distinguishability vs sample count, write a CSV curve"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,20 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo simulator for a coherent/thermal two-layer QKD link",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each command takes only the overrides it reads.
-    for name, overrides, help_text in [
-        ("states", (), "tabulate state distances, overlaps and kernel checks over a mean-photon grid"),
-        ("session", _OVERRIDES, "run one session and write its JSON result"),
-        ("attack", _OVERRIDES, "run matched baseline and attacked sessions, write a comparison CSV"),
-        ("sweep", _OVERRIDES, "sweep one parameter over a grid of sessions, write a CSV curve"),
-        ("distinguish", ("seed",), "Monte Carlo distinguishability vs sample count, write a CSV curve"),
-    ]:
+    for name, (_, flags, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key-value configuration file")
         p.add_argument("--out-dir", default=".", help="directory for output files")
-        for dest in overrides:
-            kind, key = _OVERRIDES[dest]
-            p.add_argument("--" + dest.replace("_", "-"), type=kind, help=f"override {key}")
+        for dest in flags:
+            key = _OVERRIDES[dest]
+            p.add_argument("--" + dest.replace("_", "-"), type=CONFIG_SCHEMA[key], help=f"override {key}")
     return parser
 
 
@@ -301,14 +295,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         values = parse_config_file(args.config) if args.config else {}
-        for dest, (_, key) in _OVERRIDES.items():
+        for dest, key in _OVERRIDES.items():
             if getattr(args, dest, None) is not None:
                 values[key] = getattr(args, dest)
-        if args.command == "states":
-            return cmd_states(values, sys.stdout)
-        commands = {"session": cmd_session, "attack": cmd_attack, "sweep": cmd_sweep,
-                    "distinguish": cmd_distinguish}
-        return commands[args.command](values, args.out_dir, sys.stdout)
+        return COMMANDS[args.command][0](values, args.out_dir, sys.stdout)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

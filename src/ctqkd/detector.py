@@ -126,9 +126,6 @@ def click_prob(dark_prob, *noclick_factors):
     survive = 1.0 - dark_prob
     for factor in noclick_factors:
         survive = survive * factor
-    if isinstance(survive, np.ndarray):
-        # survive is a fresh product, never an input: reuse its memory.
-        return np.subtract(1.0, survive, out=survive)
     return 1.0 - survive
 
 

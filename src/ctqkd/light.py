@@ -201,6 +201,9 @@ class FieldArray:
         self.param = _read_only(param, np.float64)
         self.level = _read_only(level, _index_dtype(self.kind.size))
         self.quarter = _read_only(quarter, np.uint8)
+        if self.level.ndim != 1 or self.quarter.shape != self.level.shape:
+            raise ConfigError(f"level and quarter must be 1-d columns of one length, "
+                              f"got shapes {self.level.shape} and {self.quarter.shape}")
 
     def __len__(self) -> int:
         return self.level.size
@@ -245,10 +248,14 @@ class FieldArray:
     @classmethod
     def where(cls, mask: np.ndarray, a: "FieldArray", b: "FieldArray") -> "FieldArray":
         """Elementwise select, a where mask else b: the level indices select
-        into the union of the two tables, de-duplicated, a's levels first."""
+        into the union of the two tables, de-duplicated, a's levels first.
+        The mask, a and b must have one length."""
+        m = np.asarray(mask, dtype=bool).view(np.uint8)
+        if m.shape != a.level.shape or b.level.shape != a.level.shape:
+            raise ConfigError(f"mask, a and b must have one length, got a mask of shape "
+                              f"{m.shape}, {len(a)} and {len(b)} pulses")
         kind, param, new = _distinct(np.concatenate([a.kind, b.kind]),
                                      np.concatenate([a.param, b.param]))
-        m = np.asarray(mask, dtype=bool).view(np.uint8)
         level = _select(m, _relevel(a.level, new[:a.kind.size]), _relevel(b.level, new[a.kind.size:]))
         return cls(level, _select(m, a.quarter, b.quarter), kind, param)
 
@@ -286,15 +293,21 @@ class FieldArray:
                           np.concatenate([param[keep], photons]))
 
     def phase_shifted(self, quarters) -> "FieldArray":
-        """Turn coherent phases by whole quarter turns (an integer or an
-        integer array, one per pulse, each taken mod 4, so -1 turns like 3);
-        phase-invariant fields keep quarter 0.  The result shares the level,
-        kind and param arrays; a train with no coherent level, as Alice's
-        thermal output, is itself the result."""
+        """Turn coherent phases by whole quarter turns: an integer (a 0-d
+        array included) turns every pulse, an integer array of the train's
+        shape each pulse by its own; each turn is taken mod 4, so -1 turns
+        like 3.  Phase-invariant fields keep quarter 0.  The result shares
+        the level, kind and param arrays; a train with no coherent level, as
+        Alice's thermal output, is itself the result."""
         if np.ndim(quarters) == 0 and not isinstance(quarters, np.ndarray):
             quarters = require_int("quarters", quarters) & 3
-        elif np.asarray(quarters).dtype.kind not in "iu":
-            raise ConfigError(f"quarters must be integers, got an array of {np.asarray(quarters).dtype}")
+        else:
+            quarters = np.asarray(quarters)
+            if quarters.dtype.kind not in "iu":
+                raise ConfigError(f"quarters must be integers, got an array of {quarters.dtype}")
+            if quarters.ndim != 0 and quarters.shape != self.level.shape:
+                raise ConfigError(f"quarters must be one per pulse, shape {self.level.shape}, "
+                                  f"got shape {quarters.shape}")
         kinds = self.kind.tolist()
         if KIND_COHERENT not in kinds:
             return self

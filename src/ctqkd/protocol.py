@@ -100,7 +100,8 @@ class PulseBatch:
     output 1 at a coherent level and every pulse of output 2 at a thermal
     level.  separate_modes(mode_secret, out1, out2) gives the channel's H
     and V modes.  bob_quarter (uint8) is None until Bob's phases are
-    applied (modulate_batch).
+    applied (modulate_batch).  out1, out2 and bob_quarter (when set) hold
+    one entry per pulse of mode_secret.
     """
 
     __slots__ = ("mode_secret", "out1", "out2", "bob_quarter")
@@ -110,6 +111,11 @@ class PulseBatch:
         self.out1 = out1
         self.out2 = out2
         self.bob_quarter = bob_quarter
+        n = self.mode_secret.size
+        if len(out1) != n or len(out2) != n or (bob_quarter is not None and len(bob_quarter) != n):
+            raise ConfigError(f"out1, out2 and bob_quarter must each hold one entry per pulse of "
+                              f"the mode secret ({n}), got {len(out1)}, {len(out2)} and "
+                              f"{None if bob_quarter is None else len(bob_quarter)}")
 
     def __len__(self) -> int:
         return self.mode_secret.size

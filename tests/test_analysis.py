@@ -297,6 +297,14 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="n_pulses", values=(), base=SessionConfig())
     with pytest.raises(ValueError):
         SweepSpec(parameter="n_pulses", values=(1,), base=SessionConfig(), seeds_per_point=0)
+    # A string grid once ran as its characters, a string base or a non-string
+    # parameter failed inside the first session's resolution.
+    with pytest.raises(ConfigError, match="values must be a tuple or list, got '0.1'"):
+        SweepSpec("mu_thermal", "0.1", SessionConfig(n_pulses=100))
+    with pytest.raises(ConfigError, match="base must be a SessionConfig"):
+        SweepSpec("mu_thermal", (0.1,), "session")
+    with pytest.raises(ConfigError, match="parameter must be a str, got 3"):
+        SweepSpec(3, (0.1,), SessionConfig(n_pulses=100))
 
 
 @pytest.mark.parametrize("seeds", [2.5, 2.0, "2", True, None])

@@ -19,8 +19,7 @@ from ctqkd.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     _parse_probe,
-    build_attack,
-    build_session_config,
+    build_run,
     main,
     parse_config_file,
 )
@@ -52,10 +51,10 @@ def test_parse_config_file(tmp_path):
     assert values["session.n_pulses"] == 5000
     assert values["alice.eta"] == 0.2
     assert values["states.mu_grid"] == (0.1, 0.2)
-    cfg = build_session_config(values)
+    cfg = build_run(values)[0]
     assert cfg.n_pulses == 5000 and cfg.seed == 9
     assert cfg.detector_alice.eta == 0.2
-    attack = build_attack(values)
+    attack = build_run(values)[1]
     assert attack.label == "beam-split" and attack.tap_fraction == 0.4
 
 
@@ -110,12 +109,12 @@ def test_readme_example_config_builds_every_attack(tmp_path):
     values = parse_config_file(write_config(tmp_path, example))
     # Every key is documented, so a field that gains a key must be too.
     assert set(values) == set(CONFIG_SCHEMA)
-    assert build_session_config(values).detector_bob.dark_prob == 1e-5
+    assert build_run(values)[0].detector_bob.dark_prob == 1e-5
     for kind, cls in ATTACK_KINDS.items():
-        attack = build_attack({**values, "attack.kind": kind})
+        attack = build_run({**values, "attack.kind": kind})[1]
         assert attack is None if cls is None else type(attack) is cls
-    assert build_attack(values).probe == Coherent(10**0.5)
-    assert build_attack({**values, "attack.kind": "beam-split"}).tap_fraction == 0.5
+    assert build_run(values)[1].probe == Coherent(10**0.5)
+    assert build_run({**values, "attack.kind": "beam-split"})[1].tap_fraction == 0.5
 
 
 def test_readme_parameter_keys_build_as_a_sweep_sets_them(tmp_path):
@@ -140,13 +139,13 @@ def test_readme_parameter_keys_build_as_a_sweep_sets_them(tmp_path):
                     want = dataclasses.replace(base, **{f"detector_{section}":
                                                         dataclasses.replace(detector, **{name: v})})
                 assert resolve_parameters(base, None, {key: v})[0] == want, key
-                assert build_session_config({key: v}) == want, key
+                assert build_run({key: v})[0] == want, key
                 checked.add(key)
             for kind, cls in ATTACK_KINDS.items():
                 if cls is not None and key in parameter_keys(None, cls()):
                     want = dataclasses.replace(cls(), **{name: v})
                     assert resolve_parameters(base, cls(), {key: v})[1] == want, (key, kind)
-                    assert build_attack({"attack.kind": kind, key: v}) == want, (key, kind)
+                    assert build_run({"attack.kind": kind, key: v})[1] == want, (key, kind)
                     checked.add(key)
     sections = ("session", "alice", "bob", "attack")
     assert checked == {k for k in CONFIG_SCHEMA if k.split(".")[0] in sections} - {"attack.kind"}
@@ -205,7 +204,7 @@ def test_distinguish_names_the_key_of_a_bad_detector_value(tmp_path, capsys):
 
 def test_build_attack_rejects_unknown_kind():
     with pytest.raises(ConfigError):
-        build_attack({"attack.kind": "quantum-hacking"})
+        build_run({"attack.kind": "quantum-hacking"})
 
 
 def test_states_command(capsys):

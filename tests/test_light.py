@@ -26,6 +26,7 @@ from ctqkd.light import (
     level_pairs,
     pair_table,
 )
+from ctqkd.protocol import PulseBatch
 
 
 def _kinds(fa):
@@ -229,6 +230,35 @@ def test_field_array_where():
     sel = FieldArray.where(mask, a, b)
     assert sel.field(0) == Coherent(1.0)
     assert sel.field(1) == Thermal(0.5)
+
+
+def _coherent(n):
+    return FieldArray.uniform(Coherent(1.0), n)
+
+
+def _thermal(n):
+    return FieldArray.uniform(Thermal(0.5), n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _coherent(3).phase_shifted(np.array([1])),
+    lambda: _coherent(3).phase_shifted(np.zeros(5, dtype=np.int64)),
+    lambda: _coherent(3).phase_shifted(np.ones((3, 1), dtype=np.int64)),
+    lambda: _thermal(3).phase_shifted(np.array([1])),
+    lambda: FieldArray([0, 0, 0], [0], [KIND_COHERENT], [1.0]),
+    lambda: FieldArray(np.zeros((3, 1)), np.zeros((3, 1)), [KIND_COHERENT], [1.0]),
+    lambda: FieldArray.where(np.array([True, False]), _coherent(3), _thermal(3)),
+    lambda: FieldArray.where(np.array([True, False, True]), _coherent(3), _thermal(4)),
+    lambda: PulseBatch(np.zeros(3), _coherent(3), _thermal(4)),
+    lambda: PulseBatch(np.zeros(3), _coherent(2), _thermal(3)),
+    lambda: PulseBatch(np.zeros(3), _coherent(3), _thermal(3), np.zeros(2, dtype=np.uint8)),
+], ids=["turns-short", "turns-long", "turns-2d", "turns-short-no-coherent", "quarter-short",
+        "level-2d", "mask-short", "trains-unequal", "batch-out2-long", "batch-out1-short",
+        "batch-bob-quarter-short"])
+def test_a_per_pulse_column_of_the_wrong_length_is_refused(make):
+    # Each was once broadcast, accepted at its length or refused by numpy.
+    with pytest.raises(ConfigError, match="length|one per pulse|one entry per pulse"):
+        make()
 
 
 def test_mean_photons_per_kind():
