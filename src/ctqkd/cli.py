@@ -263,14 +263,17 @@ def cmd_distinguish(values: dict, out_dir: str, out) -> int:
 _OVERRIDES = {"seed": "session.seed", "attack": "attack.kind", "pulses": "session.n_pulses",
               "z_threshold": "session.z_threshold"}
 
-# Command -> (its function (values, out_dir, out) -> exit code, the override flags it reads, its help).
+# Command -> (its function (values, out_dir, out) -> exit code, the override
+# flags it reads, whether it writes a file and so takes --out-dir (else
+# out_dir is None), its help).
 COMMANDS = {
-    "states": (cmd_states, (),
+    "states": (cmd_states, (), False,
                "tabulate state distances, overlaps and kernel checks over a mean-photon grid"),
-    "session": (cmd_session, _OVERRIDES, "run one session and write its JSON result"),
-    "attack": (cmd_attack, _OVERRIDES, "run matched baseline and attacked sessions, write a comparison CSV"),
-    "sweep": (cmd_sweep, _OVERRIDES, "sweep one parameter over a grid of sessions, write a CSV curve"),
-    "distinguish": (cmd_distinguish, ("seed",),
+    "session": (cmd_session, _OVERRIDES, True, "run one session and write its JSON result"),
+    "attack": (cmd_attack, _OVERRIDES, True,
+               "run matched baseline and attacked sessions, write a comparison CSV"),
+    "sweep": (cmd_sweep, _OVERRIDES, True, "sweep one parameter over a grid of sessions, write a CSV curve"),
+    "distinguish": (cmd_distinguish, ("seed",), True,
                     "Monte Carlo distinguishability vs sample count, write a CSV curve"),
 }
 
@@ -281,10 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo simulator for a coherent/thermal two-layer QKD link",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags, help_text) in COMMANDS.items():
+    for name, (_, flags, writes, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key-value configuration file")
-        p.add_argument("--out-dir", default=".", help="directory for output files")
+        if writes:
+            p.add_argument("--out-dir", default=".", help="directory for output files")
         for dest in flags:
             key = _OVERRIDES[dest]
             p.add_argument("--" + dest.replace("_", "-"), type=CONFIG_SCHEMA[key], help=f"override {key}")
@@ -298,7 +302,7 @@ def main(argv=None) -> int:
         for dest, key in _OVERRIDES.items():
             if getattr(args, dest, None) is not None:
                 values[key] = getattr(args, dest)
-        return COMMANDS[args.command][0](values, args.out_dir, sys.stdout)
+        return COMMANDS[args.command][0](values, getattr(args, "out_dir", None), sys.stdout)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

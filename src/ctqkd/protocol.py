@@ -56,13 +56,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import expect
 from .detector import (
     ClickStream,
     ConfigError,
     DetectorModel,
     PowerTestOutcome,
     click_prob,
-    click_prob_thermal,
     power_test,
     require_detector,
     require_int,
@@ -141,7 +141,8 @@ class SessionConfig:
     can check their monitors).  transmittance_oneway is the fiber
     transmittance per pass and tap_reflectance the fraction Bob splits onto
     his monitor detector.  The channel and tap values are treated as
-    pre-calibrated public knowledge when computing monitor expectations.
+    pre-calibrated public knowledge when computing monitor expectations
+    (ctqkd.expect).
     """
 
     n_pulses: int = 100_000
@@ -172,40 +173,15 @@ class SessionConfig:
             require_real(name, getattr(self, name), low, high, ends)
         # A monitor expecting a click probability of exactly 0 or 1 has no
         # spread to test a click frequency against.
-        monitors = [("Alice's thermal", self.expected_alice_thermal_p())]
+        monitors = [("Alice's thermal", expect.alice_monitor_p(self))]
         if self.tap_reflectance > 0.0:
-            monitors.append(("Bob's tap", self.expected_bob_monitor_p()))
+            monitors.append(("Bob's tap", expect.bob_monitor_p(self)))
         for name, p in monitors:
             if not 0.0 < p < 1.0:
                 raise ConfigError(
                     f"{name} monitor would expect click probability {p}; "
                     "it needs light or dark counts on its detector"
                 )
-
-    # Expected means at the measurement points, assuming the calibrated channel.
-    def mu_coherent_at_bob(self) -> float:
-        return self.mu_coherent * self.transmittance_oneway
-
-    def mu_thermal_at_bob(self) -> float:
-        return self.mu_thermal * self.transmittance_oneway
-
-    def roundtrip_transmittance(self) -> float:
-        return self.transmittance_oneway**2 * (1.0 - self.tap_reflectance)
-
-    def mu_thermal_at_alice(self) -> float:
-        return self.mu_thermal * self.roundtrip_transmittance()
-
-    def expected_bob_monitor_p(self) -> float:
-        """Honest click probability of Bob's tap detector: the no-click
-        factors of the coherent and thermal modes multiply on one detector."""
-        det = self.detector_bob
-        eta_eff = det.eta * self.tap_reflectance
-        q_coh = math.exp(-eta_eff * self.mu_coherent_at_bob())
-        q_th = 1.0 / (1.0 + eta_eff * self.mu_thermal_at_bob())
-        return click_prob(det.dark_prob, q_coh, q_th)
-
-    def expected_alice_thermal_p(self) -> float:
-        return click_prob_thermal(self.detector_alice, self.mu_thermal_at_alice())
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -410,7 +386,7 @@ def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
     table = click_prob(det.dark_prob, out1.noclick_factors(eta_eff)[level_1],
                        out2.noclick_factors(eta_eff)[level_2])
     stream = monitor_clicks(table, index, rng)
-    return power_test(stream, cfg.expected_bob_monitor_p(), cfg.z_threshold)
+    return power_test(stream, expect.bob_monitor_p(cfg), cfg.z_threshold)
 
 
 def alice_thermal_monitor(batch: PulseBatch, cfg: SessionConfig,
@@ -422,7 +398,7 @@ def alice_thermal_monitor(batch: PulseBatch, cfg: SessionConfig,
     det, out2 = cfg.detector_alice, batch.out2
     table = click_prob(det.dark_prob, out2.noclick_factors(det.eta))
     stream = monitor_clicks(table, out2.level, rng)
-    return power_test(stream, cfg.expected_alice_thermal_p(), cfg.z_threshold)
+    return power_test(stream, expect.alice_monitor_p(cfg), cfg.z_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +507,8 @@ def candidate_blocks(m: int, q: float, rng: np.random.Generator):
         return
     last = -1  # the last candidate so far
     while q > 0.0 and last < m - 1:
-        expect = (m - 1 - last) * q
-        gaps = rng.geometric(q, min(BLOCK, int(expect + 4.0 * math.sqrt(expect)) + 16))
+        expected = (m - 1 - last) * q
+        gaps = rng.geometric(q, min(BLOCK, int(expected + 4.0 * math.sqrt(expected)) + 16))
         # A gap that passes the last trial ends the draw; clipped there, the
         # running sum cannot overflow.
         pos = last + np.cumsum(np.minimum(gaps, m - last, out=gaps))

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from ctqkd import expect
 from ctqkd.attacks import BeamSplit, BrightLight, InterceptResend, TrojanHorse
 from ctqkd.detector import (
     DetectorModel,
@@ -33,7 +34,7 @@ from ctqkd.fock import (
 from ctqkd.light import Coherent, FockN
 from ctqkd.protocol import SessionConfig, run_session
 
-from test_attacks import guess_prepared_modes, intercept_resend_enumeration
+from test_attacks import guess_prepared_modes
 from test_detector import sample_clicks
 
 T40 = TruncationConfig(n_max=40)
@@ -124,20 +125,27 @@ def test_criterion_3_security_conditions():
 
 
 def test_criterion_4_honest_baseline():
+    qber_exp = expect.pair_probs(SessionConfig()).qber
     start = time.time()
-    ok = 0
+    ok = errors = total = 0
     for seed in range(100):
         res = run_session(SessionConfig(seed=seed))
         ok += (res.alarm == "none") and (res.qber is not None) and (res.qber < 0.01)
+        errors += int(np.sum(res.sifted_key_alice != res.sifted_key_bob))
+        total += len(res.sifted_key_alice)
     elapsed = time.time() - start
+    pooled = errors / total
+    sigma = math.sqrt(qber_exp * (1 - qber_exp) / total)
     assert ok >= 95
     assert elapsed < 60.0
+    assert abs(pooled - qber_exp) <= 4 * sigma
     _report("criterion 4 (honest baseline)",
-            f"{ok}/100 seeds with qber<0.01 and no alarm in {elapsed:.1f}s")
+            f"{ok}/100 seeds with qber<0.01 and no alarm in {elapsed:.1f}s; pooled sifted QBER "
+            f"{pooled:.2e} (expect {qber_exp:.2e}, z = {(pooled - qber_exp) / sigma:+.2f}, {total} bits)")
 
 
 def test_criterion_5_intercept_resend():
-    qber_exp, _, _ = intercept_resend_enumeration(SessionConfig(), 2.0)
+    qber_exp = expect.pair_probs(SessionConfig(), InterceptResend(resend_mu=2.0)).qber
     errors = total = 0
     alarms = 0
     for seed in range(100):
@@ -151,18 +159,14 @@ def test_criterion_5_intercept_resend():
     assert abs(pooled - 0.25) <= 0.02
     assert abs(pooled - qber_exp) <= 4 * sigma
     _report("criterion 5 (intercept-resend)",
-            f"sifted QBER {pooled:.4f} (enumeration {qber_exp:.4f}, band 0.25±0.02, "
+            f"sifted QBER {pooled:.4f} (expect {qber_exp:.4f}, band 0.25±0.02, "
             f"{total} bits); thermal-monitor alarm {alarms}/100 seeds")
 
 
 def test_criterion_6_beam_split_sample_count():
     cfg = SessionConfig()
-    mu_t = cfg.mu_thermal_at_alice()
-    n_star = samples_needed(
-        click_prob_thermal(cfg.detector_alice, mu_t),
-        click_prob_thermal(cfg.detector_alice, mu_t / 2.0),
-        cfg.z_threshold,
-    )
+    n_star = samples_needed(expect.alice_monitor_p(cfg), expect.alice_monitor_p(cfg, BeamSplit(0.5)),
+                            cfg.z_threshold)
     alarms = 0
     for seed in range(100):
         res = run_session(SessionConfig(n_pulses=n_star, seed=3000 + seed), BeamSplit(0.5))

@@ -262,7 +262,7 @@ def test_sweep_rejects_seed_parameter():
     ("attack.label", 0.5, BeamSplit),
     ("n_pulses", math.nan, None),
     ("detector_alice", 0.5, None),
-    ("mu_coherent_at_bob", 0.5, None),
+    ("to_dict", 0.5, None),
     ("alice.eta", 1.5, None),
     ("alice.eta", math.nan, None),
     ("bob.dark_prob", -0.1, None),

@@ -1,6 +1,6 @@
 """Eve strategies: each attack's signature on the two monitor layers, the
-25% intercept-resend error rate against an exhaustive enumeration oracle,
-and the information ceilings the mode secret imposes."""
+25% intercept-resend error rate against the exhaustive enumeration of
+ctqkd.expect, and the information ceilings the mode secret imposes."""
 
 import copy
 import dataclasses
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ctqkd import attacks
+from ctqkd import attacks, expect
 from ctqkd.attacks import (
     Attack,
     BeamSplit,
@@ -51,61 +51,16 @@ def guess_prepared_modes(cfg: SessionConfig, seed: int):
     return out.out2.kind[out.out2.level] == KIND_THERMAL, bayes
 
 
-def intercept_resend_enumeration(cfg: SessionConfig, resend_mu: float):
-    """Independent oracle: exhaustively enumerate (Eve basis, Bob phase
-    difference, Eve port coin, Alice click pattern) with exact probabilities.
-
-    Detector means use the cosine port form mu/4 (1 +/- cos(delta - offset))
-    directly, so this path shares no code with the simulator's amplitude
-    arithmetic.  Returns (expected QBER, expected Eve-correct fraction,
-    kept events per pair).
-    """
-    det = cfg.detector_alice
-    mu = resend_mu * cfg.transmittance_oneway
-
-    def p_click(mean):
-        return 1.0 - (1.0 - det.dark_prob) * math.exp(-det.eta * mean)
-
-    total = err = eve_right = 0.0
-    for eve_basis in (0, 1):
-        for bob_delta in range(4):
-            for coin in (0, 1):
-                w = 0.5 * 0.25 * 0.5
-                matched = (bob_delta % 2) == eve_basis
-                delta_hat = bob_delta if matched else (eve_basis + 2 * coin) % 4
-                ps = []
-                for basis in (0, 1):
-                    c = math.cos((delta_hat - basis) * math.pi / 2)
-                    ps.append(p_click(mu / 4 * (1 + c)))
-                    ps.append(p_click(mu / 4 * (1 - c)))
-                bob_basis = bob_delta % 2
-                bob_bit = ((bob_delta - bob_basis) % 4) == 2
-                eve_bit = ((delta_hat - eve_basis) % 4) == 2
-                for d in range(4):
-                    if (d >> 1) != bob_basis:
-                        continue  # mismatched basis, sifted out
-                    prob = 1.0
-                    for j in range(4):
-                        prob *= ps[j] if j == d else 1.0 - ps[j]
-                    kept = w * prob
-                    total += kept
-                    if (d & 1) != bob_bit:
-                        err += kept
-                    if eve_bit == bob_bit:
-                        eve_right += kept
-    return err / total, eve_right / total, total
-
-
 def test_enumeration_oracle_reference_point():
-    qber, eve_frac, kept = intercept_resend_enumeration(SessionConfig(), 2.0)
-    assert 0.23 < qber < 0.27
-    assert qber == pytest.approx(0.2472, abs=2e-4)
-    assert eve_frac == pytest.approx(0.7528, abs=2e-4)
+    probs = expect.pair_probs(SessionConfig(), InterceptResend(2.0))
+    assert 0.23 < probs.qber < 0.27
+    assert probs.qber == pytest.approx(0.2472, abs=2e-4)
+    assert probs.eve_correct == pytest.approx(0.7528, abs=2e-4)
 
 
 def test_intercept_resend_qber_matches_enumeration():
-    cfg0 = SessionConfig(n_pulses=3 * 10**4)
-    qber_exp, frac_exp, _ = intercept_resend_enumeration(cfg0, 2.0)
+    probs = expect.pair_probs(SessionConfig(n_pulses=3 * 10**4), InterceptResend(2.0))
+    qber_exp, frac_exp = probs.qber, probs.eve_correct
     errors = total = 0
     fracs = []
     for seed in range(8):
@@ -164,8 +119,8 @@ def test_resend_train_phases_are_the_cumulative_sum_mod_4():
 
 def test_intercept_resend_trips_thermal_monitor():
     cfg = SessionConfig()
-    p_t = cfg.expected_alice_thermal_p()
-    p_c = click_prob_coherent(cfg.detector_alice, 2.0 * cfg.transmittance_oneway)
+    p_t = expect.alice_monitor_p(cfg)
+    p_c = expect.alice_monitor_p(cfg, InterceptResend(2.0))
     n_star = samples_needed(p_t, p_c, cfg.z_threshold)
     n = max(n_star, 1000)
     for seed in range(5):
@@ -194,12 +149,8 @@ def test_beam_split_reduces_key_rate_by_tap():
 
 def test_beam_split_alarm_at_separation_count():
     cfg = SessionConfig()
-    mu_t = cfg.mu_thermal_at_alice()
-    n_star = samples_needed(
-        click_prob_thermal(cfg.detector_alice, mu_t),
-        click_prob_thermal(cfg.detector_alice, mu_t / 2),
-        cfg.z_threshold,
-    )
+    n_star = samples_needed(expect.alice_monitor_p(cfg), expect.alice_monitor_p(cfg, BeamSplit(0.5)),
+                            cfg.z_threshold)
     for seed in range(5):
         res = run_session(SessionConfig(n_pulses=n_star, seed=seed), BeamSplit(0.5))
         assert "alice_power" in res.alarm_sources
@@ -321,7 +272,7 @@ def test_trojan_two_photon_probe_flags_bob_at_separation_count():
     det = cfg.detector_bob
     eta_r = det.eta * cfg.tap_reflectance
     p_probe = 1 - (1 - det.dark_prob) * (1 - eta_r) ** 2
-    n_star = samples_needed(cfg.expected_bob_monitor_p(), p_probe, cfg.z_threshold)
+    n_star = samples_needed(expect.bob_monitor_p(cfg), p_probe, cfg.z_threshold)
     assert n_star <= 10**4
     for seed in range(5):
         res = run_session(SessionConfig(n_pulses=n_star, seed=seed), TrojanHorse(probe=FockN(2)))
@@ -361,7 +312,7 @@ def test_bright_light_matched_level_evades_monitor():
     # expected thermal click rate leaves the power monitor silent (while
     # giving Eve no detector control at that level).
     cfg = SessionConfig(n_pulses=2 * 10**4, seed=6)
-    res = run_session(cfg, BrightLight(cfg.expected_alice_thermal_p()))
+    res = run_session(cfg, BrightLight(expect.alice_monitor_p(cfg)))
     assert "alice_power" not in res.alarm_sources
 
 

@@ -10,7 +10,7 @@ every pair, draw for draw."""
 import numpy as np
 import pytest
 
-from ctqkd import protocol
+from ctqkd import expect, protocol
 from ctqkd.attacks import BeamSplit, ModeDiscrimination
 from ctqkd.detector import DetectorModel, click_prob
 from ctqkd.light import (
@@ -231,7 +231,7 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
         # Bob's detector is blind to polarization: on an honest train his
         # gates are one binomial at the announced law.
         law = np.random.default_rng(99)
-        assert (stream.clicks, stream.n_gates) == (int(law.binomial(n, cfg.expected_bob_monitor_p())), n)
+        assert (stream.clicks, stream.n_gates) == (int(law.binomial(n, expect.bob_monitor_p(cfg))), n)
         assert rng.bit_generator.state == law.bit_generator.state
     det = cfg.detector_bob
     eta = det.eta * cfg.tap_reflectance

@@ -431,7 +431,8 @@ def test_removed_distinguish_z_key_is_unknown(tmp_path, capsys):
 def test_non_utf8_config_file_is_config_error(tmp_path, capsys, command):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"session.seed = 1\n# \xff\n")
-    assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    out_dir = ["--out-dir", str(tmp_path)] if command != "states" else []
+    assert main([command, "--config", str(path), *out_dir]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and f"{path}: not UTF-8 text" in captured.err
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
@@ -445,6 +446,14 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
         main(argv + ["--out-dir", str(tmp_path)])
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_dir_is_a_usage_error_for_a_command_that_writes_no_file(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["states", "--out-dir", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from ctqkd import protocol
+from ctqkd import expect, protocol
 from ctqkd.attacks import ATTACK_KINDS
 from ctqkd.detector import DetectorModel, click_prob, samples_needed
 from ctqkd.light import (
@@ -207,7 +207,7 @@ def test_bob_monitor_flags_vacuum_substitution():
 def test_thermal_monitor_honest_passes():
     cfg = SessionConfig(n_pulses=10**4, seed=24)
     rng = np.random.default_rng(cfg.seed)
-    fields = FieldArray.uniform(Thermal(cfg.mu_thermal_at_alice()), cfg.n_pulses)
+    fields = FieldArray.uniform(Thermal(expect.means_at_alice(cfg)[1]), cfg.n_pulses)
     assert alice_thermal_monitor(both_outputs(fields), cfg, rng).passed
 
 
