@@ -3,6 +3,7 @@ over sessions, the CSV report writer, and the one resolver of parameter keys."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -167,6 +168,14 @@ def distinguishability_curve(mu_thermal: float, mu_coherent: float, det: Detecto
     } for n in n_grid]
 
 
+def _with_seed(cfg: SessionConfig, seed) -> SessionConfig:
+    """cfg with another seed, equal to replace(cfg, seed=seed): only the
+    seed is checked, since __post_init__ has checked every other field."""
+    out = copy.copy(cfg)
+    object.__setattr__(out, "seed", require_int("seed", seed, 0))
+    return out
+
+
 def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
     """One CurvePoint per grid value, averaged over seeds_per_point seeds
     derived from the base seed.
@@ -179,7 +188,7 @@ def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
     for value, (point_cfg, attack) in zip(spec.values, applied):
         qbers, z_a, z_b, alarms, key_rates = [], [], [], [], []
         for i in range(spec.seeds_per_point):
-            cfg = replace(point_cfg, seed=spec.base.seed + i)
+            cfg = _with_seed(point_cfg, spec.base.seed + i)
             res = run_session(cfg, attack)
             alarms.append(res.alarm != ALARM_NONE)
             if res.qber is not None:

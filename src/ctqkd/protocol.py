@@ -45,10 +45,23 @@ interferometers compute the click probabilities of each pair of states once,
 in a table, and gather them per pulse pair, whenever the (4 L)**2 state pairs
 are no more than the pulse pairs (light.pair_table); the honest run and
 every attack leave a train whose table a uint8 index covers.
+
+The per-level tables depend on a session's level tables, never on its seed,
+so three are memoized (functools.lru_cache), keyed by the exact bytes of
+each level table's kind and param columns, the detector and the scalars
+they read: the interferometers' cumulative outcome rows over the pair
+states, Bob's tap table over pairs of levels (not his per-pulse table) and
+Alice's monitor table.  Only level tables of at most MEMO_LEVELS = 8 levels
+and no Fock level are stored, and each memo keeps its MEMO_SIZE = 32 last
+used tables, so the three hold at most 1 371 136 bytes of arrays and keys
+(40 KiB per interferometer table of 8 levels), plus Python's objects, under
+1 KiB per entry.  A stored table is read-only and the same bytes as one built
+afresh, so no result depends on what the memos hold.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -367,6 +380,65 @@ def monitor_clicks(table: np.ndarray, index: np.ndarray, rng: np.random.Generato
     return ClickStream(sum(map(rng.binomial, gates.tolist(), table.tolist())), index.size)
 
 
+# ---------------------------------------------------------------------------
+# Per-level tables, memoized
+
+# Level tables of at most MEMO_LEVELS levels, none of them Fock, have their
+# per-level tables memoized; each memo keeps its MEMO_SIZE last used tables
+# (see the module docstring for the bytes they hold).
+MEMO_LEVELS = 8
+MEMO_SIZE = 32
+_NO_PULSES = np.zeros(0, dtype=np.uint8)
+_NO_PULSES.flags.writeable = False
+
+
+def _level_table(key: tuple) -> FieldArray:
+    """The level table whose (kind, param) bytes are key, holding no pulses."""
+    kind, param = key
+    return FieldArray(_NO_PULSES, _NO_PULSES, np.frombuffer(kind, np.uint8), np.frombuffer(param, np.float64))
+
+
+def _memoized(build, tables: tuple, *args):
+    """build(keys, *args), keys the exact (kind, param) bytes of each level
+    table of tables: through build's memo when every table has at most
+    MEMO_LEVELS levels and no Fock level, else built afresh and not stored.
+    A Fock level's photon number may be a draw of the loss channel, so its
+    tables would fill the memo with tables no other session reads."""
+    keys = tuple((t.kind.tobytes(), t.param.tobytes()) for t in tables)
+    memo = all(t.kind.size <= MEMO_LEVELS and KIND_FOCK not in t.kind.tolist() for t in tables)
+    return (build if memo else build.__wrapped__)(keys, *args)
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def _pair_click_probs(out1: FieldArray, level_1: np.ndarray, out2: FieldArray, level_2: np.ndarray,
+                      eta_eff: float, dark_prob: float) -> np.ndarray:
+    """Click probability of a detector lit by out1's level level_1 and
+    out2's level level_2, at each entry of the two columns."""
+    return click_prob(dark_prob, out1.noclick_factors(eta_eff)[level_1],
+                      out2.noclick_factors(eta_eff)[level_2])
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _tap_table(keys, pairs, eta_eff, dark_prob):
+    """_pair_click_probs of the two level tables keyed (_memoized) at the
+    levels whose intp bytes pairs holds, read-only."""
+    out1, out2 = map(_level_table, keys)
+    level_1, level_2 = (np.frombuffer(p, np.intp) for p in pairs)
+    return _frozen(_pair_click_probs(out1, level_1, out2, level_2, eta_eff, dark_prob))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _thermal_table(keys, det):
+    """The click probability of det at each level of the level table keyed
+    (_memoized), read-only."""
+    (out2,) = map(_level_table, keys)
+    return _frozen(click_prob(det.dark_prob, out2.noclick_factors(det.eta)))
+
+
 def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
                     rng: np.random.Generator) -> Optional[PowerTestOutcome]:
     """Bob's state check: tap fraction r of both modes onto one detector and
@@ -383,8 +455,11 @@ def bob_monitor_tap(batch: PulseBatch, cfg: SessionConfig,
 
     out1, out2 = batch.out1, batch.out2
     level_1, level_2, index = level_pairs(out1, out2)
-    table = click_prob(det.dark_prob, out1.noclick_factors(eta_eff)[level_1],
-                       out2.noclick_factors(eta_eff)[level_2])
+    if level_1.size < index.size:  # one entry per pair of levels, not per pulse
+        table = _memoized(_tap_table, (out1, out2), (level_1.tobytes(), level_2.tobytes()),
+                          eta_eff, det.dark_prob)
+    else:
+        table = _pair_click_probs(out1, level_1, out2, level_2, eta_eff, det.dark_prob)
     stream = monitor_clicks(table, index, rng)
     return power_test(stream, expect.bob_monitor_p(cfg), cfg.z_threshold)
 
@@ -396,7 +471,7 @@ def alice_thermal_monitor(batch: PulseBatch, cfg: SessionConfig,
     arrived and z-tests the frequency against the thermal expectation
     mu_thermal * T^2 * (1-r)."""
     det, out2 = cfg.detector_alice, batch.out2
-    table = click_prob(det.dark_prob, out2.noclick_factors(det.eta))
+    table = _memoized(_thermal_table, (out2,), det)
     stream = monitor_clicks(table, out2.level, rng)
     return power_test(stream, expect.alice_monitor_p(cfg), cfg.z_threshold)
 
@@ -495,6 +570,34 @@ def pair_outcome_probs(p: np.ndarray) -> np.ndarray:
     return np.array([none, *singles, np.maximum(1.0 - none - sum(singles), 0.0)])
 
 
+def _outcome_rows(levels: FieldArray, s_prev: np.ndarray, s_curr: np.ndarray,
+                  det: DetectorModel) -> tuple:
+    """(cum, q_max, flat) of the pair states s_prev, s_curr: the cumulative
+    rows of a single click at D0A, D1A, D0B, D1B and of any click, divided
+    by q_max, the largest probability of any click (when it is not 0); and
+    whether each row is equal at every state."""
+    p = state_pair_probs(levels, s_prev, s_curr, det)
+    cum = np.cumsum(pair_outcome_probs(p)[1:], axis=0)
+    q_max = float(cum[-1].max())
+    if q_max > 0.0:
+        cum /= q_max  # exactly 1 at the states of the largest
+    # All five rows are flat on a train of blinding light.
+    return cum, q_max, tuple((cum.min(axis=1) == cum.max(axis=1)).tolist())
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _state_pair_rows(keys, det):
+    """_outcome_rows over every pair of the 4 L states of the level table
+    keyed (_memoized), s_prev * 4 L + s_curr, with cum read-only."""
+    (levels,) = map(_level_table, keys)
+    n_states = 4 * levels.kind.size
+    cum, q_max, flat = _outcome_rows(levels, *np.divmod(np.arange(n_states * n_states), n_states), det)
+    return _frozen(cum), q_max, flat
+
+
+_MEMOS = (_tap_table, _thermal_table, _state_pair_rows)
+
+
 def candidate_blocks(m: int, q: float, rng: np.random.Generator):
     """The candidates among m independent trials that are each a candidate
     with probability q, ascending, in blocks of at most BLOCK: geometric gaps
@@ -546,18 +649,10 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     n_states, m = 4 * out1.kind.size, len(batch) - 1
     tabulated = n_states * n_states <= m
     if tabulated:
-        s_prev, s_curr = np.divmod(np.arange(n_states * n_states), n_states)
+        cum, q_max, flat = _memoized(_state_pair_rows, (out1,), det)
     else:
         state = _states(out1.level, out1.quarter, out1.kind.size)
-        s_prev, s_curr = state[:-1], state[1:]
-    p = state_pair_probs(out1, s_prev, s_curr, det)
-    # Rows: a single at D0A, D1A, D0B, D1B, then any click.
-    cum = np.cumsum(pair_outcome_probs(p)[1:], axis=0)
-    q_max = float(cum[-1].max())
-    if q_max > 0.0:
-        cum /= q_max  # exactly 1 at the states of the largest
-    # All five rows are flat on a train of blinding light.
-    flat = (cum.min(axis=1) == cum.max(axis=1)).tolist()
+        cum, q_max, flat = _outcome_rows(out1, state[:-1], state[1:], det)
     pairs, detector, doubles = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint8)], 0
     for cand in candidate_blocks(m, q_max, rng):
         u = rng.random(cand.size)

@@ -130,6 +130,29 @@ def test_sweep_single_point_matches_session():
     assert point.key_rate == pytest.approx(len(res.sifted_key_alice) / base.n_pulses)
 
 
+def test_sweep_replicate_configs_equal_replace_with_their_seed(monkeypatch):
+    # run_sweep derives each replicate's config without re-running
+    # __post_init__; it must be the config replace would build.
+    results = []
+
+    def recording_session(cfg, attack=None):
+        results.append(run_session(cfg, attack))
+        return results[-1]
+
+    monkeypatch.setattr(analysis, "run_session", recording_session)
+    base = SessionConfig(n_pulses=2000, seed=11, detector_bob=DetectorModel(0.2, 1e-4))
+    spec = SweepSpec(parameter="alice.eta", values=(0.1, 0.3), base=base, seeds_per_point=3)
+    run_sweep(spec)
+    assert len(results) == 6
+    for res, (eta, i) in zip(results, [(eta, i) for eta in spec.values for i in range(3)]):
+        alice = DetectorModel(eta, base.detector_alice.dark_prob)
+        point_cfg = dataclasses.replace(base, detector_alice=alice)
+        expected = dataclasses.replace(point_cfg, seed=base.seed + i)
+        assert type(res.config) is SessionConfig
+        assert res.config == expected and res.config.to_dict() == expected.to_dict()
+    assert base.seed == 11
+
+
 def test_sweep_beamsplit_alarm_rate_nondecreasing():
     base = SessionConfig(n_pulses=2 * 10**4, seed=5)
     spec = SweepSpec(

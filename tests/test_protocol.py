@@ -747,7 +747,11 @@ def test_every_default_train_reaches_the_interferometers_as_a_table(monkeypatch,
     # outnumbers the pairs.  Recorded: the table the session draws from, and
     # the column each block of candidate pairs reads in it (intp, the index
     # type take reads without a cast).  Bright light's table has five flat
-    # outcome rows, so its candidates read no column at all.
+    # outcome rows, so its candidates read no column at all.  The memos are
+    # cleared first, so the session builds its table rather than reading one
+    # an earlier session stored.
+    for memo in protocol._MEMOS:
+        memo.cache_clear()
     tables, columns = [], []
     real_probs, real_columns = protocol.state_pair_probs, protocol._pair_columns
 
