@@ -181,9 +181,15 @@ def run_sweep(spec: SweepSpec) -> list[CurvePoint]:
     derived from the base seed.
 
     Every grid value is applied once before any session runs, so a value the
-    config or the attack rejects raises ConfigError before it costs compute.
+    config or the attack rejects raises ConfigError before it costs compute;
+    so does a key that is not numeric (an int or float field), since each
+    value becomes its point's x.
     """
     applied = [resolve_parameters(spec.base, spec.attack, {spec.parameter: v}) for v in spec.values]
+    section, _, name = spec.parameter.rpartition(".")
+    if parameter_keys(spec.base, spec.attack)[f"{section or 'session'}.{name}"] not in (int, float):
+        raise ConfigError(f"{spec.parameter} cannot be swept: each grid value becomes its "
+                          f"point's x, so the parameter must be an int or float field")
     points = []
     for value, (point_cfg, attack) in zip(spec.values, applied):
         qbers, z_a, z_b, alarms, key_rates = [], [], [], [], []

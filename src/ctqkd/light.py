@@ -11,11 +11,10 @@ level: loss, the no-click probability of a threshold detector, and the
 probabilities that an ideal photon counter registers no photon or one.
 LightField is the spec of a single field (coherent amplitude
 r * i**q, thermal mean, definite photon number, saturating blinding light,
-or vacuum), converted to a FieldArray by FieldArray.uniform.  Tests convert
-pulse by pulse with from_fields and field, kept beside the one map of kind
-codes to field classes so that no test copies it.  Blinding light saturates
-a threshold detector: its click probability ignores efficiency and loss,
-and the monitors and the interferometers alike read it from noclick_factors.
+or vacuum), converted to a FieldArray by FieldArray.uniform.  Blinding
+light saturates a threshold detector: its click probability ignores
+efficiency and loss, and the monitors and the interferometers alike read it
+from noclick_factors.
 """
 
 from __future__ import annotations
@@ -209,14 +208,6 @@ class FieldArray:
         return self.level.size
 
     @classmethod
-    def from_columns(cls, kind, quarter, param) -> "FieldArray":
-        """One (kind, quarter, param) per pulse; each distinct (kind, param)
-        becomes a level."""
-        kind, param, level = _distinct(np.asarray(kind, dtype=np.uint8),
-                                       np.asarray(param, dtype=np.float64))
-        return cls(level, quarter, kind, param)
-
-    @classmethod
     def vacuum(cls, n: int) -> "FieldArray":
         return cls.uniform(Vacuum(), n)
 
@@ -227,20 +218,6 @@ class FieldArray:
         level = np.zeros(n, dtype=np.uint8)
         return cls(level, level if quarter == 0 else np.full(n, quarter, dtype=np.uint8),
                    [kind], [param])
-
-    @classmethod
-    def from_fields(cls, fields) -> "FieldArray":
-        levels = [_level_of(f) for f in fields]
-        return cls.from_columns(*(zip(*levels) if levels else ((), (), ())))
-
-    def field(self, i: int) -> LightField:
-        lv = self.level[i]
-        k, p = int(self.kind[lv]), float(self.param[lv])
-        if k == KIND_COHERENT:
-            return Coherent(math.sqrt(p) * 1j ** int(self.quarter[i]))
-        if k == KIND_FOCK:
-            return FockN(int(p))
-        return {KIND_THERMAL: Thermal, KIND_BLINDING: Blinding}.get(k, lambda _: Vacuum())(p)
 
     def copy(self) -> "FieldArray":
         return FieldArray(*(getattr(self, col).copy() for col in self.__slots__))
@@ -259,9 +236,9 @@ class FieldArray:
         level = _select(m, _relevel(a.level, new[:a.kind.size]), _relevel(b.level, new[a.kind.size:]))
         return cls(level, _select(m, a.quarter, b.quarter), kind, param)
 
-    def attenuated(self, transmittance: float, rng: np.random.Generator | None = None) -> "FieldArray":
+    def attenuated(self, transmittance: float, rng: np.random.Generator) -> "FieldArray":
         """Loss channel: every mean photon number scales by T, definite
-        photon numbers undergo binomial thinning (needs rng; one draw per
+        photon numbers undergo binomial thinning (one draw from rng per
         pulse, in order, and each number drawn becomes a level), blinding
         light is unaffected.  Without thinning the pulse columns are shared."""
         require_real("transmittance", transmittance, 0.0, 1.0, "[]")
@@ -276,8 +253,6 @@ class FieldArray:
         pulses = np.flatnonzero(gather(fock, self.level)) if KIND_FOCK in kinds else ()
         if len(pulses) == 0:
             return FieldArray(self.level, self.quarter, self.kind, param)
-        if rng is None:
-            raise ValueError("rng required to thin definite photon numbers through loss")
         # One draw per Fock pulse, in pulse order; each number drawn becomes
         # a level after the kept ones.
         numbers = np.where(fock, self.param, 0.0).astype(np.int64)
@@ -293,21 +268,17 @@ class FieldArray:
                           np.concatenate([param[keep], photons]))
 
     def phase_shifted(self, quarters) -> "FieldArray":
-        """Turn coherent phases by whole quarter turns: an integer (a 0-d
-        array included) turns every pulse, an integer array of the train's
-        shape each pulse by its own; each turn is taken mod 4, so -1 turns
-        like 3.  Phase-invariant fields keep quarter 0.  The result shares
-        the level, kind and param arrays; a train with no coherent level, as
-        Alice's thermal output, is itself the result."""
-        if np.ndim(quarters) == 0 and not isinstance(quarters, np.ndarray):
-            quarters = require_int("quarters", quarters) & 3
-        else:
-            quarters = np.asarray(quarters)
-            if quarters.dtype.kind not in "iu":
-                raise ConfigError(f"quarters must be integers, got an array of {quarters.dtype}")
-            if quarters.ndim != 0 and quarters.shape != self.level.shape:
-                raise ConfigError(f"quarters must be one per pulse, shape {self.level.shape}, "
-                                  f"got shape {quarters.shape}")
+        """Turn each pulse's coherent phase by its own whole quarter turns,
+        an integer array of the train's shape; each turn is taken mod 4, so
+        -1 turns like 3.  Phase-invariant fields keep quarter 0.  The result
+        shares the level, kind and param arrays; a train with no coherent
+        level, as Alice's thermal output, is itself the result."""
+        quarters = np.asarray(quarters)
+        if quarters.dtype.kind not in "iu":
+            raise ConfigError(f"quarters must be integers, got an array of {quarters.dtype}")
+        if quarters.shape != self.level.shape:
+            raise ConfigError(f"quarters must be one per pulse, shape {self.level.shape}, "
+                              f"got shape {quarters.shape}")
         kinds = self.kind.tolist()
         if KIND_COHERENT not in kinds:
             return self

@@ -138,7 +138,7 @@ class PulseBatch:
         Bob's phases with this one."""
         return PulseBatch(self.mode_secret, out1, out2, self.bob_quarter)
 
-    def propagated(self, transmittance: float, rng: np.random.Generator | None = None) -> "PulseBatch":
+    def propagated(self, transmittance: float, rng: np.random.Generator) -> "PulseBatch":
         return self.with_fields(
             self.out1.attenuated(transmittance, rng),
             self.out2.attenuated(transmittance, rng),
@@ -619,8 +619,7 @@ def candidate_blocks(m: int, q: float, rng: np.random.Generator):
         yield pos[:np.searchsorted(pos, m)]
 
 
-def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorModel,
-                         rng: np.random.Generator) -> dict:
+def measure_interference(batch: PulseBatch, det: DetectorModel, rng: np.random.Generator) -> dict:
     """Click-sample all consecutive pulse pairs of Alice's output 1
     (batch.out1) of the train as it returns to her: each detector clicks
     independently with its state_pair_probs; exactly one click yields a
@@ -635,8 +634,10 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     of the probability) no click at all.  Only the single clicks are kept:
     their pair indices s ("pairs", ascending intp), "basis_q" and "port"
     (uint8) of the detector that clicked, and Bob's phase difference
-    "delta_q" = (quarters[s + 1] - quarters[s]) & 3 at each, from Bob's own
-    quarters, not the train's; of the doubles, their number ("doubles").
+    "delta_q" = (q[s + 1] - q[s]) & 3 at each, from Bob's own quarters
+    q = batch.bob_quarter, not the train's; of the doubles, their number
+    ("doubles").  A batch without Bob's phases raises ConfigError before any
+    draw.
 
     A train of L levels has S = 4 L pulse states.  On the (4, S * S) table
     over the pair index s_prev * S + s_curr, each block of candidates reads
@@ -645,7 +646,9 @@ def measure_interference(batch: PulseBatch, quarters: np.ndarray, det: DetectorM
     state of every pulse, for one column per pair.  A row equal at every
     state is compared as one number, and when no row varies no state is
     read at all."""
-    out1 = batch.out1
+    quarters, out1 = batch.bob_quarter, batch.out1
+    if quarters is None:
+        raise ConfigError("the interferometers need Bob's phases: modulate the batch first")
     n_states, m = 4 * out1.kind.size, len(batch) - 1
     tabulated = n_states * n_states <= m
     if tabulated:
@@ -746,7 +749,6 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
         batch, carry = attack.apply_forward(batch, cfg, rng)
 
     batch = modulate_batch(batch, bob_quarters(n, rng))
-    quarters = batch.bob_quarter
     bob_outcome = bob_monitor_tap(batch, cfg, rng)
     batch = batch.propagated(1.0 - cfg.tap_reflectance, rng)
 
@@ -755,7 +757,7 @@ def run_session(cfg: SessionConfig, attack=None) -> SessionResult:
     batch = batch.propagated(cfg.transmittance_oneway, rng)
 
     alice_outcome = alice_thermal_monitor(batch, cfg, rng)
-    meas = measure_interference(batch, quarters, cfg.detector_alice, rng)
+    meas = measure_interference(batch, cfg.detector_alice, rng)
     sift = sift_and_qber(meas, cfg, rng)
 
     eve = attack.finalize_report(carry, sift, rng) if attack is not None else None

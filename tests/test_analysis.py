@@ -17,6 +17,7 @@ from ctqkd.analysis import (
 )
 from ctqkd.attacks import BeamSplit, InterceptResend, ModeDiscrimination, TrojanHorse
 from ctqkd.detector import DetectorModel, click_prob_coherent, click_prob_thermal, samples_needed
+from ctqkd.light import Coherent, FockN
 from ctqkd.protocol import ConfigError, SessionConfig, run_session
 
 IDEAL = DetectorModel(eta=1.0, dark_prob=0.0)
@@ -301,6 +302,18 @@ def test_sweep_rejects_bad_attack_value_before_running(monkeypatch, parameter, v
     spec = SweepSpec(parameter=parameter, values=(0.5, value), base=SessionConfig(n_pulses=2000),
                      attack=kind() if kind else None)
     with pytest.raises(ConfigError):
+        run_sweep(spec)
+    assert sessions == []
+
+
+def test_sweep_rejects_a_light_field_parameter_before_running(monkeypatch):
+    # Every grid value here is a valid probe, but a point's x is a number:
+    # the sweep is refused before its first session, not after its last.
+    sessions = []
+    monkeypatch.setattr(analysis, "run_session", lambda *args: sessions.append(args))
+    spec = SweepSpec(parameter="attack.probe", values=(Coherent(1.0), FockN(2)),
+                     base=SessionConfig(n_pulses=2000), attack=TrojanHorse())
+    with pytest.raises(ConfigError, match="attack.probe cannot be swept"):
         run_sweep(spec)
     assert sessions == []
 

@@ -41,6 +41,7 @@ from ctqkd.protocol import (
     sift_and_qber,
     state_pair_probs,
 )
+from records import from_columns
 
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
@@ -53,7 +54,7 @@ def _mixed_train(n, rng, kinds=(KIND_VACUUM, KIND_COHERENT, KIND_THERMAL, KIND_F
     param[kind == KIND_FOCK] = rng.integers(0, 6, n)[kind == KIND_FOCK]
     param[kind == KIND_BLINDING] = rng.uniform(0.0, 1.0, n)[kind == KIND_BLINDING]
     param[kind == KIND_VACUUM] = 0.0
-    return FieldArray.from_columns(kind, quarter, param)
+    return from_columns(kind, quarter, param)
 
 
 def _two_levels(rng, n, params):
@@ -77,7 +78,7 @@ def _batch(train, n):
     cfg = SessionConfig(n_pulses=n, seed=n)
     rng = np.random.default_rng(n)
     if train == "honest":
-        batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway)
+        batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway, rng)
         return cfg, modulate_batch(batch, bob_quarters(n, rng))
     assign, rot = rng.integers(0, 2, (2, n))
     if train == "resend":
@@ -168,9 +169,10 @@ def pair_click_probs(out1, det):
     return state_pair_probs(out1, s_prev, s_curr, det), index
 
 
-def both_outputs(train):
-    """A pulse train whose outputs 1 and 2 are both this FieldArray."""
-    return PulseBatch(np.zeros(len(train), dtype=np.uint8), train, train)
+def both_outputs(train, bob_quarter=None):
+    """A pulse train whose outputs 1 and 2 are both this FieldArray, with
+    these phases of Bob's, if any."""
+    return PulseBatch(np.zeros(len(train), dtype=np.uint8), train, train, bob_quarter)
 
 
 def _interference_over(out1, quarters, det, rng):
@@ -253,7 +255,7 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     _assert_binomial_count(streams.pop()[0], table, out2.level, rng, ref)
 
     quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
-    meas = measure_interference(batch, quarters, det, rng)
+    meas = measure_interference(PulseBatch(secret, out1, out2, quarters), det, rng)
     want, q_max = _interference_over(out1, quarters, det, ref)
     _assert_same_events(meas, want)
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -297,7 +299,7 @@ def test_sparse_events_with_no_single_click_or_one_at_a_block_end(train, n):
     quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
     if train == "doubles":
         rng = np.random.default_rng(1)
-        meas = measure_interference(both_outputs(out1), quarters, det, rng)
+        meas = measure_interference(both_outputs(out1, quarters), det, rng)
         _assert_sparse_events(meas, out1, det, quarters)
         assert meas["pairs"].size == 0 and meas["doubles"] == n - 1
         sift = sift_and_qber(meas, SessionConfig(n_pulses=n), rng)
@@ -309,7 +311,7 @@ def test_sparse_events_with_no_single_click_or_one_at_a_block_end(train, n):
     lit = {BLOCK - 1, BLOCK} & set(range(n - 1))
     seen = set()
     for seed in range(40):
-        meas = measure_interference(both_outputs(out1), quarters, det, np.random.default_rng(seed))
+        meas = measure_interference(both_outputs(out1, quarters), det, np.random.default_rng(seed))
         _assert_sparse_events(meas, out1, det, quarters)
         assert set(meas["pairs"].tolist()) <= lit
         seen |= set(meas["pairs"].tolist())
@@ -405,10 +407,10 @@ def _sift_by_masks(meas, cfg, rng):
 @pytest.mark.parametrize("train", ["honest", "resend", "mixed"])
 def test_sift_selects_by_position_what_the_masks_select(train, n):
     cfg, batch = _batch(train, n)
-    quarters = batch.bob_quarter
-    if quarters is None:
+    if batch.bob_quarter is None:
         quarters = bob_quarters(n, np.random.default_rng(3))
-    meas = measure_interference(batch, quarters, cfg.detector_alice, np.random.default_rng(4))
+        batch = PulseBatch(batch.mode_secret, batch.out1, batch.out2, quarters)
+    meas = measure_interference(batch, cfg.detector_alice, np.random.default_rng(4))
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     sift = sift_and_qber(meas, cfg, rng)
     want = _sift_by_masks(meas, cfg, ref)

@@ -72,7 +72,8 @@ def test_require_int_rejects_non_integers_and_values_out_of_range(value, message
 
 @pytest.mark.parametrize("make", [
     lambda: Thermal(True), lambda: Thermal("0.2"), lambda: Blinding(True), lambda: FockN(2.5),
-    lambda: FieldArray.vacuum(2).attenuated(True), lambda: FieldArray.vacuum(2).noclick_factors(1.5),
+    lambda: FieldArray.vacuum(2).attenuated(True, np.random.default_rng(0)),
+    lambda: FieldArray.vacuum(2).noclick_factors(1.5),
     lambda: ClickStream(3, 2), lambda: click_prob_coherent(TYPICAL, math.nan),
     lambda: click_prob_thermal(TYPICAL, math.inf), lambda: power_test(ClickStream(1, 2), 1.0, 3.0),
     lambda: samples_needed(0.0, 0.5, 3.0), lambda: TruncationConfig(n_max=2.5),

@@ -297,7 +297,7 @@ def _measure_counts(out1, det, seeds):
     singles = np.zeros((p.shape[1], 4), dtype=np.int64)
     doubles = 0
     for seed in seeds:
-        meas = measure_interference(both_outputs(out1), quarters, det, np.random.default_rng(seed))
+        meas = measure_interference(both_outputs(out1, quarters), det, np.random.default_rng(seed))
         pairs += np.bincount(index, minlength=p.shape[1])
         np.add.at(singles, (index[meas["pairs"]], meas["basis_q"] << 1 | meas["port"]), 1)
         doubles += meas["doubles"]
@@ -325,18 +325,18 @@ def test_interferometers_are_exact_on_degenerate_tables():
     # No light and no dark counts: no event and no draw.
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
-    dark = both_outputs(FieldArray.uniform(Vacuum(), quarters.size))
-    meas = measure_interference(dark, quarters, ideal, rng)
+    dark = both_outputs(FieldArray.uniform(Vacuum(), quarters.size), quarters)
+    meas = measure_interference(dark, ideal, rng)
     assert meas["pairs"].size == 0 and meas["doubles"] == 0
     assert meas["pairs"].dtype == np.intp and meas["basis_q"].dtype == np.uint8
     assert rng.bit_generator.state == state
     # Light bright enough that every detector clicks: every pair a double.
-    bright = both_outputs(FieldArray.uniform(Coherent(100.0), quarters.size))
-    meas = measure_interference(bright, quarters, ideal, rng)
+    bright = both_outputs(FieldArray.uniform(Coherent(100.0), quarters.size), quarters)
+    meas = measure_interference(bright, ideal, rng)
     assert meas["pairs"].size == 0 and meas["doubles"] == quarters.size - 1
     # One pair state, aligned phases, no dark counts: D1A, the dark port
     # of basis A, never clicks.
     out1 = FieldArray.uniform(Coherent(0.3), quarters.size)
-    meas = measure_interference(both_outputs(out1), quarters, ideal, np.random.default_rng(2))
+    meas = measure_interference(both_outputs(out1, quarters), ideal, np.random.default_rng(2))
     assert meas["pairs"].size > 0
     assert (0, 1) not in set(zip(meas["basis_q"].tolist(), meas["port"].tolist()))

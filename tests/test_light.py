@@ -27,6 +27,7 @@ from ctqkd.light import (
     pair_table,
 )
 from ctqkd.protocol import PulseBatch
+from records import field_at, from_columns, from_fields
 
 
 def _kinds(fa):
@@ -39,8 +40,13 @@ def _params(fa):
     return fa.param[fa.level]
 
 
-def _attenuated(field, transmittance, rng=None):
-    return FieldArray.uniform(field, 1).attenuated(transmittance, rng).field(0)
+def _attenuated(field, transmittance):
+    return field_at(FieldArray.uniform(field, 1).attenuated(transmittance, np.random.default_rng(0)), 0)
+
+
+def _turns(fa, turn):
+    """turn for every pulse of fa, as the integer column phase_shifted takes."""
+    return np.full(len(fa), turn, dtype=np.int64)
 
 
 def test_field_validation():
@@ -91,15 +97,18 @@ def test_fock_photon_number_must_fit_the_float_column_exactly(n):
 def test_fock_photon_number_up_to_2_to_the_53_round_trips():
     assert FOCK_N_MAX == 2**53
     fa = FieldArray.uniform(FockN(FOCK_N_MAX), 2)
-    assert fa.field(0) == FockN(2**53) and _params(fa)[1] == 2.0**53
-    assert FieldArray.from_fields([FockN(2**53 - 1), FockN(0)]).field(0) == FockN(2**53 - 1)
+    assert field_at(fa, 0) == FockN(2**53) and _params(fa)[1] == 2.0**53
+    # 2**53 - 1 has a float64 neighbour 0.5 away: the column holds it exactly.
+    fa = FieldArray.uniform(FockN(2**53 - 1), 2)
+    assert fa.param.tolist() == [2**53 - 1] and int(_params(fa)[0]) == 2**53 - 1
+    assert field_at(from_fields([FockN(2**53 - 1), FockN(0)]), 0) == FockN(2**53 - 1)
 
 
 def test_fock_photon_number_accepts_numpy_integers_and_stores_an_int():
     for n in (np.int64(3), np.uint8(3), 3):
         field = FockN(n)
         assert type(field.n) is int and field == FockN(3) and repr(field) == "FockN(n=3)"
-    assert FieldArray.uniform(FockN(np.int32(3)), 1).field(0) == FockN(3)
+    assert field_at(FieldArray.uniform(FockN(np.int32(3)), 1), 0) == FockN(3)
 
 
 def test_coherent_amplitude_is_magnitude_and_quarter():
@@ -109,8 +118,14 @@ def test_coherent_amplitude_is_magnitude_and_quarter():
         assert 2.5 * 1j**q == amp
         fa = FieldArray.uniform(field, 3)
         assert fa.quarter.tolist() == [q] * 3 and _params(fa).tolist() == [6.25] * 3
-        assert fa.field(2) == field
+        assert field_at(fa, 2) == field
     assert Coherent(0.0).quarter == 0 and Coherent(-0.0).quarter == 0
+    # The level's param is r * r to the bit, and q sits in the quarter
+    # column, at magnitudes whose square rounds.
+    for r in (0.3, math.sqrt(0.2), 1e-160, 1e154):
+        for q in range(4):
+            fa = FieldArray.uniform(Coherent(r * 1j**q), 3)
+            assert fa.param.tobytes() == np.float64(r * r).tobytes() and fa.quarter.tolist() == [q] * 3
 
 
 def test_attenuate_coherent_scales_amplitude():
@@ -147,9 +162,9 @@ def test_fock_thinning_draws_each_pulse_in_order(numbers):
     # the kept one, in ascending order, whether the numbers drawn are small
     # or about 0.6 * 2**53.
     n = 3000
-    table = FieldArray.from_fields([Thermal(0.5)] + [FockN(k) for k in numbers])
-    level = np.random.default_rng(len(numbers)).integers(0, table.kind.size, n)
-    fa = FieldArray(level, np.zeros(n, dtype=np.uint8), table.kind, table.param)
+    kind, param = [KIND_THERMAL] + [KIND_FOCK] * len(numbers), [0.5] + numbers
+    level = np.random.default_rng(len(numbers)).integers(0, len(kind), n)
+    fa = FieldArray(level, np.zeros(n, dtype=np.uint8), kind, param)
     out = fa.attenuated(0.6, np.random.default_rng(9))
     fock = _kinds(fa) == KIND_FOCK
     drawn = np.random.default_rng(9).binomial(_params(fa)[fock].astype(np.int64), 0.6)
@@ -161,31 +176,40 @@ def test_fock_thinning_draws_each_pulse_in_order(numbers):
 
 
 def test_attenuate_fock_requires_rng():
-    with pytest.raises(ValueError):
-        _attenuated(FockN(2), 0.5)
+    # Every loss takes its generator, drawing from it or not.
+    with pytest.raises(TypeError, match="rng"):
+        FieldArray.uniform(FockN(2), 1).attenuated(0.5)
+    with pytest.raises(TypeError, match="rng"):
+        PulseBatch(np.zeros(1), FieldArray.uniform(FockN(2), 1), FieldArray.vacuum(1)).propagated(0.5)
 
 
 def test_phase_shift_field():
-    fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.3), FockN(2)])
-    out = fa.phase_shifted(2)
-    assert out.field(0).amplitude == -2.0
-    turned = fa.phase_shifted(1)
-    assert turned.field(0) == Coherent(2j)
-    assert turned.field(1) == Thermal(0.3)
-    assert turned.field(2) == FockN(2)
-    assert fa.phase_shifted(np.array([3, 1, 2], dtype=np.uint8)).phase_shifted(1).field(0) == Coherent(2.0)
+    fa = from_fields([Coherent(2.0), Thermal(0.3), FockN(2)])
+    out = fa.phase_shifted(_turns(fa, 2))
+    assert field_at(out, 0).amplitude == -2.0
+    turned = fa.phase_shifted(_turns(fa, 1))
+    assert field_at(turned, 0) == Coherent(2j)
+    assert field_at(turned, 1) == Thermal(0.3)
+    assert field_at(turned, 2) == FockN(2)
+    thrice = fa.phase_shifted(np.array([3, 1, 2], dtype=np.uint8))
+    assert field_at(thrice.phase_shifted(_turns(fa, 1)), 0) == Coherent(2.0)
 
 
 @pytest.mark.parametrize("turn", [-1, -2, -6, 5, 259, 300, np.int64(-3), 2**70 + 1])
 def test_a_turn_is_taken_mod_4_alike_as_a_scalar_and_an_array(turn):
     # An integer array's uint8 cast wraps mod 256, a multiple of 4, so an
-    # array holding -1 turns by 3; the scalar -1 turns alike.
-    fa = FieldArray.from_fields([Coherent(1.0), Coherent(1j), Vacuum()])
+    # array holding -1 turns by 3.  A scalar turn, a 0-d array included, is
+    # refused as any column not of the train's shape is: every pulse takes
+    # its own turn, alike whether all are one scalar or not.
+    fa = from_fields([Coherent(1.0), Coherent(1j), Vacuum()])
     want = [int(turn + q) % 4 for q in (0, 1)] + [0]
-    assert fa.phase_shifted(turn).quarter.tolist() == want
+    for scalar in (turn, np.array(turn)):
+        with pytest.raises(ConfigError, match="one per pulse|must be integers"):
+            fa.phase_shifted(scalar)
     if abs(turn) < 2**63:
         assert fa.phase_shifted(np.full(3, turn, dtype=np.int64)).quarter.tolist() == want
-        assert fa.phase_shifted(np.array(turn)).quarter.tolist() == want
+        varied = np.array([turn, int(turn) + 5, int(turn) - 6], dtype=np.int64)
+        assert fa.phase_shifted(varied).quarter.tolist() == [want[0], (want[1] + 1) % 4, 0]
 
 
 @pytest.mark.parametrize("turn", [1.5, 2.0, True, None, "1", np.array(2.0), np.array([1.0, 2.0, 0.0]),
@@ -194,7 +218,7 @@ def test_a_turn_is_taken_mod_4_alike_as_a_scalar_and_an_array(turn):
                               "bool-array", "float-list"])
 def test_a_non_integer_turn_is_refused(turn):
     # Refused on a train with no coherent level too, which it leaves as is.
-    for fa in (FieldArray.from_fields([Coherent(1.0), Thermal(0.3), Vacuum()]),
+    for fa in (from_fields([Coherent(1.0), Thermal(0.3), Vacuum()]),
                FieldArray.uniform(Thermal(0.3), 3)):
         with pytest.raises(ConfigError, match="must be an integer|must be integers"):
             fa.phase_shifted(turn)
@@ -202,7 +226,7 @@ def test_a_non_integer_turn_is_refused(turn):
 
 def test_click_prob_per_kind():
     eta, pd = 0.4, 0.01
-    fa = FieldArray.from_fields([Vacuum(), Coherent(1.0), Thermal(0.5), FockN(3)])
+    fa = from_fields([Vacuum(), Coherent(1.0), Thermal(0.5), FockN(3)])
     p = click_prob(pd, fa.noclick_factors(eta))
     assert p[0] == pytest.approx(pd, abs=1e-15)
     assert p[1] == pytest.approx(1 - (1 - pd) * math.exp(-eta), abs=1e-12)
@@ -218,9 +242,9 @@ def test_blinding_click_ignores_efficiency():
 
 def test_field_array_roundtrip():
     fields = [Vacuum(), Coherent(1j), Thermal(0.2), FockN(4), Blinding(0.8)]
-    fa = FieldArray.from_fields(fields)
+    fa = from_fields(fields)
     assert len(fa) == 5
-    assert [fa.field(i) for i in range(5)] == fields
+    assert [field_at(fa, i) for i in range(5)] == fields
 
 
 def test_field_array_where():
@@ -228,8 +252,8 @@ def test_field_array_where():
     b = FieldArray.uniform(Thermal(0.5), 4)
     mask = np.array([True, False, True, False])
     sel = FieldArray.where(mask, a, b)
-    assert sel.field(0) == Coherent(1.0)
-    assert sel.field(1) == Thermal(0.5)
+    assert field_at(sel, 0) == Coherent(1.0)
+    assert field_at(sel, 1) == Thermal(0.5)
 
 
 def _coherent(n):
@@ -262,8 +286,7 @@ def test_a_per_pulse_column_of_the_wrong_length_is_refused(make):
 
 
 def test_mean_photons_per_kind():
-    fa = FieldArray.from_fields([Coherent(2.0), Thermal(0.7), FockN(3), Vacuum(), Blinding(1.0),
-                                 Coherent(-0.3j)])
+    fa = from_fields([Coherent(2.0), Thermal(0.7), FockN(3), Vacuum(), Blinding(1.0), Coherent(-0.3j)])
     # param is each level's mean photon number; blinding light's is its
     # forced-click probability.
     assert fa.param.tolist() == [4.0, 0.7, 3.0, 0.0, 1.0, 0.3**2]
@@ -285,7 +308,7 @@ def _mixture(n, kinds, seed=0):
         [np.square(rng.normal(size=n)), rng.uniform(0.0, 3.0, n), rng.integers(0, 8, n).astype(float),
          rng.uniform(0.0, 1.0, n)],
     )
-    return FieldArray.from_columns(kind, quarter, param)
+    return from_columns(kind, quarter, param)
 
 
 ALL_KINDS = (KIND_VACUUM, KIND_COHERENT, KIND_THERMAL, KIND_FOCK, KIND_BLINDING)
@@ -297,21 +320,21 @@ def test_field_array_has_two_pulse_columns_over_a_level_table():
     assert (fa.level.dtype, fa.quarter.dtype, fa.kind.dtype, fa.param.dtype) == (
         np.uint8, np.uint8, np.uint8, np.float64)
     assert len(fa.level) == len(fa.quarter) == 10 and fa.kind.size == fa.param.size
-    assert [fa.field(i) for i in range(10)] == [
-        FieldArray.from_fields([fa.field(i)]).field(0) for i in range(10)]
+    assert [field_at(fa, i) for i in range(10)] == [
+        field_at(from_fields([field_at(fa, i)]), 0) for i in range(10)]
 
 
 @pytest.mark.parametrize("n_levels,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
                                             (65536, np.uint16), (65537, np.uint32)])
 def test_level_index_is_the_narrowest_unsigned_type(n_levels, dtype):
-    fa = FieldArray.from_fields([FockN(i) for i in range(n_levels)])
+    fa = from_fields([FockN(i) for i in range(n_levels)])
     assert fa.level.dtype == dtype and fa.kind.size == n_levels
-    assert fa.field(n_levels - 1) == FockN(n_levels - 1)
+    assert field_at(fa, n_levels - 1) == FockN(n_levels - 1)
 
 
 def test_levels_are_distinct_by_kind_and_param_bit_pattern():
-    fa = FieldArray.from_fields([Thermal(0.5), Coherent(0.5**0.5), Thermal(0.5), Thermal(-0.0),
-                                 Thermal(0.0), Vacuum(), Coherent(-(0.5**0.5))])
+    fa = from_fields([Thermal(0.5), Coherent(0.5**0.5), Thermal(0.5), Thermal(-0.0), Thermal(0.0),
+                      Vacuum(), Coherent(-(0.5**0.5))])
     assert fa.kind.tolist() == [KIND_THERMAL, KIND_COHERENT, KIND_THERMAL, KIND_THERMAL, KIND_VACUUM]
     assert fa.level.tolist() == [0, 1, 0, 2, 3, 4, 1]
     assert fa.quarter.tolist() == [0, 0, 0, 0, 0, 0, 2]
@@ -369,7 +392,7 @@ def test_field_array_columns_are_write_once(column):
     fa = _mixture(10, ALL_KINDS)
     with pytest.raises(ValueError):
         getattr(fa, column)[0] = 1
-    for derived in (fa.attenuated(0.5, np.random.default_rng(1)), fa.phase_shifted(1),
+    for derived in (fa.attenuated(0.5, np.random.default_rng(1)), fa.phase_shifted(_turns(fa, 1)),
                     FieldArray.where(_kinds(fa) > 1, fa, FieldArray.vacuum(10)), fa.copy()):
         with pytest.raises(ValueError):
             getattr(derived, column)[0] = 1
@@ -379,14 +402,14 @@ def test_field_array_does_not_freeze_the_callers_array():
     kind, quarter, param = np.ones(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8), np.ones(4)
     level = np.zeros(4, dtype=np.uint8)
     FieldArray(level, quarter, kind[:1], param[:1])
-    FieldArray.from_columns(kind, quarter, param)
+    FieldArray(level, quarter, kind, param)
     FieldArray.uniform(Coherent(1.0), 4).phase_shifted(quarter)
     kind[0], quarter[0], param[0], level[0] = 2, 3, 2.0, 1
 
 
 def test_zero_invariants_hold_after_transforms():
     fa = _mixture(2000, ALL_KINDS)
-    for out in (fa, fa.attenuated(0.3, np.random.default_rng(2)), fa.phase_shifted(3),
+    for out in (fa, fa.attenuated(0.3, np.random.default_rng(2)), fa.phase_shifted(_turns(fa, 3)),
                 fa.phase_shifted(np.arange(2000).astype(np.uint8))):
         assert np.all(out.quarter[_kinds(out) != KIND_COHERENT] == 0)
         assert np.all(out.quarter <= 3)
@@ -412,7 +435,10 @@ def test_transforms_leave_input_unchanged_and_share_columns():
                                    (KIND_COHERENT,)])
 def test_loss_without_photon_numbers_keeps_the_pulse_columns(kinds):
     fa = _mixture(2000, kinds)
-    lossy = fa.attenuated(0.4)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    lossy = fa.attenuated(0.4, rng)
+    assert rng.bit_generator.state == state
     assert lossy.level is fa.level and lossy.quarter is fa.quarter and lossy.kind is fa.kind
     assert lossy.param.size == fa.param.size
 
@@ -447,13 +473,13 @@ def test_whole_array_noclick_equals_masked_formulas_bitwise(kinds, eta):
 def test_noclick_of_very_bright_light_is_exact():
     # A thermal mean whose square overflows must not leak inf * 0 = nan into
     # the coherent term of the whole-array path.
-    fa = FieldArray.from_fields([Thermal(1e200), Coherent(1e100), Vacuum()])
+    fa = from_fields([Thermal(1e200), Coherent(1e100), Vacuum()])
     assert fa.noclick_factors(0.5).tolist() == [1.0 / (1.0 + 0.5e200), 0.0, 1.0]
 
 
 def test_fock_thinning_and_blinding_on_mixed_arrays():
     n = 20000
-    five = FieldArray.from_fields([FockN(5), Blinding(0.8), Coherent(2.0), Thermal(0.5), Vacuum()])
+    five = from_fields([FockN(5), Blinding(0.8), Coherent(2.0), Thermal(0.5), Vacuum()])
     fa = FieldArray(np.tile(five.level, n // 5), np.tile(five.quarter, n // 5), five.kind, five.param)
     out = fa.attenuated(0.6, np.random.default_rng(5))
     kind, param = _kinds(out), _params(out)
@@ -473,14 +499,14 @@ def test_fock_thinning_and_blinding_on_mixed_arrays():
     assert np.array_equal(f[fock], (1.0 - eta) ** photons)
     assert np.all(f[blind] == 1.0 - 0.8)
     assert f.tobytes() == _masked_noclick(out, eta).tobytes()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="rng"):
         fa.attenuated(0.6)
 
 
 def test_few_photon_probs_match_the_photon_number_pmfs():
     fields = [Coherent(2.0), Coherent(1e-5), Thermal(0.5), Thermal(1e-7), FockN(0), FockN(1), FockN(3),
               Vacuum(), Blinding(0.2), Coherent(math.sqrt(1e19))]
-    zero, one = FieldArray.from_fields(fields).few_photon_probs()
+    zero, one = from_fields(fields).few_photon_probs()
     want = [scipy.stats.poisson(4.0), scipy.stats.poisson(1e-10), scipy.stats.nbinom(1, 1 / 1.5),
             scipy.stats.nbinom(1, 1 / (1 + 1e-7))]
     for i, law in enumerate(want):
@@ -496,8 +522,8 @@ def test_few_photon_probs_match_the_photon_number_pmfs():
 def test_empty_field_array():
     fa = FieldArray.vacuum(0)
     assert fa.noclick_factors(0.5)[fa.level].size == 0
-    assert len(FieldArray.from_fields([])) == 0
-    assert len(fa.attenuated(0.5)) == 0
+    assert len(FieldArray([], [], [], [])) == 0
+    assert len(fa.attenuated(0.5, np.random.default_rng(0))) == 0
 
 
 def _fock_oracle(field):
@@ -529,7 +555,7 @@ def test_click_probability_after_loss_and_phase_matches_fock_oracle(field, quart
     expected = click_prob_state(det, rho)
     n = 20000 if isinstance(field, FockN) else 1
     out = FieldArray.uniform(field, n).attenuated(transmittance, np.random.default_rng(0))
-    out = out.phase_shifted(quarter)
+    out = out.phase_shifted(_turns(out, quarter))
     p = click_prob(dark, out.noclick_factors(eta))[out.level]
     if isinstance(field, FockN):
         # Thinning draws each pulse's surviving photon number: compare the
@@ -539,4 +565,4 @@ def test_click_probability_after_loss_and_phase_matches_fock_oracle(field, quart
     assert p[0] == pytest.approx(expected, abs=ORACLE_TOL)
     if isinstance(field, Coherent):
         # magnitude and quarter name the same state the exact channel gives
-        assert trace_distance(coherent_state(out.field(0).amplitude), rho) < 1e-8
+        assert trace_distance(coherent_state(field_at(out, 0).amplitude), rho) < 1e-8

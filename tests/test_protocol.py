@@ -39,6 +39,7 @@ from ctqkd.protocol import (
     separate_modes,
     sift_and_qber,
 )
+from records import field_at, from_columns, from_fields
 from test_blocks import both_outputs, pair_click_probs
 
 CFG_SMALL = SessionConfig(n_pulses=2000, seed=5)
@@ -90,36 +91,36 @@ def test_modulate_zero_phase_records_only():
     batch = make_batch()
     assert batch.bob_quarter is None
     out = modulate_batch(batch, np.array([0]))
-    assert out.out1.field(0) == Coherent(math.sqrt(0.2))
-    assert out.out2.field(0) == Thermal(0.2)
+    assert field_at(out.out1, 0) == Coherent(math.sqrt(0.2))
+    assert field_at(out.out2, 0) == Thermal(0.2)
     assert out.bob_quarter.tolist() == [0]
 
 
 def test_modulate_pi_flips_coherent_sign():
     out = modulate_batch(make_batch(), np.array([2]))
-    assert out.out1.field(0).amplitude == pytest.approx(-math.sqrt(0.2), abs=1e-15)
+    assert field_at(out.out1, 0).amplitude == pytest.approx(-math.sqrt(0.2), abs=1e-15)
 
 
 def test_modulate_leaves_thermal_bit_exact():
     batch = make_batch(4)
     out = modulate_batch(batch, np.arange(4))
     assert out.out2.param.tobytes() == batch.out2.param.tobytes()
-    assert [out.out2.field(i) for i in range(4)] == [Thermal(0.2)] * 4
+    assert [field_at(out.out2, i) for i in range(4)] == [Thermal(0.2)] * 4
 
 
 # --- channel ---------------------------------------------------------------
 
 
 def test_propagate_identity():
-    out = make_batch().propagated(1.0)
-    assert out.out1.field(0) == Coherent(math.sqrt(0.2))
-    assert out.out2.field(0) == Thermal(0.2)
+    out = make_batch().propagated(1.0, np.random.default_rng(0))
+    assert field_at(out.out1, 0) == Coherent(math.sqrt(0.2))
+    assert field_at(out.out2, 0) == Thermal(0.2)
 
 
 def test_propagate_scales_both_modes():
-    out = make_batch().propagated(0.5)
-    assert out.out1.field(0).mean_photons == pytest.approx(0.1, abs=1e-12)
-    assert out.out2.field(0) == Thermal(0.1)
+    out = make_batch().propagated(0.5, np.random.default_rng(0))
+    assert field_at(out.out1, 0).mean_photons == pytest.approx(0.1, abs=1e-12)
+    assert field_at(out.out2, 0) == Thermal(0.1)
 
 
 # --- mode separation -------------------------------------------------------
@@ -132,8 +133,8 @@ def test_separation_honest_exhaustive():
     coherent, thermal = FieldArray.uniform(Coherent(1.0), 4), FieldArray.uniform(Thermal(0.2), 4)
     out1, out2 = separate_modes(assign ^ rot, FieldArray.where(coh_in_h, coherent, thermal),
                                 FieldArray.where(coh_in_h, thermal, coherent))
-    assert [out1.field(i) for i in range(4)] == [Coherent(1.0)] * 4
-    assert [out2.field(i) for i in range(4)] == [Thermal(0.2)] * 4
+    assert [field_at(out1, i) for i in range(4)] == [Coherent(1.0)] * 4
+    assert [field_at(out2, i) for i in range(4)] == [Thermal(0.2)] * 4
 
 
 def test_separation_of_identical_substituted_fields():
@@ -141,7 +142,7 @@ def test_separation_of_identical_substituted_fields():
     out1, out2 = separate_modes(np.array([0, 1, 1, 0]), FieldArray.uniform(eve_field, 4),
                                 FieldArray.uniform(eve_field, 4))
     for i in range(4):
-        assert out1.field(i) == eve_field and out2.field(i) == eve_field
+        assert field_at(out1, i) == eve_field and field_at(out2, i) == eve_field
 
 
 def test_separation_random_mode_guess_hits_output2_half_the_time():
@@ -355,7 +356,7 @@ def test_pair_click_probs_mixed_kinds_take_one_law():
     # Five (kind, param) levels: a (4 * 5)**2-entry table would outnumber
     # the 6 pairs, so each pair gets its own column.
     det = DetectorModel(0.3, 0.01)
-    out1 = FieldArray.from_fields(MIXED_KINDS + [Blinding(0.3)])
+    out1 = from_fields(MIXED_KINDS + [Blinding(0.3)])
     p, index = pair_click_probs(out1, det)
     assert p.shape == (4, 6) and index.dtype == np.uint8 and index.tolist() == list(range(6))
     assert p[:, index].tobytes() == _per_pair_oracle(out1, det).tobytes()
@@ -366,7 +367,7 @@ def test_pair_click_probs_four_mixed_kind_levels_take_the_table():
     # takes the 256-entry table from 256 pairs on
     det = DetectorModel(0.3, 0.01)
     for pairs in (255, 256):
-        out1 = FieldArray.from_fields(MIXED_KINDS + [Blinding(0.4)] * (pairs + 1 - len(MIXED_KINDS)))
+        out1 = from_fields(MIXED_KINDS + [Blinding(0.4)] * (pairs + 1 - len(MIXED_KINDS)))
         p, index = pair_click_probs(out1, det)
         assert out1.kind.size == 4 and len(out1) == pairs + 1
         state = out1.level.astype(int) << 2 | out1.quarter
@@ -409,7 +410,7 @@ def test_level_table_equals_per_pair_oracle_bitwise(det):
         which[:len(levels)] = np.arange(min(n, len(levels)))  # each level, if n allows
         kind = np.array([k for k, _ in levels], dtype=np.uint8)[which]
         quarter = np.where(kind == KIND_COHERENT, rng.integers(0, 4, n), 0)
-        train = FieldArray.from_columns(kind, quarter, np.array([mu for _, mu in levels])[which])
+        train = from_columns(kind, quarter, np.array([mu for _, mu in levels])[which])
         present = len(set(which.tolist()))
         p, index = pair_click_probs(train, det)
         assert train.kind.size == present
@@ -431,7 +432,7 @@ def test_interferometer_measure_deterministic_port():
     det = DetectorModel(eta=1.0, dark_prob=0.0)
     quarters = (2 * (np.arange(101) % 2)).astype(np.uint8)
     out1 = FieldArray.uniform(Coherent(2.0), 101).phase_shifted(quarters)
-    meas = measure_interference(both_outputs(out1), quarters, det, np.random.default_rng(3))
+    meas = measure_interference(both_outputs(out1, quarters), det, np.random.default_rng(3))
     assert meas["pairs"].size > 0 and np.all(meas["delta_q"] == 2)
     seen = set(zip(meas["basis_q"].tolist(), meas["port"].tolist()))
     assert (0, 0) not in seen
@@ -442,13 +443,27 @@ def test_interferometer_measure_deterministic_port():
 def test_interferometers_refuse_thermal_or_fock_light_on_output_1(stray):
     # No session puts such light on output 1, and the one law of
     # state_pair_probs does not model it: refused before any draw.
-    out1 = FieldArray.from_fields([Coherent(1.0)] * 50 + [stray] + [Coherent(1.0)] * 50)
+    out1 = from_fields([Coherent(1.0)] * 50 + [stray] + [Coherent(1.0)] * 50)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     with pytest.raises(ConfigError, match="no thermal or Fock light on output 1"):
-        measure_interference(both_outputs(out1), np.zeros(len(out1), dtype=np.uint8),
+        measure_interference(both_outputs(out1, np.zeros(len(out1), dtype=np.uint8)),
                              CFG_SMALL.detector_alice, rng)
     assert rng.bit_generator.state == state
+
+
+def test_interferometers_refuse_a_train_without_bobs_phases():
+    # Bob's phase differences are read from the batch, so a batch he has
+    # not modulated is refused before any draw.
+    batch = make_batch(101)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="Bob's phases"):
+        measure_interference(batch, CFG_SMALL.detector_alice, rng)
+    assert rng.bit_generator.state == state
+    meas = measure_interference(modulate_batch(batch, np.zeros(101, dtype=np.uint8)),
+                                CFG_SMALL.detector_alice, rng)
+    assert np.all(meas["delta_q"] == 0)
 
 
 # --- sifting ---------------------------------------------------------------
