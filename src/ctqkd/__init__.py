@@ -33,6 +33,7 @@ from .detector import (
 )
 from .light import Blinding, Coherent, FockN, LightField, Thermal, Vacuum
 from .protocol import (
+    ModeSecret,
     PulseBatch,
     SessionConfig,
     SessionResult,

@@ -15,6 +15,14 @@ or vacuum), converted to a FieldArray by FieldArray.uniform.  Blinding
 light saturates a threshold detector: its click probability ignores
 efficiency and loss, and the monitors and the interferometers alike read it
 from noclick_factors.
+
+A column need not hold a byte per pulse.  Alice's one-level outputs take a
+zero_column, one read-only 0 seen with stride 0, as both level and phase;
+numpy's passes over such a view are slow, so no stage scans it: loss
+shares the columns, the monitors count a one-entry table by the train's
+length (protocol.entry_counts), and phase_shifted takes Bob's quarters as
+the coherent output's phase column itself, sharing that array with the
+batch.
 """
 
 from __future__ import annotations
@@ -120,6 +128,18 @@ def _read_only(values, dtype) -> np.ndarray:
     return view
 
 
+def zero_column(n: int) -> np.ndarray:
+    """n zeros as uint8 that hold no per-pulse bytes: one read-only view of
+    a single 0 with stride 0.  A pass over it is slow (numpy's contiguous
+    kernels do not take it), so a stage reads no more than its first entry."""
+    return np.broadcast_to(np.zeros(1, dtype=np.uint8), (n,))
+
+
+def _is_zero_column(column: np.ndarray) -> bool:
+    """Whether column is a zero_column, judged without a pass over it."""
+    return column.strides == (0,) and (column.size == 0 or column[0] == 0)
+
+
 def _index_dtype(n_levels: int) -> np.dtype:
     """The narrowest unsigned integer type that indexes n_levels levels."""
     return np.dtype(np.uint8) if n_levels <= 256 else np.min_scalar_type(n_levels - 1)
@@ -188,9 +208,11 @@ class FieldArray:
     Per pulse, level indexes the table (uint8 up to 256 levels, the
     narrowest wider unsigned type beyond) and quarter (uint8) is the
     coherent phase in quarter turns, 0..3, exactly 0 for every other kind.
+    Either column may be a zero_column, with no per-pulse bytes.
 
     Every array is read-only.  Transforms build a new FieldArray and share
-    every array they leave unchanged.
+    every array they leave unchanged; phase_shifted may also take the turns'
+    own array as the phase column.
     """
 
     __slots__ = ("level", "quarter", "kind", "param")
@@ -272,7 +294,11 @@ class FieldArray:
         an integer array of the train's shape; each turn is taken mod 4, so
         -1 turns like 3.  Phase-invariant fields keep quarter 0.  The result
         shares the level, kind and param arrays; a train with no coherent
-        level, as Alice's thermal output, is itself the result."""
+        level, as Alice's thermal output, is itself the result.  A train of
+        coherent levels only whose phases are a zero_column, as Alice's
+        coherent output, takes turns already in 0..3 as its phase column:
+        the result's quarter is the turns' own uint8 array (a read-only
+        view of it when it is writable), with no new per-pulse array."""
         quarters = np.asarray(quarters)
         if quarters.dtype.kind not in "iu":
             raise ConfigError(f"quarters must be integers, got an array of {quarters.dtype}")
@@ -286,6 +312,8 @@ class FieldArray:
         # array, since quarter is 0 off coherent pulses.
         q = np.asarray(quarters, dtype=np.uint8)
         if kinds.count(KIND_COHERENT) == len(kinds):
+            if _is_zero_column(self.quarter) and q.max(initial=0) <= 3:
+                return FieldArray(self.level, q, self.kind, self.param)
             turned = np.add(self.quarter, q)
         else:
             turned = gather((self.kind == KIND_COHERENT) * np.uint8(3), self.level)

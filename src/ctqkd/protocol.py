@@ -26,7 +26,10 @@ triple reproduces results exactly.
 
 Each stage draws what it reports from that quantity's law, not gate by
 gate.  Alice's secret bits and Eve's coins are the bits of raw 64-bit
-generator outputs, and Bob's quarters their 2-bit fields.  A monitor
+generator outputs, and Bob's quarters their 2-bit fields.  The honest train
+allocates only Bob's quarters (1 B/pulse, which become output 1's phase
+column) and Alice's secret, kept packed (1/8 B/pulse, a ModeSecret):
+her outputs' level and phase columns are one light.zero_column.  A monitor
 reports a click count: it counts the gates at each entry of its table of
 click probabilities and draws one binomial per entry.  The interferometers
 report sparse events, the few pairs with a single click and the number of
@@ -36,7 +39,8 @@ to its own state's probability and picks the outcome (see
 measure_interference).  Only per-pulse decisions, Eve's mode guess and the
 phases her probe learns, take one uniform per gate (sample_blocked), a
 block of BLOCK pulses at a time, in stream order.  The honest stages never
-read the mode secret: Alice's monitor counts output 2's levels, and the
+read the mode secret: Alice's monitor counts output 2's levels (on the
+honest train's one level, by the train's length), and the
 interferometers read output 1's pulse states only at the candidate pairs.
 
 Every phase is a whole quarter turn (phi = q * pi/2), so a train of L
@@ -91,6 +95,7 @@ from .light import (
     blocks,
     gather,
     level_pairs,
+    zero_column,
 )
 
 ALARM_NONE = "none"
@@ -100,43 +105,83 @@ ALARM_BOB_POWER = "bob_power"
 ALARM_MULTIPLE = "multiple"
 
 
+class ModeSecret:
+    """Alice's mode secret for n pulses, held as the ceil(n / 8) bytes she
+    drew: pulse i's bit is bit i % 8 (least significant first) of byte
+    i // 8, and the bits past n in the last byte are not read.  bits, its
+    uint8 0/1 column, is unpacked once, on first read, and kept read-only,
+    so every batch that carries this ModeSecret reads the same array.  Only
+    mode discrimination and the Trojan's probe read it."""
+
+    __slots__ = ("packed", "n", "_bits")
+
+    def __init__(self, packed, n: int):
+        self.packed = np.asarray(packed, dtype=np.uint8)
+        self.n = n
+        self._bits = None
+        if self.packed.shape != (-(-n // 8),):
+            raise ConfigError(f"the packed mode secret of {n} pulses must be 1-d, of length "
+                              f"ceil(n / 8) = {-(-n // 8)}, got shape {self.packed.shape}")
+
+    @property
+    def bits(self) -> np.ndarray:
+        if self._bits is None:
+            self._bits = np.unpackbits(self.packed, count=self.n, bitorder="little")
+            self._bits.flags.writeable = False
+        return self._bits
+
+
 class PulseBatch:
     """Struct-of-arrays pulse train, in Alice's frame.
 
-    mode_secret (uint8) is Alice's mode secret per pulse: the XOR of her
-    source wiring and her rotator angle, 1 where she sent the thermal state
-    in the channel's H mode.  out1 and out2 hold the fields as they
-    propagate, each in the mode that lands on Alice's output 1 or 2 when
-    she separates the modes: on an honest train the coherent and the
-    thermal state.  Loss and Bob's modulator keep each pulse's kind, so an
-    attack with no forward hook finds, at its return hook, every pulse of
-    output 1 at a coherent level and every pulse of output 2 at a thermal
-    level.  separate_modes(mode_secret, out1, out2) gives the channel's H
-    and V modes.  bob_quarter (uint8) is None until Bob's phases are
-    applied (modulate_batch).  out1, out2 and bob_quarter (when set) hold
-    one entry per pulse of mode_secret.
+    secret (ModeSecret) is Alice's mode secret: the XOR of her source
+    wiring and her rotator angle, 1 where she sent the thermal state in the
+    channel's H mode.  It stays packed as she drew it; mode_secret, its
+    uint8 column per pulse, is unpacked on first read, once for all the
+    batches derived from one (they share the ModeSecret).  out1 and out2
+    hold the fields as they propagate, each in the mode that lands on
+    Alice's output 1 or 2 when she separates the modes: on an honest train
+    the coherent and the thermal state.  Loss and Bob's modulator keep
+    each pulse's kind, so an attack with no forward hook finds, at its
+    return hook, every pulse of output 1 at a coherent level and every
+    pulse of output 2 at a thermal level.  As Alice prepares them, both
+    outputs' level and phase columns are one light.zero_column, holding no
+    per-pulse bytes.  separate_modes(mode_secret, out1, out2) gives the
+    channel's H and V modes.  bob_quarter (uint8) is None until Bob's
+    phases are applied (modulate_batch); on Alice's coherent output it is
+    then the phase column itself.  out1, out2 and bob_quarter (when set)
+    hold one entry per pulse of the secret.  Build a batch from per-pulse
+    bits as
+    PulseBatch(ModeSecret(np.packbits(bits, bitorder="little"), len(bits)),
+    out1, out2).
     """
 
-    __slots__ = ("mode_secret", "out1", "out2", "bob_quarter")
+    __slots__ = ("secret", "out1", "out2", "bob_quarter")
 
-    def __init__(self, mode_secret, out1, out2, bob_quarter=None):
-        self.mode_secret = np.asarray(mode_secret, dtype=np.uint8)
+    def __init__(self, secret: ModeSecret, out1, out2, bob_quarter=None):
+        if not isinstance(secret, ModeSecret):
+            raise TypeError(f"secret must be a ModeSecret, got {type(secret).__name__}")
+        self.secret = secret
         self.out1 = out1
         self.out2 = out2
         self.bob_quarter = bob_quarter
-        n = self.mode_secret.size
+        n = secret.n
         if len(out1) != n or len(out2) != n or (bob_quarter is not None and len(bob_quarter) != n):
             raise ConfigError(f"out1, out2 and bob_quarter must each hold one entry per pulse of "
                               f"the mode secret ({n}), got {len(out1)}, {len(out2)} and "
                               f"{None if bob_quarter is None else len(bob_quarter)}")
 
+    @property
+    def mode_secret(self) -> np.ndarray:
+        return self.secret.bits
+
     def __len__(self) -> int:
-        return self.mode_secret.size
+        return self.secret.n
 
     def with_fields(self, out1: FieldArray, out2: FieldArray) -> "PulseBatch":
         """A new batch carrying these outputs; it shares the mode secret and
         Bob's phases with this one."""
-        return PulseBatch(self.mode_secret, out1, out2, self.bob_quarter)
+        return PulseBatch(self.secret, out1, out2, self.bob_quarter)
 
     def propagated(self, transmittance: float, rng: np.random.Generator) -> "PulseBatch":
         return self.with_fields(
@@ -284,16 +329,14 @@ def alice_prepare(cfg: SessionConfig, rng: np.random.Generator) -> PulseBatch:
     is itself a fresh fair bit per pulse.
     """
     n = cfg.n_pulses
-    # The XOR of two fair_bits draws, unpacked once from the XOR of their
-    # raw words.
+    # The XOR of two fair_bits draws, kept packed: the XOR of their raw words.
     words = -(-n // 64)
     raw = _raw_bytes(words, rng)  # source wiring
     raw ^= _raw_bytes(words, rng)  # rotator angle
-    secret = np.unpackbits(raw, count=n, bitorder="little")
-    # Level and phase of both outputs: read-only, so all four share it.
-    zeros = np.zeros(n, dtype=np.uint8)
-    zeros.flags.writeable = False
-    return PulseBatch(secret, FieldArray(zeros, zeros, [KIND_COHERENT], [cfg.mu_coherent]),
+    # Level and phase of both outputs: one zero_column, no per-pulse bytes.
+    zeros = zero_column(n)
+    return PulseBatch(ModeSecret(raw[:-(-n // 8)], n),
+                      FieldArray(zeros, zeros, [KIND_COHERENT], [cfg.mu_coherent]),
                       FieldArray(zeros, zeros, [KIND_THERMAL], [cfg.mu_thermal]))
 
 
@@ -322,19 +365,29 @@ _QUARTER_FIELDS = ((np.arange(256)[:, None] >> np.arange(0, 8, 2)) & 3).astype(n
 
 
 def bob_quarters(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Bob's random phases in quarter turns, as a uint8 column: the 2-bit
-    fields of rng's next ceil(n / 32) raw outputs, least significant first."""
-    return _QUARTER_FIELDS.take(_raw_bytes(-(-n // 32), rng)).view(np.uint8)[:n]
+    """Bob's random phases in quarter turns, as a read-only uint8 column:
+    the 2-bit fields of rng's next ceil(n / 32) raw outputs, least
+    significant first.  Each block of raw bytes is decoded into one output
+    in place, so take casts only a block's index to intp."""
+    raw = _raw_bytes(-(-n // 32), rng)
+    fields = np.empty(raw.size, dtype=_QUARTER_FIELDS.dtype)
+    for i, j in blocks(raw.size):
+        np.take(_QUARTER_FIELDS, raw[i:j], out=fields[i:j], mode="clip")  # every byte in range
+    quarters = fields.view(np.uint8)[:n]
+    quarters.flags.writeable = False
+    return quarters
 
 
 def modulate_batch(batch: PulseBatch, quarters: np.ndarray) -> PulseBatch:
     """Bob's polarization-insensitive phase modulation on both modes.
 
     Only coherent pulses pick up the phase; thermal, Fock and blinding
-    fields are phase invariant and pass bit-exactly unchanged.
+    fields are phase invariant and pass bit-exactly unchanged.  On Alice's
+    coherent output, whose phases are all 0, Bob's quarters (0..3) become
+    its phase column: bob_quarter and out1.quarter share one array.
     """
     q = np.asarray(quarters, dtype=np.uint8)
-    return PulseBatch(batch.mode_secret, batch.out1.phase_shifted(q), batch.out2.phase_shifted(q), q)
+    return PulseBatch(batch.secret, batch.out1.phase_shifted(q), batch.out2.phase_shifted(q), q)
 
 
 def sample_blocked(table: np.ndarray, index: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -361,11 +414,15 @@ def sample_blocked(table: np.ndarray, index: np.ndarray, rng: np.random.Generato
 def entry_counts(index: np.ndarray, size: int) -> np.ndarray:
     """How many elements of an unsigned index hold each entry of a table of
     size entries, as intp: np.bincount(index, minlength=size).  A table of
-    at most two entries, as every session builds, counts the nonzero
-    entries instead, many times faster and with no intp copy of the index."""
-    if size <= 2:
+    one entry counts index.size without reading the index, which on an
+    honest train is a zero_column, slow to pass over.  A table of two
+    entries, as attacked sessions build, counts the nonzero entries, many
+    times faster and with no intp copy of the index."""
+    if size == 1:
+        return np.array([index.size], dtype=np.intp)
+    if size == 2:
         ones = np.count_nonzero(index)
-        return np.array([index.size - ones, ones][:size], dtype=np.intp)
+        return np.array([index.size - ones, ones], dtype=np.intp)
     return np.bincount(index, minlength=size)
 
 

@@ -7,6 +7,8 @@ interferometers read output 1's states at the candidate pairs, a block of
 candidates at a time; they must equal the same stage over the states of
 every pair, draw for draw."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from ctqkd.light import (
     Coherent,
     FieldArray,
     pair_table,
+    zero_column,
 )
 from ctqkd.protocol import (
     BLOCK,
@@ -41,7 +44,7 @@ from ctqkd.protocol import (
     sift_and_qber,
     state_pair_probs,
 )
-from records import from_columns
+from records import from_columns, secret_of
 
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
@@ -81,24 +84,26 @@ def _batch(train, n):
         batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway, rng)
         return cfg, modulate_batch(batch, bob_quarters(n, rng))
     assign, rot = rng.integers(0, 2, (2, n))
+    mode_secret = secret_of(assign ^ rot)
     if train == "resend":
         resend = FieldArray.uniform(Coherent(0.8), n).phase_shifted(rng.integers(0, 4, n))
-        return cfg, PulseBatch(assign ^ rot, resend, resend)
+        return cfg, PulseBatch(mode_secret, resend, resend)
     if train == "two-level":
         two = _two_levels(rng, n, [0.64, 0.2])
-        return cfg, PulseBatch(assign ^ rot, two, two)
+        return cfg, PulseBatch(mode_secret, two, two)
     if train == "secret-levels":
         secret = (assign ^ rot).astype(np.uint8)
         secret.flags.writeable = False  # so that both outputs share it
         out2 = FieldArray(secret, np.zeros(n, dtype=np.uint8), [KIND_COHERENT, KIND_THERMAL], [0.5, 0.1])
         out1 = FieldArray(secret, rng.integers(0, 4, n), [KIND_COHERENT] * 2, [0.3, 2.0])
-        assert out1.level is out2.level is PulseBatch(secret, out1, out2).mode_secret
-        return cfg, PulseBatch(secret, out1, out2)
+        batch = PulseBatch(secret_of(secret), out1, out2)
+        assert out1.level is out2.level and np.array_equal(batch.mode_secret, secret)
+        return cfg, batch
     if train == "bright":
         bright = [1e4, 0.2]
-        return cfg, PulseBatch(assign ^ rot, _two_levels(rng, n, bright), _two_levels(rng, n, bright))
+        return cfg, PulseBatch(mode_secret, _two_levels(rng, n, bright), _two_levels(rng, n, bright))
     out1 = _mixed_train(n, rng, (KIND_VACUUM, KIND_COHERENT, KIND_BLINDING))
-    return cfg, PulseBatch(assign ^ rot, out1, _mixed_train(n, rng))
+    return cfg, PulseBatch(mode_secret, out1, _mixed_train(n, rng))
 
 
 def _dense(train):
@@ -172,7 +177,7 @@ def pair_click_probs(out1, det):
 def both_outputs(train, bob_quarter=None):
     """A pulse train whose outputs 1 and 2 are both this FieldArray, with
     these phases of Bob's, if any."""
-    return PulseBatch(np.zeros(len(train), dtype=np.uint8), train, train, bob_quarter)
+    return PulseBatch(secret_of(np.zeros(len(train))), train, train, bob_quarter)
 
 
 def _interference_over(out1, quarters, det, rng):
@@ -255,7 +260,7 @@ def test_click_stages_equal_one_whole_array_draw(monkeypatch, train, n):
     _assert_binomial_count(streams.pop()[0], table, out2.level, rng, ref)
 
     quarters = np.random.default_rng(7).integers(0, 4, n, dtype=np.uint8)
-    meas = measure_interference(PulseBatch(secret, out1, out2, quarters), det, rng)
+    meas = measure_interference(PulseBatch(batch.secret, out1, out2, quarters), det, rng)
     want, q_max = _interference_over(out1, quarters, det, ref)
     _assert_same_events(meas, want)
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -325,9 +330,11 @@ def test_prepare_and_bob_quarters_equal_whole_array_draws(n):
     batch = alice_prepare(cfg, rng)
     th_in_h = protocol.fair_bits(n, ref) ^ protocol.fair_bits(n, ref)
     assert batch.mode_secret.tobytes() == th_in_h.tobytes()
-    # Both outputs share one zeros column as level and phase.
+    # Both outputs share one zero_column, of no per-pulse bytes, as level
+    # and phase.
     out1, out2 = batch.out1, batch.out2
     assert out1.level is out2.level is out1.quarter is out2.quarter and not out1.level.any()
+    assert out1.level.strides == (0,)
     assert (out1.kind.tolist(), out1.param.tolist()) == ([KIND_COHERENT], [0.3])
     assert (out2.kind.tolist(), out2.param.tolist()) == ([KIND_THERMAL], [0.7])
     h, v = separate_modes(batch.mode_secret, out1, out2)
@@ -338,6 +345,75 @@ def test_prepare_and_bob_quarters_equal_whole_array_draws(n):
     words = ref.bit_generator.random_raw(-(-n // 32))
     whole = ((words[:, None] >> np.arange(0, 64, 2, dtype=np.uint64)) & 3).astype(np.uint8).ravel()[:n]
     _assert_same_draws(bob_quarters(n, rng), whole, rng, ref)
+
+
+def traced(fn, *args):
+    """(fn(*args), the peak of the allocations it traces above its start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_alice_prepare_allocates_only_her_packed_secret():
+    # The two raw draws of the secret, 0.125 B/pulse each; her outputs'
+    # level and phase columns are one zero_column, and the secret stays
+    # packed.
+    n = 2**20
+    cfg = SessionConfig(n_pulses=n, seed=2)
+    alice_prepare(SessionConfig(n_pulses=3000, seed=2), np.random.default_rng(1))
+    batch, peak = traced(alice_prepare, cfg, np.random.default_rng(cfg.seed))
+    assert peak <= 0.3 * n, peak / n
+    assert batch.secret.packed.size == n // 8
+
+
+def test_mode_secret_is_unpacked_once_on_first_read_and_shared():
+    n = 2**16
+    cfg = SessionConfig(n_pulses=n, seed=4)
+    rng = np.random.default_rng(cfg.seed)
+    batch = alice_prepare(cfg, rng)
+    # Every batch derived from Alice's carries her ModeSecret, unread.
+    lossy = batch.propagated(cfg.transmittance_oneway, rng)
+    modulated = modulate_batch(lossy, bob_quarters(n, rng))
+    held = modulated.with_fields(modulated.out2, modulated.out1)
+    assert lossy.secret is modulated.secret is held.secret is batch.secret
+    # The first read unpacks one byte per pulse, the next ones none, and
+    # all of them read one read-only array.
+    bits, first = traced(lambda: held.mode_secret)
+    again, second = traced(lambda: batch.mode_secret)
+    assert first >= n and second < 1024, (first, second)
+    assert bits is again is modulated.mode_secret is lossy.mode_secret
+    assert not bits.flags.writeable
+    assert bits.tobytes() == np.unpackbits(batch.secret.packed, count=n, bitorder="little").tobytes()
+
+
+def test_honest_output_1_phases_are_bob_quarters_own_array():
+    # Alice's coherent output holds phase 0 in a zero_column, so Bob's
+    # quarters (0..3) are its phase column after modulation: no new
+    # per-pulse array, bit-equal to turning each 0 by Bob's quarter.
+    n = 2**18
+    cfg = SessionConfig(n_pulses=n, seed=6)
+    rng = np.random.default_rng(cfg.seed)
+    batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway, rng)
+    quarters = bob_quarters(n, rng)
+    modulated, peak = traced(modulate_batch, batch, quarters)
+    assert peak < 4096, peak
+    assert modulated.bob_quarter is quarters and modulated.out1.quarter is quarters
+    assert modulated.out2 is batch.out2 and modulated.out1.level is batch.out1.level
+    assert modulated.out1.quarter.tobytes() == (np.zeros(n, dtype=np.uint8) + quarters & 3).tobytes()
+    # Turns that need reducing mod 4 still get a phase column of their own.
+    wrapped = batch.out1.phase_shifted(quarters + np.uint8(4))
+    assert wrapped.quarter.tobytes() == quarters.tobytes() and not np.shares_memory(wrapped.quarter, quarters)
+
+
+def test_entry_counts_of_a_one_entry_table_is_the_index_size():
+    # On a zero_column, an honest train's level column, with no pass over it.
+    for n in (0, 1, BLOCK + 1, 10**6):
+        counts = entry_counts(zero_column(n), 1)
+        assert counts.dtype == np.intp and counts.tolist() == [n]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -409,7 +485,7 @@ def test_sift_selects_by_position_what_the_masks_select(train, n):
     cfg, batch = _batch(train, n)
     if batch.bob_quarter is None:
         quarters = bob_quarters(n, np.random.default_rng(3))
-        batch = PulseBatch(batch.mode_secret, batch.out1, batch.out2, quarters)
+        batch = PulseBatch(batch.secret, batch.out1, batch.out2, quarters)
     meas = measure_interference(batch, cfg.detector_alice, np.random.default_rng(4))
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     sift = sift_and_qber(meas, cfg, rng)

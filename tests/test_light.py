@@ -26,8 +26,8 @@ from ctqkd.light import (
     level_pairs,
     pair_table,
 )
-from ctqkd.protocol import PulseBatch
-from records import field_at, from_columns, from_fields
+from ctqkd.protocol import ModeSecret, PulseBatch
+from records import field_at, from_columns, from_fields, secret_of
 
 
 def _kinds(fa):
@@ -155,6 +155,18 @@ def test_attenuate_fock_thins_binomially():
     assert np.mean(outs) == pytest.approx(3.0, abs=0.1)
 
 
+def test_lossless_attenuation_of_fock_light_is_the_train_and_draws_nothing():
+    # A tap-less session (tap_reflectance = 0) passes a Fock probe through
+    # a loss of 1.0.  binomial(n, 1.0) would return n but still advance the
+    # generator, so every later draw of the session would change.
+    fa = FieldArray(np.arange(6) % 3, np.zeros(6, dtype=np.uint8), [KIND_FOCK, KIND_THERMAL, KIND_FOCK],
+                    [3.0, 0.4, 10.0**6])
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    assert fa.attenuated(1.0, rng) is fa
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("numbers", [[5], [5, 2], [2**53], [2**53, 7]])
 def test_fock_thinning_draws_each_pulse_in_order(numbers):
     # One binomial per Fock pulse, in pulse order, whether the train holds
@@ -180,7 +192,7 @@ def test_attenuate_fock_requires_rng():
     with pytest.raises(TypeError, match="rng"):
         FieldArray.uniform(FockN(2), 1).attenuated(0.5)
     with pytest.raises(TypeError, match="rng"):
-        PulseBatch(np.zeros(1), FieldArray.uniform(FockN(2), 1), FieldArray.vacuum(1)).propagated(0.5)
+        PulseBatch(secret_of(np.zeros(1)), FieldArray.uniform(FockN(2), 1), FieldArray.vacuum(1)).propagated(0.5)
 
 
 def test_phase_shift_field():
@@ -273,12 +285,13 @@ def _thermal(n):
     lambda: FieldArray(np.zeros((3, 1)), np.zeros((3, 1)), [KIND_COHERENT], [1.0]),
     lambda: FieldArray.where(np.array([True, False]), _coherent(3), _thermal(3)),
     lambda: FieldArray.where(np.array([True, False, True]), _coherent(3), _thermal(4)),
-    lambda: PulseBatch(np.zeros(3), _coherent(3), _thermal(4)),
-    lambda: PulseBatch(np.zeros(3), _coherent(2), _thermal(3)),
-    lambda: PulseBatch(np.zeros(3), _coherent(3), _thermal(3), np.zeros(2, dtype=np.uint8)),
+    lambda: PulseBatch(secret_of(np.zeros(3)), _coherent(3), _thermal(4)),
+    lambda: PulseBatch(secret_of(np.zeros(3)), _coherent(2), _thermal(3)),
+    lambda: PulseBatch(secret_of(np.zeros(3)), _coherent(3), _thermal(3), np.zeros(2, dtype=np.uint8)),
+    lambda: ModeSecret(np.zeros(2), 17),
 ], ids=["turns-short", "turns-long", "turns-2d", "turns-short-no-coherent", "quarter-short",
         "level-2d", "mask-short", "trains-unequal", "batch-out2-long", "batch-out1-short",
-        "batch-bob-quarter-short"])
+        "batch-bob-quarter-short", "secret-short"])
 def test_a_per_pulse_column_of_the_wrong_length_is_refused(make):
     # Each was once broadcast, accepted at its length or refused by numpy.
     with pytest.raises(ConfigError, match="length|one per pulse|one entry per pulse"):

@@ -32,6 +32,7 @@ from ctqkd.protocol import (
     run_session,
     state_pair_probs,
 )
+from records import secret_of
 
 OUT1_KINDS = (KIND_COHERENT, KIND_VACUUM, KIND_BLINDING)
 OUT2_KINDS = OUT1_KINDS + (KIND_THERMAL, KIND_FOCK)
@@ -73,7 +74,7 @@ def random_train(rng, n_levels, kinds, level=None):
 def random_batch(rng, n_1, n_2, shared_levels=False, out2_kinds=OUT2_KINDS):
     out1 = random_train(rng, n_1, OUT1_KINDS)
     out2 = random_train(rng, n_2, out2_kinds, out1.level if shared_levels else None)
-    return PulseBatch(np.zeros(N_PULSES, dtype=np.uint8), out1, out2)
+    return PulseBatch(secret_of(np.zeros(N_PULSES)), out1, out2)
 
 
 def random_detector(rng):
@@ -157,7 +158,7 @@ def test_tables_on_shared_and_separate_level_columns_are_stored_apart(monkeypatc
     out2 = FieldArray(out1.level, np.zeros(N_PULSES, dtype=np.uint8), [KIND_THERMAL] * 3, [0.1, 0.2, 0.3])
     separate = FieldArray(rng.permutation(out1.level), out2.quarter, out2.kind, out2.param)
     for second in (out2, separate, out2, separate):
-        batch = PulseBatch(np.zeros(N_PULSES, dtype=np.uint8), out1, second)
+        batch = PulseBatch(secret_of(np.zeros(N_PULSES)), out1, second)
         assert_tables_equal(memo_tables(batch, det, monkeypatch), fresh_tables(batch, det))
     assert protocol._tap_table.cache_info().currsize == 2
 
@@ -181,7 +182,7 @@ def test_tables_beyond_the_level_bound_or_with_a_fock_level_are_not_stored(monke
     assert [memo.cache_info() for memo in protocol._MEMOS] == infos
     out2 = FieldArray(big.out1.level, np.zeros(N_PULSES, dtype=np.uint8), [KIND_FOCK] * (MEMO_LEVELS + 1),
                       np.arange(MEMO_LEVELS + 1.0))
-    fock = PulseBatch(big.mode_secret, random_train(rng, 1, (KIND_COHERENT,)), out2.attenuated(0.5, rng))
+    fock = PulseBatch(big.secret, random_train(rng, 1, (KIND_COHERENT,)), out2.attenuated(0.5, rng))
     assert KIND_FOCK in fock.out2.kind.tolist() and fock.out2.kind.size <= MEMO_LEVELS + 1
     assert_tables_equal(memo_tables(fock, det, monkeypatch), fresh_tables(fock, det))
     assert [info.currsize for info in infos] == [0, 0, 0]

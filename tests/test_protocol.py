@@ -3,7 +3,6 @@ interferometric measurement, sifting and the end-to-end run."""
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,15 +38,15 @@ from ctqkd.protocol import (
     separate_modes,
     sift_and_qber,
 )
-from records import field_at, from_columns, from_fields
-from test_blocks import both_outputs, pair_click_probs
+from records import field_at, from_columns, from_fields, secret_of
+from test_blocks import both_outputs, pair_click_probs, traced
 
 CFG_SMALL = SessionConfig(n_pulses=2000, seed=5)
 
 
 def make_batch(n=1, assign=0, rot=0, out1=Coherent(math.sqrt(0.2)), out2=Thermal(0.2)):
     """n pulses with the given secret bits and the same field on each output."""
-    return PulseBatch(np.broadcast_to(assign ^ rot, n),
+    return PulseBatch(secret_of(np.full(n, assign ^ rot)),
                       FieldArray.uniform(out1, n), FieldArray.uniform(out2, n))
 
 
@@ -570,53 +569,47 @@ def test_honest_sessions_do_not_alarm():
         assert res.alarm == "none"
 
 
-def _traced_peak(fn, *args):
-    """The peak of the allocations fn(*args) traces above its start, in bytes."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_honest_session_allocates_at_most_9_bytes_per_pulse():
     # The peak of the traced allocations (numpy's included) above the
-    # session's start: 5.25 B/pulse, at Bob's quarters, whose take casts
-    # its byte index to intp.  The train is Alice's two outputs, sharing
-    # one level and phase column until Bob turns output 1's phases: her
-    # monitor counts output 2's level column, and the interferometers read
-    # output 1 at the candidate pairs of a block only.  A process's first
-    # session also traces the modules numpy imports on first use.
+    # session's start: 1.91 B/pulse, in the interferometers (see the next
+    # test).  A process's first session also traces the modules numpy
+    # imports on first use.
     n = 2**20
-    peak = _traced_peak(run_session, SessionConfig(n_pulses=n, seed=2))
+    peak = traced(run_session, SessionConfig(n_pulses=n, seed=2))[1]
     assert peak <= 9 * n, peak / n
 
 
 def test_honest_session_peak_stays_below_alice_outputs():
     # Building Alice's two outputs from the channel's modes, one at a
-    # time, peaked at 7.0 B/pulse; carrying the train as her outputs
-    # leaves 5.25, at Bob's quarters.  The
-    # bound allows 0.75 B/pulse, 0.75 MiB here, for numpy's own allocations
-    # and a process's first session.
+    # time, peaked at 7.0 B/pulse; carrying the train as her outputs left
+    # 5.25, at Bob's quarters, whose take cast its byte index to intp.  Now
+    # the train holds Bob's quarters (1 B/pulse, output 1's phase column
+    # too) and Alice's packed secret (0.125): her level and phase columns
+    # are one zero_column, her secret is unpacked only where an attack
+    # reads it, Bob's quarters are decoded a block at a time and her
+    # monitor counts a one-entry table by the train's length.  The peak,
+    # 1.91, is in the interferometers' candidate blocks.  The bound allows
+    # 0.75 B/pulse, 0.75 MiB here, for numpy's own allocations and a
+    # process's first session.
     n = 2**20
-    peak = _traced_peak(run_session, SessionConfig(n_pulses=n, seed=2))
-    assert peak <= 6 * n, peak / n
+    peak = traced(run_session, SessionConfig(n_pulses=n, seed=2))[1]
+    assert peak <= (1.91 + 0.75) * n, peak / n
 
 
 # Bounds on the traced peak of an attacked session at 2**18 pulses, in
-# B/pulse.  Beam-split counts its pulses per pair of levels and peaks at
-# 5.27 (gathering a float64 mean per pulse, 21.0); each other bound is the
-# measured peak plus 0.75 B/pulse, as above.  Intercept-resend and mode
+# B/pulse: the measured peak plus 0.75 B/pulse, as above.  Beam-split
+# counts its pulses per pair of levels and peaks at 2.39 (gathering a
+# float64 mean per pulse, 21.0).  Each attack's peak fell by 0.9 to 2.9
+# B/pulse with the honest train's (Alice's zero_column and packed secret,
+# Bob's quarters as output 1's phases).  Intercept-resend and mode
 # discrimination read output 1's phases as the coherent light's, and mode
 # discrimination frees its phase differences and informative mask once
 # Eve's estimates are made and turns her guess into its output-1 mask in
 # place (13.03 and 21.04 when they selected the phases pulse by pulse from
 # both outputs and held every column to the end, 16.03 with a new mask).
-ATTACK_PEAK_BOUNDS = {"intercept-resend": 12.02 + 0.75, "beam-split": 6.0,
-                      "mode-discrimination": 15.04 + 0.75, "trojan": 10.04 + 0.75,
-                      "bright-light": 6.17 + 0.75}
+ATTACK_PEAK_BOUNDS = {"intercept-resend": 10.61 + 0.75, "beam-split": 2.39 + 0.75,
+                      "mode-discrimination": 13.16 + 0.75, "trojan": 9.16 + 0.75,
+                      "bright-light": 5.28 + 0.75}
 
 
 @pytest.mark.parametrize("kind", sorted(ATTACK_PEAK_BOUNDS))
@@ -625,7 +618,7 @@ def test_attacked_session_peak_per_pulse(kind):
     # imports of the attack's path.
     run_session(SessionConfig(n_pulses=3000, seed=2), ATTACK_KINDS[kind]())
     n = 2**18
-    peak = _traced_peak(run_session, SessionConfig(n_pulses=n, seed=2), ATTACK_KINDS[kind]())
+    peak = traced(run_session, SessionConfig(n_pulses=n, seed=2), ATTACK_KINDS[kind]())[1]
     assert peak <= ATTACK_PEAK_BOUNDS[kind] * n, peak / n
 
 
@@ -639,9 +632,9 @@ def test_monitors_keep_no_per_gate_record():
     batch = alice_prepare(cfg, rng).propagated(cfg.transmittance_oneway, rng)
     batch = modulate_batch(batch, protocol.bob_quarters(n, rng))
     for monitor in (bob_monitor_tap, alice_thermal_monitor):
-        peak = _traced_peak(monitor, batch, cfg, rng)
+        peak = traced(monitor, batch, cfg, rng)[1]
         assert peak < 0.5 * n, (monitor.__name__, peak / n)
-    peak = _traced_peak(protocol.monitor_clicks, np.array([0.3]), np.zeros(n, dtype=np.uint8), rng)
+    peak = traced(protocol.monitor_clicks, np.array([0.3]), np.zeros(n, dtype=np.uint8), rng)[1]
     assert peak < 0.5 * n, ("one-entry table", peak / n)
 
 
